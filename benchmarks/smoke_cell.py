@@ -1,5 +1,4 @@
-"""CI smoke benchmark: one tiny Fig. 5 sweep, parallel vs serial,
-plus the engine throughput regression guard.
+"""CI smoke benchmark: one tiny Fig. 5 sweep, parallel vs serial.
 
 Runs a single weight-sweep panel twice — once with ``workers=1`` and
 once with ``workers=2`` — and asserts the results are bit-identical,
@@ -7,69 +6,11 @@ which is the determinism contract of :mod:`repro.parallel`.  Prints the
 perf counters of the parallel run so CI logs show events/sec and worker
 utilisation.
 
-Then times the two standard engine scenarios from
-:mod:`repro.profiling.bench`, records before/after numbers in
-``benchmarks/results/engine_perf.json`` (the "before" half is the
-checked-in pre-optimisation baseline), and fails if events/sec drops
-below the checked-in floor — half the pre-optimisation baseline, so
-only an order-of-magnitude regression (e.g. an O(n) scan creeping back
-into the dispatch loop) trips it.
-
-With ``--sanitizer`` it instead measures the runtime DES sanitizer's
-overhead: the incast cell runs sanitize-off, sanitize-on, and
-stride-sampled (``stride:64``) *in one warmed process*, interleaved
-round-robin so load spikes cannot bias a single leg; outputs must
-match bit-for-bit across all legs (the sanitizer only observes), zero
-invariant violations may fire, and the slowdowns must stay within
-``benchmarks.common.SANITIZER_OVERHEAD_BUDGET`` /
-``STRIDE_SANITIZER_OVERHEAD_BUDGET``.  The leg also re-times the engine
-microbench and regenerates **both** ``results/engine_perf.json`` and
-``results/sanitizer_overhead.json`` from the same off-leg measurement,
-then fails loudly if the two files' shared scenario disagrees by more
-than 10% (``benchmarks.common.shared_scenario_mismatch``) — the
-historical mode where each file came from a separate cold process made
-every cross-file ratio fiction.
-
-With ``--stride-sanitizer`` it runs only the off and ``stride:64`` legs
-(again one warmed process) and enforces the 1.15x stride budget plus
-output identity, without touching the results files — the cheap CI leg
-that keeps strided checking honest.
-
-With ``--faults`` it measures the fault-injection hooks' overhead when
-*no faults are scheduled*: the incast cell runs bare and with a dormant
-injector (empty plan armed, stuck-I/O watchdog installed).  Event counts
-and outputs must be identical — a dormant injector adds zero events —
-and the slowdown must stay within
-``benchmarks.common.FAULT_HOOK_OVERHEAD_BUDGET``.  Numbers land in
-``benchmarks/results/faults_overhead.json``.
-
-With ``--checkpoint`` it measures periodic checkpointing's overhead on
-a long incast cell (~380k events, snapshots every
-``benchmarks.common.CHECKPOINT_EVERY_EVENTS`` events): outputs must be
-identical to the uninterrupted run, restoring the newest snapshot and
-continuing must reproduce them again, and the wall-time slowdown must
-stay within ``benchmarks.common.CHECKPOINT_OVERHEAD_BUDGET``.  Numbers
-land in ``benchmarks/results/checkpoint_overhead.json``.
-
-With ``--dual-fidelity`` it runs the acceptance-scale dual-fidelity
-Clos cell (full 4-pod fabric, 200 fluid tenants, 8 packet-level
-foreground flows, 100 ms simulated) and enforces two floors from
-:mod:`benchmarks.common`: the >= 10x event-count reduction against the
-all-packet projection (``DUAL_FIDELITY_EVENT_REDUCTION_FLOOR``) and the
-dispatch-loop events/sec floor (``DUAL_FIDELITY_EVENTS_PER_SEC_FLOOR``).
-Numbers land in ``benchmarks/results/clos_scale.json``.  A second,
-smaller Clos cell then runs under the stride-sampled sanitizer
-(``stride:64``) — the fluid conservation/envelope sweep included — and
-must finish violation-free.
+Timing lives in ``benchmarks/perf`` (``python3 benchmarks/perf/run.py``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/smoke_cell.py
-    PYTHONPATH=src python benchmarks/smoke_cell.py --sanitizer
-    PYTHONPATH=src python benchmarks/smoke_cell.py --stride-sanitizer
-    PYTHONPATH=src python benchmarks/smoke_cell.py --faults
-    PYTHONPATH=src python benchmarks/smoke_cell.py --checkpoint
-    PYTHONPATH=src python benchmarks/smoke_cell.py --dual-fidelity
 """
 
 from __future__ import annotations
@@ -82,23 +23,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent.parent))
 
-from benchmarks.common import (
-    DUAL_FIDELITY_EVENT_REDUCTION_FLOOR,
-    DUAL_FIDELITY_EVENTS_PER_SEC_FLOOR,
-    FAULT_HOOK_OVERHEAD_BUDGET,
-    SANITIZER_OVERHEAD_BUDGET,
-    STRIDE_SANITIZER_OVERHEAD_BUDGET,
-    STRIDE_SANITIZER_STRIDE,
-    load_engine_floor,
-    save_clos_scale,
-    save_engine_perf,
-    save_faults_perf,
-    save_sanitizer_perf,
-    shared_scenario_mismatch,
-)
 from repro.experiments.weight_sweep import run_weight_sweep_with_report
-from repro.profiling.bench import engine_microbench, incast_outputs, run_incast_cell
-from repro.sim.engine import Simulator
 from repro.sim.units import MS
 from repro.ssd.config import SSD_A
 
@@ -135,470 +60,8 @@ def main() -> int:
 
     print("smoke cell OK: workers=2 bit-identical to workers=1")
     print(json.dumps(report.perf_dict(), indent=2))
-    return engine_guard()
-
-
-def _measure_incast_modes(modes, rounds: int = 3):
-    """Round-robin best-of timing across sanitize modes.
-
-    Every mode runs once per round, interleaved, so a transient load
-    spike degrades that round's sample for *all* modes instead of
-    biasing whichever leg it happened to land on — sequential
-    best-of-N per leg let slowdown ratios on a loaded box swing
-    between 0.8x and 1.6x for the identical build.  Returns
-    ``{mode: (BenchResult, outputs)}`` with the best round per mode;
-    outputs come from the last round (each mode is deterministic, so
-    any round's outputs serve).
-    """
-    best: dict = {mode: None for mode in modes}
-    outputs: dict = {}
-    for _ in range(rounds):
-        for mode in modes:
-            bench, _, net = run_incast_cell(
-                duration_ns=2 * MS, sim=Simulator(sanitize=mode)
-            )
-            if best[mode] is None or bench.events_per_sec > best[mode].events_per_sec:
-                best[mode] = bench
-            outputs[mode] = incast_outputs(net)
-    return {mode: (best[mode], outputs[mode]) for mode in modes}
-
-
-def _measure_incast(sanitize, runs: int = 3):
-    """Best-of-``runs`` incast timing for one sanitize mode."""
-    return _measure_incast_modes((sanitize,), rounds=runs)[sanitize]
-
-
-def _enforce_floor(current: dict) -> bool:
-    """True when every scenario clears its checked-in events/sec floor."""
-    floor = load_engine_floor()
-    ok = True
-    for key, cur in current.items():
-        limit = floor.get(f"{key}_events_per_sec")
-        if limit is not None and cur["events_per_sec"] < limit:
-            print(
-                f"FAIL: {key} at {cur['events_per_sec']} events/sec is below "
-                f"the regression floor {limit}",
-                file=sys.stderr,
-            )
-            ok = False
-    return ok
-
-
-def _print_engine_payload(current: dict, payload: dict) -> None:
-    print("engine perf (events/sec, current vs pre-optimisation baseline):")
-    for key, cur in current.items():
-        base = payload["baseline"].get(key, {}).get("events_per_sec", "?")
-        speedup = payload["speedup"].get(key, "?")
-        print(f"  {key}: {cur['events_per_sec']} vs {base} ({speedup}x)")
-
-
-def engine_guard() -> int:
-    """Time the standard engine scenarios and enforce the events/sec floor."""
-    current = {
-        "engine_microbench": max(
-            (engine_microbench(n_events=200_000) for _ in range(2)),
-            key=lambda r: r.events_per_sec,
-        ).as_dict(),
-        "incast_cell": _measure_incast(False, runs=2)[0].as_dict(),
-    }
-    payload = save_engine_perf(current)
-    _print_engine_payload(current, payload)
-    if not _enforce_floor(current):
-        return 1
-    print("engine perf OK: above the regression floor")
     return 0
-
-
-def sanitizer_guard() -> int:
-    """Measure sanitizer overhead and regenerate both results files.
-
-    All legs — off, full-fidelity, ``stride:64``, and the engine
-    microbench — run in *this one process*, back to back, after a
-    throwaway warm-up run.  The off leg is written to **both**
-    ``engine_perf.json`` (as ``current.incast_cell``) and
-    ``sanitizer_overhead.json`` (as ``sanitize_off``), so every ratio
-    built on those files shares one denominator; the cross-file
-    consistency check then has to pass by construction and only trips
-    if a future change lets the two measurements drift apart again.
-
-    Outputs must match bit-for-bit across all three legs — the
-    sanitizer (strided or not) is a pure observer — and a
-    :class:`repro.analysis.SanitizerError` escaping here is a real
-    invariant violation failing the guard loudly.
-    """
-    run_incast_cell(duration_ns=2 * MS)  # warm-up: allocator + caches
-
-    stride_mode = f"stride:{STRIDE_SANITIZER_STRIDE}"
-    measured = _measure_incast_modes((False, True, stride_mode), rounds=3)
-    off, off_outputs = measured[False]
-    on, on_outputs = measured[True]
-    strided, stride_outputs = measured[stride_mode]
-
-    failed = False
-    for label, outputs in (("on", on_outputs), (stride_mode, stride_outputs)):
-        if outputs != off_outputs:
-            print(
-                f"FAIL: sanitize={label} incast outputs diverged from plain run",
-                file=sys.stderr,
-            )
-            print(f"  off: {off_outputs}", file=sys.stderr)
-            print(f"  {label}: {outputs}", file=sys.stderr)
-            failed = True
-    if failed:
-        return 1
-
-    # Both results files get the one shared off-leg measurement.
-    micro = max(
-        (engine_microbench(n_events=200_000) for _ in range(2)),
-        key=lambda r: r.events_per_sec,
-    ).as_dict()
-    current = {"engine_microbench": micro, "incast_cell": off.as_dict()}
-    engine_payload = save_engine_perf(current)
-    _print_engine_payload(current, engine_payload)
-    if not _enforce_floor(current):
-        failed = True
-
-    payload = save_sanitizer_perf(off.as_dict(), on.as_dict(), strided.as_dict())
-    print("sanitizer overhead (incast cell, zero violations):")
-    print(json.dumps(payload, indent=2))
-    if payload["slowdown"] > SANITIZER_OVERHEAD_BUDGET:
-        print(
-            f"FAIL: sanitizer slowdown {payload['slowdown']}x exceeds the "
-            f"{SANITIZER_OVERHEAD_BUDGET}x budget",
-            file=sys.stderr,
-        )
-        failed = True
-    else:
-        print(
-            f"sanitizer overhead OK: {payload['slowdown']}x <= "
-            f"{SANITIZER_OVERHEAD_BUDGET}x budget"
-        )
-    if payload["stride_slowdown"] > STRIDE_SANITIZER_OVERHEAD_BUDGET:
-        print(
-            f"FAIL: {stride_mode} slowdown {payload['stride_slowdown']}x exceeds "
-            f"the {STRIDE_SANITIZER_OVERHEAD_BUDGET}x budget",
-            file=sys.stderr,
-        )
-        failed = True
-    else:
-        print(
-            f"{stride_mode} overhead OK: {payload['stride_slowdown']}x <= "
-            f"{STRIDE_SANITIZER_OVERHEAD_BUDGET}x budget"
-        )
-
-    mismatch = shared_scenario_mismatch()
-    if mismatch is not None:
-        print(f"FAIL: {mismatch}", file=sys.stderr)
-        failed = True
-    else:
-        print("results-file consistency OK: shared incast leg agrees")
-    return 1 if failed else 0
-
-
-def stride_guard() -> int:
-    """CI leg: enforce the stride-sampled sanitizer's 1.15x budget.
-
-    Off and strided legs only, one warmed process, no results-file
-    writes — the ``--sanitizer`` leg owns the persisted artifacts.
-    """
-    run_incast_cell(duration_ns=2 * MS)  # warm-up
-    stride_mode = f"stride:{STRIDE_SANITIZER_STRIDE}"
-    measured = _measure_incast_modes((False, stride_mode), rounds=3)
-    off, off_outputs = measured[False]
-    strided, stride_outputs = measured[stride_mode]
-
-    if stride_outputs != off_outputs:
-        print(
-            f"FAIL: sanitize={stride_mode} incast outputs diverged from "
-            f"plain run",
-            file=sys.stderr,
-        )
-        print(f"  off: {off_outputs}", file=sys.stderr)
-        print(f"  {stride_mode}: {stride_outputs}", file=sys.stderr)
-        return 1
-    ratio = round(off.events_per_sec / strided.events_per_sec, 3)
-    print(
-        f"stride sanitizer overhead: off {round(off.events_per_sec)} ev/s, "
-        f"{stride_mode} {round(strided.events_per_sec)} ev/s -> {ratio}x"
-    )
-    if ratio > STRIDE_SANITIZER_OVERHEAD_BUDGET:
-        print(
-            f"FAIL: {stride_mode} slowdown {ratio}x exceeds the "
-            f"{STRIDE_SANITIZER_OVERHEAD_BUDGET}x budget",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"stride sanitizer OK: {ratio}x <= "
-        f"{STRIDE_SANITIZER_OVERHEAD_BUDGET}x budget"
-    )
-    return 0
-
-
-def faults_guard() -> int:
-    """Measure the dormant fault machinery's overhead on the incast cell.
-
-    Best-of-3 per mode (the cell is only ~20 ms of wall time, so a
-    single noisy run can fake a 2x slowdown); the hooks-on leg arms an
-    *empty* fault plan and
-    installs the stuck-I/O watchdog, so any extra cost is pure hook
-    overhead: the per-packet is-None checks and the quiescence callback.
-    Event counts and outputs must match exactly between the legs.
-    """
-    import time as _time
-
-    from repro.faults import FaultInjector, FaultPlan, StuckIOWatchdog
-    from repro.profiling.bench import BenchResult, build_incast_cell
-    from repro.sim.units import US
-
-    duration_ns = 2 * MS
-
-    def timed_cell(with_hooks: bool):
-        sim, net = build_incast_cell(duration_ns=duration_ns)
-        if with_hooks:
-            FaultInjector(sim, FaultPlan()).attach_network(net).arm()
-            StuckIOWatchdog().install(sim)
-        t0 = _time.perf_counter()
-        dispatched = sim.run(until=duration_ns + 50 * US)
-        wall = _time.perf_counter() - t0
-        bench = BenchResult(events=dispatched, wall_s=wall, sim_end_ns=sim.now)
-        return bench, incast_outputs(net)
-
-    def best_of_3(with_hooks: bool):
-        runs = [timed_cell(with_hooks) for _ in range(3)]
-        outputs = runs[-1][1]
-        return max((r[0] for r in runs), key=lambda r: r.events_per_sec), outputs
-
-    off, off_outputs = best_of_3(False)
-    on, on_outputs = best_of_3(True)
-
-    if off.events != on.events or off_outputs != on_outputs:
-        print("FAIL: dormant fault machinery changed the run", file=sys.stderr)
-        print(f"  events off={off.events} on={on.events}", file=sys.stderr)
-        print(f"  outputs off: {off_outputs}", file=sys.stderr)
-        print(f"  outputs on:  {on_outputs}", file=sys.stderr)
-        return 1
-
-    payload = save_faults_perf(off.as_dict(), on.as_dict())
-    print("fault-hook overhead (incast cell, empty plan, identical events):")
-    print(json.dumps(payload, indent=2))
-    if payload["slowdown"] > FAULT_HOOK_OVERHEAD_BUDGET:
-        print(
-            f"FAIL: fault-hook slowdown {payload['slowdown']}x exceeds the "
-            f"{FAULT_HOOK_OVERHEAD_BUDGET}x budget",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"fault-hook overhead OK: {payload['slowdown']}x <= "
-          f"{FAULT_HOOK_OVERHEAD_BUDGET}x budget")
-    return 0
-
-
-def checkpoint_guard() -> int:
-    """Measure periodic-checkpoint overhead and prove round-trip fidelity.
-
-    One warmed process, best-of-2 per leg.  The cell is a long incast
-    run (~210k events) so the ``CHECKPOINT_EVERY_EVENTS`` cadence
-    produces at least two periodic snapshots.  Three contracts:
-
-    * the checkpointed run's externally visible outputs are identical
-      to the uninterrupted run's;
-    * restoring the *newest* checkpoint and continuing reproduces those
-      same outputs (round-trip correctness on the benchmark cell, not
-      just the golden-trace cell);
-    * the wall-time slowdown stays within
-      ``benchmarks.common.CHECKPOINT_OVERHEAD_BUDGET``.
-    """
-    import tempfile
-    import time as _time
-
-    from benchmarks.common import (
-        CHECKPOINT_EVERY_EVENTS,
-        CHECKPOINT_OVERHEAD_BUDGET,
-        save_checkpoint_perf,
-    )
-    from repro.profiling.bench import BenchResult, build_incast_cell
-    from repro.sim import checkpoint as ck
-    from repro.sim.units import US
-
-    duration_ns = 60 * MS
-    until = duration_ns + 50 * US
-    cell = dict(duration_ns=duration_ns)
-
-    def plain_leg():
-        sim, net = build_incast_cell(**cell)
-        t0 = _time.perf_counter()
-        dispatched = sim.run(until=until)
-        wall = _time.perf_counter() - t0
-        return (
-            BenchResult(events=dispatched, wall_s=wall, sim_end_ns=sim.now),
-            incast_outputs(net),
-        )
-
-    def checkpointed_leg(directory):
-        sim, net = build_incast_cell(**cell)
-        t0 = _time.perf_counter()
-        run = ck.run_with_checkpoints(
-            sim,
-            net,
-            until=until,
-            directory=directory,
-            every=CHECKPOINT_EVERY_EVENTS,
-            scenario=cell,
-            keep=16,  # keep them all: the guard counts and restores them
-        )
-        wall = _time.perf_counter() - t0
-        bench = BenchResult(events=run.dispatched, wall_s=wall, sim_end_ns=sim.now)
-        return bench, incast_outputs(net), run
-
-    run_incast_cell(duration_ns=2 * MS)  # warm-up: allocator + caches
-
-    off, off_outputs = min(
-        (plain_leg() for _ in range(2)), key=lambda r: r[0].wall_s
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        legs = []
-        for i in range(2):
-            directory = Path(tmp) / f"round-{i}"
-            legs.append(checkpointed_leg(directory))
-        ckpt, ckpt_outputs, run = min(legs, key=lambda r: r[0].wall_s)
-        if len(run.checkpoints) < 3:  # entry + >= 2 periodic
-            print(
-                f"FAIL: cell too small for the {CHECKPOINT_EVERY_EVENTS}-event "
-                f"cadence: only {len(run.checkpoints) - 1} periodic "
-                f"checkpoints written",
-                file=sys.stderr,
-            )
-            return 1
-        if ckpt_outputs != off_outputs:
-            print(
-                "FAIL: checkpointed run outputs diverged from plain run",
-                file=sys.stderr,
-            )
-            print(f"  plain:        {off_outputs}", file=sys.stderr)
-            print(f"  checkpointed: {ckpt_outputs}", file=sys.stderr)
-            return 1
-
-        # Round-trip: restore the newest snapshot, continue, compare.
-        newest = run.checkpoints[-1]
-        sim2, net2 = ck.load(newest.path, scenario=cell)
-        sim2.run(until=until)
-        restored_outputs = incast_outputs(net2)
-        if restored_outputs != off_outputs:
-            print(
-                "FAIL: restored run outputs diverged from plain run",
-                file=sys.stderr,
-            )
-            print(f"  plain:    {off_outputs}", file=sys.stderr)
-            print(f"  restored: {restored_outputs}", file=sys.stderr)
-            return 1
-        checkpoint_bytes = newest.path.stat().st_size
-
-    payload = save_checkpoint_perf(
-        off.as_dict(),
-        ckpt.as_dict(),
-        n_checkpoints=len(run.checkpoints),
-        checkpoint_bytes=checkpoint_bytes,
-    )
-    print(
-        f"checkpoint round-trip OK: restored run matches plain run "
-        f"(restore point: event {newest.events_dispatched})"
-    )
-    print("checkpoint overhead (incast cell, identical outputs):")
-    print(json.dumps(payload, indent=2))
-    if payload["slowdown"] > CHECKPOINT_OVERHEAD_BUDGET:
-        print(
-            f"FAIL: checkpoint slowdown {payload['slowdown']}x exceeds the "
-            f"{CHECKPOINT_OVERHEAD_BUDGET}x budget",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"checkpoint overhead OK: {payload['slowdown']}x <= "
-        f"{CHECKPOINT_OVERHEAD_BUDGET}x budget"
-    )
-    return 0
-
-
-def dual_fidelity_guard() -> int:
-    """Run the Clos-scale dual-fidelity cell and enforce its floors.
-
-    One acceptance-scale run (the cell is ~3-4 s of wall time, so no
-    best-of sampling — the floors carry 2x slack instead), then a small
-    sanitized ``stride:64`` Clos cell where the fluid conservation and
-    arrival-curve envelope sweeps run live; a
-    :class:`repro.analysis.SanitizerError` escaping fails the guard.
-    """
-    from repro.analysis.sanitizer import SanitizerError
-    from repro.experiments.clos_scale import ClosScaleConfig, run_clos_scale_cell
-
-    result = run_clos_scale_cell(ClosScaleConfig())
-    payload = save_clos_scale(result.as_dict())
-    print("dual-fidelity Clos cell (4 pods, 200 fluid tenants, 8 fg flows):")
-    print(json.dumps(payload, indent=2))
-
-    failed = False
-    if result.event_reduction < DUAL_FIDELITY_EVENT_REDUCTION_FLOOR:
-        print(
-            f"FAIL: event reduction {result.event_reduction:.1f}x is below "
-            f"the {DUAL_FIDELITY_EVENT_REDUCTION_FLOOR}x floor",
-            file=sys.stderr,
-        )
-        failed = True
-    else:
-        print(
-            f"event reduction OK: {result.event_reduction:.1f}x >= "
-            f"{DUAL_FIDELITY_EVENT_REDUCTION_FLOOR}x floor"
-        )
-    if result.events_per_sec < DUAL_FIDELITY_EVENTS_PER_SEC_FLOOR:
-        print(
-            f"FAIL: {round(result.events_per_sec)} events/sec is below the "
-            f"{DUAL_FIDELITY_EVENTS_PER_SEC_FLOOR} floor",
-            file=sys.stderr,
-        )
-        failed = True
-    else:
-        print(
-            f"dispatch rate OK: {round(result.events_per_sec)} events/sec >= "
-            f"{DUAL_FIDELITY_EVENTS_PER_SEC_FLOOR} floor"
-        )
-
-    sanitized = ClosScaleConfig(
-        n_pods=2,
-        tors_per_pod=2,
-        hosts_per_tor=4,
-        fluid_hosts_per_tor=2,
-        n_tenants=24,
-        n_foreground_flows=4,
-        duration_ns=5 * MS,
-        sanitize=f"stride:{STRIDE_SANITIZER_STRIDE}",
-    )
-    try:
-        check = run_clos_scale_cell(sanitized)
-    except SanitizerError as err:
-        print(f"FAIL: sanitized Clos cell tripped an invariant: {err}", file=sys.stderr)
-        return 1
-    print(
-        f"sanitized Clos cell OK (stride:{STRIDE_SANITIZER_STRIDE}): "
-        f"{check.events_dispatched} events, {check.fluid_updates} fluid "
-        f"updates, zero violations"
-    )
-    return 1 if failed else 0
-
-
-def dispatch(argv: list[str]) -> int:
-    if "--sanitizer" in argv:
-        return sanitizer_guard()
-    if "--stride-sanitizer" in argv:
-        return stride_guard()
-    if "--faults" in argv:
-        return faults_guard()
-    if "--checkpoint" in argv:
-        return checkpoint_guard()
-    if "--dual-fidelity" in argv:
-        return dual_fidelity_guard()
-    return main()
 
 
 if __name__ == "__main__":
-    sys.exit(dispatch(sys.argv[1:]))
+    sys.exit(main())

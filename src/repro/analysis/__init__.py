@@ -79,7 +79,6 @@ from repro.analysis.run import ALL_RULES, LintReport, lint_project
 from repro.analysis.sanitizer import (
     Sanitizer,
     SanitizerError,
-    SanitizingSimulator,
     env_sanitize_enabled,
     ftl_mapping_violation,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "SNAPSHOT_RULES",
     "Sanitizer",
     "SanitizerError",
-    "SanitizingSimulator",
     "UNITS_EXEMPT_MODULES",
     "UNIT_RULES",
     "Violation",

@@ -146,10 +146,9 @@ HEAP_EXTRA_CLASSES: frozenset[str] = frozenset(
 #: checkpoint contract (``_HandledMark`` pickles by module reference to
 #: preserve sentinel identity; ``SerialCounter`` pickles by registry
 #: name).  Any other heap-reachable class defining pickle hooks is
-#: SIM403 drift — ``_CheckpointPickler`` dispatches on slots and
-#: reducer_override, so an ad-hoc ``__getstate__`` would be silently
-#: bypassed for `Simulator` internals and silently *honoured* for
-#: everything else, diverging from what the author tested.
+#: SIM403 drift — the checkpoint pickler silently honours an ad-hoc
+#: ``__getstate__``, so the snapshot diverges from what the author
+#: tested.
 REDUCER_SANCTIONED: frozenset[str] = frozenset(
     {
         "repro.sim.events._HandledMark",

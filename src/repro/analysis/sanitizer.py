@@ -3,9 +3,12 @@
 The static linter (:mod:`repro.analysis.simlint`) catches patterns that
 *could* break determinism; this module catches state that already *has*
 gone wrong, the moment it happens.  Enable it with
-``Simulator(sanitize=True)`` or ``REPRO_SANITIZE=1`` (which upgrades
-every plainly-constructed :class:`~repro.sim.engine.Simulator` in the
-process, so whole existing scenarios run sanitized unchanged).
+``Simulator(sanitize=True)`` or ``REPRO_SANITIZE=1`` (which sanitizes
+every :class:`~repro.sim.engine.Simulator` constructed without an
+explicit ``sanitize`` in the process, so whole existing scenarios run
+sanitized unchanged).  The :class:`Sanitizer` is the simulator's
+observer: the engine's observed dispatch loop calls it around every
+event (see :mod:`repro.sim.engine`).
 
 Checked invariants, per checked event:
 
@@ -49,33 +52,25 @@ makes the replay exact — and let the full-fidelity run pinpoint the
 first offending event.
 
 Violations raise :class:`SanitizerError` carrying the invariant name,
-the simulated time, and the offending event's callback site label (the
-same ``__qualname__`` labels :mod:`repro.profiling` reports), so a
-failure reads like ``[queue-depth] at t=1840ns during Link._finish: ...``.
-
-Per-invariant-group cost counters (checks run, violations found, and —
-after :meth:`Sanitizer.enable_cost_tracking` — nanoseconds spent per
-group) feed :class:`repro.profiling.SanitizerCostProfile`.
+the simulated time, and the offending event's callback site label
+(:func:`repro.sim.engine.site_label`, the label the dispatch trace and
+the profiler use), so a failure reads like
+``[queue-depth] at t=1840ns during Link._finish: ...``.
 
 The sanitizer never schedules events or draws randomness, so a
-sanitized run is bit-identical to a plain one — the overhead budgets
-(``<= 3.0x`` full, ``<= 1.15x`` at stride 64, on the incast cell) are
-enforced by ``benchmarks/smoke_cell.py`` and recorded in
-``benchmarks/results/``.  The sanitizing dispatch loop never coalesces
-anonymous events into batch dispatches (each member dispatches singly —
-provably the same order, see ``repro.sim.engine``), so full-fidelity
-checks run between batch members and localization stays exact.
+sanitized run is bit-identical to a plain one.  The observed loop never
+coalesces anonymous events into batch dispatches (each member
+dispatches singly — provably the same order, see ``repro.sim.engine``),
+so full-fidelity checks run between batch members and localization
+stays exact.  The cost of strided checking is measured by the
+``incast_observed`` workload of ``benchmarks/perf``.
 """
 
 from __future__ import annotations
 
-import heapq
-import time as _walltime
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
-from repro.profiling import site_label
-from repro.sim.engine import MaxEventsExceeded, Simulator
-from repro.sim.events import HANDLED_MARK
+from repro.sim.engine import SanitizerError, site_label
 
 if TYPE_CHECKING:
     from repro.net.fluid import FluidDomain
@@ -83,53 +78,18 @@ if TYPE_CHECKING:
     from repro.net.nic import NIC
     from repro.net.switch import Switch
     from repro.nvme.wrr import TokenWRR
+    from repro.sim.engine import Simulator
     from repro.ssd.ftl import FTL
 
 __all__ = [
     "SanitizerError",
     "Sanitizer",
-    "SanitizingSimulator",
     "escalate",
     "ftl_mapping_violation",
     "parse_stride",
 ]
 
 _T = TypeVar("_T")
-
-
-class SanitizerError(RuntimeError):
-    """A runtime invariant of the simulation was violated.
-
-    Attributes
-    ----------
-    invariant:
-        Short invariant name (``queue-depth``, ``byte-conservation``, ...).
-    detail:
-        Human-readable description of the violated state.
-    time_ns / site:
-        Simulated time and callback site label of the offending event;
-        filled in by the dispatch loop when the violation is detected
-        outside it (e.g. the FTL GC hook).
-    """
-
-    def __init__(
-        self,
-        invariant: str,
-        detail: str,
-        *,
-        time_ns: int | None = None,
-        site: str | None = None,
-    ) -> None:
-        super().__init__(detail)
-        self.invariant = invariant
-        self.detail = detail
-        self.time_ns = time_ns
-        self.site = site
-
-    def __str__(self) -> str:
-        at = f" at t={self.time_ns}ns" if self.time_ns is not None else ""
-        during = f" during {self.site}" if self.site else ""
-        return f"[{self.invariant}]{at}{during}: {self.detail}"
 
 
 def ftl_mapping_violation(ftl: "FTL") -> str | None:
@@ -159,10 +119,6 @@ def ftl_mapping_violation(ftl: "FTL") -> str | None:
     return None
 
 
-#: Invariant-group keys, in sweep order (the cost-counter axis).
-CHECK_GROUPS = ("links", "switches", "nics", "wrrs", "fluids")
-
-
 class _CheckedFinishGC:
     """Instance-attribute wrapper for ``ftl.finish_gc`` (mapping check).
 
@@ -188,15 +144,19 @@ class _CheckedFinishGC:
 
 
 class Sanitizer:
-    """Registry of tracked components plus their per-event check functions.
+    """Registry of tracked components, their checks, and the run observer.
 
     Components self-register at construction time when their simulator
     carries a sanitizer (``sim.sanitizer is not None``); tests can also
     register objects directly.  Checks are grouped by component type so
-    the dispatch loop pays a handful of Python calls per checked event,
-    each a tight loop over a homogeneous list.  Per-group counters
-    (``check_counts``, ``violation_counts``, and ``check_ns`` once
-    :meth:`enable_cost_tracking` is on) record where checking time goes.
+    a checked event costs a handful of Python calls, each a tight loop
+    over a homogeneous list.
+
+    As the simulator's observer (see :mod:`repro.sim.engine`) it checks
+    clock monotonicity before every event, runs the component sweep
+    after every :attr:`stride`-th event — the countdown carries across
+    ``run()`` calls — and, when strided, sweeps once more as each
+    ``run()`` call returns.
     """
 
     __slots__ = (
@@ -207,13 +167,12 @@ class Sanitizer:
         "_ftls",
         "_fluids",
         "events_checked",
-        "check_counts",
-        "violation_counts",
-        "check_ns",
-        "_timed",
+        "stride",
+        "countdown",
+        "_last_ns",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, sanitize: bool | str = True) -> None:
         self._links: list[Link] = []
         self._switches: list[Switch] = []
         self._nics: list[NIC] = []
@@ -221,22 +180,11 @@ class Sanitizer:
         self._ftls: list[FTL] = []
         self._fluids: list[FluidDomain] = []
         self.events_checked = 0
-        #: group -> component sweeps run (one per checked event).
-        self.check_counts: dict[str, int] = {g: 0 for g in CHECK_GROUPS}
-        #: group -> violations the sweep reported.
-        self.violation_counts: dict[str, int] = {g: 0 for g in CHECK_GROUPS}
-        #: group -> cumulative wall ns (only grows under cost tracking).
-        self.check_ns: dict[str, int] = {g: 0 for g in CHECK_GROUPS}
-        self._timed = False
-
-    def enable_cost_tracking(self) -> None:
-        """Start timing each invariant group (perf_counter_ns per sweep).
-
-        Timing costs a couple of clock reads per group per checked
-        event, so it is off by default; the count/violation counters are
-        maintained either way.
-        """
-        self._timed = True
+        #: Component sweeps run every this-many dispatched events.
+        self.stride = parse_stride(sanitize)
+        self.countdown = self.stride
+        #: Time of the last dispatched event (the monotonicity reference).
+        self._last_ns = 0
 
     # -- registration ---------------------------------------------------
     def track_link(self, link: "Link") -> None:
@@ -375,38 +323,16 @@ class Sanitizer:
                 return failure
         return None
 
-    #: Group key -> bound sweep, filled per instance in ``check``.
-    _GROUP_METHODS = (
-        ("links", _check_links),
-        ("switches", _check_switches),
-        ("nics", _check_nics),
-        ("wrrs", _check_wrrs),
-        ("fluids", _check_fluids),
-    )
-
     def check(self) -> tuple[str, str] | None:
         """Run every cheap invariant; ``(invariant, detail)`` or None."""
         self.events_checked += 1
-        counts = self.check_counts
-        if self._timed:
-            clock = _walltime.perf_counter_ns
-            ns = self.check_ns
-            for group, method in self._GROUP_METHODS:
-                t0 = clock()
-                failure = method(self)
-                ns[group] += clock() - t0
-                counts[group] += 1
-                if failure is not None:
-                    self.violation_counts[group] += 1
-                    return failure
-            return None
-        for group, method in self._GROUP_METHODS:
-            counts[group] += 1
-            failure = method(self)
-            if failure is not None:
-                self.violation_counts[group] += 1
-                return failure
-        return None
+        return (
+            self._check_links()
+            or self._check_switches()
+            or self._check_nics()
+            or self._check_wrrs()
+            or self._check_fluids()
+        )
 
     def check_ftls(self) -> tuple[str, str] | None:
         """On-demand full FTL walk (also runs inside the GC hook)."""
@@ -415,6 +341,49 @@ class Sanitizer:
             if detail is not None:
                 return ("ftl-mapping", detail)
         return None
+
+    def check_now(self, now: int | None = None) -> None:
+        """Run every invariant check immediately (outside dispatch)."""
+        failure = self.check() or self.check_ftls()
+        if failure is not None:
+            invariant, detail = failure
+            raise SanitizerError(invariant, detail, time_ns=now)
+
+    # -- observer hooks (called by Simulator.run) -----------------------
+    def dispatch(self, time: int, callback: Callable[..., Any]) -> None:
+        """Before each event: the clock must never move backwards."""
+        if time < self._last_ns:
+            raise SanitizerError(
+                "event-time-monotonic",
+                f"event scheduled at t={time} dispatched after "
+                f"t={self._last_ns} — the clock moved backwards",
+                time_ns=time,
+                site=site_label(callback),
+            )
+        self._last_ns = time
+
+    def sample(self, time: int, callback: Callable[..., Any]) -> None:
+        """After every ``stride``-th event: the component sweep."""
+        failure = self.check()
+        if failure is not None:
+            invariant, detail = failure
+            raise SanitizerError(
+                invariant, detail, time_ns=time, site=site_label(callback)
+            )
+
+    def finish(self, sim: "Simulator", dispatched: int) -> None:
+        """End-of-run sweep, so a strided run cannot end mid-window clean."""
+        if self.stride > 1 and dispatched:
+            failure = self.check()
+            if failure is not None:
+                invariant, detail = failure
+                raise SanitizerError(
+                    invariant,
+                    f"{detail} (caught by the end-of-run sweep; re-run with "
+                    f"sanitize=True or repro.analysis.sanitizer.escalate() "
+                    f"for the exact event)",
+                    time_ns=sim.now,
+                )
 
 
 def parse_stride(sanitize: bool | str) -> int:
@@ -434,131 +403,6 @@ def parse_stride(sanitize: bool | str) -> int:
                 raise ValueError(f"sanitize stride must be >= 1, got {stride}")
             return stride
     return 1
-
-
-class SanitizingSimulator(Simulator):
-    """A :class:`Simulator` whose dispatch loop checks invariants.
-
-    The loop mirrors the plain engine's (same pop order, same ``until``
-    and ``max_events`` semantics), so a sanitized run is bit-identical;
-    it additionally verifies clock monotonicity before each dispatch and
-    runs the component checks after each K-th callback (K =
-    :attr:`check_stride`, 1 under ``sanitize=True``), raising
-    :class:`SanitizerError` annotated with the offending event's site.
-    Anonymous events are dispatched one by one (never batch-coalesced),
-    so under full fidelity every invariant holds between batch members.
-    """
-
-    __slots__ = ("_last_dispatch_ns", "check_stride", "_check_countdown")
-
-    def __init__(
-        self, *, trace: bool = False, sanitize: bool | str | None = None
-    ) -> None:
-        super().__init__(trace=trace)
-        self.sanitizer = Sanitizer()
-        self._last_dispatch_ns = 0
-        if sanitize is None:
-            import os
-
-            sanitize = env_sanitize_mode(os.environ.get("REPRO_SANITIZE")) or True
-        #: Component checks run every this-many dispatched events.
-        self.check_stride = parse_stride(sanitize)
-        self._check_countdown = self.check_stride
-
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
-        queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        trace = self._trace
-        sanitizer = self.sanitizer
-        check = sanitizer.check
-        stride = self.check_stride
-        countdown = self._check_countdown
-        dispatched = 0
-        try:
-            while heap:
-                time, _seq, callback, args = heap[0]
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                if callback is not HANDLED_MARK:
-                    queue._live -= 1
-                else:
-                    ev = args
-                    if ev.cancelled:
-                        queue._dead -= 1
-                        continue
-                    ev._queue = None
-                    queue._live -= 1
-                    callback = ev.callback
-                    args = ev.args
-                if time < self._last_dispatch_ns:
-                    raise SanitizerError(
-                        "event-time-monotonic",
-                        f"event scheduled at t={time} dispatched after "
-                        f"t={self._last_dispatch_ns} — the clock moved backwards",
-                        time_ns=time,
-                        site=site_label(callback),
-                    )
-                self._last_dispatch_ns = time
-                self.now = time
-                if trace:
-                    self.dispatch_log.append((time, site_label(callback)))
-                try:
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                except SanitizerError as err:
-                    # Deferred-origin violations (e.g. the FTL GC hook)
-                    # get the dispatch context stamped on the way out.
-                    if err.site is None:
-                        err.site = site_label(callback)
-                    if err.time_ns is None:
-                        err.time_ns = time
-                    raise
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = stride
-                    failure = check()
-                    if failure is not None:
-                        invariant, detail = failure
-                        raise SanitizerError(
-                            invariant, detail, time_ns=time, site=site_label(callback)
-                        )
-                dispatched += 1
-                if max_events is not None and dispatched >= max_events:
-                    raise MaxEventsExceeded(
-                        max_events, dispatched, queue._live, self.now
-                    )
-        finally:
-            self._check_countdown = countdown
-            self.events_dispatched += dispatched
-        if stride > 1 and dispatched:
-            # End-of-run full sweep: a strided run must not let a sticky
-            # violation escape just because the run ended mid-window.
-            failure = check()
-            if failure is not None:
-                invariant, detail = failure
-                raise SanitizerError(
-                    invariant,
-                    f"{detail} (caught by the end-of-run sweep; re-run with "
-                    f"sanitize=True or repro.analysis.sanitizer.escalate() "
-                    f"for the exact event)",
-                    time_ns=self.now,
-                )
-        if until is not None and until > self.now:
-            self.now = until
-        if self.watchdog is not None and not heap:
-            self.watchdog(self)
-        return dispatched
-
-    def check_now(self) -> None:
-        """Run every invariant check immediately (outside dispatch)."""
-        failure = self.sanitizer.check() or self.sanitizer.check_ftls()
-        if failure is not None:
-            invariant, detail = failure
-            raise SanitizerError(invariant, detail, time_ns=self.now)
 
 
 def escalate(

@@ -37,13 +37,11 @@ SIM403
     checkpoint manifest (:data:`~repro.analysis.manifest.COMPONENT_CLASSES`
     / :data:`~repro.analysis.manifest.SLOTS_MANIFEST` /
     :data:`~repro.analysis.manifest.HEAP_EXTRA_CLASSES`).  A census
-    class (or a ``Simulator`` subclass) defining
+    class (or ``Simulator`` or a subclass) defining
     ``__getstate__``/``__reduce__`` outside
     :data:`~repro.analysis.manifest.REDUCER_SANCTIONED` is drift: the
-    custom pickler slot-extracts ``Simulator`` (bypassing the hook)
-    and pickles captured ``self`` objects normally (honouring it), so
-    the restored heap could bind methods to objects the world no
-    longer references.
+    checkpoint pickler honours the hook, so the restored heap could
+    bind methods to objects the world no longer references.
 SIM404
     Restore-order typestate over the checkpoint/supervise lifecycle:
     ``load`` lexically before ``save`` in the same driver body (clobber
@@ -519,8 +517,8 @@ def _check_manifest_drift(
             "SLOTS_MANIFEST / HEAP_EXTRA_CLASSES); declare it after "
             "confirming it round-trips through repro.sim.checkpoint",
         )
-    # Reducer drift over the census plus every Simulator subclass (the
-    # pickler slot-extracts Simulator instances, bypassing any hook).
+    # Reducer drift over the census plus Simulator and its subclasses
+    # (every checkpoint pickles the simulator itself).
     family = _subclass_closure(
         index, census | frozenset({_SIMULATOR_QUALNAME})
     )
@@ -541,8 +539,7 @@ def _check_manifest_drift(
                 "SIM403",
                 method.node,
                 f"heap-reachable class {cls.name} defines {hook}, which "
-                "the checkpoint pickler bypasses for Simulator state and "
-                "honours for captured instances — restored methods could "
+                "the checkpoint pickler honours — restored methods could "
                 "bind to objects the world no longer references; drop the "
                 "hook or add the class to REDUCER_SANCTIONED with a "
                 "round-trip test",

@@ -124,35 +124,36 @@ def cmd_profile(args) -> int:
     """Profile the DES engine on the standard scenarios.
 
     ``engine`` is the pure event-loop microbench (no network model);
-    ``incast`` is the packet-level in-cast cell.  Both run on an
-    :class:`~repro.profiling.InstrumentedSimulator`, so the output shows
+    ``incast`` is the packet-level in-cast cell.  Both run with a
+    :class:`~repro.profiling.SiteCounter` attached, so the output shows
     events/sec, the heap high-water mark, and per-callback-site dispatch
     counts; ``--cprofile`` adds a function-level cumulative-time report.
     """
     from repro.profiling import (
-        InstrumentedSimulator,
+        SiteCounter,
         engine_microbench,
         run_incast_cell,
         run_with_cprofile,
     )
+    from repro.sim.engine import Simulator
     from repro.sim.units import US
 
     scenarios = ("engine", "incast") if args.scenario == "both" else (args.scenario,)
     payload = {}
     for scenario in scenarios:
-        sim = InstrumentedSimulator()
+        sim = Simulator(sanitize=False)
+        sites = SiteCounter().attach(sim)
         if scenario == "engine":
             run = lambda: engine_microbench(n_events=args.events, sim=sim)  # noqa: E731
         else:
             run = lambda: run_incast_cell(  # noqa: E731
                 duration_ns=args.duration_us * US, sim=sim
-            )
+            )[0]
         if args.cprofile:
-            _, report = run_with_cprofile(run, top=args.top)
+            bench, report = run_with_cprofile(run, top=args.top)
         else:
-            run()
-            report = None
-        profile = sim.profile()
+            bench, report = run(), None
+        profile = sites.profile(sim, bench.wall_s)
         payload[scenario] = profile.as_dict()
         if not args.json:
             print(f"--- {scenario} ---")

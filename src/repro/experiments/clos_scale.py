@@ -17,8 +17,8 @@ This cell runs that fabric the dual-fidelity way:
 The result records the event-count reduction against the *all-packet
 projection*: dispatched events plus what serving the fluid bytes as MTU
 packets would have cost (:meth:`FluidDomain.projected_packet_events`).
-That ratio is the cell's acceptance metric (>= 10x at defaults) and is
-what ``benchmarks/smoke_cell.py --dual-fidelity`` guards.
+That ratio is the cell's acceptance metric (>= 10x at defaults); the
+``clos_fluid`` workload of ``benchmarks/perf`` checks it on every run.
 """
 
 from __future__ import annotations

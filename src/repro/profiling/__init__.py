@@ -1,32 +1,30 @@
 """Opt-in engine instrumentation: events/sec, callback sites, cProfile.
 
-The plain :class:`repro.sim.engine.Simulator` keeps its dispatch loop
-free of bookkeeping; this module provides the instrumented counterpart
-for performance work:
+The plain :class:`repro.sim.engine.Simulator` keeps its lean dispatch
+loop free of bookkeeping; this module provides the instruments for
+performance work:
 
-* :class:`InstrumentedSimulator` — a drop-in ``Simulator`` whose ``run``
-  additionally counts dispatches per callback site (``__qualname__``),
-  measures wall-clock time, and snapshots the heap high-water mark.
-  Slower than the plain engine; use it to find hot callbacks, not to
-  produce results.
+* :class:`SiteCounter` — a dispatch observer (see
+  :mod:`repro.sim.engine`) that counts dispatches per callback site
+  (``__qualname__``).  Attaching it moves the run onto the observed
+  loop, which never coalesces, so it is slower than a plain run; use it
+  to find hot callbacks, not to produce results.
 * :class:`EngineProfile` — the summary produced by
-  :meth:`InstrumentedSimulator.profile`, JSON-ready via ``as_dict``.
+  :meth:`SiteCounter.profile`, JSON-ready via ``as_dict``.
 * :func:`run_with_cprofile` — run any callable under :mod:`cProfile`
   and get back its result plus a cumulative-time report, for drilling
   below callback granularity into the engine itself.
 * :mod:`repro.profiling.bench` — the standard scenarios
-  (:func:`engine_microbench`, :func:`run_incast_cell`) that
-  ``benchmarks/smoke_cell.py`` and the ``repro profile`` CLI subcommand
-  time.
+  (:func:`engine_microbench`, :func:`run_incast_cell`) that the
+  ``repro profile`` CLI subcommand times.
 """
 
 from __future__ import annotations
 
 import cProfile
-import heapq
 import io
 import pstats
-import time as _time
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -37,26 +35,18 @@ from repro.profiling.bench import (
     incast_outputs,
     run_incast_cell,
 )
-from repro.sim.engine import MaxEventsExceeded, Simulator
-from repro.sim.events import HANDLED_MARK
+from repro.sim.engine import Simulator, site_label
 
 __all__ = [
     "BenchResult",
     "EngineProfile",
-    "InstrumentedSimulator",
-    "SanitizerCostProfile",
+    "SiteCounter",
     "build_incast_cell",
     "engine_microbench",
     "incast_outputs",
     "run_incast_cell",
     "run_with_cprofile",
-    "site_label",
 ]
-
-
-def site_label(callback: Callable[..., Any]) -> str:
-    """Stable label for a callback site (the profiling/sanitizer key)."""
-    return getattr(callback, "__qualname__", None) or repr(callback)
 
 
 @dataclass
@@ -103,176 +93,47 @@ class EngineProfile:
         return "\n".join(lines)
 
 
-@dataclass
-class SanitizerCostProfile:
-    """Where the runtime sanitizer's checking budget went.
+class SiteCounter:
+    """Dispatch observer: per-callback-site counts for ``repro profile``.
 
-    Snapshot of a :class:`repro.analysis.sanitizer.Sanitizer`'s
-    per-invariant-group counters: how many sweeps each group ran, how
-    many violations it reported, and — when the sanitizer had
-    ``enable_cost_tracking()`` on — the cumulative wall nanoseconds per
-    group.  This is the number behind the stride-sampling trade-off:
-    ``events_checked / events_dispatched`` quantifies what ``stride:K``
-    saved, the per-group split says which invariant to thin out next.
+    Its stride never runs out, so it only ever sees ``dispatch``.
     """
 
-    #: Dispatched events that ran the full component sweep.
-    events_checked: int = 0
-    #: Total events the run dispatched (for the sampling-rate context).
-    events_dispatched: int = 0
-    #: group -> sweeps run / violations found / cumulative wall ns.
-    check_counts: dict[str, int] = field(default_factory=dict)
-    violation_counts: dict[str, int] = field(default_factory=dict)
-    check_ns: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("site_counts", "stride", "countdown")
 
-    @classmethod
-    def from_simulator(cls, sim: Simulator) -> "SanitizerCostProfile":
-        """Snapshot a sanitizing simulator's counters (post-run)."""
-        sanitizer = sim.sanitizer
-        if sanitizer is None:
-            raise ValueError("simulator has no sanitizer attached")
-        return cls(
-            events_checked=sanitizer.events_checked,
-            events_dispatched=sim.events_dispatched,
-            check_counts=dict(sanitizer.check_counts),
-            violation_counts=dict(sanitizer.violation_counts),
-            check_ns=dict(sanitizer.check_ns),
-        )
-
-    @property
-    def sampling_rate(self) -> float:
-        """Fraction of dispatched events that paid a full sweep."""
-        if self.events_dispatched <= 0:
-            return 0.0
-        return self.events_checked / self.events_dispatched
-
-    def as_dict(self) -> dict:
-        return {
-            "events_checked": self.events_checked,
-            "events_dispatched": self.events_dispatched,
-            "sampling_rate": round(self.sampling_rate, 6),
-            "check_counts": dict(self.check_counts),
-            "violation_counts": dict(self.violation_counts),
-            "check_ns": dict(self.check_ns),
-        }
-
-    def format(self) -> str:
-        lines = [
-            f"events checked    : {self.events_checked} of "
-            f"{self.events_dispatched} dispatched "
-            f"({100.0 * self.sampling_rate:.1f}%)",
-            "per invariant group:",
-        ]
-        total_ns = max(1, sum(self.check_ns.values()))
-        timed = any(self.check_ns.values())
-        for group in self.check_counts:
-            ns = self.check_ns.get(group, 0)
-            cost = f"  {ns:>12} ns {100.0 * ns / total_ns:5.1f}%" if timed else ""
-            lines.append(
-                f"  {group:<10} {self.check_counts[group]:>10} sweeps"
-                f"  {self.violation_counts.get(group, 0):>3} violations{cost}"
-            )
-        return "\n".join(lines)
-
-
-class InstrumentedSimulator(Simulator):
-    """A :class:`Simulator` that accounts every dispatch.
-
-    The run loop mirrors the plain engine's (same pop order, same
-    ``until``/``max_events`` semantics — simulations are bit-identical)
-    but additionally tallies per-callback-site counts and wall time.
-    """
-
-    __slots__ = ("site_counts", "run_wall_s")
-
-    def __init__(self, *, trace: bool = False) -> None:
-        super().__init__(trace=trace)
+    def __init__(self) -> None:
+        #: callback ``__qualname__`` -> dispatch count.
         self.site_counts: dict[str, int] = {}
-        self.run_wall_s: float = 0.0
+        self.stride = self.countdown = sys.maxsize
 
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
-        queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        trace = self._trace
-        site_counts = self.site_counts
-        batch_map = self._batch_callbacks
-        coalesce = batch_map and max_events is None
-        dispatched = 0
-        t0 = _time.perf_counter()
-        try:
-            while heap:
-                time, _seq, callback, tail = heap[0]
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                if callback is not HANDLED_MARK:
-                    queue._live -= 1
-                    self.now = time
-                    name = site_label(callback)
-                    if (
-                        coalesce
-                        and heap
-                        and (head := heap[0])[0] == time
-                        and head[2] is callback
-                    ):
-                        batch_callback = batch_map.get(callback)
-                        if batch_callback is not None:
-                            batch = [tail]
-                            while heap:
-                                head = heap[0]
-                                if head[0] != time or head[2] is not callback:
-                                    break
-                                heappop(heap)
-                                batch.append(head[3])
-                            queue._live -= len(batch) - 1
-                            site_counts[name] = site_counts.get(name, 0) + len(batch)
-                            if trace:
-                                self.dispatch_log.extend((time, name) for _ in batch)
-                            batch_callback(batch)
-                            dispatched += len(batch)
-                            continue
-                    site_counts[name] = site_counts.get(name, 0) + 1
-                    if trace:
-                        self.dispatch_log.append((time, name))
-                    callback(*tail)
-                else:
-                    ev = tail
-                    if ev.cancelled:
-                        queue._dead -= 1
-                        continue
-                    ev._queue = None
-                    queue._live -= 1
-                    self.now = time
-                    callback = ev.callback
-                    name = site_label(callback)
-                    site_counts[name] = site_counts.get(name, 0) + 1
-                    if trace:
-                        self.dispatch_log.append((time, name))
-                    args = ev.args
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                dispatched += 1
-                if max_events is not None and dispatched >= max_events:
-                    raise MaxEventsExceeded(
-                        max_events, dispatched, queue._live, self.now
-                    )
-        finally:
-            self.events_dispatched += dispatched
-            self.run_wall_s += _time.perf_counter() - t0
-        if until is not None and until > self.now:
-            self.now = until
-        return dispatched
+    def attach(self, sim: Simulator) -> "SiteCounter":
+        """Become ``sim``'s observer; refuses to replace another one."""
+        if sim.observer is not None:
+            raise ValueError(
+                f"simulator already has an observer "
+                f"({type(sim.observer).__name__}); construct it with "
+                f"sanitize=False to profile"
+            )
+        sim.observer = self
+        return self
 
-    def profile(self) -> EngineProfile:
-        """Snapshot the statistics accumulated so far."""
+    def dispatch(self, time: int, callback: Callable[..., Any]) -> None:
+        name = site_label(callback)
+        self.site_counts[name] = self.site_counts.get(name, 0) + 1
+
+    def sample(self, time: int, callback: Callable[..., Any]) -> None:
+        pass
+
+    def finish(self, sim: Simulator, dispatched: int) -> None:
+        pass
+
+    def profile(self, sim: Simulator, wall_s: float) -> EngineProfile:
+        """Summarise ``sim``'s run so far; ``wall_s`` is its timed run."""
         return EngineProfile(
-            events_dispatched=self.events_dispatched,
-            wall_s=self.run_wall_s,
-            heap_high_water=self._queue.high_water,
-            sim_end_ns=self.now,
+            events_dispatched=sim.events_dispatched,
+            wall_s=wall_s,
+            heap_high_water=sim._queue.high_water,
+            sim_end_ns=sim.now,
             site_counts=dict(self.site_counts),
         )
 
@@ -282,7 +143,7 @@ def run_with_cprofile(
 ) -> tuple[Any, str]:
     """Run ``fn`` under :mod:`cProfile`; return ``(result, report_text)``.
 
-    Complements :class:`InstrumentedSimulator`: site counts say *which
+    Complements :class:`SiteCounter`: site counts say *which
     callbacks* dominate, the cProfile report says *where inside them*
     (and inside the engine) the time goes.
     """

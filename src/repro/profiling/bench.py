@@ -1,6 +1,6 @@
 """Standard engine workloads for profiling and perf regression guards.
 
-Two deterministic scenarios, used by ``benchmarks/smoke_cell.py``, the
+Two deterministic scenarios, used by ``benchmarks/perf``, the
 ``repro profile`` CLI subcommand, and the golden-trace test:
 
 * :func:`engine_microbench` — pure event-loop throughput: self-

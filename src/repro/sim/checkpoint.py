@@ -50,14 +50,14 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro import __version__ as _CODE_VERSION
-from repro.sim.engine import MaxEventsExceeded, Simulator
+from repro.sim.engine import MaxEventsExceeded, SanitizerError, Simulator
 from repro.sim.serial import restore_counters, snapshot_counters
 
 CKPT_MAGIC = "repro-ckpt"
 CKPT_SCHEMA = 1
 CKPT_SUFFIX = ".ckpt"
-#: Default checkpoint cadence (events per leg) — the budget the
-#: ``--checkpoint`` benchmark leg pins is measured at this value.
+#: Default checkpoint cadence (events per leg) — the cadence the
+#: ``incast_observed`` workload of ``benchmarks/perf`` measures.
 DEFAULT_EVERY = 100_000
 
 __all__ = [
@@ -132,30 +132,6 @@ def _qualname(cls: type) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
-def _slot_names(cls: type) -> list[str]:
-    """All slot names across ``cls``'s MRO, in definition order."""
-    names: list[str] = []
-    for klass in cls.__mro__:
-        slots = klass.__dict__.get("__slots__", ())
-        if isinstance(slots, str):
-            slots = (slots,)
-        for name in slots:
-            if name not in ("__dict__", "__weakref__"):
-                names.append(name)
-    return names
-
-
-def _new_instance(cls: type) -> Any:
-    """Allocate without ``__init__`` *or* ``cls.__new__``.
-
-    ``Simulator.__new__`` consults the ``REPRO_SANITIZE`` environment
-    and may substitute the sanitizing subclass — correct at build time,
-    wrong at unpickle time (the checkpoint records which class actually
-    ran).  ``object.__new__`` restores exactly the recorded class.
-    """
-    return object.__new__(cls)
-
-
 def _rebind_method(owner: Any, name: str) -> Any:
     """Re-bind ``owner``'s method ``name`` through its **class**.
 
@@ -198,6 +174,11 @@ class _CheckpointPickler(pickle.Pickler):
         #: qualname -> set of instance ids seen as method owners.
         self._owners: dict[str, set[int]] = {}
 
+    def count(self, owner: Any) -> None:
+        """Record ``owner`` (an instance or a class) in the census."""
+        cls = owner if isinstance(owner, type) else type(owner)
+        self._owners.setdefault(_qualname(cls), set()).add(id(owner))
+
     def census(self) -> dict[str, int]:
         return {name: len(ids) for name, ids in sorted(self._owners.items())}
 
@@ -214,19 +195,8 @@ class _CheckpointPickler(pickle.Pickler):
                     f"{type(owner).__name__} instance is not reachable "
                     "through its class",
                 )
-            cls = owner if isinstance(owner, type) else type(owner)
-            self._owners.setdefault(_qualname(cls), set()).add(id(owner))
+            self.count(owner)
             return (_rebind_method, (owner, name), None)
-        if isinstance(obj, Simulator):
-            cls = type(obj)
-            self._owners.setdefault(_qualname(cls), set()).add(id(obj))
-            state = {}
-            for slot in _slot_names(cls):
-                try:
-                    state[slot] = getattr(obj, slot)
-                except AttributeError:
-                    continue  # slot never assigned; leave unset on restore
-            return (_new_instance, (cls,), (None, state))
         return NotImplemented
 
 
@@ -251,6 +221,7 @@ def save(
     path = Path(path)
     buffer = io.BytesIO()
     pickler = _CheckpointPickler(buffer)
+    pickler.count(sim)
     payload_obj = {
         "sim": sim,
         "world": world,
@@ -403,8 +374,9 @@ def run_with_checkpoints(
 ) -> CheckpointedRun:
     """Run to ``until`` in ``every``-event legs, checkpointing each leg.
 
-    The hot dispatch loop is untouched: each leg is a plain
-    ``sim.run(until=..., max_events=every)`` call and the
+    No checkpoint code runs per event: each leg is a
+    ``sim.run(until=..., max_events=every)`` call (the engine's
+    observed loop) and the
     :class:`MaxEventsExceeded` it raises at a leg boundary is the
     resume point (``run`` leaves the heap and clock mid-run but
     consistent — satellite guarantee tested by
@@ -416,8 +388,6 @@ def run_with_checkpoints(
     dumped to ``directory/failure.json`` (the path is attached to the
     exception as ``replay_recipe``) and the error re-raised.
     """
-    from repro.analysis.sanitizer import SanitizerError
-
     if every < 1:
         raise ValueError("checkpoint cadence must be >= 1 event")
     directory = Path(directory)
@@ -507,15 +477,13 @@ def replay_failure(
     """Time-travel to a dumped failure: restore its nearest checkpoint
     and deterministically re-run to the violating event.
 
-    When the checkpointed simulator is a ``SanitizingSimulator`` its
-    stride is forced to 1 (full fidelity — every event checked, the
-    same escalation PR 6's ``escalate()`` applies from time zero, but
-    starting at the checkpoint instead).  Returns a report dict; the
+    When the checkpointed simulator carries a sanitizer its stride is
+    forced to 1 (full fidelity — every event checked, the same
+    escalation ``escalate()`` applies from time zero, but starting at
+    the checkpoint instead).  Returns a report dict; the
     violation is *expected* — ``reproduced`` is False when the re-run
     completes cleanly (e.g. the bug was since fixed).
     """
-    from repro.analysis.sanitizer import SanitizerError
-
     if isinstance(recipe, (str, Path)):
         recipe_path = Path(recipe)
         if recipe_path.is_dir():
@@ -527,10 +495,10 @@ def replay_failure(
         recipe_obj["checkpoint"], scenario=recipe_obj.get("scenario")
     )
     start_events = sim.events_dispatched
-    sanitizing = hasattr(sim, "check_stride")
-    if sanitizing:
-        sim.check_stride = 1  # full fidelity from the checkpoint on
-        sim._check_countdown = 1
+    sanitizer = sim.sanitizer
+    sanitizing = sanitizer is not None
+    if sanitizer is not None:
+        sanitizer.stride = sanitizer.countdown = 1  # full fidelity from here on
     horizon = until if until is not None else recipe_obj["until"]
     report: dict[str, Any] = {
         "reproduced": False,

@@ -27,13 +27,22 @@ strictly order-preserving: batch members are exactly the consecutive
 run of equal-``(time, callback)`` heap heads, popped in sequence order,
 and anonymous events cannot be cancelled, so a batched dispatch is
 semantically identical to dispatching the members one by one.
+
+:meth:`Simulator.run` holds exactly two loops.  The lean loop above
+serves plain runs.  Everything else — a dispatch log, a ``max_events``
+limit, or an attached :class:`Observer` (the runtime sanitizer,
+:class:`repro.analysis.sanitizer.Sanitizer`, or the profiler's
+:class:`repro.profiling.SiteCounter`) — runs the observed loop, which
+dispatches batch members one at a time and defines ``until``,
+``max_events``, tracing, the watchdog and :class:`SanitizerError`
+stamping once.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from repro.sim.events import HANDLED_MARK, Event, EventQueue
 
@@ -45,6 +54,68 @@ if TYPE_CHECKING:
 #: far beyond any simulated instant, so one int compare replaces an
 #: ``is not None`` check per dispatched event.
 _NO_DEADLINE = 1 << 62
+
+
+def site_label(callback: Callable[..., Any]) -> str:
+    """Stable label for a callback site (trace, profiler and sanitizer key)."""
+    return getattr(callback, "__qualname__", None) or repr(callback)
+
+
+class SanitizerError(RuntimeError):
+    """A runtime invariant of the simulation was violated.
+
+    Raised by :mod:`repro.analysis.sanitizer` (which re-exports it).
+
+    Attributes
+    ----------
+    invariant:
+        Short invariant name (``queue-depth``, ``byte-conservation``, ...).
+    detail:
+        Human-readable description of the violated state.
+    time_ns / site:
+        Simulated time and callback site label of the offending event;
+        the observed dispatch loop fills them in when the violation is
+        raised from inside a callback (e.g. the FTL GC hook).
+    """
+
+    def __init__(
+        self,
+        invariant: str,
+        detail: str,
+        *,
+        time_ns: int | None = None,
+        site: str | None = None,
+    ) -> None:
+        super().__init__(detail)
+        self.invariant = invariant
+        self.detail = detail
+        self.time_ns = time_ns
+        self.site = site
+
+    def __str__(self) -> str:
+        at = f" at t={self.time_ns}ns" if self.time_ns is not None else ""
+        during = f" during {self.site}" if self.site else ""
+        return f"[{self.invariant}]{at}{during}: {self.detail}"
+
+
+class Observer(Protocol):
+    """What the observed loop calls on ``Simulator.observer``.
+
+    ``dispatch`` runs before every callback and ``sample`` after every
+    ``stride``-th one; the loop reads ``countdown`` on entry and writes
+    it back on exit, so the phase carries across ``run()`` calls.
+    ``finish`` runs when a ``run()`` call returns normally, before the
+    clock advances to ``until``.
+    """
+
+    stride: int
+    countdown: int
+
+    def dispatch(self, time: int, callback: Callable[..., Any]) -> None: ...
+
+    def sample(self, time: int, callback: Callable[..., Any]) -> None: ...
+
+    def finish(self, sim: "Simulator", dispatched: int) -> None: ...
 
 
 class MaxEventsExceeded(RuntimeError):
@@ -81,26 +152,25 @@ class Simulator:
     trace:
         When true, every dispatched event is appended to
         :attr:`dispatch_log` as ``(time, callback_qualname)`` — useful in
-        tests, far too slow for real runs.  Batched dispatches log one
-        line per batch *member*, so a traced run produces the same log
-        whether or not coalescing fired.
+        tests, far too slow for real runs.  A traced run takes the
+        observed loop, which never coalesces, so the log has one line
+        per dispatched event.
     sanitize:
         When true (or when the ``REPRO_SANITIZE`` environment variable
-        is set and ``sanitize`` is left as ``None``), constructing
-        ``Simulator(...)`` transparently yields a
-        :class:`repro.analysis.sanitizer.SanitizingSimulator`, whose
-        dispatch loop checks runtime invariants (clock monotonicity,
-        queue depths, byte conservation, ...) and raises
-        :class:`~repro.analysis.sanitizer.SanitizerError` on violation.
-        The string form ``"stride:K"`` (e.g. ``"stride:64"``, also
-        accepted in ``REPRO_SANITIZE``) samples the invariant sweep
-        every K-th event instead of every event — see DESIGN.md §6.
-        The sanitized run is bit-identical to a plain one, just slower.
+        is set and ``sanitize`` is left as ``None``), a
+        :class:`repro.analysis.sanitizer.Sanitizer` is attached as the
+        observer: the run checks runtime invariants (clock
+        monotonicity, queue depths, byte conservation, ...) and raises
+        :class:`SanitizerError` on violation.  The string form
+        ``"stride:K"`` (e.g. ``"stride:64"``, also accepted in
+        ``REPRO_SANITIZE``) samples the invariant sweep every K-th event
+        instead of every event — see DESIGN.md §6.  The sanitized run is
+        bit-identical to a plain one, just slower.
     """
 
     #: ``__slots__`` keeps every hot attribute (``now`` above all — read
     #: and written once per dispatched event) a fixed-offset slot load
-    #: instead of a dict lookup.  Subclasses declare their own additions.
+    #: instead of a dict lookup.
     __slots__ = (
         "now",
         "_queue",
@@ -109,21 +179,9 @@ class Simulator:
         "events_dispatched",
         "_batch_callbacks",
         "sanitizer",
+        "observer",
         "watchdog",
     )
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> "Simulator":
-        if cls is Simulator:
-            sanitize = kwargs.get("sanitize")
-            if sanitize is None:
-                from repro.analysis.sanitizer import env_sanitize_mode
-
-                sanitize = env_sanitize_mode(os.environ.get("REPRO_SANITIZE"))
-            if sanitize:
-                from repro.analysis.sanitizer import SanitizingSimulator
-
-                return object.__new__(SanitizingSimulator)
-        return object.__new__(cls)
 
     def __init__(
         self, *, trace: bool = False, sanitize: bool | str | None = None
@@ -135,9 +193,20 @@ class Simulator:
         self.events_dispatched: int = 0
         #: item callback -> batch callback (see :meth:`register_batch`).
         self._batch_callbacks: dict[Callable[..., None], Callable[..., None]] = {}
-        #: Set by :class:`~repro.analysis.sanitizer.SanitizingSimulator`;
-        #: components register themselves here when it is not ``None``.
+        #: The runtime sanitizer under ``sanitize``, else ``None``;
+        #: components register themselves on it when it is set.
         self.sanitizer: "Sanitizer | None" = None
+        #: The one observer the observed loop reports to: the sanitizer,
+        #: or a profiler attached after construction.
+        self.observer: Observer | None = None
+        if sanitize is None:
+            from repro.analysis.sanitizer import env_sanitize_mode
+
+            sanitize = env_sanitize_mode(os.environ.get("REPRO_SANITIZE"))
+        if sanitize:
+            from repro.analysis.sanitizer import Sanitizer
+
+            self.sanitizer = self.observer = Sanitizer(sanitize)
         #: Quiescence hook (e.g. the stuck-I/O watchdog from
         #: :mod:`repro.faults.watchdog`): called with the simulator once
         #: per :meth:`run` call, only when the event heap fully drained —
@@ -283,9 +352,11 @@ class Simulator:
             rather than hanging CI.  The simulator is left mid-run —
             clock advanced, remaining events queued — but consistent, so
             callers may inspect ``now``, ``pending()``, and
-            ``events_dispatched`` after catching the error.  Batch
-            coalescing is disabled under ``max_events`` so the limit is
-            exact to the single event.
+            ``events_dispatched`` after catching the error.
+            Coalescing happens only in the lean loop, which serves runs
+            with no trace, no ``max_events`` and no observer; every
+            other run dispatches batch members one by one, so the limit
+            is exact to the single event.
 
         Returns
         -------
@@ -297,15 +368,15 @@ class Simulator:
         heap = queue._heap  # the queue compacts in place; alias stays valid
         heappop = heapq.heappop
         trace = self._trace
-        batch_map = self._batch_callbacks
+        observer = self.observer
         deadline = _NO_DEADLINE if until is None else until
-        coalesce = batch_map and max_events is None
         dispatched = 0
-        if not trace and max_events is None:
+        if not trace and max_events is None and observer is None:
             # Lean loop for the overwhelmingly common configuration: no
-            # dispatch log, no event limit.  Identical semantics to the
-            # general loop below minus its per-event trace/limit checks,
-            # which measurably add up at millions of events.
+            # dispatch log, no event limit, no observer.  Identical
+            # semantics to the observed loop below minus its per-event
+            # checks, which measurably add up at millions of events.
+            batch_map = self._batch_callbacks
             try:
                 while heap:
                     time, _seq, callback, tail = heap[0]
@@ -316,7 +387,7 @@ class Simulator:
                         queue._live -= 1
                         self.now = time
                         if (
-                            coalesce
+                            batch_map
                             and heap
                             and (head := heap[0])[0] == time
                             and head[2] is callback
@@ -357,72 +428,58 @@ class Simulator:
             if self.watchdog is not None and not heap:
                 self.watchdog(self)
             return dispatched
+        # Observed loop: one event per iteration, never coalesced.
+        log = self.dispatch_log
+        limit = _NO_DEADLINE if max_events is None else max_events
+        if observer is None:
+            stride = countdown = _NO_DEADLINE
+        else:
+            stride = observer.stride
+            countdown = observer.countdown
         try:
             while heap:
-                time, _seq, callback, tail = heap[0]
+                time, _seq, callback, args = heap[0]
                 if time > deadline:
                     break
                 heappop(heap)
-                if callback is not HANDLED_MARK:
-                    queue._live -= 1
-                    self.now = time
-                    if (
-                        coalesce
-                        and heap
-                        and (head := heap[0])[0] == time
-                        and head[2] is callback
-                    ):
-                        batch_callback = batch_map.get(callback)
-                        if batch_callback is not None:
-                            batch = [tail]
-                            append = batch.append
-                            while heap:
-                                head = heap[0]
-                                if head[0] != time or head[2] is not callback:
-                                    break
-                                heappop(heap)
-                                append(head[3])
-                            queue._live -= len(batch) - 1
-                            if trace:
-                                name = getattr(
-                                    callback, "__qualname__", repr(callback)
-                                )
-                                self.dispatch_log.extend(
-                                    (time, name) for _ in batch
-                                )
-                            batch_callback(batch)
-                            dispatched += len(batch)
-                            continue
-                    if trace:
-                        self.dispatch_log.append(
-                            (time, getattr(callback, "__qualname__", repr(callback)))
-                        )
-                    callback(*tail)
-                else:
-                    ev = tail
+                if callback is HANDLED_MARK:
+                    ev = args
                     if ev.cancelled:
                         queue._dead -= 1
                         continue
                     ev._queue = None
-                    queue._live -= 1
-                    self.now = time
                     callback = ev.callback
-                    if trace:
-                        self.dispatch_log.append(
-                            (time, getattr(callback, "__qualname__", repr(callback)))
-                        )
                     args = ev.args
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
+                queue._live -= 1
+                if observer is not None:
+                    observer.dispatch(time, callback)
+                self.now = time
+                if trace:
+                    log.append((time, site_label(callback)))
+                callback(*args)
                 dispatched += 1
-                if max_events is not None and dispatched >= max_events:
+                countdown -= 1
+                if countdown <= 0:
+                    countdown = stride
+                    observer.sample(time, callback)  # type: ignore[union-attr]
+                if dispatched >= limit:
                     raise MaxEventsExceeded(
-                        max_events, dispatched, queue._live, self.now
+                        limit, dispatched, queue._live, self.now
                     )
+        except SanitizerError as err:
+            # A violation raised inside a callback (e.g. the FTL GC hook)
+            # gets the dispatch context stamped on the way out.
+            if err.site is None:
+                err.site = site_label(callback)
+            if err.time_ns is None:
+                err.time_ns = time
+            raise
         finally:
+            if observer is not None:
+                observer.countdown = countdown
             self.events_dispatched += dispatched
+        if observer is not None:
+            observer.finish(self, dispatched)
         if until is not None and until > self.now:
             self.now = until
         if self.watchdog is not None and not heap:

@@ -14,7 +14,6 @@ import pytest
 from repro.analysis.sanitizer import (
     Sanitizer,
     SanitizerError,
-    SanitizingSimulator,
     env_sanitize_enabled,
     escalate,
     ftl_mapping_violation,
@@ -22,7 +21,7 @@ from repro.analysis.sanitizer import (
 )
 from repro.net.topology import build_star
 from repro.nvme.wrr import TokenWRR
-from repro.profiling import InstrumentedSimulator, SanitizerCostProfile
+from repro.profiling import SiteCounter
 from repro.profiling.bench import incast_outputs, run_incast_cell
 from repro.sim.engine import MaxEventsExceeded, Simulator
 from repro.sim.units import US
@@ -34,26 +33,30 @@ from tests.conftest import FAST_SSD
 
 def test_sanitize_kwarg_promotes_construction(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    assert type(Simulator()) is Simulator
-    assert type(Simulator(sanitize=False)) is Simulator
+    assert Simulator().sanitizer is None
+    assert Simulator(sanitize=False).sanitizer is None
     sim = Simulator(sanitize=True)
-    assert isinstance(sim, SanitizingSimulator)
-    assert sim.sanitizer is not None
+    assert type(sim) is Simulator
+    assert isinstance(sim.sanitizer, Sanitizer)
+    assert sim.observer is sim.sanitizer
 
 
 def test_env_variable_promotes_construction(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert isinstance(Simulator(), SanitizingSimulator)
+    assert Simulator().sanitizer is not None
     # An explicit kwarg beats the environment.
-    assert type(Simulator(sanitize=False)) is Simulator
+    assert Simulator(sanitize=False).sanitizer is None
     monkeypatch.setenv("REPRO_SANITIZE", "0")
-    assert type(Simulator()) is Simulator
+    assert Simulator().sanitizer is None
 
 
-def test_subclasses_are_never_promoted(monkeypatch):
+def test_profiler_never_replaces_the_sanitizer(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    sim = InstrumentedSimulator()
-    assert type(sim) is InstrumentedSimulator
+    with pytest.raises(ValueError):
+        SiteCounter().attach(Simulator())
+    sim = Simulator(sanitize=False)
+    sites = SiteCounter().attach(sim)
+    assert sim.observer is sites
     assert sim.sanitizer is None
 
 
@@ -147,12 +150,13 @@ def test_wrr_token_bounds_are_caught():
 
 def test_check_now_outside_dispatch():
     sim = Simulator(sanitize=True)
-    sim.check_now()  # nothing tracked: clean
+    sim.sanitizer.check_now(sim.now)  # nothing tracked: clean
     wrr = TokenWRR(2, 2)
     sim.sanitizer.track_wrr(wrr)
     wrr.write_tokens = -1
-    with pytest.raises(SanitizerError):
-        sim.check_now()
+    with pytest.raises(SanitizerError) as ei:
+        sim.sanitizer.check_now(sim.now)
+    assert ei.value.time_ns == 0
 
 
 # -- FTL mapping consistency --------------------------------------------------
@@ -257,12 +261,10 @@ def test_parse_stride():
 def test_stride_kwarg_and_env_promote_construction(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     sim = Simulator(sanitize="stride:16")
-    assert isinstance(sim, SanitizingSimulator)
-    assert sim.check_stride == 16
+    assert sim.sanitizer.stride == 16
     monkeypatch.setenv("REPRO_SANITIZE", "stride:8")
     sim = Simulator()
-    assert isinstance(sim, SanitizingSimulator)
-    assert sim.check_stride == 8
+    assert sim.sanitizer.stride == 8
 
 
 def _corrupting_cell(corrupt_at_tick, depth):
@@ -374,57 +376,10 @@ def test_stride_countdown_survives_run_boundaries():
     _tick(sim, depth=25)
     sim.run(until=8 * 10)  # 8 events: mid-window
     first_leg = sim.sanitizer.events_checked
+    assert first_leg == 1  # the end-of-run sweep only
     sim.run()
     # 25 events total -> exactly 2 mid-run sweeps (at events 10 and 20)
-    # plus one end-of-run sweep per run() call that dispatched.
-    assert sim.sanitizer.events_checked - first_leg >= 1
+    # plus one end-of-run sweep per run() call that dispatched.  A
+    # countdown reset per call would sweep once mid-run (at event 18).
+    assert sim.sanitizer.events_checked - first_leg == 3
     assert sim.events_dispatched == 25
-
-
-# -- per-invariant cost counters ----------------------------------------------
-
-def test_cost_counters_and_profile():
-    sim = Simulator(sanitize=True)
-    sim.sanitizer.enable_cost_tracking()
-    net = build_star(sim, ["a", "b"], rate_gbps=40.0, delay_ns=US)
-    net.hosts["a"].send_message("b", 64 * 1024)
-    sim.run()
-    sanitizer = sim.sanitizer
-    assert sanitizer.events_checked == sim.events_dispatched
-    for group in ("links", "switches", "nics", "wrrs"):
-        assert sanitizer.check_counts[group] == sanitizer.events_checked
-        assert sanitizer.violation_counts[group] == 0
-    # Cost tracking actually timed the sweeps.
-    assert sum(sanitizer.check_ns.values()) > 0
-    profile = SanitizerCostProfile.from_simulator(sim)
-    assert profile.sampling_rate == pytest.approx(1.0)
-    assert profile.as_dict()["check_counts"] == sanitizer.check_counts
-    text = profile.format()
-    assert "links" in text and "violations" in text and "ns" in text
-
-
-def test_cost_counters_untimed_by_default():
-    sim = Simulator(sanitize="stride:4")
-    _tick(sim, depth=20)
-    sim.run()
-    assert sum(sim.sanitizer.check_ns.values()) == 0  # no clock reads
-    assert sim.sanitizer.events_checked > 0
-    profile = SanitizerCostProfile.from_simulator(sim)
-    assert 0.0 < profile.sampling_rate < 1.0
-    assert " ns " not in profile.format().split("per invariant")[1]
-
-
-def test_cost_profile_requires_sanitizer():
-    with pytest.raises(ValueError):
-        SanitizerCostProfile.from_simulator(Simulator())
-
-
-def test_violation_counter_increments():
-    sim = Simulator(sanitize=True)
-    wrr = TokenWRR(1, 4)
-    sim.sanitizer.track_wrr(wrr)
-    _tick(sim, depth=5)
-    sim.schedule(20, lambda: setattr(wrr, "read_tokens", 7))
-    with pytest.raises(SanitizerError):
-        sim.run()
-    assert sim.sanitizer.violation_counts["wrrs"] == 1

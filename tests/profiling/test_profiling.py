@@ -1,10 +1,13 @@
-"""Instrumented engine, bench scenarios, cProfile wrapper."""
+"""Site-counting observer, bench scenarios, cProfile wrapper."""
 
 import json
 
+import pytest
+
+from repro.faults import StuckIOError
 from repro.profiling import (
     EngineProfile,
-    InstrumentedSimulator,
+    SiteCounter,
     engine_microbench,
     incast_outputs,
     run_incast_cell,
@@ -14,8 +17,13 @@ from repro.sim.engine import Simulator
 from repro.sim.units import US
 
 
+def _profiled() -> tuple[Simulator, SiteCounter]:
+    sim = Simulator(sanitize=False)
+    return sim, SiteCounter().attach(sim)
+
+
 def test_instrumented_simulator_counts_callback_sites():
-    sim = InstrumentedSimulator()
+    sim, sites = _profiled()
 
     def tick():
         if sim.now < 50:
@@ -27,13 +35,13 @@ def test_instrumented_simulator_counts_callback_sites():
     sim.schedule(10, tick)
     sim.schedule(25, tock, "x")
     sim.run()
-    prof = sim.profile()
+    prof = sites.profile(sim, wall_s=0.25)
     assert prof.events_dispatched == 6
     assert prof.site_counts[tick.__qualname__] == 5
     assert prof.site_counts[tock.__qualname__] == 1
     assert prof.sim_end_ns == sim.now
     assert prof.heap_high_water >= 2
-    assert prof.wall_s >= 0.0
+    assert prof.wall_s == 0.25
 
 
 def test_instrumented_run_matches_plain_engine():
@@ -51,7 +59,19 @@ def test_instrumented_run_matches_plain_engine():
         sim.run(until=100)
         return order, sim.now, sim.events_dispatched
 
-    assert drive(Simulator()) == drive(InstrumentedSimulator())
+    assert drive(Simulator()) == drive(_profiled()[0])
+
+
+def test_profiled_drained_run_calls_the_watchdog(monkeypatch):
+    """A wedged model under the profiler raises ``StuckIOError``."""
+    from tests.faults.test_watchdog import build_cell
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)  # no sanitizer observer
+    sim, ini, _ = build_cell(lossy=True)
+    SiteCounter().attach(sim)
+    with pytest.raises(StuckIOError):
+        sim.run()  # heap drains with commands still in flight
+    assert ini.outstanding() == 3
 
 
 def test_engine_profile_as_dict_and_format():
