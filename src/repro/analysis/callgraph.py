@@ -72,21 +72,6 @@ SCHEDULE_METHODS: frozenset[str] = frozenset(
 #: timestamp and ``callback``, and falls back to ``callback`` otherwise.
 BATCH_REGISTER_METHODS: frozenset[str] = frozenset({"register_batch"})
 
-#: Edge kinds.  ``call``/``ref`` are ordinary synchronous reach;
-#: ``protocol``/``duck`` are structural dispatch through a Protocol
-#: attribute or a getattr-wired method (the opaque far side of a
-#: component boundary); ``wired`` is a call through a callback
-#: attribute some *other* component registered on the receiver
-#: (``link.on_depart = self._hook`` — registration asserts shared
-#: memory, so the hop is shard-local); ``sched`` is the engine-mediated
-#: channel (schedule targets, batch registration, inlined heappush).
-#: Everything except ``sched`` runs within the caller's event, so the
-#: effect pass propagates summaries over exactly the non-``sched``
-#: edges.
-EDGE_KINDS: frozenset[str] = frozenset(
-    {"call", "ref", "protocol", "duck", "wired", "sched"}
-)
-
 _CACHE_VERSION = 1
 
 
@@ -781,17 +766,9 @@ class CallGraph:
 
     def __init__(self, index: ProjectIndex) -> None:
         self.index = index
+        #: Call, reference, structural-dispatch, wired-callback and
+        #: schedule edges alike: reachability does not care which.
         self.edges: dict[str, set[str]] = {}
-        #: Edges that run *within* the caller's event (every kind except
-        #: ``sched``) — the propagation relation of the effect pass.
-        self.sync_edges: dict[str, set[str]] = {}
-        #: (caller, callee) pairs reached through structural dispatch
-        #: (Protocol receivers, getattr-wired duck methods): the opaque
-        #: far side of a component boundary, i.e. potentially remote.
-        self.remote_pairs: set[tuple[str, str]] = set()
-        #: (caller, callee) pairs through registered callback attributes
-        #: — shard-local by construction (registration shares memory).
-        self.wired_pairs: set[tuple[str, str]] = set()
         #: (class qualname, attribute) -> functions some other code
         #: wired into that callback attribute.
         self.wirings: dict[tuple[str, str], set[str]] = {}
@@ -799,8 +776,8 @@ class CallGraph:
         #: ``Simulator.register_batch`` call sites, as ``kind="register"``
         #: :class:`ScheduleSite` records (delay is always None).  Kept
         #: separate from :attr:`schedule_sites` so the delay-sensitive
-        #: consumers (SIM203 zero-delay, SIM302 lookahead) are untouched;
-        #: the snapshot-safety pass (SIM401) walks both lists.
+        #: SIM203 zero-delay check is untouched; the snapshot-safety
+        #: pass (SIM401) walks both lists.
         self.register_sites: list[ScheduleSite] = []
         self.seeds: set[str] = set()
         #: (class qualname, attribute name) -> duck method name, for
@@ -851,14 +828,8 @@ class CallGraph:
                 ):
                     self._getattr_attrs[(fn.cls, tgt.attr)] = method
 
-    def _add_edge(self, caller: str, callee: str, kind: str = "call") -> None:
+    def _add_edge(self, caller: str, callee: str) -> None:
         self.edges.setdefault(caller, set()).add(callee)
-        if kind in ("protocol", "duck"):
-            self.remote_pairs.add((caller, callee))
-        elif kind == "wired":
-            self.wired_pairs.add((caller, callee))
-        if kind != "sched":
-            self.sync_edges.setdefault(caller, set()).add(callee)
 
     # -- callback-wiring escape analysis --------------------------------
     def _sink_of_target(
@@ -928,9 +899,9 @@ class CallGraph:
         )
         if ref is None and isinstance(value, ast.Call):
             # ``link.on_depart = self._make_hook(port)``: the factory's
-            # closure is the callback; its effects live in the factory's
+            # closure is the callback; its calls live in the factory's
             # body (nested defs are walked with it), so wiring the
-            # factory itself keeps the summary sound.
+            # factory itself keeps reachability sound.
             ref = self.index.resolve_call(
                 value, module=fn.module, enclosing=enclosing, env=env
             )
@@ -1113,7 +1084,7 @@ class CallGraph:
                         arg, module=fn.module, enclosing=enclosing, env=env
                     )
                     if ref is not None:
-                        self._add_edge(fn.qualname, ref.qualname, kind="ref")
+                        self._add_edge(fn.qualname, ref.qualname)
 
     def _self_attr_sink(
         self, fn: FunctionInfo, node: ast.Attribute
@@ -1129,7 +1100,7 @@ class CallGraph:
 
     def _wired_edges(self, fn: FunctionInfo, sink: tuple[str, str]) -> None:
         for target in sorted(self.wirings.get(sink, ())):
-            self._add_edge(fn.qualname, target, kind="wired")
+            self._add_edge(fn.qualname, target)
 
     def _record_heappush(
         self,
@@ -1158,7 +1129,7 @@ class CallGraph:
         if ref is not None:
             target = ref.qualname
             self.seeds.add(target)
-            self._add_edge(fn.qualname, target, kind="sched")
+            self._add_edge(fn.qualname, target)
         self.schedule_sites.append(
             ScheduleSite(
                 caller=fn.qualname,
@@ -1178,9 +1149,7 @@ class CallGraph:
             if cls.is_protocol or method not in cls.methods:
                 continue
             if all(m in cls.methods for m in protocol.methods):
-                self._add_edge(
-                    fn.qualname, cls.methods[method].qualname, kind="protocol"
-                )
+                self._add_edge(fn.qualname, cls.methods[method].qualname)
 
     def _protocol_edges(
         self,
@@ -1224,7 +1193,7 @@ class CallGraph:
             if ref is not None:
                 target = ref.qualname
                 self.seeds.add(target)
-                self._add_edge(fn.qualname, target, kind="sched")
+                self._add_edge(fn.qualname, target)
             elif isinstance(callback, ast.Lambda):
                 # The lambda body runs at dispatch: its call targets are
                 # callbacks even though the enclosing function is not.
@@ -1246,7 +1215,7 @@ class CallGraph:
                 )
                 if ref is not None:
                     self.seeds.add(ref.qualname)
-                    self._add_edge(fn.qualname, ref.qualname, kind="sched")
+                    self._add_edge(fn.qualname, ref.qualname)
         self.schedule_sites.append(
             ScheduleSite(
                 caller=fn.qualname, node=node, delay=delay,
@@ -1266,7 +1235,7 @@ class CallGraph:
                 continue
             info = cls.methods.get(method_name)
             if info is not None:
-                self._add_edge(fn.qualname, info.qualname, kind="duck")
+                self._add_edge(fn.qualname, info.qualname)
 
     def _seed_batch_register(
         self,
@@ -1290,7 +1259,7 @@ class CallGraph:
             if ref is not None:
                 target = ref.qualname
                 self.seeds.add(target)
-                self._add_edge(fn.qualname, target, kind="sched")
+                self._add_edge(fn.qualname, target)
             self.register_sites.append(
                 ScheduleSite(
                     caller=fn.qualname, node=node, delay=None,
@@ -1312,7 +1281,7 @@ class CallGraph:
                 )
                 if resolved is not None:
                     self.seeds.add(resolved.qualname)
-                    self._add_edge(fn.qualname, resolved.qualname, kind="sched")
+                    self._add_edge(fn.qualname, resolved.qualname)
 
     # -- queries --------------------------------------------------------
     def reachable_from_dispatch(self) -> frozenset[str]:

@@ -1,4 +1,4 @@
-"""Manifests consumed by the determinism linter (:mod:`repro.analysis.simlint`).
+"""Manifests consumed by the simulation linter (:mod:`repro.analysis`).
 
 Centralising *which* packages are simulation code and *which* classes
 sit on the per-event hot path keeps the lint rules data-driven: adding a
@@ -32,6 +32,17 @@ RNG_EXTRA_PACKAGES: tuple[str, ...] = (
     "repro.experiments",
 )
 
+#: Packages where unordered iteration (SIM003) is banned: the simulation
+#: packages plus every package holding dispatch-reachable code (the
+#: experiment drivers' scheduled sources and adjusters, the TPM model
+#: fed from them, and the profiling observers).  A set-order float sum
+#: there changes results bit-for-bit between serial replays.
+ITERATION_PACKAGES: tuple[str, ...] = SIM_PACKAGES + (
+    "repro.experiments",
+    "repro.ml",
+    "repro.profiling",
+)
+
 #: Modules allowed to touch ``numpy.random`` constructors directly —
 #: the single chokepoint every other module must import from.
 RNG_EXEMPT_MODULES: tuple[str, ...] = ("repro.sim.rng",)
@@ -42,61 +53,26 @@ RNG_EXEMPT_MODULES: tuple[str, ...] = ("repro.sim.rng",)
 #: of these classes.  Cross-component effects must go through a method
 #: call (the documented API) or through ``Simulator.schedule`` so the
 #: golden-trace replay contract stays auditable at call boundaries.
-#:
-#: Each class maps to its **owner domain** — the shard-ownership label
-#: the effect pass (:mod:`repro.analysis.effects` /
-#: :mod:`repro.analysis.shards`, SIM301–SIM304) uses to decide whether
-#: a state effect crosses a future shard boundary.  Membership tests
-#: (``qualname in COMPONENT_CLASSES``) keep working as before.
-COMPONENT_CLASSES: dict[str, str] = {
-    "repro.sim.engine.Simulator": "engine",
-    "repro.net.link.Link": "link",
-    "repro.net.switch.Switch": "switch",
-    "repro.net.nic.NIC": "nic",
-    "repro.net.nic.Flow": "flow",
-    "repro.net.reliability.FlowReliability": "flow",
-    "repro.net.dcqcn.DCQCNRateControl": "nic",
-    "repro.net.fluid.FluidDomain": "fluid",
-    "repro.net.fluid.FluidFlow": "fluid",
-    "repro.ssd.flash.FlashBackend": "ssd",
-    "repro.ssd.controller.SSDController": "ssd",
-    "repro.nvme.wrr.TokenWRR": "nvme",
-    "repro.fabric.initiator.Initiator": "endpoint",
-    "repro.fabric.target.Target": "endpoint",
-}
-
-#: Zero-lookahead colocation: ``SHARD_REACH[d]`` is the set of owner
-#: domains that, under the ROADMAP sharding plan (per-pod / per-switch
-#: spatial shards with conservative lookahead = link propagation
-#: delay), are *guaranteed co-resident* with a domain-``d`` component —
-#: so an event callback rooted in ``d`` may touch their state with any
-#: (even zero) delay.  Everything else is on the far side of a wire:
-#: a schedule whose callback touches a non-colocated domain must carry
-#: a minimum delay provably >= the connecting link's propagation delay
-#: (SIM302), because that delay is exactly the lookahead that makes the
-#: conservative parallel execution safe.
-#:
-#: The matrix is asymmetric on purpose: a ``Link``'s transmit side
-#: (queue, serialization) lives on the *sender's* shard, so nic/flow/
-#: switch/endpoint domains reach "their" links freely, while a link
-#: reaching a device domain models the delivery hop — the one crossing
-#: that must be delayed by propagation.  ``engine`` (the per-shard
-#: event loop) and the coarse-clock ``fluid`` solver are infrastructure
-#: co-resident with every shard's clock.
-_HOST_SIDE = frozenset(
-    {"engine", "nic", "flow", "endpoint", "ssd", "nvme", "link", "fluid"}
+#: The snapshot-safety pass (SIM403) counts them as declared
+#: checkpoint-manifest members.
+COMPONENT_CLASSES: frozenset[str] = frozenset(
+    {
+        "repro.sim.engine.Simulator",
+        "repro.net.link.Link",
+        "repro.net.switch.Switch",
+        "repro.net.nic.NIC",
+        "repro.net.nic.Flow",
+        "repro.net.reliability.FlowReliability",
+        "repro.net.dcqcn.DCQCNRateControl",
+        "repro.net.fluid.FluidDomain",
+        "repro.net.fluid.FluidFlow",
+        "repro.ssd.flash.FlashBackend",
+        "repro.ssd.controller.SSDController",
+        "repro.nvme.wrr.TokenWRR",
+        "repro.fabric.initiator.Initiator",
+        "repro.fabric.target.Target",
+    }
 )
-SHARD_REACH: dict[str, frozenset[str]] = {
-    "engine": frozenset(COMPONENT_CLASSES.values()),
-    "nic": _HOST_SIDE,
-    "flow": _HOST_SIDE,
-    "endpoint": _HOST_SIDE,
-    "ssd": _HOST_SIDE,
-    "nvme": _HOST_SIDE,
-    "switch": frozenset({"engine", "switch", "link", "fluid"}),
-    "link": frozenset({"engine", "link", "fluid"}),
-    "fluid": frozenset({"engine", "fluid", "link"}),
-}
 
 #: Modules exempt from the unit-mixing rules (SIM101/SIM104): they
 #: *define* the conversions, so units legitimately meet there.

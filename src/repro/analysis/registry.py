@@ -1,12 +1,11 @@
 """Unified SIM rule registry and CLI rule selection.
 
 Every lint rule the driver can emit, grouped by the pass that computes
-it.  ``repro lint --select SIM4 --ignore SIM203`` style selection
-resolves here: tokens are rule-id prefixes (``SIM4`` -> SIM401–SIM404,
-``SIM203`` -> itself) or group keys (``shards``), and the legacy
-``--shards`` / ``--snapshots`` flags are sugar that adds the matching
-group on top of the defaults.  A token matching nothing is an error —
-a typo silently selecting zero rules would read as "clean".
+it.  Every group runs by default; ``repro lint --select SIM4 --ignore
+SIM203`` style selection resolves here: tokens are rule-id prefixes
+(``SIM4`` -> SIM401–SIM404, ``SIM203`` -> itself) or group keys
+(``snapshots``).  A token matching nothing is an error — a typo
+silently selecting zero rules would read as "clean".
 
 SIM999 (file does not parse) is always active: a parse failure
 undermines every other pass, so deselecting it can only hide findings.
@@ -17,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.purity import PURITY_RULES
-from repro.analysis.shards import SHARD_RULES
 from repro.analysis.simlint import RULES
 from repro.analysis.snapshots import SNAPSHOT_RULES
 from repro.analysis.units import UNIT_RULES
@@ -35,38 +33,24 @@ __all__ = [
 class RuleGroup:
     """One lint pass and the rules it emits."""
 
-    key: str  # selection token (``--select shards``)
+    key: str  # selection token (``--select snapshots``)
     title: str
     rules: tuple[str, ...]
-    #: Enabled with no ``--select`` and no flag.
-    default: bool
-    #: CLI flag that adds this group over the defaults, if any.
-    flag: str | None = None
 
 
 RULE_GROUPS: tuple[RuleGroup, ...] = (
-    RuleGroup(
-        "core", "per-file determinism rules", tuple(sorted(RULES)), True
-    ),
-    RuleGroup(
-        "units", "units-of-measure dataflow", tuple(sorted(UNIT_RULES)), True
-    ),
-    RuleGroup(
-        "purity", "event-callback purity", tuple(sorted(PURITY_RULES)), True
-    ),
-    RuleGroup(
-        "shards", "shard safety (effect summaries)",
-        tuple(sorted(SHARD_RULES)), False, flag="--shards",
-    ),
+    RuleGroup("core", "per-file determinism rules", tuple(sorted(RULES))),
+    RuleGroup("units", "units-of-measure dataflow", tuple(sorted(UNIT_RULES))),
+    RuleGroup("purity", "event-callback purity", tuple(sorted(PURITY_RULES))),
     RuleGroup(
         "snapshots", "snapshot safety (checkpointability)",
-        tuple(sorted(SNAPSHOT_RULES)), False, flag="--snapshots",
+        tuple(sorted(SNAPSHOT_RULES)),
     ),
 )
 
 #: Every rule the whole-program driver can emit.
 ALL_RULES: dict[str, str] = {
-    **RULES, **UNIT_RULES, **PURITY_RULES, **SHARD_RULES, **SNAPSHOT_RULES
+    **RULES, **UNIT_RULES, **PURITY_RULES, **SNAPSHOT_RULES
 }
 
 _GROUPS_BY_KEY = {g.key: g for g in RULE_GROUPS}
@@ -104,30 +88,14 @@ def resolve_active_rules(
     *,
     select: list[str] | None = None,
     ignore: list[str] | None = None,
-    shards: bool = False,
-    snapshots: bool = False,
 ) -> frozenset[str]:
     """The rule set one lint run should emit.
 
-    Without ``select``, the default groups run, plus any group whose
-    sugar flag (``shards`` / ``snapshots``) is set.  With ``select``,
-    only the selection runs — the flags still add their group, so
-    ``--select SIM001 --shards`` means SIM001 + SIM301–304.  ``ignore``
-    is subtracted last and wins.  SIM999 is never deselectable.
+    Without ``select``, every group runs; with it, only the selection.
+    ``ignore`` is subtracted last and wins.  SIM999 is never
+    deselectable.
     """
-    if select:
-        active = set(expand_selection(select))
-    else:
-        active = {
-            rule
-            for group in RULE_GROUPS
-            if group.default
-            for rule in group.rules
-        }
-    if shards:
-        active.update(_GROUPS_BY_KEY["shards"].rules)
-    if snapshots:
-        active.update(_GROUPS_BY_KEY["snapshots"].rules)
+    active = set(expand_selection(select)) if select else set(ALL_RULES)
     if ignore:
         active -= expand_selection(ignore)
     active.add("SIM999")

@@ -6,15 +6,10 @@
    :mod:`repro.analysis.simlint` over every file;
 2. builds the :class:`~repro.analysis.callgraph.ProjectIndex` (optionally
    from a content-hashed AST cache) and the call graph once, then runs
-   the units (SIM101–SIM104) and purity (SIM201–SIM203) passes over it;
-3. with ``shards=True`` / ``snapshots=True`` (or a ``--select`` that
-   reaches SIM3xx/SIM4xx), computes the interprocedural effect
-   summaries (:mod:`repro.analysis.effects`, cached as ``effects.json``
-   beside the AST cache) and runs the shard-safety rules SIM301–SIM304
-   (:mod:`repro.analysis.shards`) and/or the snapshot-safety rules
-   SIM401–SIM404 (:mod:`repro.analysis.snapshots`, findings cached as
-   ``snapshots.json``) on top;
-4. subtracts the checked-in baseline
+   the units (SIM101–SIM104), purity (SIM201–SIM203) and snapshot-safety
+   (SIM401–SIM404, :mod:`repro.analysis.snapshots`, findings cached as
+   ``snapshots.json`` beside the AST cache) passes over it;
+3. subtracts the checked-in baseline
    (:mod:`repro.analysis.baseline`), so CI fails only on *new* findings
    — stale entries get one marked grace run, then fail the gate
    (``prune_baseline=True`` drops them immediately instead).
@@ -29,10 +24,8 @@ from pathlib import Path
 from repro.analysis import baseline as baseline_io
 from repro.analysis.baseline import BaselineEntry
 from repro.analysis.callgraph import CallGraph, ProjectIndex
-from repro.analysis.effects import effects_cache_path, load_or_compute_effects
 from repro.analysis.purity import PURITY_RULES, check_purity
 from repro.analysis.registry import ALL_RULES, resolve_active_rules
-from repro.analysis.shards import SHARD_RULES, check_shards
 from repro.analysis.simlint import (
     Violation,
     _iter_python_files,
@@ -77,9 +70,7 @@ def lint_project(
     update_baseline: bool = False,
     cache_path: Path | None = None,
     root: Path | None = None,
-    shards: bool = False,
     prune_baseline: bool = False,
-    snapshots: bool = False,
     select: list[str] | None = None,
     ignore: list[str] | None = None,
 ) -> LintReport:
@@ -89,18 +80,15 @@ def lint_project(
     (defaults to the current directory when a baseline is in play).
     With ``update_baseline`` the baseline file is rewritten from the
     current findings (reasons carried forward, new entries stamped
-    ``TODO: justify``) and the report comes back clean.  ``shards`` /
-    ``snapshots`` add the interprocedural effect pass and SIM301–SIM304
-    / SIM401–SIM404; ``select`` / ``ignore`` narrow the rule set
+    ``TODO: justify``) and the report comes back clean.  Every rule
+    group runs unless ``select`` / ``ignore`` narrow the rule set
     (:func:`repro.analysis.registry.resolve_active_rules` — a selector
     matching nothing raises ``ValueError``).  A pass none of whose
     rules are active is skipped entirely.  ``prune_baseline`` drops
     entries that matched nothing this run.
     """
     start = time.perf_counter()
-    active = resolve_active_rules(
-        select=select, ignore=ignore, shards=shards, snapshots=snapshots
-    )
+    active = resolve_active_rules(select=select, ignore=ignore)
     files = list(_iter_python_files(paths))
 
     violations: list[Violation] = []
@@ -109,13 +97,8 @@ def lint_project(
             v for v in lint_file(path) if v.rule in active
         )
 
-    needs_effects = bool(
-        active & (set(SHARD_RULES) | set(SNAPSHOT_RULES))
-    )
-    needs_graph = needs_effects or bool(
-        active & (set(UNIT_RULES) | set(PURITY_RULES))
-    )
-    if needs_graph:
+    graph_rules = set(UNIT_RULES) | set(PURITY_RULES) | set(SNAPSHOT_RULES)
+    if active & graph_rules:
         index = ProjectIndex.build_cached(files, cache_path)
         graph = CallGraph(index)
         if active & set(UNIT_RULES):
@@ -126,24 +109,14 @@ def lint_project(
             violations.extend(
                 v for v in check_purity(index, graph) if v.rule in active
             )
-        if needs_effects:
-            effects = load_or_compute_effects(
-                index, graph, effects_cache_path(cache_path)
+        if active & set(SNAPSHOT_RULES):
+            violations.extend(
+                v
+                for v in load_or_compute_snapshots(
+                    index, graph, snapshots_cache_path(cache_path)
+                )
+                if v.rule in active
             )
-            if active & set(SHARD_RULES):
-                violations.extend(
-                    v
-                    for v in check_shards(index, graph, effects)
-                    if v.rule in active
-                )
-            if active & set(SNAPSHOT_RULES):
-                violations.extend(
-                    v
-                    for v in load_or_compute_snapshots(
-                        index, graph, effects, snapshots_cache_path(cache_path)
-                    )
-                    if v.rule in active
-                )
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
 
     report = LintReport(

@@ -3,7 +3,7 @@
 SARIF (Static Analysis Results Interchange Format) is the
 CI-toolchain-neutral exchange format: GitHub code scanning, GitLab,
 VS Code's SARIF viewer, and most annotation bots all ingest it, so one
-artifact renders the shard-safety findings anywhere.  Only the minimal
+artifact renders the lint findings anywhere.  Only the minimal
 mandatory subset of the (large) schema is emitted — tool driver with
 rule metadata, plus one ``result`` per finding with a physical
 location.  ``violations_from_sarif`` inverts the mapping exactly

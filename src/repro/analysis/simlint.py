@@ -18,10 +18,12 @@ linter turns them into checkable rules, using only :mod:`ast`:
     breaks cross-component stream independence.
 ``SIM003``
     No iteration over ``set`` values or ``dict.keys()`` calls in
-    simulation modules: set order is salted per process, so iterating
-    one inside an event callback reorders scheduling between runs.
-    Iterate a ``sorted(...)`` snapshot instead (the NIC backlogged-flow
-    pump is the reference pattern).
+    simulation modules or any other package with dispatch-reachable
+    code (:data:`repro.analysis.manifest.ITERATION_PACKAGES`): set order
+    is salted per process, so iterating one inside an event callback
+    reorders scheduling — or a float sum — between runs.  Iterate a
+    ``sorted(...)`` snapshot instead (the NIC backlogged-flow pump is
+    the reference pattern).
 ``SIM004``
     Classes listed in :data:`repro.analysis.manifest.SLOTS_MANIFEST`
     (one instance per packet/event/flow/transaction) must declare
@@ -50,6 +52,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.analysis.manifest import (
+    ITERATION_PACKAGES,
     RNG_EXEMPT_MODULES,
     RNG_EXTRA_PACKAGES,
     SIM_PACKAGES,
@@ -72,7 +75,10 @@ __all__ = [
 RULES: dict[str, str] = {
     "SIM001": "no wall-clock (time/datetime) access in simulation packages",
     "SIM002": "randomness must flow through repro.sim.rng, not random/np.random",
-    "SIM003": "no iteration over sets or dict.keys() in simulation modules",
+    "SIM003": (
+        "no iteration over sets or dict.keys() in simulation modules or "
+        "dispatch-reachable experiment/ml/profiling code"
+    ),
     "SIM004": "hot-path classes in the manifest must declare __slots__",
     "SIM005": "no bare except or swallowed exceptions in simulation packages",
     "SIM999": "file does not parse",
@@ -549,8 +555,9 @@ def lint_source(source: str, path: Path) -> list[Violation]:
     emit = make_emitter(source, display, violations)
 
     _check_imports_and_calls(tree, module, emit)
-    if _in_packages(module, SIM_PACKAGES):
+    if _in_packages(module, ITERATION_PACKAGES):
         _check_unordered_iteration(tree, emit)
+    if _in_packages(module, SIM_PACKAGES):
         _check_exception_hygiene(tree, emit)
     _check_slots_manifest(tree, module, emit)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))

@@ -6,8 +6,7 @@ and its correctness rests on conventions the type system cannot see:
 schedule sites must be closure-free, id streams must route through
 :class:`repro.sim.serial.SerialCounter`, and no simulation state may
 live outside the pickled ``{sim, world, counters}`` root set.  This
-pass turns those conventions into machine-checked invariants, the same
-way SIM3xx proved the DES shardable before sharding lands:
+pass turns those conventions into machine-checked invariants:
 
 SIM401
     Every callback the event heap can hold must survive the checkpoint
@@ -28,8 +27,8 @@ SIM402
     module-level globals, class attributes, mutable default-argument
     caches, raw ``itertools.count`` streams not registered as a
     :class:`~repro.sim.serial.SerialCounter` — silently resets (or
-    stays stale) on restore.  Built on the PR 8 escape records
-    (:class:`repro.analysis.effects.GlobalWrite`).
+    stays stale) on restore.  Each function's writes are collected
+    directly; dispatch reachability already closes over its callees.
 SIM403
     Manifest & reducer drift: the set of classes whose bound methods
     actually reach the event heap (owners of dispatch-seeded
@@ -57,15 +56,16 @@ SIM404
 
 As everywhere in :mod:`repro.analysis`, only known-known conflicts
 fire: unresolvable callbacks, opaque types, and unattributed modules
-degrade to silence, not noise.  Findings are cached beside
-``effects.json`` (``snapshots.json``), keyed by the same whole-project
-content digest.
+degrade to silence, not noise.  Findings are cached beside the AST
+index as ``snapshots.json``, keyed by a whole-project content digest.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.callgraph import (
@@ -74,7 +74,6 @@ from repro.analysis.callgraph import (
     FunctionInfo,
     ProjectIndex,
 )
-from repro.analysis.effects import EffectMap, project_digest
 from repro.analysis.manifest import (
     CHECKPOINT_PACKAGES,
     COMPONENT_CLASSES,
@@ -83,8 +82,7 @@ from repro.analysis.manifest import (
     SLOTS_MANIFEST,
     SNAPSHOT_EXEMPT_MODULES,
 )
-from repro.analysis.shards import _Emitters
-from repro.analysis.simlint import Violation
+from repro.analysis.simlint import Emitter, Violation, make_emitter
 
 __all__ = [
     "SNAPSHOT_RULES",
@@ -160,12 +158,23 @@ def _scoped(module: str) -> bool:
     )
 
 
-def _anchor(line: int, col: int) -> ast.expr:
-    node = ast.Expr(value=ast.Constant(value=None))
-    node.lineno = line
-    node.col_offset = col
-    node.end_lineno = line
-    return node
+class _Emitters:
+    """Per-module emit callbacks, built lazily."""
+
+    def __init__(self, index: ProjectIndex, violations: list[Violation]) -> None:
+        self.index = index
+        self.violations = violations
+        self._cache: dict[str, Emitter] = {}
+
+    def for_module(self, module: str) -> Emitter | None:
+        emit = self._cache.get(module)
+        if emit is None:
+            mod = self.index.modules.get(module)
+            if mod is None:
+                return None
+            emit = make_emitter(mod.source, mod.path, self.violations)
+            self._cache[module] = emit
+        return emit
 
 
 def _dotted_of(func: ast.expr) -> str | None:
@@ -409,30 +418,233 @@ _ESCAPE_MESSAGES = {
 }
 
 
-def _check_state_escape(
-    index: ProjectIndex,
-    graph: CallGraph,
-    effects: EffectMap,
-    emitters: _Emitters,
-) -> None:
-    reachable = graph.reachable_from_dispatch()
-    for gw in effects.global_sites:
-        fn = index.functions.get(gw.function)
-        if fn is None or not _scoped(fn.module):
+#: Constructors whose module-level result is mutable container state.
+_MUTABLE_CTORS = frozenset(
+    {"dict", "list", "set", "defaultdict", "deque", "OrderedDict", "Counter"}
+)
+#: Methods that mutate a container in place.
+_MUTATING_METHODS = frozenset(
+    {
+        "append", "appendleft", "add", "update", "setdefault", "pop",
+        "popleft", "popitem", "clear", "extend", "extendleft", "remove",
+        "discard", "insert",
+    }
+)
+
+
+def _root_name(expr: ast.expr) -> str | None:
+    """The name at the root of an attribute/subscript chain, or None."""
+    while isinstance(expr, (ast.Attribute, ast.Subscript)):
+        expr = expr.value
+    return expr.id if isinstance(expr, ast.Name) else None
+
+
+@dataclass(frozen=True)
+class _ModuleGlobals:
+    """Module-level mutable names, classified once per module."""
+
+    mutable: frozenset[str]  # containers: dict/list/set/… literals + ctors
+    counters: frozenset[str]  # raw itertools.count streams
+
+
+def _module_globals(index: ProjectIndex, module: str) -> _ModuleGlobals:
+    """Classify a module's top-level assignments.
+
+    ``SerialCounter(...)`` bindings are deliberately *not* recorded:
+    registry-named counters are the sanctioned, checkpoint-visible id
+    stream (:mod:`repro.sim.serial`).
+    """
+    mutable: set[str] = set()
+    counters: set[str] = set()
+    for stmt in index.modules[module].tree.body:
+        targets: list[ast.expr]
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+            value = stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets = [stmt.target]
+            value = stmt.value
+        else:
             continue
-        if gw.function not in reachable:
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        if not names:
+            continue
+        if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                              ast.ListComp, ast.SetComp)):
+            mutable.update(names)
+        elif isinstance(value, ast.Call):
+            resolved = _api_target(index, module, value) or ""
+            tail = resolved.rsplit(".", 1)[-1]
+            if resolved == "itertools.count" or resolved.endswith(
+                ".itertools.count"
+            ):
+                counters.update(names)
+            elif tail in _MUTABLE_CTORS:
+                mutable.update(names)
+    return _ModuleGlobals(
+        mutable=frozenset(mutable), counters=frozenset(counters)
+    )
+
+
+class _EscapeCollector:
+    """One function's own writes to state outside the checkpoint roots.
+
+    Records ``(kind, name, node)`` with kind one of ``module-global`` /
+    ``class-attr`` / ``default-arg`` / ``raw-counter``.  Per-function,
+    not propagated: dispatch reachability already closes over callees.
+    """
+
+    def __init__(
+        self, index: ProjectIndex, fn: FunctionInfo, globals_inv: _ModuleGlobals
+    ) -> None:
+        self.index = index
+        self.fn = fn
+        self.globals_inv = globals_inv
+        self.sites: list[tuple[str, str, ast.AST]] = []
+        # Names the function binds locally (params + stores): a local
+        # shadowing a module global is not module state.
+        self._locals: set[str] = {p.name for p in fn.params}
+        self._global_decls: set[str] = set()
+        for node in ast.walk(fn.node):
+            if isinstance(node, ast.Global):
+                self._global_decls.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                self._locals.add(node.id)
+        self._locals -= self._global_decls
+
+    def collect(self) -> list[tuple[str, str, ast.AST]]:
+        for node in ast.walk(self.fn.node):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    self._record_store(node, target)
+            elif isinstance(node, ast.Call):
+                self._record_call(node)
+        self._record_default_arg_caches()
+        return self.sites
+
+    def _is_module_state(self, name: str) -> bool:
+        return name in self.globals_inv.mutable and name not in self._locals
+
+    def _class_attr_of(self, target: ast.expr) -> str | None:
+        """``Cls.attr = …`` / ``type(self).attr = …`` -> ``Cls.attr``."""
+        node: ast.expr = target
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        if not isinstance(node, ast.Attribute):
+            return None
+        base = node.value
+        if isinstance(base, ast.Name) and base.id not in self._locals:
+            qual = self.index.resolve_dotted(self.fn.module, base.id)
+            if qual is not None and qual in self.index.classes:
+                return f"{base.id}.{node.attr}"
+        if (
+            isinstance(base, ast.Call)
+            and isinstance(base.func, ast.Name)
+            and base.func.id == "type"
+            and base.args
+        ):
+            return f"type(...).{node.attr}"
+        return None
+
+    def _record_store(self, node: ast.stmt, target: ast.expr) -> None:
+        if isinstance(target, ast.Name):
+            if target.id in self._global_decls:
+                self.sites.append(("module-global", target.id, node))
+            return
+        root = _root_name(target)
+        if root is not None and self._is_module_state(root):
+            self.sites.append(("module-global", root, node))
+            return
+        cls_attr = self._class_attr_of(target)
+        if cls_attr is not None:
+            self.sites.append(("class-attr", cls_attr, node))
+
+    def _record_call(self, node: ast.Call) -> None:
+        func = node.func
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "next"
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id in self.globals_inv.counters
+            and node.args[0].id not in self._locals
+        ):
+            self.sites.append(("raw-counter", node.args[0].id, node))
+            return
+        if not (
+            isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS
+        ):
+            return
+        root = _root_name(func.value)
+        if root is not None and self._is_module_state(root):
+            self.sites.append(("module-global", root, node))
+            return
+        cls_attr = self._class_attr_of(func.value)
+        if cls_attr is not None:
+            self.sites.append(("class-attr", cls_attr, node))
+
+    def _record_default_arg_caches(self) -> None:
+        """Mutable default arguments the body writes into: one shared
+        instance across calls, living on the function object — outside
+        every checkpoint payload."""
+        args = self.fn.node.args
+        pos = [*args.posonlyargs, *args.args]
+        pairs = list(zip(pos[len(pos) - len(args.defaults):], args.defaults))
+        pairs += [
+            (a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None
+        ]
+        for arg, default in pairs:
+            if not isinstance(
+                default, (ast.Dict, ast.List, ast.Set)
+            ) and not (
+                isinstance(default, ast.Call)
+                and isinstance(default.func, ast.Name)
+                and default.func.id in _MUTABLE_CTORS
+            ):
+                continue
+            if self._param_is_mutated(arg.arg):
+                self.sites.append(("default-arg", arg.arg, default))
+
+    def _param_is_mutated(self, name: str) -> bool:
+        for node in ast.walk(self.fn.node):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+                for target in targets:
+                    if not isinstance(target, ast.Name) and (
+                        _root_name(target) == name
+                    ):
+                        return True
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATING_METHODS
+                and _root_name(node.func.value) == name
+            ):
+                return True
+        return False
+
+
+def _check_state_escape(
+    index: ProjectIndex, graph: CallGraph, emitters: _Emitters
+) -> None:
+    inventories: dict[str, _ModuleGlobals] = {}
+    for qual in sorted(graph.reachable_from_dispatch()):
+        fn = index.functions.get(qual)
+        if fn is None or not _scoped(fn.module):
             continue
         emit = emitters.for_module(fn.module)
         if emit is None:
             continue
-        template = _ESCAPE_MESSAGES.get(gw.kind)
-        if template is None:
-            continue
-        emit(
-            "SIM402",
-            _anchor(gw.line, gw.col),
-            template.format(name=gw.name),
-        )
+        inv = inventories.get(fn.module)
+        if inv is None:
+            inv = inventories[fn.module] = _module_globals(index, fn.module)
+        for kind, name, node in _EscapeCollector(index, fn, inv).collect():
+            emit("SIM402", node, _ESCAPE_MESSAGES[kind].format(name=name))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +672,7 @@ def _declared_manifest() -> frozenset[str]:
         for module, names in SLOTS_MANIFEST.items()
         for name in names
     }
-    return frozenset(set(COMPONENT_CLASSES) | slots | HEAP_EXTRA_CLASSES)
+    return COMPONENT_CLASSES | slots | HEAP_EXTRA_CLASSES
 
 
 def _class_def_node(
@@ -693,17 +905,25 @@ def _check_lifecycle(
 # driver + findings cache
 # ---------------------------------------------------------------------------
 
-def check_snapshots(
-    index: ProjectIndex, graph: CallGraph, effects: EffectMap
-) -> list[Violation]:
+def check_snapshots(index: ProjectIndex, graph: CallGraph) -> list[Violation]:
     """All SIM401–SIM404 findings over one indexed project."""
     violations: list[Violation] = []
     emitters = _Emitters(index, violations)
     _check_heap_picklability(index, graph, emitters)
-    _check_state_escape(index, graph, effects, emitters)
+    _check_state_escape(index, graph, emitters)
     _check_manifest_drift(index, graph, emitters)
     _check_lifecycle(index, graph, emitters)
     return violations
+
+
+def project_digest(index: ProjectIndex) -> str:
+    """Content digest of every indexed module, order-independent."""
+    h = hashlib.sha256()
+    for name in sorted(index.modules):
+        mod = index.modules[name]
+        h.update(name.encode())
+        h.update(hashlib.sha256(mod.source.encode()).digest())
+    return h.hexdigest()
 
 
 def snapshots_cache_path(cache_path: Path | None) -> Path | None:
@@ -716,13 +936,12 @@ def snapshots_cache_path(cache_path: Path | None) -> Path | None:
 def load_or_compute_snapshots(
     index: ProjectIndex,
     graph: CallGraph,
-    effects: EffectMap,
     cache_path: Path | None,
 ) -> list[Violation]:
     """Cached SIM4xx findings when the project digest matches, else
     recompute and rewrite.  Suppression directives live in the sources,
     so any edit that changes them also changes the digest — a hit can
-    never serve stale findings.
+    never serve stale findings.  A corrupt cache only costs a recompute.
     """
     digest = project_digest(index)
     if cache_path is not None and cache_path.exists():
@@ -741,7 +960,7 @@ def load_or_compute_snapshots(
                 ]
         except (ValueError, KeyError, TypeError):
             pass  # corrupt cache: fall through to recompute
-    violations = check_snapshots(index, graph, effects)
+    violations = check_snapshots(index, graph)
     if cache_path is not None:
         try:
             cache_path.parent.mkdir(parents=True, exist_ok=True)

@@ -311,12 +311,10 @@ def cmd_lint(args) -> int:
     """Run the whole-program simulation linter (see repro.analysis).
 
     Per-file determinism rules (SIM001–SIM005), units-of-measure
-    dataflow (SIM101–SIM104), and event-callback purity (SIM201–SIM203)
-    in one pass — plus, with ``--shards`` / ``--snapshots``, the
-    interprocedural effect pass and the shard-safety (SIM301–SIM304) /
-    snapshot-safety (SIM401–SIM404) rules — minus the checked-in
-    baseline.  ``--select`` / ``--ignore`` narrow the rule set by
-    rule-id prefix or group key.  Exit status: 0 = clean (no *new*
+    dataflow (SIM101–SIM104), event-callback purity (SIM201–SIM203),
+    and snapshot safety (SIM401–SIM404) in one pass, minus the
+    checked-in baseline.  ``--select`` / ``--ignore`` narrow the rule
+    set by rule-id prefix or group key.  Exit status: 0 = clean (no *new*
     findings, no twice-stale baseline entries, within the time budget),
     1 = findings, 2 = bad rule selector.
     """
@@ -340,9 +338,7 @@ def cmd_lint(args) -> int:
             baseline_path=baseline_path,
             update_baseline=args.update_baseline,
             cache_path=Path(args.cache) if args.cache else None,
-            shards=args.shards,
             prune_baseline=args.prune_baseline,
-            snapshots=args.snapshots,
             select=args.select,
             ignore=args.ignore,
         )
@@ -486,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="whole-program simulation linter (SIM001-005, SIM101-104, "
-        "SIM201-203; --shards adds SIM301-304, --snapshots adds "
-        "SIM401-404, --select/--ignore pick rules)",
+        "SIM201-203, SIM401-404; --select/--ignore pick rules)",
     )
     p.add_argument(
         "paths", nargs="+", help="files or directories to lint (e.g. src)"
@@ -499,23 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
         "'sarif' a SARIF 2.1.0 log)",
     )
     p.add_argument(
-        "--shards", action="store_true",
-        help="run the interprocedural effect/escape pass and the "
-        "shard-safety rules SIM301-304 (effect summaries cached as "
-        "effects.json beside the AST cache)",
-    )
-    p.add_argument(
-        "--snapshots", action="store_true",
-        help="run the snapshot-safety rules SIM401-404 (checkpoint "
-        "picklability, root-set completeness, manifest/reducer drift, "
-        "restore-order typestate; findings cached as snapshots.json "
-        "beside the AST cache)",
-    )
-    p.add_argument(
         "--select", action="append", default=None, metavar="RULES",
         help="only run rules matching these comma-separated rule-id "
-        "prefixes or group keys (e.g. 'SIM4', 'SIM203', 'shards'); "
-        "repeatable; --shards/--snapshots add their group on top",
+        "prefixes or group keys (core, units, purity, snapshots; e.g. "
+        "'SIM4', 'SIM203'); repeatable; default: every rule",
     )
     p.add_argument(
         "--ignore", action="append", default=None, metavar="RULES",
@@ -549,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache", default=None, metavar="PATH",
         help="pickle cache for the parsed-AST index (content-hashed; "
-        "safe to reuse across runs)",
+        "safe to reuse across runs); snapshot findings are cached as "
+        "snapshots.json beside it",
     )
     p.add_argument(
         "--max-seconds", type=float, default=None,

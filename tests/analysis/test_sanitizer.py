@@ -9,6 +9,11 @@ plain one.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.sanitizer import (
@@ -39,6 +44,31 @@ def test_sanitize_kwarg_promotes_construction(monkeypatch):
     assert type(sim) is Simulator
     assert isinstance(sim.sanitizer, Sanitizer)
     assert sim.observer is sim.sanitizer
+
+
+@pytest.mark.parametrize("env_sanitize", [None, "1"])
+def test_simulator_does_not_import_the_static_analyzer(env_sanitize):
+    """Resolving ``sanitize=`` loads :mod:`repro.analysis.sanitizer`,
+    which must not drag in the lint passes (and, through them, scipy)."""
+    script = (
+        "import sys\n"
+        "import repro.sim.engine\n"
+        "repro.sim.engine.Simulator()\n"
+        "assert 'repro.analysis.sanitizer' in sys.modules\n"
+        "leaked = sorted(m for m in ('repro.analysis.callgraph', 'scipy')"
+        " if m in sys.modules)\n"
+        "assert not leaked, leaked\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    env.pop("REPRO_SANITIZE", None)
+    if env_sanitize is not None:
+        env["REPRO_SANITIZE"] = env_sanitize
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_env_variable_promotes_construction(monkeypatch):

@@ -24,19 +24,28 @@ SRC = Path(__file__).parents[2] / "src"
 CHECKED_RULES = ("SIM001", "SIM002", "SIM003", "SIM004", "SIM005")
 
 
+#: Inputs beside ``bad_simNNN.py`` / ``good_simNNN.py``: SIM003 also
+#: covers dispatch-reachable code outside the simulation packages.
+EXTRA_FIXTURES = {"SIM003": ("sim003_experiments",)}
+
+
+def fixture_stems(rule: str) -> tuple[str, ...]:
+    return (f"sim{rule[len('SIM'):]}", *EXTRA_FIXTURES.get(rule, ()))
+
+
 @pytest.mark.parametrize("rule", CHECKED_RULES)
 def test_bad_fixture_trips_its_rule(rule):
-    number = rule[len("SIM"):]
-    violations = lint_file(FIXTURES / f"bad_sim{number}.py")
-    assert any(v.rule == rule for v in violations), violations
-    # A bad fixture must not trip *other* rules — each isolates one.
-    assert {v.rule for v in violations} == {rule}
+    for stem in fixture_stems(rule):
+        violations = lint_file(FIXTURES / f"bad_{stem}.py")
+        assert any(v.rule == rule for v in violations), violations
+        # A bad fixture must not trip *other* rules — each isolates one.
+        assert {v.rule for v in violations} == {rule}
 
 
 @pytest.mark.parametrize("rule", CHECKED_RULES)
 def test_good_fixture_is_clean(rule):
-    number = rule[len("SIM"):]
-    assert lint_file(FIXTURES / f"good_sim{number}.py") == []
+    for stem in fixture_stems(rule):
+        assert lint_file(FIXTURES / f"good_{stem}.py") == []
 
 
 def test_repo_src_tree_is_clean():

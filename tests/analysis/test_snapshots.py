@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.callgraph import CallGraph, ProjectIndex
-from repro.analysis.effects import compute_effects, load_or_compute_effects
 from repro.analysis.registry import (
     RULE_GROUPS,
     expand_selection,
@@ -31,9 +30,7 @@ SRC = Path(__file__).parents[2] / "src"
 
 
 def lint_snapshot_fixture(name: str):
-    return lint_project(
-        [FIXTURES / name], baseline_path=None, snapshots=True
-    ).violations
+    return lint_project([FIXTURES / name], baseline_path=None).violations
 
 
 # -- fixtures: every snapshot rule fires on bad, stays quiet on good ---------
@@ -58,12 +55,10 @@ def test_every_snapshot_rule_is_registered():
         assert rule in ALL_RULES
     group = {g.key: g for g in RULE_GROUPS}["snapshots"]
     assert set(group.rules) == set(SNAPSHOT_RULES)
-    assert group.flag == "--snapshots"
-    assert not group.default
 
 
 def test_repo_src_tree_is_clean_under_snapshots():
-    report = lint_project([SRC], baseline_path=None, snapshots=True)
+    report = lint_project([SRC], baseline_path=None, select=["snapshots"])
     assert report.violations == []
 
 
@@ -89,7 +84,9 @@ def test_expand_selection_accepts_groups_prefixes_and_commas():
     assert expand_selection(["sim401"]) == frozenset({"SIM401"})
     both = expand_selection(["SIM401,SIM402"])
     assert both == frozenset({"SIM401", "SIM402"})
-    assert expand_selection(["shards", "SIM401"]) >= {"SIM301", "SIM401"}
+    assert expand_selection(["purity", "SIM401"]) == {
+        "SIM201", "SIM202", "SIM203", "SIM401"
+    }
 
 
 def test_expand_selection_rejects_unknown_tokens():
@@ -99,29 +96,23 @@ def test_expand_selection_rejects_unknown_tokens():
         expand_selection(["SIM9x"])
 
 
-def test_resolve_active_rules_defaults_exclude_opt_in_groups():
+def test_resolve_active_rules_defaults_cover_every_group():
     active = resolve_active_rules()
-    assert "SIM001" in active and "SIM999" in active
-    assert not active & set(SNAPSHOT_RULES)
-    assert "SIM301" not in active
+    assert active == frozenset(ALL_RULES)
+    for group in RULE_GROUPS:
+        assert set(group.rules) <= active
+    assert "SIM999" in active
 
 
-def test_flag_sugar_is_equivalent_to_adding_the_group():
-    assert resolve_active_rules(snapshots=True) == resolve_active_rules() | set(
-        SNAPSHOT_RULES
-    )
-    assert resolve_active_rules(shards=True) >= {"SIM301", "SIM302"}
-
-
-def test_select_replaces_defaults_but_flags_still_add():
+def test_select_replaces_the_defaults():
     only = resolve_active_rules(select=["SIM401"])
     assert only == frozenset({"SIM401", "SIM999"})
-    mixed = resolve_active_rules(select=["SIM001"], snapshots=True)
+    mixed = resolve_active_rules(select=["SIM001", "snapshots"])
     assert mixed == frozenset({"SIM001", "SIM999"}) | frozenset(SNAPSHOT_RULES)
 
 
 def test_ignore_wins_but_sim999_is_sticky():
-    active = resolve_active_rules(snapshots=True, ignore=["SIM401"])
+    active = resolve_active_rules(ignore=["SIM401"])
     assert "SIM401" not in active
     assert "SIM402" in active
     assert "SIM999" in resolve_active_rules(ignore=["SIM999"])
@@ -133,16 +124,15 @@ def test_ignore_wins_but_sim999_is_sticky():
 def _indexed(*names: str):
     files = [(FIXTURES / n, (FIXTURES / n).read_text()) for n in names]
     index = ProjectIndex.build(files)
-    graph = CallGraph(index)
-    return index, graph, compute_effects(index, graph)
+    return index, CallGraph(index)
 
 
 def test_snapshots_cache_hits_and_invalidates_on_content_change(tmp_path):
     cache = snapshots_cache_path(tmp_path / "ast_index.pickle")
     assert cache == tmp_path / "snapshots.json"
 
-    index, graph, effects = _indexed("mutation_pr9_revert.py")
-    first = load_or_compute_snapshots(index, graph, effects, cache)
+    index, graph = _indexed("mutation_pr9_revert.py")
+    first = load_or_compute_snapshots(index, graph, cache)
     assert {v.rule for v in first} == {"SIM401", "SIM402"}
     assert cache.exists()
 
@@ -151,39 +141,21 @@ def test_snapshots_cache_hits_and_invalidates_on_content_change(tmp_path):
     data = json.loads(cache.read_text())
     data["violations"][0]["message"] = "from-the-cache"
     cache.write_text(json.dumps(data))
-    again = load_or_compute_snapshots(index, graph, effects, cache)
+    again = load_or_compute_snapshots(index, graph, cache)
     assert "from-the-cache" in {v.message for v in again}
 
     # Different content -> digest mismatch -> recompute + rewrite.
-    index2, graph2, effects2 = _indexed("good_sim401.py")
-    fresh = load_or_compute_snapshots(index2, graph2, effects2, cache)
+    index2, graph2 = _indexed("good_sim401.py")
+    fresh = load_or_compute_snapshots(index2, graph2, cache)
     assert fresh == []
     assert json.loads(cache.read_text())["violations"] == []
-
-
-def test_effects_cache_version_bump_forces_recompute(tmp_path):
-    # A v1 effects.json (pre global-site records) must never be served.
-    cache = tmp_path / "effects.json"
-    index, graph, _ = _indexed("bad_sim402.py")
-    load_or_compute_effects(index, graph, cache)
-    data = json.loads(cache.read_text())
-    assert data["version"] == 2
-    assert data["global_sites"]
-
-    data["version"] = 1
-    data["iterations"] = 99
-    cache.write_text(json.dumps(data))
-    fresh = load_or_compute_effects(index, graph, cache)
-    assert fresh.iterations != 99
-    assert fresh.global_sites
-    assert json.loads(cache.read_text())["version"] == 2
 
 
 # -- heap census -------------------------------------------------------------
 
 
 def test_heap_census_covers_scheduling_owners():
-    index, graph, _ = _indexed("bad_sim403.py")
+    index, graph = _indexed("bad_sim403.py")
     census = heap_class_census(index, graph)
     assert "repro.net.switch.Rogue" in census
     assert "repro.net.switch.Switch" in census
@@ -207,12 +179,11 @@ def test_sarif_round_trips_snapshot_findings():
 # -- CLI surface -------------------------------------------------------------
 
 
-def test_cli_snapshots_flag_flags_bad_fixture(tmp_path, capsys):
+def test_cli_default_run_flags_snapshot_fixture(tmp_path, capsys):
     out_file = tmp_path / "lint.sarif"
     rc = cli_main(
         [
-            "lint", str(FIXTURES / "bad_sim401.py"),
-            "--no-baseline", "--snapshots",
+            "lint", str(FIXTURES / "bad_sim401.py"), "--no-baseline",
             "--format", "sarif", "--sarif-output", str(out_file),
         ]
     )
@@ -252,7 +223,7 @@ def test_cli_rejects_bogus_selector(capsys):
 def test_cli_src_tree_is_clean_under_snapshots(tmp_path):
     rc = cli_main(
         [
-            "lint", str(SRC), "--snapshots", "--no-baseline",
+            "lint", str(SRC), "--no-baseline",
             "--cache", str(tmp_path / "ast_index.pickle"),
         ]
     )

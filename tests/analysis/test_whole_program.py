@@ -1,8 +1,10 @@
 """Whole-program linter: unit/purity fixtures, the call graph, the
-baseline workflow, and the CLI plumbing around them."""
+baseline workflow (including staleness), SARIF output, directive
+scoping, and the CLI plumbing around them."""
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from repro.analysis.baseline import (
 )
 from repro.analysis.callgraph import CallGraph, ProjectIndex
 from repro.analysis.run import ALL_RULES, lint_project
+from repro.analysis.sarif import sarif_report, to_sarif, violations_from_sarif
 from repro.analysis.simlint import lint_source, module_name_of
 from repro.cli import main as cli_main
 
@@ -37,8 +40,16 @@ WHOLE_PROGRAM_RULES = (
 )
 
 
+#: The unit/purity fixtures model toy components that schedule their
+#: own methods without a checkpoint-manifest entry, so SIM403 rightly
+#: fires on them; runs over them deselect the snapshot group.
+NO_SNAPSHOTS = ["snapshots"]
+
+
 def lint_one(path: Path):
-    return lint_project([path], baseline_path=None).violations
+    return lint_project(
+        [path], baseline_path=None, ignore=NO_SNAPSHOTS
+    ).violations
 
 
 # -- fixtures: every rule fires on bad, stays quiet on good -----------------
@@ -199,11 +210,36 @@ def test_lambda_callback_seeds_its_call_targets():
     assert "repro.sim.fake_lambda.Timer._fire" in reachable
 
 
+def test_inlined_heappush_is_a_schedule_site():
+    index = _index_of(
+        "# simlint: package=repro.net.link\n"
+        "from heapq import heappush\n"
+        "class Link:\n"
+        "    def __init__(self, sim):\n"
+        "        self.sim = sim\n"
+        "        self.delay_ns = 10\n"
+        "    def send(self, pkt, seq):\n"
+        "        heappush(self.sim.heap,\n"
+        "                 (self.sim.now + self.delay_ns, seq, self._finish, (pkt,)))\n"
+        "    def _finish(self, pkt):\n"
+        "        pass\n"
+    )
+    graph = CallGraph(index)
+    sites = [s for s in graph.schedule_sites if s.kind == "heappush"]
+    assert len(sites) == 1
+    assert sites[0].target == "repro.net.link.Link._finish"
+    # The ``now + X`` shape was stripped down to the relative delay.
+    assert ast.unparse(sites[0].delay) == "self.delay_ns"
+    assert "repro.net.link.Link._finish" in graph.reachable_from_dispatch()
+
+
 # -- baseline workflow -------------------------------------------------------
 
 
 def _lint_bad_202():
-    return lint_project([FIXTURES / "bad_sim202.py"], baseline_path=None)
+    return lint_project(
+        [FIXTURES / "bad_sim202.py"], baseline_path=None, ignore=NO_SNAPSHOTS
+    )
 
 
 def test_baseline_round_trip_and_matching(tmp_path):
@@ -216,7 +252,8 @@ def test_baseline_round_trip_and_matching(tmp_path):
 
     # With the baseline in play the same finding is absorbed...
     report = lint_project(
-        [FIXTURES / "bad_sim202.py"], baseline_path=baseline_path, root=REPO
+        [FIXTURES / "bad_sim202.py"],
+        baseline_path=baseline_path, root=REPO, ignore=NO_SNAPSHOTS,
     )
     assert report.violations == []
     assert report.baselined == entries
@@ -224,7 +261,8 @@ def test_baseline_round_trip_and_matching(tmp_path):
     # ...and a clean tree reports the entry as stale, persisting the
     # marker in the file (one grace run before it fails the gate).
     report = lint_project(
-        [FIXTURES / "good_sim202.py"], baseline_path=baseline_path, root=REPO
+        [FIXTURES / "good_sim202.py"],
+        baseline_path=baseline_path, root=REPO, ignore=NO_SNAPSHOTS,
     )
     assert [e.key for e in report.stale] == [e.key for e in entries]
     assert all(e.stale for e in report.stale)
@@ -291,16 +329,18 @@ def test_cli_github_format_emits_annotations(capsys):
 
 def test_cli_update_baseline_then_clean(tmp_path, capsys):
     baseline = tmp_path / "baseline.json"
-    bad = str(FIXTURES / "bad_sim201.py")
+    bad = [str(FIXTURES / "bad_sim201.py"), "--ignore", "snapshots"]
     assert (
-        cli_main(["lint", "--baseline", str(baseline), "--update-baseline", bad])
+        cli_main(
+            ["lint", "--baseline", str(baseline), "--update-baseline", *bad]
+        )
         == 0
     )
     assert TODO_REASON in baseline.read_text()
-    assert cli_main(["lint", "--baseline", str(baseline), bad]) == 0
+    assert cli_main(["lint", "--baseline", str(baseline), *bad]) == 0
     assert "1 baselined finding(s)" in capsys.readouterr().out
     # Without the baseline the finding still fails the run.
-    assert cli_main(["lint", "--no-baseline", bad]) == 1
+    assert cli_main(["lint", "--no-baseline", *bad]) == 1
 
 
 def test_cli_stale_baseline_entries_are_reported(tmp_path, capsys):
@@ -310,7 +350,12 @@ def test_cli_stale_baseline_entries_are_reported(tmp_path, capsys):
         [BaselineEntry("SIM201", "gone.py", "print(1)", "obsolete")],
     )
     good = str(FIXTURES / "good_sim201.py")
-    assert cli_main(["lint", "--baseline", str(baseline), good]) == 0
+    assert (
+        cli_main(
+            ["lint", "--baseline", str(baseline), good, "--ignore", "snapshots"]
+        )
+        == 0
+    )
     assert "stale baseline entry" in capsys.readouterr().out
 
 
@@ -326,12 +371,31 @@ def test_cli_max_seconds_budget(capsys):
 def test_cli_cache_round_trip(tmp_path):
     cache = tmp_path / "ast_index.pickle"
     good = str(FIXTURES / "good_sim202.py")
-    args = ["lint", "--no-baseline", "--cache", str(cache), good]
+    args = [
+        "lint", "--no-baseline", "--cache", str(cache), good,
+        "--ignore", "snapshots",
+    ]
     assert cli_main(args) == 0
     assert cache.exists()
     assert cli_main(args) == 0  # warm-cache run, same verdict
     cache.write_bytes(b"corrupt")
     assert cli_main(args) == 0  # corrupt cache is rebuilt, not fatal
+
+
+def test_cli_emits_and_writes_sarif(tmp_path, capsys):
+    out_file = tmp_path / "lint.sarif"
+    rc = cli_main(
+        [
+            "lint", str(FIXTURES / "bad_sim003.py"), "--no-baseline",
+            "--format", "sarif", "--sarif-output", str(out_file),
+        ]
+    )
+    assert rc == 1
+    stdout = capsys.readouterr().out
+    assert [v.rule for v in violations_from_sarif(stdout)] == ["SIM003"] * 2
+    assert [v.rule for v in violations_from_sarif(out_file.read_text())] == [
+        "SIM003"
+    ] * 2
 
 
 def test_index_cache_invalidates_on_content_change(tmp_path):
@@ -344,6 +408,93 @@ def test_index_cache_invalidates_on_content_change(tmp_path):
     target.write_text(clean + "def f_ns():\n    return 1\n")
     index = ProjectIndex.build_cached([target], cache)
     assert "f_ns" in index.modules["repro.sim.fake_cache"].functions
+
+
+# -- SARIF -------------------------------------------------------------------
+
+
+def test_sarif_round_trips_the_findings():
+    violations = lint_one(FIXTURES / "bad_sim003.py")
+    assert violations  # guard: the round-trip must carry something
+    text = to_sarif(violations, ALL_RULES)
+    assert violations_from_sarif(text) == violations
+
+    report = sarif_report(violations, ALL_RULES)
+    assert report["version"] == "2.1.0"
+    driver = report["runs"][0]["tool"]["driver"]
+    assert driver["name"] == "simlint"
+    assert [r["id"] for r in driver["rules"]] == ["SIM003"]
+    assert driver["rules"][0]["shortDescription"]["text"] == ALL_RULES["SIM003"]
+
+
+# -- baseline staleness ------------------------------------------------------
+
+
+def _stale_setup(tmp_path) -> Path:
+    baseline = tmp_path / "baseline.json"
+    update_baseline(baseline, lint_one(FIXTURES / "bad_sim003.py"), root=REPO)
+    return baseline
+
+
+def test_stale_baseline_entry_fails_after_one_grace_run(tmp_path):
+    baseline = _stale_setup(tmp_path)
+    entries = len(load_baseline(baseline))
+    clean = [FIXTURES / "good_sim003.py"]
+
+    first = lint_project(clean, baseline_path=baseline, root=REPO)
+    assert first.ok
+    assert [e.stale for e in first.stale] == [True] * entries
+    assert first.stale_failures == []
+
+    second = lint_project(clean, baseline_path=baseline, root=REPO)
+    assert not second.ok
+    assert second.stale == []
+    assert len(second.stale_failures) == entries
+
+    # The suppressed findings coming back unmark the entries.
+    third = lint_project(
+        [FIXTURES / "bad_sim003.py"], baseline_path=baseline, root=REPO
+    )
+    assert third.ok and third.violations == []
+    assert [e.stale for e in load_baseline(baseline)] == [False] * entries
+
+
+def test_prune_baseline_drops_stale_entries_immediately(tmp_path):
+    baseline = _stale_setup(tmp_path)
+    entries = len(load_baseline(baseline))
+    report = lint_project(
+        [FIXTURES / "good_sim003.py"],
+        baseline_path=baseline, root=REPO, prune_baseline=True,
+    )
+    assert report.ok
+    assert len(report.pruned) == entries
+    assert load_baseline(baseline) == []
+
+
+def test_cli_exit_code_for_twice_stale_entry(tmp_path):
+    baseline = _stale_setup(tmp_path)
+    argv = [
+        "lint", str(FIXTURES / "good_sim003.py"), "--baseline", str(baseline),
+    ]
+    assert cli_main(argv) == 0  # grace run: marked, still green
+    assert cli_main(argv) == 1  # stale for >1 run: gate fails
+
+
+# -- directive scoping -------------------------------------------------------
+
+
+def test_directive_on_decorator_or_signature_covers_the_body():
+    report = lint_project(
+        [FIXTURES / "good_directive_scope.py"], baseline_path=None
+    )
+    assert report.violations == []
+
+
+def test_directive_inside_the_body_does_not_mute():
+    report = lint_project(
+        [FIXTURES / "bad_directive_scope.py"], baseline_path=None
+    )
+    assert {v.rule for v in report.violations} == {"SIM002"}
 
 
 # -- directive edge cases ----------------------------------------------------
