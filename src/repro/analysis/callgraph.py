@@ -66,12 +66,6 @@ SCHEDULE_METHODS: frozenset[str] = frozenset(
     }
 )
 
-#: ``register_batch(callback, batch_callback)``: both arguments are
-#: dispatch entry points — the run loop calls ``batch_callback`` with a
-#: coalesced args list whenever consecutive anonymous events share the
-#: timestamp and ``callback``, and falls back to ``callback`` otherwise.
-BATCH_REGISTER_METHODS: frozenset[str] = frozenset({"register_batch"})
-
 _CACHE_VERSION = 1
 
 
@@ -698,20 +692,6 @@ class ProjectIndex:
 # the call graph
 # ---------------------------------------------------------------------------
 
-def _constant_getattr_name(value: ast.expr) -> str | None:
-    """``getattr(obj, "method", ...)`` -> ``"method"``, else None."""
-    if (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Name)
-        and value.func.id == "getattr"
-        and len(value.args) >= 2
-        and isinstance(value.args[1], ast.Constant)
-        and isinstance(value.args[1].value, str)
-    ):
-        return value.args[1].value
-    return None
-
-
 @dataclass
 class ScheduleSite:
     """One ``sim.schedule(...)`` / ``schedule_at(...)`` call site.
@@ -773,16 +753,7 @@ class CallGraph:
         #: wired into that callback attribute.
         self.wirings: dict[tuple[str, str], set[str]] = {}
         self.schedule_sites: list[ScheduleSite] = []
-        #: ``Simulator.register_batch`` call sites, as ``kind="register"``
-        #: :class:`ScheduleSite` records (delay is always None).  Kept
-        #: separate from :attr:`schedule_sites` so the delay-sensitive
-        #: SIM203 zero-delay check is untouched; the snapshot-safety
-        #: pass (SIM401) walks both lists.
-        self.register_sites: list[ScheduleSite] = []
         self.seeds: set[str] = set()
-        #: (class qualname, attribute name) -> duck method name, for
-        #: attributes wired as ``self.x = getattr(obj, "method", None)``.
-        self._getattr_attrs: dict[tuple[str, str], str] = {}
         #: method qualname -> {param name: (sink class qualname, attr)}
         #: for registration helpers (``def add(self, cb): self.cbs.append(cb)``).
         self._param_sinks: dict[str, dict[str, tuple[str, str]]] = {}
@@ -792,41 +763,11 @@ class CallGraph:
     def _build(self) -> None:
         functions = sorted(self.index.functions.values(), key=lambda f: f.qualname)
         for fn in functions:
-            self._collect_getattr_attrs(fn)
             self._collect_param_sinks(fn)
         for fn in functions:
             self._collect_wirings(fn)
         for fn in functions:
             self._scan_function(fn)
-
-    def _collect_getattr_attrs(self, fn: FunctionInfo) -> None:
-        """Record ``self.x = getattr(obj, "method", ...)`` wirings.
-
-        The batched link fan-out stores a destination's optional
-        ``receive_batch`` this way; calling through the stored attribute
-        later is a dynamic dispatch the type-driven resolver cannot see,
-        so the attribute's constant method name is kept for duck-edge
-        expansion in :meth:`_scan_function`.
-        """
-        if fn.cls is None:
-            return
-        for stmt in ast.walk(fn.node):
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            else:
-                continue
-            method = _constant_getattr_name(value)
-            if method is None:
-                continue
-            for tgt in targets:
-                if (
-                    isinstance(tgt, ast.Attribute)
-                    and isinstance(tgt.value, ast.Name)
-                    and tgt.value.id == "self"
-                ):
-                    self._getattr_attrs[(fn.cls, tgt.attr)] = method
 
     def _add_edge(self, caller: str, callee: str) -> None:
         self.edges.setdefault(caller, set()).add(callee)
@@ -981,23 +922,6 @@ class CallGraph:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             and stmt is not fn.node
         }
-        # Local aliases of getattr-wired callables (``cb = self._attr``):
-        # a call through the alias duck-dispatches like the attribute.
-        duck_attrs = self._getattr_attrs
-        duck_aliases: dict[str, str] = {}
-        if fn.cls is not None and duck_attrs:
-            for stmt in ast.walk(fn.node):
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    tgt, val = stmt.targets[0], stmt.value
-                    if (
-                        isinstance(tgt, ast.Name)
-                        and isinstance(val, ast.Attribute)
-                        and isinstance(val.value, ast.Name)
-                        and val.value.id == "self"
-                    ):
-                        method = duck_attrs.get((fn.cls, val.attr))
-                        if method is not None:
-                            duck_aliases[tgt.id] = method
         # Local aliases and loop variables bound to wired callback
         # attributes (``on_depart = self.on_depart`` / ``for cb in
         # self.listeners``): a call through them dispatches the wiring.
@@ -1021,16 +945,6 @@ class CallGraph:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if isinstance(func, ast.Name) and func.id in duck_aliases:
-                self._duck_edges(fn, duck_aliases[func.id])
-            elif (
-                fn.cls is not None
-                and isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "self"
-                and (fn.cls, func.attr) in duck_attrs
-            ):
-                self._duck_edges(fn, duck_attrs[(fn.cls, func.attr)])
             if isinstance(func, ast.Name) and func.id in wired_aliases:
                 self._wired_edges(fn, wired_aliases[func.id])
             elif isinstance(func, ast.Attribute):
@@ -1045,11 +959,6 @@ class CallGraph:
             )
             if is_schedule:
                 self._record_schedule(fn, node, enclosing, env, nested)
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr in BATCH_REGISTER_METHODS
-            ):
-                self._seed_batch_register(fn, node, enclosing, env)
             resolved = index.resolve_call(
                 node, module=fn.module, enclosing=enclosing, env=env
             )
@@ -1067,12 +976,9 @@ class CallGraph:
                     self._implementer_edges(fn, owner, resolved.name)
             elif isinstance(func, ast.Attribute):
                 self._protocol_edges(fn, func, enclosing, env)
-            if is_schedule or (
-                isinstance(func, ast.Attribute)
-                and func.attr in BATCH_REGISTER_METHODS
-            ):
-                # Their callback arguments are engine-mediated, recorded
-                # as ``sched`` edges above — not synchronous escapes.
+            if is_schedule:
+                # Its callback argument is engine-mediated, recorded as
+                # a ``sched`` edge above — not a synchronous escape.
                 continue
             # Function references escaping as arguments (callbacks wired
             # through plain calls: ``on_done=self._finish``).
@@ -1222,50 +1128,6 @@ class CallGraph:
                 callback=callback, target=target,
             )
         )
-
-    def _duck_edges(self, fn: FunctionInfo, method_name: str) -> None:
-        """Edges to every concrete implementation of ``method_name``.
-
-        Same blast radius as :meth:`_protocol_edges`, for dispatch
-        through a getattr-wired attribute: any class providing the
-        method may be the receiver.
-        """
-        for cls in self.index.classes.values():
-            if cls.is_protocol:
-                continue
-            info = cls.methods.get(method_name)
-            if info is not None:
-                self._add_edge(fn.qualname, info.qualname)
-
-    def _seed_batch_register(
-        self,
-        fn: FunctionInfo,
-        node: ast.Call,
-        enclosing: ClassInfo | None,
-        env: TypeEnv,
-    ) -> None:
-        """Seed both arguments of a ``register_batch`` call.
-
-        The registering function (typically ``__init__``) is usually
-        *not* dispatch-reachable itself, so without explicit seeding the
-        batch form would look dead to the purity pass and escape the
-        SIM2xx rules even though the run loop invokes it directly.
-        """
-        for arg in node.args[:2]:
-            target: str | None = None
-            ref = self.index.resolve_function_reference(
-                arg, module=fn.module, enclosing=enclosing, env=env
-            )
-            if ref is not None:
-                target = ref.qualname
-                self.seeds.add(target)
-                self._add_edge(fn.qualname, target)
-            self.register_sites.append(
-                ScheduleSite(
-                    caller=fn.qualname, node=node, delay=None,
-                    callback=arg, target=target, kind="register",
-                )
-            )
 
     def _seed_calls_within(
         self,

@@ -101,8 +101,8 @@ SNAPSHOT_EXEMPT_MODULES: tuple[str, ...] = (
 
 #: Heap-reachable classes *beyond* :data:`COMPONENT_CLASSES` /
 #: :data:`SLOTS_MANIFEST`: their bound methods sit on the event heap
-#: (schedule targets / batch handlers), so the checkpoint pickler must
-#: be able to re-bind them, and SIM403 diffs the *computed* census
+#: (schedule and inlined-heappush targets), so the checkpoint pickler
+#: must be able to re-bind them, and SIM403 diffs the *computed* census
 #: (owners of dispatch-seeded callbacks) against this declared set.  A
 #: new class scheduling its own methods must be added here — the diff
 #: failing is the point: it forces a human to confirm the class

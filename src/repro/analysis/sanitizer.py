@@ -58,12 +58,11 @@ the profiler use), so a failure reads like
 ``[queue-depth] at t=1840ns during Link._finish: ...``.
 
 The sanitizer never schedules events or draws randomness, so a
-sanitized run is bit-identical to a plain one.  The observed loop never
-coalesces anonymous events into batch dispatches (each member
-dispatches singly — provably the same order, see ``repro.sim.engine``),
-so full-fidelity checks run between batch members and localization
-stays exact.  The cost of strided checking is measured by the
-``incast_observed`` workload of ``benchmarks/perf``.
+sanitized run is bit-identical to a plain one.  Both engine loops
+dispatch one event at a time in the same order (see
+``repro.sim.engine``), so full-fidelity checks run after every event
+and localization stays exact.  The cost of strided checking is
+measured by the ``incast_observed`` workload of ``benchmarks/perf``.
 """
 
 from __future__ import annotations

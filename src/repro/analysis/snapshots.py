@@ -18,8 +18,8 @@ SIM401
     path), a factory returning a closure, or a ``functools.partial``
     whose captured arguments reach an unpicklable object (open file,
     generator, thread, lock/``Condition``) raises at ``save()`` — or
-    worse, at restore.  Flagged at the ``schedule*`` / ``heappush`` /
-    ``register_batch`` site that would put it on the heap.
+    worse, at restore.  Flagged at the ``schedule*`` / ``heappush``
+    site that would put it on the heap.
 SIM402
     Snapshot completeness: the checkpoint payload is exactly
     ``{sim, world, counters}``, so mutable state written from
@@ -299,12 +299,8 @@ def _class_attr_lambda(cls: ClassInfo | None, attr: str) -> bool:
 def _check_heap_picklability(
     index: ProjectIndex, graph: CallGraph, emitters: _Emitters
 ) -> None:
-    site_kinds = {
-        "schedule": "schedule",
-        "heappush": "inlined heappush",
-        "register": "register_batch",
-    }
-    for site in [*graph.schedule_sites, *graph.register_sites]:
+    site_kinds = {"schedule": "schedule", "heappush": "inlined heappush"}
+    for site in graph.schedule_sites:
         caller = index.functions.get(site.caller)
         if caller is None or not _scoped(caller.module):
             continue
@@ -313,7 +309,7 @@ def _check_heap_picklability(
         emit = emitters.for_module(caller.module)
         if emit is None:
             continue
-        where = site_kinds.get(site.kind, site.kind)
+        where = site_kinds[site.kind]
         reason = _callback_reason(index, caller, site.callback)
         if reason is None:
             continue
@@ -654,9 +650,9 @@ def _check_state_escape(
 def heap_class_census(index: ProjectIndex, graph: CallGraph) -> frozenset[str]:
     """Classes whose bound methods the dispatch loop can hold.
 
-    Owners of every dispatch-seeded callback: schedule targets, batch
-    handlers, extra callback arguments — the classes the checkpoint
-    pickler must re-bind methods of.
+    Owners of every dispatch-seeded callback: schedule targets and
+    extra callback arguments — the classes the checkpoint pickler must
+    re-bind methods of.
     """
     owners: set[str] = set()
     for qual in graph.seeds:

@@ -15,11 +15,11 @@ traffic hits a single dict entry).  Both steps are scheduled as
 *anonymous* events (``schedule_anon``): nothing ever cancels an
 in-flight serialization or propagation (see :meth:`Link.set_down` — a
 packet on the wire always finishes), so the per-packet ``Event`` handle
-was pure allocation overhead.  Deliveries additionally register a batch
-callback (:meth:`Link._deliver_batch`): when several packets of one
-link arrive in the same tick, the engine coalesces them into a single
-dispatch over the packet batch, which lands on the receiving device's
-``receive_batch`` entry point when it has one.
+was pure allocation overhead.  One link has at most one serialization
+in flight and each lasts at least 1 ns, so its deliveries never share
+a tick; a :meth:`Link.send_burst` burst is the one case where several
+packets arrive together, and :meth:`Link._deliver_burst` hands them to
+the receiver one by one.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ class Link:
         "_ser_cache",
         "_finish_cb",
         "_deliver_cb",
-        "_dst_receive_batch",
         "_fluid_load_bytes_per_ns",
         "_eff_bytes_per_ns",
         "_ns_per_byte",
@@ -145,17 +144,11 @@ class Link:
         #: size -> serialization ns memo (one entry for MTU traffic).
         self._ser_cache: dict[int, int] = {}
         # Bound methods cached once: scheduling them with the packet as
-        # an event argument replaces the two per-packet closures, and the
-        # stable identity of ``_deliver_cb`` is what lets the engine
-        # coalesce same-tick deliveries of this link into one batch.
+        # an event argument replaces the two per-packet closures.
         self._finish_cb = self._finish
         self._deliver_cb = self._deliver
         self._finish_burst_cb = self._finish_burst
         self._deliver_burst_cb = self._deliver_burst
-        self._dst_receive_batch: Callable[[list[Packet], int], None] | None = getattr(
-            dst, "receive_batch", None
-        )
-        sim.register_batch(self._deliver, self._deliver_batch)
         if sim.sanitizer is not None:
             sim.sanitizer.track_link(self)
 
@@ -274,23 +267,6 @@ class Link:
     def _deliver(self, packet: Packet) -> None:
         self.dst.receive(packet, self.dst_port)
 
-    def _deliver_batch(self, batch: list[tuple[Packet]]) -> None:
-        """Coalesced form of :meth:`_deliver` (see ``Simulator.register_batch``).
-
-        ``batch`` holds the args tuples of the coalesced events — one
-        ``(packet,)`` per same-tick arrival, in dispatch order.  Devices
-        exposing ``receive_batch`` get the whole burst in one call;
-        everything else is fed packet by packet, preserving order.
-        """
-        receive_batch = self._dst_receive_batch
-        if receive_batch is not None:
-            receive_batch([args[0] for args in batch], self.dst_port)
-            return
-        receive = self.dst.receive
-        port = self.dst_port
-        for (packet,) in batch:
-            receive(packet, port)
-
     # -- dual-fidelity coupling (fluid background load) ---------------------
     @property
     def fluid_load_bytes_per_ns(self) -> float:
@@ -330,14 +306,13 @@ class Link:
     def send_burst(self, packets: list[Packet]) -> None:
         """Admit a back-to-back burst as *one* serialization event.
 
-        The caller (``Flow.pump`` with ``burst_segments >= 2``, or a
-        switch with ``burst_forwarding`` on) vouches that the packets
-        are admitted back-to-back under the current rate.  The whole
-        burst serializes as a single event at the end of its vectorized
-        per-packet span (NumPy cumsum of per-packet times at the
-        effective rate) and is delivered in one batch — the LSO/GSO-
-        style approximation that buys the dual-fidelity event-count
-        reduction.  Any state that would make per-packet interleaving
+        The caller (``Flow.pump`` with ``burst_segments >= 2``) vouches
+        that the packets are admitted back-to-back under the current
+        rate.  The whole burst serializes as a single event at the end
+        of its vectorized per-packet span (NumPy cumsum of per-packet
+        times at the effective rate) and is delivered in one event — the
+        LSO/GSO-style approximation that buys the dual-fidelity
+        event-count reduction.  Any state that would make per-packet interleaving
         observable (busy wire, queued packets, PFC pause, link down, a
         degenerate burst of < 2) falls back to per-packet :meth:`send`,
         which preserves exact semantics.
@@ -415,10 +390,6 @@ class Link:
         self._try_start()
 
     def _deliver_burst(self, packets: list[Packet]) -> None:
-        receive_batch = self._dst_receive_batch
-        if receive_batch is not None:
-            receive_batch(packets, self.dst_port)
-            return
         receive = self.dst.receive
         port = self.dst_port
         for packet in packets:

@@ -540,18 +540,6 @@ class NIC:
         """Messages currently awaiting more segments."""
         return len(self._reassembly)
 
-    def receive_batch(self, packets: list[Packet], in_port: int) -> None:
-        """Receive a same-tick burst delivered by one coalesced link event.
-
-        The batch-callback entry point ``Link._deliver_batch`` targets:
-        semantically identical to calling :meth:`receive` per packet, in
-        order (the engine's coalescing is order-preserving), it just
-        amortizes the dispatch overhead over the burst.
-        """
-        receive = self.receive
-        for packet in packets:
-            receive(packet, in_port)
-
     def receive(self, packet: Packet, in_port: int) -> None:
         kind = packet.kind
         if kind is PacketKind.DATA:

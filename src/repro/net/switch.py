@@ -36,15 +36,6 @@ class SwitchConfig:
     pfc_xoff_bytes: int = 512 * 1024
     pfc_xon_bytes: int = 256 * 1024
     buffer_bytes: int = 16 * 1024 * 1024
-    #: Dual-fidelity mode: forward an all-DATA same-tick arrival burst
-    #: sharing one output port via ``Link.send_burst`` (one serialization
-    #: event for the burst) instead of per-packet ``send``.  Per-packet
-    #: ECN draws, drop checks, and ingress accounting still run in
-    #: arrival order.  Off by default: with an idle output link the
-    #: burst bypasses the output queue, so intra-burst queue growth no
-    #: longer escalates marking probability — a documented approximation
-    #: that must never leak into packet-exact runs.
-    burst_forwarding: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.ecn_kmin_bytes <= self.ecn_kmax_bytes:
@@ -121,75 +112,6 @@ class Switch:
         return self._out_links[port]
 
     # -- forwarding ------------------------------------------------------------
-    def receive_batch(self, packets: list[Packet], in_port: int) -> None:
-        """Receive a same-tick burst delivered by one coalesced link event.
-
-        The batch-callback entry point ``Link._deliver_batch`` targets;
-        equivalent to per-packet :meth:`receive` calls in arrival order
-        (ECN draws consume the switch RNG in the same sequence).
-        """
-        if self.config.burst_forwarding and len(packets) >= 2:
-            self._receive_burst(packets, in_port)
-            return
-        receive = self.receive
-        for packet in packets:
-            receive(packet, in_port)
-
-    def _receive_burst(self, packets: list[Packet], in_port: int) -> None:
-        """Burst-forward a same-tick arrival burst (``burst_forwarding``).
-
-        Applies only when every packet is DATA and routes to one output
-        port; anything else (control frames in the burst, ECMP fan-out
-        across ports) falls back to exact per-packet forwarding.  The
-        per-packet admission pipeline — buffer-overflow drop, ECN draw
-        against the live queue, ingress/PFC accounting — runs in arrival
-        order either way; only the output-link handoff is batched.
-        """
-        routes = self.routes
-        out_port = -1
-        for packet in packets:
-            if packet.is_control:
-                out_port = -1
-                break
-            ports = routes.get(packet.dst)
-            if not ports:
-                out_port = -1  # per-packet path raises the proper error
-                break
-            port = ports[packet.flow_id % len(ports)] if len(ports) > 1 else ports[0]
-            if out_port == -1:
-                out_port = port
-            elif port != out_port:
-                out_port = -1
-                break
-        if out_port < 0:
-            receive = self.receive
-            for packet in packets:
-                receive(packet, in_port)
-            return
-        link = self._out_links[out_port]
-        cfg = self.config
-        kept: list[Packet] = []
-        for packet in packets:
-            size = packet.size_bytes
-            if self._buffered_bytes + size > cfg.buffer_bytes:
-                self.packets_dropped += 1
-                self.drops_by_port[out_port] = self.drops_by_port.get(out_port, 0) + 1
-                self.drops_by_class["data"] += 1
-                if self.on_drop is not None:
-                    self.on_drop(packet, out_port)
-                continue
-            if link._queued_bytes > cfg.ecn_kmin_bytes:
-                self._maybe_mark_ecn(packet, link)
-            packet._ingress_port = in_port
-            self._buffered_bytes += size
-            self._account_ingress(in_port, size)
-            kept.append(packet)
-        self.packets_forwarded += len(kept)
-        if len(kept) >= 2:
-            link.send_burst(kept)
-        elif kept:
-            link.send(kept[0])
-
     def receive(self, packet: Packet, in_port: int) -> None:
         # Data packets are the overwhelming majority; their path is laid
         # out first with one is_control check and no PFC-kind tests.

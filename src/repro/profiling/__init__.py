@@ -7,8 +7,8 @@ performance work:
 * :class:`SiteCounter` — a dispatch observer (see
   :mod:`repro.sim.engine`) that counts dispatches per callback site
   (``__qualname__``).  Attaching it moves the run onto the observed
-  loop, which never coalesces, so it is slower than a plain run; use it
-  to find hot callbacks, not to produce results.
+  loop and its per-event checks, so it is slower than a plain run; use
+  it to find hot callbacks, not to produce results.
 * :class:`EngineProfile` — the summary produced by
   :meth:`SiteCounter.profile`, JSON-ready via ``as_dict``.
 * :func:`run_with_cprofile` — run any callable under :mod:`cProfile`

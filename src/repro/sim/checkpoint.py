@@ -14,7 +14,7 @@ the uninterrupted run byte-for-byte:
   method without touching instance state.  The pickle memo preserves
   object identity, so cached callback slots (``Link._deliver_cb``,
   ``RateTable._tick_cb``) restore as the *same* object the heap entries
-  alias — batch-coalescing identity checks keep working;
+  alias, exactly as in the saved world;
 * every component's state vectors (queues, NumPy rate-table columns,
   reliability windows, FTL/CMT/write-cache/GC state, inflight maps,
   fault-injector arms) — reached through the ``world`` object pickled

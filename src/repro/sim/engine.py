@@ -18,24 +18,15 @@ handled ``(time, seq, HANDLED_MARK, Event)`` entries for anything that
 might be cancelled, and anonymous ``(time, seq, callback, args)``
 entries (:meth:`Simulator.schedule_anon`) for fire-and-forget hot
 paths; one sentinel identity check per dispatch tells them apart.
-Adjacent anonymous entries at the *same timestamp* with the *same
-callback object* are coalesced into one batch dispatch when the
-callback has a batch handler registered via
-:meth:`Simulator.register_batch` — a burst of packets landing on a link
-in one tick then costs one Python call instead of N.  Coalescing is
-strictly order-preserving: batch members are exactly the consecutive
-run of equal-``(time, callback)`` heap heads, popped in sequence order,
-and anonymous events cannot be cancelled, so a batched dispatch is
-semantically identical to dispatching the members one by one.
 
-:meth:`Simulator.run` holds exactly two loops.  The lean loop above
-serves plain runs.  Everything else — a dispatch log, a ``max_events``
+:meth:`Simulator.run` holds exactly two loops.  The lean loop serves
+plain runs.  Everything else — a dispatch log, a ``max_events``
 limit, or an attached :class:`Observer` (the runtime sanitizer,
 :class:`repro.analysis.sanitizer.Sanitizer`, or the profiler's
 :class:`repro.profiling.SiteCounter`) — runs the observed loop, which
-dispatches batch members one at a time and defines ``until``,
-``max_events``, tracing, the watchdog and :class:`SanitizerError`
-stamping once.
+defines ``until``, ``max_events``, tracing, the watchdog and
+:class:`SanitizerError` stamping once.  Both dispatch exactly one
+event per iteration.
 """
 
 from __future__ import annotations
@@ -152,9 +143,8 @@ class Simulator:
     trace:
         When true, every dispatched event is appended to
         :attr:`dispatch_log` as ``(time, callback_qualname)`` — useful in
-        tests, far too slow for real runs.  A traced run takes the
-        observed loop, which never coalesces, so the log has one line
-        per dispatched event.
+        tests, far too slow for real runs.  The log has one line per
+        dispatched event.
     sanitize:
         When true (or when the ``REPRO_SANITIZE`` environment variable
         is set and ``sanitize`` is left as ``None``), a
@@ -177,7 +167,6 @@ class Simulator:
         "_trace",
         "dispatch_log",
         "events_dispatched",
-        "_batch_callbacks",
         "sanitizer",
         "observer",
         "watchdog",
@@ -191,8 +180,6 @@ class Simulator:
         self._trace = trace
         self.dispatch_log: list[tuple[int, str]] = []
         self.events_dispatched: int = 0
-        #: item callback -> batch callback (see :meth:`register_batch`).
-        self._batch_callbacks: dict[Callable[..., None], Callable[..., None]] = {}
         #: The runtime sanitizer under ``sanitize``, else ``None``;
         #: components register themselves on it when it is set.
         self.sanitizer: "Sanitizer | None" = None
@@ -316,24 +303,6 @@ class Simulator:
                 next_ns, self._recurring_tick, interval_ns, until_ns, callback
             )
 
-    def register_batch(
-        self,
-        callback: Callable[..., None],
-        batch_callback: Callable[[list[tuple[Any, ...]]], None],
-    ) -> None:
-        """Declare ``batch_callback`` the coalesced form of ``callback``.
-
-        When consecutive *anonymous* heap entries share one timestamp
-        and the same ``callback`` object, the run loop pops the whole
-        run and dispatches ``batch_callback([args, args, ...])`` once —
-        each element the args tuple of one member, in dispatch order.
-        The callback must be the identical object across schedules
-        (e.g. a bound method cached once at construction); equal-but-
-        distinct bound methods never coalesce, they just dispatch
-        one by one.
-        """
-        self._batch_callbacks[callback] = batch_callback
-
     # -- execution ------------------------------------------------------
     def run(
         self, until: Nanoseconds | None = None, max_events: int | None = None
@@ -353,16 +322,11 @@ class Simulator:
             clock advanced, remaining events queued — but consistent, so
             callers may inspect ``now``, ``pending()``, and
             ``events_dispatched`` after catching the error.
-            Coalescing happens only in the lean loop, which serves runs
-            with no trace, no ``max_events`` and no observer; every
-            other run dispatches batch members one by one, so the limit
-            is exact to the single event.
 
         Returns
         -------
         int
-            The number of events dispatched during this call (batch
-            members count individually).
+            The number of events dispatched during this call.
         """
         queue = self._queue
         heap = queue._heap  # the queue compacts in place; alias stays valid
@@ -376,7 +340,6 @@ class Simulator:
             # dispatch log, no event limit, no observer.  Identical
             # semantics to the observed loop below minus its per-event
             # checks, which measurably add up at millions of events.
-            batch_map = self._batch_callbacks
             try:
                 while heap:
                     time, _seq, callback, tail = heap[0]
@@ -386,26 +349,6 @@ class Simulator:
                     if callback is not HANDLED_MARK:
                         queue._live -= 1
                         self.now = time
-                        if (
-                            batch_map
-                            and heap
-                            and (head := heap[0])[0] == time
-                            and head[2] is callback
-                        ):
-                            batch_callback = batch_map.get(callback)
-                            if batch_callback is not None:
-                                batch = [tail]
-                                append = batch.append
-                                while heap:
-                                    head = heap[0]
-                                    if head[0] != time or head[2] is not callback:
-                                        break
-                                    heappop(heap)
-                                    append(head[3])
-                                queue._live -= len(batch) - 1
-                                batch_callback(batch)
-                                dispatched += len(batch)
-                                continue
                         callback(*tail)
                     else:
                         ev = tail
@@ -428,7 +371,7 @@ class Simulator:
             if self.watchdog is not None and not heap:
                 self.watchdog(self)
             return dispatched
-        # Observed loop: one event per iteration, never coalesced.
+        # Observed loop: the lean loop plus per-event checks.
         log = self.dispatch_log
         limit = _NO_DEADLINE if max_events is None else max_events
         if observer is None:

@@ -381,9 +381,9 @@ def test_escalate_returns_result_when_clean():
 def test_strided_incast_is_bit_identical_to_unsanitized():
     """A clean ``stride:64`` incast run == the plain engine, byte for byte.
 
-    Same dispatch log (the engine logs batch members individually, so
-    coalescing differences cannot hide here) and same externally
-    visible outputs — the strided sanitizer is a pure observer.
+    Same dispatch log (one line per dispatched event) and same
+    externally visible outputs — the strided sanitizer is a pure
+    observer.
     """
     plain, plain_sim, plain_net = run_incast_cell(
         duration_ns=200 * US, sim=Simulator(trace=True)

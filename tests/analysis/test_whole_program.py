@@ -149,52 +149,6 @@ def test_anon_schedule_callback_seeds_reachability():
     assert "repro.sim.fake_anon.Pump._unreached" not in reachable
 
 
-def test_register_batch_seeds_both_entry_points():
-    index = _index_of(
-        "# simlint: package=repro.sim.fake_batch\n"
-        "class Port:\n"
-        "    def __init__(self, sim):\n"
-        "        self.sim = sim\n"
-        "        sim.register_batch(self._one, self._many)\n"
-        "    def _one(self, item):\n"
-        "        pass\n"
-        "    def _many(self, batch):\n"
-        "        pass\n"
-    )
-    reachable = CallGraph(index).reachable_from_dispatch()
-    assert "repro.sim.fake_batch.Port._one" in reachable
-    assert "repro.sim.fake_batch.Port._many" in reachable
-
-
-def test_getattr_wired_attribute_duck_dispatches():
-    """``self.x = getattr(dst, "receive_batch", None)`` then calling
-    through ``self.x`` (or a local alias of it) reaches every concrete
-    implementation of the named method — the batched link fan-out."""
-    index = _index_of(
-        "# simlint: package=repro.sim.fake_duck\n"
-        "class Wire:\n"
-        "    def __init__(self, sim, dst):\n"
-        "        self.sim = sim\n"
-        "        self._rx = getattr(dst, 'receive_burst', None)\n"
-        "    def start(self):\n"
-        "        self.sim.schedule_anon(1, self._flush)\n"
-        "    def _flush(self):\n"
-        "        rx = self._rx\n"
-        "        if rx is not None:\n"
-        "            rx([])\n"
-        "class Sink:\n"
-        "    def receive_burst(self, batch):\n"
-        "        pass\n"
-        "class Deaf:\n"
-        "    def other(self):\n"
-        "        pass\n"
-    )
-    reachable = CallGraph(index).reachable_from_dispatch()
-    assert "repro.sim.fake_duck.Wire._flush" in reachable
-    assert "repro.sim.fake_duck.Sink.receive_burst" in reachable
-    assert "repro.sim.fake_duck.Deaf.other" not in reachable
-
-
 def test_lambda_callback_seeds_its_call_targets():
     index = _index_of(
         "# simlint: package=repro.sim.fake_lambda\n"

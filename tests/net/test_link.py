@@ -1,6 +1,8 @@
 """Link serialization, ordering, and PFC pause tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
@@ -118,3 +120,69 @@ def test_validation():
         Link(sim, rate_gbps=1, delay_ns=-1, dst=sink, dst_port=0)
     with pytest.raises(ValueError):
         Packet(kind=PacketKind.DATA, src="a", dst="b", size_bytes=0)
+
+
+# -- property: one delivery per tick, except inside one burst ----------------
+
+_sizes = st.integers(min_value=1, max_value=9000)
+_link_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), _sizes, st.booleans()),
+        st.tuples(st.just("burst"), st.lists(_sizes, min_size=1, max_size=8)),
+        st.tuples(st.just("pause")),
+        st.tuples(st.just("resume")),
+        st.tuples(
+            st.just("fluid"),
+            st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+        ),
+        st.tuples(st.just("advance"), st.integers(min_value=0, max_value=5000)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_link_ops)
+def test_deliveries_share_a_tick_only_within_one_burst(ops):
+    """Mixed scalar sends (data and control), bursts, PFC pause/resume and
+    fluid-load changes on one link: every packet is delivered, receive
+    times never decrease, and two packets land in the same tick only
+    when one ``send_burst`` call delivered both."""
+    sim, sink, link = make_link(rate=40.0, delay=1000)
+    burst_of: dict[int, int | None] = {}
+    sent = []
+    for n, op in enumerate(ops):
+        kind = op[0]
+        if kind == "send":
+            _, size, control = op
+            packet = Packet(
+                kind=PacketKind.CNP if control else PacketKind.DATA,
+                src="a", dst="sink", size_bytes=size,
+            )
+            burst_of[id(packet)] = None
+            sent.append(packet)
+            link.send(packet)
+        elif kind == "burst":
+            packets = [data(size) for size in op[1]]
+            for packet in packets:
+                burst_of[id(packet)] = n
+            sent.extend(packets)
+            link.send_burst(packets)
+        elif kind == "pause":
+            link.pause()
+        elif kind == "resume":
+            link.resume()
+        elif kind == "fluid":
+            link.set_fluid_load(op[1])
+        else:
+            sim.run(until=sim.now + op[1])
+    link.resume()
+    sim.run()
+
+    assert sorted(id(p) for _, p, _ in sink.received) == sorted(id(p) for p in sent)
+    times = [t for t, _, _ in sink.received]
+    assert times == sorted(times)
+    for (t0, a, _), (t1, b, _) in zip(sink.received, sink.received[1:]):
+        if t0 == t1:
+            assert burst_of[id(a)] is not None
+            assert burst_of[id(a)] == burst_of[id(b)]

@@ -72,8 +72,8 @@ class TestRoundTrip:
         ck.save(path, sim, net, scenario=CELL)
         sim2, net2 = ck.load(path, scenario=CELL)
         links = list(net2.iter_links())
-        # The cached per-link callback slots must alias any heap entries
-        # scheduled for them (batch coalescing compares identity).
+        # The pickle memo keeps aliasing: heap entries scheduled through
+        # a cached per-link callback slot restore as that slot's object.
         cb_ids = {id(link._finish_cb) for link in links}
         heap_cbs = {
             id(entry[2])

@@ -1,8 +1,8 @@
 """Every dispatch mode of the engine replays the v2 golden incast cell.
 
-``Simulator.run`` has two loops: the lean loop (plain runs, with batch
-coalescing) and the observed loop (a trace, ``max_events`` legs, or an
-observer — the sanitizer or the profiler's site counter).  Each mode
+``Simulator.run`` has two loops: the lean loop (plain runs) and the
+observed loop (a trace, ``max_events`` legs, or an observer — the
+sanitizer or the profiler's site counter).  Each mode
 below runs the golden cell to its horizon and must reproduce the golden
 outputs and event count, and traced modes the golden dispatch log.
 Each run is then drained: the watchdog must fire exactly once, on the
@@ -84,33 +84,3 @@ def test_every_dispatch_mode_replays_the_golden_cell(mode, tmp_path):
     assert len(watchdog.fired) == 1
     if sites is not None:
         assert sites.site_counts == Counter(name for _, name in sim.dispatch_log)
-
-
-def test_lean_loop_coalescing_matches_the_observed_loop():
-    """Same-tick runs of one batch-registered callback coalesce only in
-    the lean loop; both loops dispatch the same members in the same order."""
-
-    def drive(max_events: int | None):
-        sim = Simulator(sanitize=False)
-        seen: list[tuple[int, int]] = []
-        batches: list[int] = []
-
-        def one(tag: int) -> None:
-            seen.append((sim.now, tag))
-
-        def many(batch: list[tuple[int]]) -> None:
-            batches.append(len(batch))
-            for (tag,) in batch:
-                one(tag)
-
-        sim.register_batch(one, many)
-        for tag, time in enumerate((5, 5, 5, 7, 9, 9)):
-            sim.schedule_at_anon(time, one, tag)
-        dispatched = sim.run(max_events=max_events)
-        return seen, dispatched, batches
-
-    lean_seen, lean_n, lean_batches = drive(None)
-    seen, n, batches = drive(1_000)
-    assert (lean_seen, lean_n) == (seen, n) == (sorted(seen), 6)
-    assert lean_batches == [3, 2]
-    assert batches == []
