@@ -12,8 +12,8 @@ Two layers guard the repo's bit-identical-replay guarantee:
   (:mod:`repro.analysis.units`, SIM101–SIM104), event-callback purity
   (:mod:`repro.analysis.purity`, SIM201–SIM203) and checkpointability
   (:mod:`repro.analysis.snapshots`, SIM401–SIM404).
-  :mod:`repro.analysis.run` drives every group by default behind the
-  :mod:`repro.analysis.baseline` suppression workflow, with
+  :mod:`repro.analysis.run` drives every group by default, with inline
+  ``# simlint: ignore[...]`` directives as the only suppression,
   ``--select``/``--ignore`` resolved by :mod:`repro.analysis.registry`
   and :mod:`repro.analysis.sarif` as the CI-neutral output format;
 * :mod:`repro.analysis.sanitizer` — a runtime invariant checker

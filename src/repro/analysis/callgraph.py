@@ -29,8 +29,6 @@ degrades to silence, not noise.
 from __future__ import annotations
 
 import ast
-import hashlib
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,8 +63,6 @@ SCHEDULE_METHODS: frozenset[str] = frozenset(
         "schedule_recurring_anon",
     }
 )
-
-_CACHE_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -446,47 +442,6 @@ class ProjectIndex:
             info = parse_module(path, source)
             if info is not None:
                 infos.append(info)
-        return ProjectIndex(infos)
-
-    @staticmethod
-    def build_cached(paths: list[Path], cache_path: Path | None) -> "ProjectIndex":
-        """Build the index, reusing parsed modules from a pickle cache.
-
-        Cache entries are keyed on the file's content hash, so a stale
-        cache can only cost a re-parse, never produce stale analysis;
-        cross-module linking always runs fresh.
-        """
-        cache: dict[str, tuple[str, ModuleInfo]] = {}
-        if cache_path is not None and cache_path.exists():
-            try:
-                with cache_path.open("rb") as fh:
-                    version, cache = pickle.load(fh)
-                if version != _CACHE_VERSION:
-                    cache = {}
-            except Exception:  # corrupt cache: rebuild from scratch
-                cache = {}
-        infos: list[ModuleInfo] = []
-        fresh: dict[str, tuple[str, ModuleInfo]] = {}
-        for path in paths:
-            source = path.read_text()
-            digest = hashlib.sha256(source.encode()).hexdigest()
-            key = str(path)
-            hit = cache.get(key)
-            if hit is not None and hit[0] == digest:
-                fresh[key] = hit
-                infos.append(hit[1])
-                continue
-            info = parse_module(path, source)
-            if info is not None:
-                fresh[key] = (digest, info)
-                infos.append(info)
-        if cache_path is not None:
-            try:
-                cache_path.parent.mkdir(parents=True, exist_ok=True)
-                with cache_path.open("wb") as fh:
-                    pickle.dump((_CACHE_VERSION, fresh), fh)
-            except OSError:
-                pass  # caching is best-effort; the lint result is unaffected
         return ProjectIndex(infos)
 
     # -- resolution -----------------------------------------------------

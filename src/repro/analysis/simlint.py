@@ -569,6 +569,9 @@ def lint_file(path: Path) -> list[Violation]:
 
 
 def _iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
+    """Every ``.py`` file under ``paths``.  A path that is neither a
+    directory nor an existing ``.py`` file raises ``ValueError`` — a
+    mistyped path must not read as a clean run."""
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
@@ -577,8 +580,12 @@ def _iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
                 for p in path.rglob("*.py")
                 if "__pycache__" not in p.parts
             )
-        elif path.suffix == ".py":
+        elif path.is_file() and path.suffix == ".py":
             yield path
+        elif not path.exists():
+            raise ValueError(f"no such file or directory: {raw}")
+        else:
+            raise ValueError(f"not a directory or .py file: {raw}")
 
 
 def lint_paths(paths: Iterable[str | Path]) -> list[Violation]:

@@ -56,17 +56,13 @@ SIM404
 
 As everywhere in :mod:`repro.analysis`, only known-known conflicts
 fire: unresolvable callbacks, opaque types, and unattributed modules
-degrade to silence, not noise.  Findings are cached beside the AST
-index as ``snapshots.json``, keyed by a whole-project content digest.
+degrade to silence, not noise.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.analysis.callgraph import (
     CallGraph,
@@ -87,8 +83,6 @@ from repro.analysis.simlint import Emitter, Violation, make_emitter
 __all__ = [
     "SNAPSHOT_RULES",
     "check_snapshots",
-    "load_or_compute_snapshots",
-    "snapshots_cache_path",
 ]
 
 SNAPSHOT_RULES: dict[str, str] = {
@@ -109,9 +103,6 @@ SNAPSHOT_RULES: dict[str, str] = {
         "Simulator beside resume_or_start, recipes only in replay paths"
     ),
 }
-
-#: Version 1: initial SIM401–SIM404 findings cache.
-_SNAPSHOTS_VERSION = 1
 
 #: Constructors whose result can never ride in a checkpoint pickle.
 _UNPICKLABLE_CTORS: dict[str, str] = {
@@ -898,7 +889,7 @@ def _check_lifecycle(
 
 
 # ---------------------------------------------------------------------------
-# driver + findings cache
+# driver
 # ---------------------------------------------------------------------------
 
 def check_snapshots(index: ProjectIndex, graph: CallGraph) -> list[Violation]:
@@ -909,68 +900,4 @@ def check_snapshots(index: ProjectIndex, graph: CallGraph) -> list[Violation]:
     _check_state_escape(index, graph, emitters)
     _check_manifest_drift(index, graph, emitters)
     _check_lifecycle(index, graph, emitters)
-    return violations
-
-
-def project_digest(index: ProjectIndex) -> str:
-    """Content digest of every indexed module, order-independent."""
-    h = hashlib.sha256()
-    for name in sorted(index.modules):
-        mod = index.modules[name]
-        h.update(name.encode())
-        h.update(hashlib.sha256(mod.source.encode()).digest())
-    return h.hexdigest()
-
-
-def snapshots_cache_path(cache_path: Path | None) -> Path | None:
-    """``snapshots.json`` beside the AST index cache (None disables)."""
-    if cache_path is None:
-        return None
-    return cache_path.parent / "snapshots.json"
-
-
-def load_or_compute_snapshots(
-    index: ProjectIndex,
-    graph: CallGraph,
-    cache_path: Path | None,
-) -> list[Violation]:
-    """Cached SIM4xx findings when the project digest matches, else
-    recompute and rewrite.  Suppression directives live in the sources,
-    so any edit that changes them also changes the digest — a hit can
-    never serve stale findings.  A corrupt cache only costs a recompute.
-    """
-    digest = project_digest(index)
-    if cache_path is not None and cache_path.exists():
-        try:
-            data = json.loads(cache_path.read_text())
-            if (
-                data.get("version") == _SNAPSHOTS_VERSION
-                and data.get("digest") == digest
-            ):
-                return [
-                    Violation(
-                        rule=v["rule"], path=v["path"], line=v["line"],
-                        col=v["col"], message=v["message"],
-                    )
-                    for v in data["violations"]
-                ]
-        except (ValueError, KeyError, TypeError):
-            pass  # corrupt cache: fall through to recompute
-    violations = check_snapshots(index, graph)
-    if cache_path is not None:
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(
-                json.dumps(
-                    {
-                        "version": _SNAPSHOTS_VERSION,
-                        "digest": digest,
-                        "violations": [v.as_dict() for v in violations],
-                    },
-                    indent=1,
-                )
-                + "\n"
-            )
-        except OSError:
-            pass  # caching is best-effort
     return violations

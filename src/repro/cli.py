@@ -312,35 +312,22 @@ def cmd_lint(args) -> int:
 
     Per-file determinism rules (SIM001–SIM005), units-of-measure
     dataflow (SIM101–SIM104), event-callback purity (SIM201–SIM203),
-    and snapshot safety (SIM401–SIM404) in one pass, minus the
-    checked-in baseline.  ``--select`` / ``--ignore`` narrow the rule
-    set by rule-id prefix or group key.  Exit status: 0 = clean (no *new*
-    findings, no twice-stale baseline entries, within the time budget),
-    1 = findings, 2 = bad rule selector.
+    and snapshot safety (SIM401–SIM404) in one pass.  ``--select`` /
+    ``--ignore`` narrow the rule set by rule-id prefix or group key;
+    an inline ``# simlint: ignore[...]`` directive is the only way to
+    suppress a finding.  Exit status: 0 = clean (no findings, within
+    the time budget), 1 = findings or over budget, 2 = bad rule
+    selector or a path that is neither a directory nor a ``.py`` file.
     """
     from pathlib import Path
 
-    from repro.analysis.baseline import DEFAULT_BASELINE_PATH
     from repro.analysis.run import ALL_RULES, lint_project
     from repro.analysis.sarif import to_sarif
     from repro.analysis.simlint import format_violations
 
-    if args.no_baseline:
-        baseline_path = None
-    elif args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    else:
-        baseline_path = DEFAULT_BASELINE_PATH
-
     try:
         report = lint_project(
-            args.paths,
-            baseline_path=baseline_path,
-            update_baseline=args.update_baseline,
-            cache_path=Path(args.cache) if args.cache else None,
-            prune_baseline=args.prune_baseline,
-            select=args.select,
-            ignore=args.ignore,
+            args.paths, select=args.select, ignore=args.ignore
         )
     except ValueError as err:
         print(f"simlint: {err}", file=sys.stderr)
@@ -355,29 +342,7 @@ def cmd_lint(args) -> int:
         Path(args.sarif_output).write_text(
             to_sarif(report.violations, ALL_RULES)
         )
-    if args.format == "text":
-        if report.baselined:
-            print(f"simlint: {len(report.baselined)} baselined finding(s)")
-        for entry in report.pruned:
-            print(
-                f"simlint: pruned stale baseline entry {entry.rule} "
-                f"{entry.path} ({entry.line_text!r})"
-            )
-        for entry in report.stale:
-            print(
-                f"simlint: stale baseline entry {entry.rule} {entry.path} "
-                f"({entry.line_text!r}) — remove it (fails next run)"
-            )
-        if args.update_baseline and baseline_path is not None:
-            print(f"simlint: baseline written to {baseline_path}")
-    for entry in report.stale_failures:
-        print(
-            f"simlint: baseline entry {entry.rule} {entry.path} "
-            f"({entry.line_text!r}) stale for >1 run — prune it "
-            "(repro lint --prune-baseline)",
-            file=sys.stderr,
-        )
-    failed = bool(report.violations) or bool(report.stale_failures)
+    failed = bool(report.violations)
     if args.max_seconds is not None and report.elapsed_s > args.max_seconds:
         print(
             f"simlint: whole-program pass took {report.elapsed_s:.2f}s, "
@@ -505,34 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(same syntax); SIM999 cannot be ignored",
     )
     p.add_argument(
-        "--prune-baseline", action="store_true",
-        help="drop baseline entries that matched nothing this run "
-        "(default: first miss marks them stale, second miss fails)",
-    )
-    p.add_argument(
         "--sarif-output", default=None, metavar="PATH",
         help="additionally write a SARIF 2.1.0 log to PATH "
         "(independent of --format)",
-    )
-    p.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline JSON of accepted findings "
-        "(default: benchmarks/results/lint_baseline.json)",
-    )
-    p.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    p.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from current findings "
-        "(new entries get a 'TODO: justify' reason)",
-    )
-    p.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="pickle cache for the parsed-AST index (content-hashed; "
-        "safe to reuse across runs); snapshot findings are cached as "
-        "snapshots.json beside it",
     )
     p.add_argument(
         "--max-seconds", type=float, default=None,

@@ -272,6 +272,8 @@ class Flow:
                     link.send(burst[0])
                 self.bytes_sent += total
                 self.queued_bytes -= total
+                # Hot path: the per-burst TXQ refund stays inlined here;
+                # cold paths go through NIC.txq_refund instead.
                 nic._txq_used -= total  # simlint: ignore[SIM202]
                 # One rate-control charge for the whole burst: bursts are
                 # <= burst_k * MTU, far below the 10 MiB DCQCN byte

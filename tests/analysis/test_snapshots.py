@@ -1,6 +1,6 @@
 """Snapshot-safety pass: SIM401–SIM404 fixtures, the mutation gate,
-the rule registry / ``--select`` semantics, the snapshots.json cache,
-SARIF round-trip, and the CLI surface."""
+the rule registry / ``--select`` semantics, the heap census, SARIF
+round-trip, and the CLI surface."""
 
 from __future__ import annotations
 
@@ -17,20 +17,14 @@ from repro.analysis.registry import (
 )
 from repro.analysis.run import ALL_RULES, lint_project
 from repro.analysis.sarif import sarif_report, to_sarif, violations_from_sarif
-from repro.analysis.snapshots import (
-    SNAPSHOT_RULES,
-    heap_class_census,
-    load_or_compute_snapshots,
-    snapshots_cache_path,
-)
+from repro.analysis.snapshots import SNAPSHOT_RULES, heap_class_census
 from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC = Path(__file__).parents[2] / "src"
 
 
 def lint_snapshot_fixture(name: str):
-    return lint_project([FIXTURES / name], baseline_path=None).violations
+    return lint_project([FIXTURES / name]).violations
 
 
 # -- fixtures: every snapshot rule fires on bad, stays quiet on good ---------
@@ -55,11 +49,6 @@ def test_every_snapshot_rule_is_registered():
         assert rule in ALL_RULES
     group = {g.key: g for g in RULE_GROUPS}["snapshots"]
     assert set(group.rules) == set(SNAPSHOT_RULES)
-
-
-def test_repo_src_tree_is_clean_under_snapshots():
-    report = lint_project([SRC], baseline_path=None, select=["snapshots"])
-    assert report.violations == []
 
 
 # -- mutation gate: the PR-9 revert must be caught at the exact sites --------
@@ -118,40 +107,13 @@ def test_ignore_wins_but_sim999_is_sticky():
     assert "SIM999" in resolve_active_rules(ignore=["SIM999"])
 
 
-# -- the snapshots.json cache ------------------------------------------------
+# -- heap census -------------------------------------------------------------
 
 
 def _indexed(*names: str):
     files = [(FIXTURES / n, (FIXTURES / n).read_text()) for n in names]
     index = ProjectIndex.build(files)
     return index, CallGraph(index)
-
-
-def test_snapshots_cache_hits_and_invalidates_on_content_change(tmp_path):
-    cache = snapshots_cache_path(tmp_path / "ast_index.pickle")
-    assert cache == tmp_path / "snapshots.json"
-
-    index, graph = _indexed("mutation_pr9_revert.py")
-    first = load_or_compute_snapshots(index, graph, cache)
-    assert {v.rule for v in first} == {"SIM401", "SIM402"}
-    assert cache.exists()
-
-    # Same content -> served from the cache.  Prove it by tampering
-    # with a message the recompute would never produce.
-    data = json.loads(cache.read_text())
-    data["violations"][0]["message"] = "from-the-cache"
-    cache.write_text(json.dumps(data))
-    again = load_or_compute_snapshots(index, graph, cache)
-    assert "from-the-cache" in {v.message for v in again}
-
-    # Different content -> digest mismatch -> recompute + rewrite.
-    index2, graph2 = _indexed("good_sim401.py")
-    fresh = load_or_compute_snapshots(index2, graph2, cache)
-    assert fresh == []
-    assert json.loads(cache.read_text())["violations"] == []
-
-
-# -- heap census -------------------------------------------------------------
 
 
 def test_heap_census_covers_scheduling_owners():
@@ -183,7 +145,7 @@ def test_cli_default_run_flags_snapshot_fixture(tmp_path, capsys):
     out_file = tmp_path / "lint.sarif"
     rc = cli_main(
         [
-            "lint", str(FIXTURES / "bad_sim401.py"), "--no-baseline",
+            "lint", str(FIXTURES / "bad_sim401.py"),
             "--format", "sarif", "--sarif-output", str(out_file),
         ]
     )
@@ -199,7 +161,7 @@ def test_cli_select_and_ignore_filter_rules(capsys):
     rc = cli_main(
         [
             "lint", str(FIXTURES / "mutation_pr9_revert.py"),
-            "--no-baseline", "--select", "SIM4", "--ignore", "SIM402",
+            "--select", "SIM4", "--ignore", "SIM402",
             "--format", "json",
         ]
     )
@@ -212,21 +174,9 @@ def test_cli_rejects_bogus_selector(capsys):
     rc = cli_main(
         [
             "lint", str(FIXTURES / "good_sim401.py"),
-            "--no-baseline", "--select", "BOGUS",
+            "--select", "BOGUS",
         ]
     )
     assert rc == 2
     err = capsys.readouterr().err
     assert "BOGUS" in err and "groups:" in err
-
-
-def test_cli_src_tree_is_clean_under_snapshots(tmp_path):
-    rc = cli_main(
-        [
-            "lint", str(SRC), "--no-baseline",
-            "--cache", str(tmp_path / "ast_index.pickle"),
-        ]
-    )
-    assert rc == 0
-    # The snapshots cache lands beside the AST index.
-    assert (tmp_path / "snapshots.json").exists()

@@ -1,24 +1,13 @@
-"""Whole-program linter: unit/purity fixtures, the call graph, the
-baseline workflow (including staleness), SARIF output, directive
-scoping, and the CLI plumbing around them."""
+"""Whole-program linter: unit/purity fixtures, the call graph, SARIF
+output, directive scoping, and the CLI plumbing around them."""
 
 from __future__ import annotations
 
 import ast
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_PATH,
-    TODO_REASON,
-    BaselineEntry,
-    apply_baseline,
-    load_baseline,
-    update_baseline,
-    write_baseline,
-)
 from repro.analysis.callgraph import CallGraph, ProjectIndex
 from repro.analysis.run import ALL_RULES, lint_project
 from repro.analysis.sarif import sarif_report, to_sarif, violations_from_sarif
@@ -27,7 +16,6 @@ from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[2] / "src"
-REPO = Path(__file__).parents[2]
 
 WHOLE_PROGRAM_RULES = (
     "SIM101",
@@ -47,9 +35,7 @@ NO_SNAPSHOTS = ["snapshots"]
 
 
 def lint_one(path: Path):
-    return lint_project(
-        [path], baseline_path=None, ignore=NO_SNAPSHOTS
-    ).violations
+    return lint_project([path], ignore=NO_SNAPSHOTS).violations
 
 
 # -- fixtures: every rule fires on bad, stays quiet on good -----------------
@@ -73,8 +59,8 @@ def test_every_whole_program_rule_has_a_description():
         assert rule in ALL_RULES
 
 
-def test_repo_src_tree_is_clean_without_baseline():
-    report = lint_project([SRC], baseline_path=None)
+def test_whole_program_src_tree_is_clean():
+    report = lint_project([SRC])
     assert report.violations == []
     assert report.file_count > 50
 
@@ -187,160 +173,44 @@ def test_inlined_heappush_is_a_schedule_site():
     assert "repro.net.link.Link._finish" in graph.reachable_from_dispatch()
 
 
-# -- baseline workflow -------------------------------------------------------
-
-
-def _lint_bad_202():
-    return lint_project(
-        [FIXTURES / "bad_sim202.py"], baseline_path=None, ignore=NO_SNAPSHOTS
-    )
-
-
-def test_baseline_round_trip_and_matching(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    violations = _lint_bad_202().violations
-    entries = update_baseline(baseline_path, violations, root=REPO)
-    assert [e.reason for e in entries] == [TODO_REASON]
-    assert entries[0].path.endswith("tests/analysis/fixtures/bad_sim202.py")
-    assert load_baseline(baseline_path) == entries
-
-    # With the baseline in play the same finding is absorbed...
-    report = lint_project(
-        [FIXTURES / "bad_sim202.py"],
-        baseline_path=baseline_path, root=REPO, ignore=NO_SNAPSHOTS,
-    )
-    assert report.violations == []
-    assert report.baselined == entries
-    assert report.stale == []
-    # ...and a clean tree reports the entry as stale, persisting the
-    # marker in the file (one grace run before it fails the gate).
-    report = lint_project(
-        [FIXTURES / "good_sim202.py"],
-        baseline_path=baseline_path, root=REPO, ignore=NO_SNAPSHOTS,
-    )
-    assert [e.key for e in report.stale] == [e.key for e in entries]
-    assert all(e.stale for e in report.stale)
-    assert report.stale_failures == []
-    assert [e.stale for e in load_baseline(baseline_path)] == [True]
-
-
-def test_update_baseline_carries_reasons_forward(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    violations = _lint_bad_202().violations
-    first = update_baseline(baseline_path, violations, root=REPO)
-    justified = [
-        BaselineEntry(e.rule, e.path, e.line_text, "reviewed: fixture")
-        for e in first
-    ]
-    write_baseline(baseline_path, justified)
-    second = update_baseline(baseline_path, violations, root=REPO)
-    assert [e.reason for e in second] == ["reviewed: fixture"]
-
-
-def test_baseline_matches_by_line_text_not_number(tmp_path):
-    violations = _lint_bad_202().violations
-    entries = update_baseline(tmp_path / "b.json", violations, root=REPO)
-    # Same text at a different line number still matches; different
-    # text on the same line does not.
-    fresh, matched = apply_baseline(violations, entries, root=REPO)
-    assert fresh == [] and matched == entries
-    edited = [
-        BaselineEntry(e.rule, e.path, e.line_text + "  # edited", e.reason)
-        for e in entries
-    ]
-    fresh, matched = apply_baseline(violations, edited, root=REPO)
-    assert fresh == violations and matched == []
-
-
-def test_unsupported_baseline_version_raises(tmp_path):
-    path = tmp_path / "b.json"
-    path.write_text('{"version": 99, "entries": []}')
-    with pytest.raises(ValueError, match="version"):
-        load_baseline(path)
-
-
-def test_checked_in_baseline_is_empty_or_justified():
-    """Acceptance gate: no entry may linger without a human reason."""
-    entries = load_baseline(REPO / DEFAULT_BASELINE_PATH)
-    for entry in entries:
-        assert entry.reason and entry.reason != TODO_REASON, entry
-
-
 # -- CLI plumbing ------------------------------------------------------------
 
 
 def test_cli_github_format_emits_annotations(capsys):
     bad = str(FIXTURES / "bad_sim104.py")
-    assert cli_main(["lint", "--no-baseline", "--format", "github", bad]) == 1
+    assert cli_main(["lint", "--format", "github", bad]) == 1
     out = capsys.readouterr().out
     assert out.startswith("::error file=")
     assert "title=SIM104" in out
     # A clean run emits nothing at all (no stray annotation lines).
     good = str(FIXTURES / "good_sim104.py")
-    assert cli_main(["lint", "--no-baseline", "--format", "github", good]) == 0
+    assert cli_main(["lint", "--format", "github", good]) == 0
     assert capsys.readouterr().out == ""
-
-
-def test_cli_update_baseline_then_clean(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    bad = [str(FIXTURES / "bad_sim201.py"), "--ignore", "snapshots"]
-    assert (
-        cli_main(
-            ["lint", "--baseline", str(baseline), "--update-baseline", *bad]
-        )
-        == 0
-    )
-    assert TODO_REASON in baseline.read_text()
-    assert cli_main(["lint", "--baseline", str(baseline), *bad]) == 0
-    assert "1 baselined finding(s)" in capsys.readouterr().out
-    # Without the baseline the finding still fails the run.
-    assert cli_main(["lint", "--no-baseline", *bad]) == 1
-
-
-def test_cli_stale_baseline_entries_are_reported(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    write_baseline(
-        baseline,
-        [BaselineEntry("SIM201", "gone.py", "print(1)", "obsolete")],
-    )
-    good = str(FIXTURES / "good_sim201.py")
-    assert (
-        cli_main(
-            ["lint", "--baseline", str(baseline), good, "--ignore", "snapshots"]
-        )
-        == 0
-    )
-    assert "stale baseline entry" in capsys.readouterr().out
 
 
 def test_cli_max_seconds_budget(capsys):
     good = str(FIXTURES / "good_sim101.py")
-    assert cli_main(["lint", "--no-baseline", "--max-seconds", "0", good]) == 1
+    assert cli_main(["lint", "--max-seconds", "0", good]) == 1
     assert "over the" in capsys.readouterr().err
-    assert (
-        cli_main(["lint", "--no-baseline", "--max-seconds", "60", good]) == 0
-    )
+    assert cli_main(["lint", "--max-seconds", "60", good]) == 0
 
 
-def test_cli_cache_round_trip(tmp_path):
-    cache = tmp_path / "ast_index.pickle"
-    good = str(FIXTURES / "good_sim202.py")
-    args = [
-        "lint", "--no-baseline", "--cache", str(cache), good,
-        "--ignore", "snapshots",
-    ]
-    assert cli_main(args) == 0
-    assert cache.exists()
-    assert cli_main(args) == 0  # warm-cache run, same verdict
-    cache.write_bytes(b"corrupt")
-    assert cli_main(args) == 0  # corrupt cache is rebuilt, not fatal
+def test_cli_rejects_a_path_that_names_no_python_source(tmp_path, capsys):
+    # A mistyped path must not read as a clean run.
+    missing = str(tmp_path / "srcc")
+    assert cli_main(["lint", missing]) == 2
+    assert "no such file or directory" in capsys.readouterr().err
+    notes = tmp_path / "notes.txt"
+    notes.write_text("not python\n")
+    assert cli_main(["lint", str(notes)]) == 2
+    assert "not a directory or .py file" in capsys.readouterr().err
 
 
 def test_cli_emits_and_writes_sarif(tmp_path, capsys):
     out_file = tmp_path / "lint.sarif"
     rc = cli_main(
         [
-            "lint", str(FIXTURES / "bad_sim003.py"), "--no-baseline",
+            "lint", str(FIXTURES / "bad_sim003.py"),
             "--format", "sarif", "--sarif-output", str(out_file),
         ]
     )
@@ -350,18 +220,6 @@ def test_cli_emits_and_writes_sarif(tmp_path, capsys):
     assert [v.rule for v in violations_from_sarif(out_file.read_text())] == [
         "SIM003"
     ] * 2
-
-
-def test_index_cache_invalidates_on_content_change(tmp_path):
-    target = tmp_path / "mod.py"
-    cache = tmp_path / "cache.pickle"
-    clean = "# simlint: package=repro.sim.fake_cache\nX_NS = 5\n"
-    target.write_text(clean)
-    index = ProjectIndex.build_cached([target], cache)
-    assert "repro.sim.fake_cache" in index.modules
-    target.write_text(clean + "def f_ns():\n    return 1\n")
-    index = ProjectIndex.build_cached([target], cache)
-    assert "f_ns" in index.modules["repro.sim.fake_cache"].functions
 
 
 # -- SARIF -------------------------------------------------------------------
@@ -381,73 +239,16 @@ def test_sarif_round_trips_the_findings():
     assert driver["rules"][0]["shortDescription"]["text"] == ALL_RULES["SIM003"]
 
 
-# -- baseline staleness ------------------------------------------------------
-
-
-def _stale_setup(tmp_path) -> Path:
-    baseline = tmp_path / "baseline.json"
-    update_baseline(baseline, lint_one(FIXTURES / "bad_sim003.py"), root=REPO)
-    return baseline
-
-
-def test_stale_baseline_entry_fails_after_one_grace_run(tmp_path):
-    baseline = _stale_setup(tmp_path)
-    entries = len(load_baseline(baseline))
-    clean = [FIXTURES / "good_sim003.py"]
-
-    first = lint_project(clean, baseline_path=baseline, root=REPO)
-    assert first.ok
-    assert [e.stale for e in first.stale] == [True] * entries
-    assert first.stale_failures == []
-
-    second = lint_project(clean, baseline_path=baseline, root=REPO)
-    assert not second.ok
-    assert second.stale == []
-    assert len(second.stale_failures) == entries
-
-    # The suppressed findings coming back unmark the entries.
-    third = lint_project(
-        [FIXTURES / "bad_sim003.py"], baseline_path=baseline, root=REPO
-    )
-    assert third.ok and third.violations == []
-    assert [e.stale for e in load_baseline(baseline)] == [False] * entries
-
-
-def test_prune_baseline_drops_stale_entries_immediately(tmp_path):
-    baseline = _stale_setup(tmp_path)
-    entries = len(load_baseline(baseline))
-    report = lint_project(
-        [FIXTURES / "good_sim003.py"],
-        baseline_path=baseline, root=REPO, prune_baseline=True,
-    )
-    assert report.ok
-    assert len(report.pruned) == entries
-    assert load_baseline(baseline) == []
-
-
-def test_cli_exit_code_for_twice_stale_entry(tmp_path):
-    baseline = _stale_setup(tmp_path)
-    argv = [
-        "lint", str(FIXTURES / "good_sim003.py"), "--baseline", str(baseline),
-    ]
-    assert cli_main(argv) == 0  # grace run: marked, still green
-    assert cli_main(argv) == 1  # stale for >1 run: gate fails
-
-
 # -- directive scoping -------------------------------------------------------
 
 
 def test_directive_on_decorator_or_signature_covers_the_body():
-    report = lint_project(
-        [FIXTURES / "good_directive_scope.py"], baseline_path=None
-    )
+    report = lint_project([FIXTURES / "good_directive_scope.py"])
     assert report.violations == []
 
 
 def test_directive_inside_the_body_does_not_mute():
-    report = lint_project(
-        [FIXTURES / "bad_directive_scope.py"], baseline_path=None
-    )
+    report = lint_project([FIXTURES / "bad_directive_scope.py"])
     assert {v.rule for v in report.violations} == {"SIM002"}
 
 
