@@ -112,7 +112,6 @@ HEAP_EXTRA_CLASSES: frozenset[str] = frozenset(
         "repro.experiments.clos_scale._ForegroundSource",
         "repro.experiments.dynamic._SRCAdjuster",
         "repro.faults.inject.FaultInjector",
-        "repro.net.dcqcn.RateTable",
         "repro.nvme.block_sched.BlockLayerThrottle",
     }
 )

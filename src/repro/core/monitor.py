@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from repro.sim.units import MS
-from repro.workloads.features import WorkloadFeatures, extract_features
+from repro.workloads.features import WorkloadFeatures, features_from_arrays
 from repro.workloads.request import IORequest
-from repro.workloads.traces import Trace
 
 
 class WorkloadMonitor:
@@ -38,24 +39,21 @@ class WorkloadMonitor:
         while self._requests and self._requests[0][0] < horizon:
             self._requests.popleft()
 
-    def window_trace(self, now_ns: int) -> Trace:
-        """The requests observed in ``[now - δ, now]`` as a trace.
+    def features(self, now_ns: int) -> WorkloadFeatures:
+        """Extract Ch from the requests observed in ``[now - δ, now]``.
 
         Arrival timestamps are the observation times, so inter-arrival
-        statistics reflect what the target actually saw.
+        statistics reflect what the target actually saw.  The deque is
+        in observation order, which is the arrival order a trace of the
+        window would sort to.
         """
         self._evict(now_ns)
-        reqs = []
-        for t, r in self._requests:
-            clone = IORequest(
-                arrival_ns=t, op=r.op, lba=r.lba, size_bytes=r.size_bytes
-            )
-            reqs.append(clone)
-        return Trace(reqs)
-
-    def features(self, now_ns: int) -> WorkloadFeatures:
-        """Extract Ch from the current window."""
-        return extract_features(self.window_trace(now_ns), window_ns=self.window_ns)
+        window = self._requests
+        n = len(window)
+        arrivals = np.fromiter((t for t, _ in window), dtype=np.int64, count=n)
+        sizes = np.fromiter((r.size_bytes for _, r in window), dtype=np.int64, count=n)
+        is_read = np.fromiter((r.is_read for _, r in window), dtype=bool, count=n)
+        return features_from_arrays(arrivals, sizes, is_read, window_ns=self.window_ns)
 
     def in_window(self, now_ns: int) -> int:
         """Number of requests currently inside the window."""

@@ -39,13 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.sim.engine import Simulator
 from repro.sim.units import gbps_to_bytes_per_ns
-
-#: ``next_tick`` sentinel for flows with no increase timer pending.
-_NEVER = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -260,374 +255,6 @@ class DCQCNRateControl:
                     self._decay_cap = j
                 else:
                     self._decay_cap = j + 1
-
-
-class TableRateControl:
-    """One flow's view into a :class:`RateTable` row.
-
-    Drop-in for :class:`DCQCNRateControl` from the NIC's perspective:
-    same ``on_cnp`` / ``on_bytes_sent`` / ``listeners`` / rate attributes.
-    The hot fields the pump reads every segment
-    (:attr:`current_bytes_per_ns`, the congested flag, the byte counter)
-    are plain Python scalars mirrored from the packed arrays, so pacing
-    never pays a NumPy scalar-boxing round trip.
-    """
-
-    __slots__ = (
-        "table",
-        "row",
-        "current_rate_gbps",
-        "target_rate_gbps",
-        "current_bytes_per_ns",
-        "_congested",
-        "_bytes_since_increase",
-        "listeners",
-        "cnp_count",
-    )
-
-    def __init__(self, table: "RateTable", row: int) -> None:
-        self.table = table
-        self.row = row
-        line = table.config.line_rate_gbps
-        self.current_rate_gbps = line
-        self.target_rate_gbps = line
-        self.current_bytes_per_ns = gbps_to_bytes_per_ns(line)
-        self._congested = False
-        self._bytes_since_increase = 0
-        self.listeners: list[Callable[[RateChange], None]] = []
-        self.cnp_count = 0
-
-    @property
-    def alpha(self) -> float:
-        """Congestion severity estimate, decayed up to the current instant."""
-        return self.table._alpha_at(self.row, self.table.sim.now)
-
-    @property
-    def config(self) -> DCQCNConfig:
-        return self.table.config
-
-    def on_cnp(self) -> None:
-        self.cnp_count += 1
-        self.table.on_cnp(self)
-
-    def on_bytes_sent(self, nbytes: int) -> None:
-        if not self._congested:
-            return
-        self._bytes_since_increase += nbytes
-        if self._bytes_since_increase >= self.table.config.byte_counter_bytes:
-            self._bytes_since_increase = 0
-            self.table.on_byte_counter(self)
-
-
-class RateTable:
-    """Packed per-flow DCQCN state, batch-updated with NumPy.
-
-    Structure-of-arrays replacement for N independent
-    :class:`DCQCNRateControl` instances (the scalar class remains as the
-    reference implementation the equivalence tests pin against).  One
-    NIC owns one table; rows are allocated in flow-creation order and
-    views (:class:`TableRateControl`) expose the scalar API per flow.
-
-    Two things are vectorized:
-
-    * **rate increases** — instead of one self-rescheduling timer event
-      per congested flow, the table keeps one shared engine event at
-      ``min(next_tick)`` over all rows and, when it fires, applies the
-      whole due set's stage bump / target growth / rate update as array
-      operations (listeners then fire per changed row, in row order);
-    * **alpha decay materialisation** — the same sweep replays every due
-      flow's pending lazy alpha decays in bulk (one masked multiply per
-      replay step, preserving the scalar repeated-multiplication float
-      sequence bit-for-bit).
-
-    All arithmetic is float64 elementwise, the same IEEE operations in
-    the same order as the scalar reference, so per-flow trajectories are
-    bit-identical; only event bookkeeping (one shared timer vs N) moves.
-    """
-
-    def __init__(self, sim: Simulator, config: DCQCNConfig | None = None) -> None:
-        self.sim = sim
-        self.config = config or DCQCNConfig()
-        self.views: list[TableRateControl] = []
-        self._n = 0
-        cap = 8
-        self.current_rate = np.full(cap, self.config.line_rate_gbps)
-        self.target_rate = np.full(cap, self.config.line_rate_gbps)
-        self.alpha_value = np.full(cap, self.config.initial_alpha)
-        #: -1 = no decay accruing (mirrors the scalar ``None`` anchor).
-        self.alpha_anchor = np.full(cap, -1, dtype=np.int64)
-        #: -1 = uncapped; else max decays applied past the anchor.
-        self.decay_cap = np.full(cap, -1, dtype=np.int64)
-        self.timer_stage = np.zeros(cap, dtype=np.int64)
-        self.byte_stage = np.zeros(cap, dtype=np.int64)
-        self.congested = np.zeros(cap, dtype=bool)
-        self.next_tick = np.full(cap, _NEVER, dtype=np.int64)
-        self._timer_event = None
-        self._deadline = _NEVER
-        self._tick_cb = self._tick
-
-    # -- row allocation ---------------------------------------------------
-    def new_flow(self) -> TableRateControl:
-        """Allocate a row and return its flow-facing view."""
-        row = self._n
-        if row == len(self.current_rate):
-            for name in (
-                "current_rate",
-                "target_rate",
-                "alpha_value",
-                "alpha_anchor",
-                "decay_cap",
-                "timer_stage",
-                "byte_stage",
-                "congested",
-                "next_tick",
-            ):
-                old = getattr(self, name)
-                grown = np.empty(len(old) * 2, dtype=old.dtype)
-                grown[: len(old)] = old
-                setattr(self, name, grown)
-            self.current_rate[row:] = self.config.line_rate_gbps
-            self.target_rate[row:] = self.config.line_rate_gbps
-            self.alpha_value[row:] = self.config.initial_alpha
-            self.alpha_anchor[row:] = -1
-            self.decay_cap[row:] = -1
-            self.timer_stage[row:] = 0
-            self.byte_stage[row:] = 0
-            self.congested[row:] = False
-            self.next_tick[row:] = _NEVER
-        self._n = row + 1
-        view = TableRateControl(self, row)
-        self.views.append(view)
-        return view
-
-    # -- lazy alpha -------------------------------------------------------
-    def _alpha_at(self, row: int, now: int) -> float:
-        """Scalar replay of pending decays for one row (CNP/read path).
-
-        Same loop as :meth:`DCQCNRateControl._alpha_at`, against the
-        packed columns.
-        """
-        anchor = int(self.alpha_anchor[row])
-        value = float(self.alpha_value[row])
-        if anchor < 0:
-            return value
-        period = self.config.alpha_timer_ns
-        n = (now - anchor) // period
-        if n <= 0:
-            return value
-        cap = int(self.decay_cap[row])
-        if cap >= 0 and n > cap:
-            n = cap
-        factor = 1.0 - self.config.g
-        for _ in range(n):
-            if value == 0.0:
-                break
-            value *= factor
-        return value
-
-    # -- shared increase timer --------------------------------------------
-    def _retime(self) -> None:
-        """Keep the one shared engine event at ``min(next_tick)`` exactly."""
-        n = self._n
-        deadline = int(self.next_tick[:n].min()) if n else _NEVER
-        if deadline == self._deadline:
-            return
-        if self._timer_event is not None:
-            self._timer_event.cancel()
-            self._timer_event = None
-        self._deadline = deadline
-        if deadline != _NEVER:
-            self._timer_event = self.sim.schedule_at(deadline, self._tick_cb)
-
-    # -- CNP reaction (scalar row path; CNPs are per-flow and rate-limited)
-    def on_cnp(self, view: TableRateControl) -> None:
-        now = self.sim.now
-        row = view.row
-        cfg = self.config
-        alpha = self._alpha_at(row, now)  # materialise decays pending since anchor
-        current = view.current_rate_gbps
-        self.target_rate[row] = current
-        view.target_rate_gbps = current
-        new_rate = current * (1.0 - alpha / 2.0)
-        new_rate = min(cfg.line_rate_gbps, max(cfg.min_rate_gbps, new_rate))
-        if new_rate != current:
-            self.current_rate[row] = new_rate
-            view.current_rate_gbps = new_rate
-            view.current_bytes_per_ns = gbps_to_bytes_per_ns(new_rate)
-            self._notify(view, new_rate, decreased=True)
-        self.alpha_value[row] = (1.0 - cfg.g) * alpha + cfg.g
-        self.alpha_anchor[row] = now
-        self.decay_cap[row] = -1
-        self.congested[row] = True
-        view._congested = True
-        self.timer_stage[row] = 0
-        self.byte_stage[row] = 0
-        view._bytes_since_increase = 0
-        self.next_tick[row] = now + cfg.increase_timer_ns
-        self._retime()
-
-    def _notify(self, view: TableRateControl, rate: float, *, decreased: bool) -> None:
-        change = RateChange(time_ns=self.sim.now, rate_gbps=rate, decreased=decreased)
-        for listener in view.listeners:
-            listener(change)
-
-    # -- byte counter (scalar row path; fires once per byte_counter_bytes)
-    def on_byte_counter(self, view: TableRateControl) -> None:
-        row = view.row
-        self.byte_stage[row] += 1
-        # Same tie-break as the scalar reference's byte path: near
-        # recovery the pump's wake-up was pushed well under one alpha
-        # period ago, so a same-instant decay boundary fires first.
-        self._increase_row(view, tie_decay_first=True)
-
-    def _increase_row(self, view: TableRateControl, *, tie_decay_first: bool) -> None:
-        """Scalar mirror of :meth:`DCQCNRateControl._increase_rate`."""
-        row = view.row
-        cfg = self.config
-        timer_stage = int(self.timer_stage[row])
-        byte_stage = int(self.byte_stage[row])
-        target = view.target_rate_gbps
-        if max(timer_stage, byte_stage) <= cfg.fast_recovery_threshold:
-            pass  # fast recovery: target unchanged
-        elif min(timer_stage, byte_stage) <= cfg.fast_recovery_threshold:
-            target = min(cfg.line_rate_gbps, target + cfg.rate_ai_gbps)
-        else:
-            target = min(cfg.line_rate_gbps, target + cfg.rate_hai_gbps)
-        self.target_rate[row] = target
-        view.target_rate_gbps = target
-        current = view.current_rate_gbps
-        new_rate = (target + current) / 2.0
-        new_rate = min(cfg.line_rate_gbps, max(cfg.min_rate_gbps, new_rate))
-        if new_rate != current:
-            self.current_rate[row] = new_rate
-            view.current_rate_gbps = new_rate
-            view.current_bytes_per_ns = gbps_to_bytes_per_ns(new_rate)
-            self._notify(view, new_rate, decreased=False)
-        if new_rate >= cfg.line_rate_gbps and target >= cfg.line_rate_gbps:
-            self._clear_congestion(row, view, tie_decay_first=tie_decay_first)
-
-    def _clear_congestion(
-        self, row: int, view: TableRateControl, *, tie_decay_first: bool
-    ) -> None:
-        """Freeze the decay cap exactly as the scalar reference does."""
-        cfg = self.config
-        self.congested[row] = False
-        view._congested = False
-        self.next_tick[row] = _NEVER
-        anchor = int(self.alpha_anchor[row])
-        if anchor >= 0:
-            j, rem = divmod(self.sim.now - anchor, cfg.alpha_timer_ns)
-            if rem == 0 and j >= 1 and not tie_decay_first:
-                self.decay_cap[row] = j
-            else:
-                self.decay_cap[row] = j + 1
-        self._retime()
-
-    # -- vectorized shared tick -------------------------------------------
-    def _tick(self) -> None:
-        """Apply the increase tick to every due row in one NumPy sweep."""
-        self._timer_event = None
-        self._deadline = _NEVER
-        now = self.sim.now
-        cfg = self.config
-        n = self._n
-        due = np.nonzero(self.next_tick[:n] == now)[0]
-        if due.size == 0:  # pragma: no cover - _retime keeps the deadline exact
-            self._retime()
-            return
-        if due.size == 1:
-            # Singleton fast path: the shared timer usually wakes for one
-            # flow (CNPs stagger the per-row deadlines), and the scalar
-            # row path is cheaper than a NumPy sweep at that size.  Alpha
-            # stays lazy — ``_alpha_at`` replays the identical repeated
-            # multiplications on the next read, so skipping the bulk
-            # materialisation is observationally bit-identical.
-            row = int(due[0])
-            self.timer_stage[row] += 1
-            self.next_tick[row] = now + cfg.increase_timer_ns
-            self._increase_row(
-                self.views[row],
-                tie_decay_first=cfg.alpha_timer_ns >= cfg.increase_timer_ns,
-            )
-            self._retime()
-            return
-        # Stage bump (scalar: _timer_tick increments before increasing).
-        self.timer_stage[due] += 1
-        timer_stage = self.timer_stage[due]
-        byte_stage = self.byte_stage[due]
-
-        # Bulk-materialise pending lazy alpha decays for the due set:
-        # semantics-preserving (the anchor advances by whole periods and
-        # any cap shrinks by the decays applied), and bit-identical — the
-        # masked multiply replays the scalar repeated-multiplication
-        # sequence one step at a time across all rows.
-        tie_decay_first = cfg.alpha_timer_ns >= cfg.increase_timer_ns
-        anchor = self.alpha_anchor[due]
-        accruing = anchor >= 0
-        if accruing.any():
-            period = cfg.alpha_timer_ns
-            boundaries, rem = np.divmod(now - anchor, period)
-            pending = np.maximum(boundaries, 0)
-            if not tie_decay_first:
-                # This tick's event was pushed before a decay event due
-                # at the same instant (increase_timer < alpha_timer), so
-                # a boundary coinciding exactly with ``now`` has not
-                # fired yet — leave it pending for the next read.
-                pending -= (rem == 0) & (pending > 0)
-            cap = self.decay_cap[due]
-            capped = cap >= 0
-            pending[capped] = np.minimum(pending[capped], cap[capped])
-            steps = int(pending.max())
-            if steps > 0:
-                values = self.alpha_value[due]
-                factor = 1.0 - cfg.g
-                for step in range(steps):
-                    values[pending > step] *= factor
-                self.alpha_value[due] = values
-                self.alpha_anchor[due] = anchor + pending * period
-                cap = np.where(capped, cap - pending, cap)
-                self.decay_cap[due] = cap
-
-        # Vectorized _increase_rate: identical float64 ops, elementwise.
-        target = self.target_rate[due]
-        low = np.minimum(timer_stage, byte_stage)
-        high = np.maximum(timer_stage, byte_stage)
-        thr = cfg.fast_recovery_threshold
-        line = cfg.line_rate_gbps
-        additive = (high > thr) & (low <= thr)
-        if additive.any():
-            target = np.where(
-                additive, np.minimum(line, target + cfg.rate_ai_gbps), target
-            )
-        hyper = low > thr
-        if hyper.any():
-            target = np.where(
-                hyper, np.minimum(line, target + cfg.rate_hai_gbps), target
-            )
-        current = self.current_rate[due]
-        new_rate = (target + current) / 2.0
-        new_rate = np.minimum(line, np.maximum(cfg.min_rate_gbps, new_rate))
-        changed = new_rate != current
-        recovered = (new_rate >= line) & (target >= line)
-        self.target_rate[due] = target
-        self.current_rate[due] = new_rate
-        self.next_tick[due] = now + cfg.increase_timer_ns
-
-        # Per-row epilogue in row (flow-creation) order: mirror updates,
-        # listener callbacks, congestion clearing.
-        views = self.views
-        for k in range(due.size):
-            row = int(due[k])
-            view = views[row]
-            view.target_rate_gbps = float(target[k])
-            if changed[k]:
-                rate = float(new_rate[k])
-                view.current_rate_gbps = rate
-                view.current_bytes_per_ns = gbps_to_bytes_per_ns(rate)
-                self._notify(view, rate, decreased=False)
-            if recovered[k]:
-                self._clear_congestion(row, view, tie_decay_first=tie_decay_first)
-        self._retime()
 
 
 def fluid_rate_step(

@@ -28,7 +28,7 @@ from heapq import heappush
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.net.dcqcn import DCQCNConfig, RateChange, RateTable, TableRateControl
+from repro.net.dcqcn import DCQCNConfig, DCQCNRateControl, RateChange
 from repro.net.link import Link
 from repro.net.packet import CONTROL_PACKET_BYTES, Packet, PacketKind
 from repro.net.reliability import FlowReliability, ReliabilityConfig
@@ -136,10 +136,7 @@ class Flow:
         self.id = next(_flow_ids)
         self.nic = nic
         self.dst = dst
-        #: Row view into the NIC's packed :class:`RateTable` — same API
-        #: as the scalar ``DCQCNRateControl`` reference, but rate/alpha
-        #: updates are batched across the NIC's flows with NumPy.
-        self.rate_control: TableRateControl = nic.rate_table.new_flow()
+        self.rate_control = DCQCNRateControl(nic.sim, nic.config.dcqcn)
         self._messages: deque[_Message] = deque()
         self.queued_bytes = 0
         self._next_send_ns = 0
@@ -350,8 +347,6 @@ class NIC:
         self.name = name
         self.config = config or NICConfig()
         self.link: Link | None = None  # uplink, set by the topology builder
-        #: Packed DCQCN state for all of this NIC's flows (one row each).
-        self.rate_table = RateTable(sim, self.config.dcqcn)
         self.flows: dict[str, Flow] = {}
         self._flows_by_id: dict[int, Flow] = {}
         #: flow id -> flow, for every flow with queued bytes (pump index).

@@ -91,14 +91,18 @@ class WorkloadFeatures:
         )
 
 
-def _direction_stats(sub: Trace, window_ns: int | None) -> tuple[float, float, float, float, float]:
+def _direction_stats(
+    arrivals: np.ndarray, sizes: np.ndarray, window_ns: int | None
+) -> tuple[float, float, float, float, float]:
     """(mean inter-arrival, mean size, inter SCV, size SCV, flow speed)."""
-    n = len(sub)
-    sizes = sub.sizes()
-    inter = sub.interarrivals()
+    n = sizes.size
+    inter = np.diff(arrivals)  # empty for fewer than two requests
     mean_size = float(sizes.mean()) if n else 0.0
     mean_inter = float(inter.mean()) if inter.size else 0.0
-    span = window_ns if window_ns is not None else sub.duration_ns
+    if window_ns is not None:
+        span = window_ns
+    else:
+        span = int(arrivals[-1] - arrivals[0]) if n >= 2 else 0
     if span and span > 0:
         flow_speed = float(sizes.sum()) / span
     elif mean_inter > 0:
@@ -120,13 +124,32 @@ def extract_features(trace: Trace, *, window_ns: int | None = None) -> WorkloadF
         normalised by it (total bytes / window); otherwise the trace's
         own arrival span is used.
     """
+    is_read = np.fromiter((r.is_read for r in trace), dtype=bool, count=len(trace))
+    return features_from_arrays(
+        trace.arrivals(), trace.sizes(), is_read, window_ns=window_ns
+    )
+
+
+def features_from_arrays(
+    arrivals: np.ndarray,
+    sizes: np.ndarray,
+    is_read: np.ndarray,
+    *,
+    window_ns: int | None = None,
+) -> WorkloadFeatures:
+    """:func:`extract_features` on per-request columns in arrival order.
+
+    ``arrivals`` and ``sizes`` are int64, ``is_read`` is bool, all of
+    one length and sorted by arrival time as a :class:`Trace` would be.
+    """
     if window_ns is not None and window_ns <= 0:
         raise ValueError(f"window must be positive, got {window_ns}")
-    reads, writes = trace.reads(), trace.writes()
-    n_writes = len(writes)
-    ratio = len(reads) / n_writes if n_writes else float(len(reads))
-    r = _direction_stats(reads, window_ns)
-    w = _direction_stats(writes, window_ns)
+    is_write = ~is_read
+    n_reads = int(is_read.sum())
+    n_writes = is_read.size - n_reads
+    ratio = n_reads / n_writes if n_writes else float(n_reads)
+    r = _direction_stats(arrivals[is_read], sizes[is_read], window_ns)
+    w = _direction_stats(arrivals[is_write], sizes[is_write], window_ns)
     return WorkloadFeatures(
         read_write_ratio=ratio,
         read_mean_interarrival_ns=r[0],

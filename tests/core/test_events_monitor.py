@@ -1,10 +1,16 @@
 """Congestion events and the workload monitor."""
 
+from dataclasses import astuple
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.events import CongestionEvent, EventKind
 from repro.core.monitor import WorkloadMonitor
-from repro.workloads.request import IORequest, OpType
+from repro.workloads.features import CH_FEATURE_NAMES, extract_features
+from repro.workloads.request import IORequest, OpType, _request_ids
+from repro.workloads.traces import Trace
 
 
 def req(size=4096, op=OpType.READ, lba=0):
@@ -33,13 +39,14 @@ class TestMonitor:
         assert m.in_window(1400) == 2  # the t=0 one fell out
         assert m.observed == 3
 
-    def test_window_trace_uses_observation_times(self):
+    def test_features_use_observation_times(self):
         m = WorkloadMonitor(window_ns=10_000)
         m.observe(req(size=1000), now_ns=100)
         m.observe(req(size=2000), now_ns=300)
-        trace = m.window_trace(500)
-        assert [r.arrival_ns for r in trace] == [100, 300]
-        assert trace.total_bytes() == 3000
+        f = m.features(500)
+        assert f.read_mean_interarrival_ns == 200.0
+        assert f.read_mean_size_bytes == 1500.0
+        assert f.read_flow_speed == 3000 / 10_000
 
     def test_features_flow_speed_normalised_by_window(self):
         m = WorkloadMonitor(window_ns=10_000)
@@ -59,8 +66,68 @@ class TestMonitor:
     def test_empty_window(self):
         m = WorkloadMonitor(window_ns=100)
         assert m.in_window(0) == 0
-        assert len(m.window_trace(0)) == 0
+        assert m.features(0).to_array().tolist() == [0.0] * len(CH_FEATURE_NAMES)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             WorkloadMonitor(0)
+
+
+#: One monitor step: (observe?, is_read, size_bytes, clock advance before it).
+_steps = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 1 << 20),
+        st.integers(0, 3_000),
+    ),
+    max_size=40,
+)
+
+
+def _bits(features):
+    return [float(x).hex() for x in astuple(features)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=_steps, window_ns=st.integers(1, 5_000))
+@example(steps=[(False, True, 1, 0)], window_ns=100)  # empty window
+@example(steps=[(True, True, 512, 7), (False, True, 1, 3)], window_ns=100)  # one request
+@example(
+    steps=[(True, True, 4096, 0), (True, True, 512, 0), (True, True, 8192, 40),
+           (False, True, 1, 10)],
+    window_ns=1_000,
+)  # all reads, two at one instant
+@example(
+    steps=[(True, False, 4096, 5), (True, False, 1024, 9), (False, True, 1, 0)],
+    window_ns=1_000,
+)  # all writes
+def test_features_match_cloned_trace_and_consume_no_request_ids(steps, window_ns):
+    """``features`` equals the cloned-trace extraction, bit for bit.
+
+    The reference is what the monitor used to do: clone every request in
+    the window with its observation time as the arrival, sort the clones
+    into a :class:`Trace` and extract from that.  The monitor must get
+    the same numbers straight from its deque, without creating requests
+    (and so without advancing the global request-id counter).
+    """
+    monitor = WorkloadMonitor(window_ns=window_ns)
+    seen: list[tuple[int, OpType, int]] = []
+    now = 0
+    for observe, is_read, size, advance in steps:
+        now += advance
+        op = OpType.READ if is_read else OpType.WRITE
+        if observe:
+            monitor.observe(req(size=size, op=op), now)
+            seen.append((now, op, size))
+            continue
+        clones = [
+            IORequest(arrival_ns=t, op=o, lba=0, size_bytes=n)
+            for t, o, n in seen
+            if t >= now - window_ns
+        ]
+        expected = extract_features(Trace(clones), window_ns=window_ns)
+        before = next(_request_ids)
+        got = monitor.features(now)
+        assert next(_request_ids) == before + 1
+        assert _bits(got) == _bits(expected)

@@ -1,22 +1,20 @@
 """DCQCN reaction-point state machine tests.
 
-Three layers:
+Two layers:
 
 * behavioural tests of the scalar :class:`DCQCNRateControl`;
 * regression tests pinning the *lazy* alpha evaluation against an
   embedded eager reference (:class:`_EagerDCQCN`, the pre-lazy
   implementation with both timers as real scheduled events) — in
   particular the CNP-exactly-on-a-decay-boundary and the
-  recovery-exactly-on-a-decay-boundary tie-breaks;
-* equivalence tests pinning the batched :class:`RateTable` against the
-  scalar reference, flow by flow, bit for bit.
+  recovery-exactly-on-a-decay-boundary tie-breaks.
 """
 
 import random
 
 import pytest
 
-from repro.net.dcqcn import DCQCNConfig, DCQCNRateControl, RateTable
+from repro.net.dcqcn import DCQCNConfig, DCQCNRateControl
 from repro.sim.engine import Simulator
 
 
@@ -442,144 +440,49 @@ def test_decay_cap_after_recovery_matches_eager(alpha_timer_ns, increase_timer_n
         assert lazy == eager, f"schedule={schedule}"
 
 
-# -- RateTable equivalence ----------------------------------------------------
+def test_same_instant_cnps_on_one_nic_tick_once_per_flow():
+    """Each flow on a NIC owns its own increase timer event.
 
-def _random_config(rng):
-    return DCQCNConfig(
-        alpha_timer_ns=rng.choice([10_000, 13_000, 55_000, 60_000]),
-        increase_timer_ns=rng.choice([13_000, 55_000]),
-        g=rng.choice([1 / 16, 1 / 256]),
-        byte_counter_bytes=rng.choice([64 * 1024, 10 * 2**20]),
-        fast_recovery_threshold=rng.choice([1, 5]),
-    )
-
-
-def _pair_logs(sim, scalar, view):
-    """Attach listeners to a scalar/view pair; return their change logs."""
-    a, b = [], []
-    scalar.listeners.append(lambda c: a.append((c.time_ns, c.rate_gbps, c.decreased)))
-    view.listeners.append(lambda c: b.append((c.time_ns, c.rate_gbps, c.decreased)))
-    return a, b
-
-
-def test_rate_table_matches_scalar_reference_fuzz():
-    """Packed-table flows track the scalar reference bit for bit.
-
-    Each trial drives N scalar controls and N table views with
-    identical per-flow CNP / bytes-sent schedules inside *one*
-    simulator (so every lazy-alpha read happens at a common instant),
-    then compares full listener trajectories and final state exactly.
-    Shared CNP instants across flows force multi-row due sets through
-    the vectorized ``RateTable._tick`` sweep.
+    Two flows of one NIC that take a CNP at the same instant get two
+    ``_timer_tick`` dispatches one increase period later, one per flow.
     """
-    rng = random.Random(0xD0C4)
-    for trial in range(20):
-        cfg = _random_config(rng)
-        period = cfg.alpha_timer_ns
-        sim = Simulator()
-        table = RateTable(sim, cfg)
-        n_flows = rng.randint(1, 5)
-        pairs = []
-        for _ in range(n_flows):
-            scalar = DCQCNRateControl(sim, cfg)
-            view = table.new_flow()
-            pairs.append((scalar, view, *_pair_logs(sim, scalar, view)))
-        # Half the trials synchronise CNPs across flows (vector path
-        # with due.size == n_flows); the rest stagger them.
-        synchronise = trial % 2 == 0
-        shared_times = sorted(
-            {
-                10 + rng.randint(0, 20) * period + rng.choice([0, 0, 1, -1, 23])
-                for _ in range(rng.randint(1, 5))
-            }
+    from repro.net.topology import build_star
+
+    sim = Simulator(trace=True)
+    net = build_star(sim, ["a", "b", "c"])
+    nic = net.hosts["a"]
+    flows = [nic.flow_to("b"), nic.flow_to("c")]
+    changes = {flow.id: [] for flow in flows}
+    for flow in flows:
+        log = changes[flow.id]
+        flow.rate_control.listeners.append(
+            lambda c, log=log: log.append((c.time_ns, c.decreased))
         )
-        for scalar, view, _, _ in pairs:
-            times = (
-                shared_times
-                if synchronise
-                else sorted(
-                    {
-                        10
-                        + rng.randint(0, 20) * period
-                        + rng.choice([0, 0, 1, -1, 23])
-                        for _ in range(rng.randint(1, 5))
-                    }
-                )
-            )
-            for t in times:
-                t = max(0, t)
-                sim.schedule_at(t, scalar.on_cnp)
-                sim.schedule_at(t, view.on_cnp)
-                if rng.random() < 0.4:
-                    nbytes = rng.choice([cfg.byte_counter_bytes, 2**20])
-                    ts = t + rng.randint(1, 3 * period)
-                    sim.schedule_at(ts, scalar.on_bytes_sent, nbytes)
-                    sim.schedule_at(ts, view.on_bytes_sent, nbytes)
-        sim.run()  # drain: both sides end at the same sim.now
-        for scalar, view, scalar_log, view_log in pairs:
-            assert view_log == scalar_log, f"trial={trial} cfg={cfg}"
-            assert view.current_rate_gbps == scalar.current_rate_gbps
-            assert view.target_rate_gbps == scalar.target_rate_gbps
-            assert view.current_bytes_per_ns == scalar.current_bytes_per_ns
-            assert view.alpha == scalar.alpha
-            assert view._congested == scalar._congested
-            assert view.cnp_count == scalar.cnp_count
+        sim.schedule_at(1_000, flow.rate_control.on_cnp)
+    due = 1_000 + nic.config.dcqcn.increase_timer_ns
+    sim.run(until=due)
+    ticks = [t for t, name in sim.dispatch_log if name == "DCQCNRateControl._timer_tick"]
+    assert ticks == [due, due]
+    # Each flow was cut by its CNP and raised by its own tick.
+    assert changes == {flow.id: [(1_000, True), (due, False)] for flow in flows}
 
 
-def test_rate_table_view_is_api_drop_in():
-    """The view answers the whole scalar surface the NIC relies on."""
-    sim = Simulator()
-    table = RateTable(sim)
-    view = table.new_flow()
-    assert view.current_rate_gbps == 40.0
-    assert view.alpha == 1.0
-    assert view.config is table.config
-    changes = []
-    view.listeners.append(changes.append)
-    view.on_cnp()
-    assert view.cnp_count == 1
-    assert view.current_rate_gbps == pytest.approx(20.0)
-    assert changes and changes[0].decreased
-    sim.run(until=2 * P)
-    assert view.current_rate_gbps > 20.0  # shared timer drove recovery
+def test_timer_fires_one_noop_tick_after_full_recovery():
+    """The tick that restores line rate still re-arms the timer.
 
-
-def test_rate_table_row_growth_preserves_state():
-    """Allocating past the initial capacity keeps live rows intact."""
-    sim = Simulator()
-    table = RateTable(sim)
-    first = table.new_flow()
-    first.on_cnp()
-    cut = first.current_rate_gbps
-    views = [table.new_flow() for _ in range(20)]  # forces array growth
-    assert first.current_rate_gbps == cut
-    assert float(table.current_rate[first.row]) == cut
-    assert all(v.current_rate_gbps == 40.0 for v in views)
-    sim.run()
-    assert first.current_rate_gbps == pytest.approx(40.0)
-
-
-def test_rate_table_shared_timer_is_exact():
-    """The single shared event always sits at min(next_tick).
-
-    Cancel-and-reschedule on every CNP means a stale deadline can never
-    fire: after each mutation the scheduled event matches the array
-    minimum exactly.
+    The next tick finds the flow uncongested and retires the timer
+    without a rate change: one extra dispatch per recovery episode.  On
+    ``fig7_pair`` these are the only events the removed NumPy rate table
+    did not dispatch, since it dropped the deadline at the recovering
+    tick.
     """
-    sim = Simulator()
-    table = RateTable(sim)
-    a, b = table.new_flow(), table.new_flow()
-    sim.schedule_at(5, a.on_cnp)
-    sim.schedule_at(11, b.on_cnp)
-
-    def check():
-        expected = int(table.next_tick[: table._n].min())
-        if table._timer_event is None:
-            assert expected == table._deadline
-        else:
-            assert table._timer_event.time == expected == table._deadline
-
-    for t in (6, 12, 30_000, 70_000, 200_000):
-        sim.schedule_at(t, check)
+    sim = Simulator(trace=True)
+    rp = DCQCNRateControl(sim)
+    raised = []
+    rp.listeners.append(lambda c: c.decreased or raised.append(c.time_ns))
+    sim.schedule_at(0, rp.on_cnp)
     sim.run()
-    assert table._timer_event is None  # fully recovered: timer retired
+    ticks = [t for t, name in sim.dispatch_log if name == "DCQCNRateControl._timer_tick"]
+    assert rp.current_rate_gbps == rp.config.line_rate_gbps
+    assert ticks[:-1] == raised  # every tick but the last raised the rate
+    assert ticks[-1] == ticks[-2] + rp.config.increase_timer_ns

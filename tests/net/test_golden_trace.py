@@ -36,6 +36,13 @@ itself the point of the PR and is called out as such).
   fire-and-check, so formerly-cancelled wake-ups now dispatch as cheap
   no-ops (237 -> 491 pump entries; ``link.finish``/``link.deliver``
   counts and times unchanged, proving packet timing did not move).
+* **v3 (2026-10, rate table removed).**  No regeneration.  Every flow
+  runs its own scalar ``DCQCNRateControl`` again, so the per-flow
+  ``DCQCNRateControl._timer_tick`` events are back in place of the
+  shared table tick.  The golden hash is unchanged: the 14 increase
+  dispatches keep their count and instants.  The scalar timer fires one
+  extra no-op tick after a flow fully recovers, which the table did
+  not, but no flow recovers within this 600 µs cell.
 
 Regenerate (only when intentionally changing simulation behaviour)::
 
@@ -63,11 +70,8 @@ NORMALIZE = {
     "Link._try_start.<locals>.finish.<locals>.<lambda>": "link.deliver",
     "Link._finish": "link.finish",
     "Link._deliver": "link.deliver",
-    # DCQCN rate-increase timer keeps firing as a real event; the
-    # per-flow events became one shared RateTable tick (same instants,
-    # same count — the table wakes at min over per-row deadlines).
+    # DCQCN rate-increase timer keeps firing as a real event.
     "DCQCNRateControl._timer_tick": "dcqcn.timer_tick",
-    "RateTable._tick": "dcqcn.timer_tick",
 }
 
 #: Dispatches with no externally visible effect, removed by the lazy-
