@@ -33,7 +33,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 from repro.sim.units import MS, US
 
-__all__ = ["ClosScaleConfig", "ClosScaleResult", "run_clos_scale_cell"]
+__all__ = ["ClosScaleConfig", "ClosScaleResult", "build_clos_scale_cell", "run_clos_scale_cell"]
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,39 @@ def _pick_foreground_pairs(net: Network, config: ClosScaleConfig) -> list[tuple[
     return pairs
 
 
-def run_clos_scale_cell(config: ClosScaleConfig | None = None) -> ClosScaleResult:
-    """Build, run, and account the dual-fidelity Clos cell."""
+@dataclass
+class ClosScaleCell:
+    """A built Clos cell: the world a checkpoint of its run saves."""
+
+    sim: Simulator
+    net: Network
+    domain: FluidDomain
+    mtu_bytes: int
+    until_ns: int
+
+    def result(self, dispatched: int, wall_s: float) -> ClosScaleResult:
+        """Account the finished run (``dispatched`` events in ``wall_s``)."""
+        fg_bytes = 0
+        fg_messages = 0
+        for nic in self.net.hosts.values():
+            fg_bytes += nic.bytes_received
+            fg_messages += nic.messages_delivered
+        return ClosScaleResult(
+            events_dispatched=dispatched,
+            wall_s=wall_s,
+            sim_end_ns=self.sim.now,
+            fluid_updates=self.domain.updates,
+            fluid_flows=len(self.domain.flows),
+            fluid_bytes_served=self.domain.total_bytes_served(),
+            foreground_bytes_received=fg_bytes,
+            foreground_messages_delivered=fg_messages,
+            projected_packet_events=dispatched
+            + self.domain.projected_packet_events(self.mtu_bytes),
+        )
+
+
+def build_clos_scale_cell(config: ClosScaleConfig | None = None) -> ClosScaleCell:
+    """Build the dual-fidelity Clos cell and schedule its traffic."""
     config = config or ClosScaleConfig()
     sim = Simulator(sanitize=config.sanitize)
     nic_config = NICConfig(burst_segments=config.burst_segments)
@@ -216,23 +247,12 @@ def run_clos_scale_cell(config: ClosScaleConfig | None = None) -> ClosScaleResul
             config.duration_ns,
         )
         sim.schedule_anon(1, source._send_cb)
+    return ClosScaleCell(sim, net, domain, nic_config.mtu_bytes, config.duration_ns + 500 * US)
+
+
+def run_clos_scale_cell(config: ClosScaleConfig | None = None) -> ClosScaleResult:
+    """Build, run, and account the dual-fidelity Clos cell."""
+    cell = build_clos_scale_cell(config)
     t0 = _time.perf_counter()
-    dispatched = sim.run(until=config.duration_ns + 500 * US)
-    wall = _time.perf_counter() - t0
-    fg_bytes = 0
-    fg_messages = 0
-    for nic in net.hosts.values():
-        fg_bytes += nic.bytes_received
-        fg_messages += nic.messages_delivered
-    projected = dispatched + domain.projected_packet_events(nic_config.mtu_bytes)
-    return ClosScaleResult(
-        events_dispatched=dispatched,
-        wall_s=wall,
-        sim_end_ns=sim.now,
-        fluid_updates=domain.updates,
-        fluid_flows=len(domain.flows),
-        fluid_bytes_served=domain.total_bytes_served(),
-        foreground_bytes_received=fg_bytes,
-        foreground_messages_delivered=fg_messages,
-        projected_packet_events=projected,
-    )
+    dispatched = cell.sim.run(until=cell.until_ns)
+    return cell.result(dispatched, _time.perf_counter() - t0)

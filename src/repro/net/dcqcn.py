@@ -39,8 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.sim.engine import Simulator
 from repro.sim.units import gbps_to_bytes_per_ns
+
+FloatArray = npt.NDArray[np.float64]
 
 
 @dataclass(frozen=True)
@@ -258,9 +263,9 @@ class DCQCNRateControl:
 
 
 def fluid_rate_step(
-    rate_gbps: float, alpha: float, mark_prob: float, config: DCQCNConfig
-) -> tuple[float, float]:
-    """One mean-field DCQCN update for a fluid-modelled flow.
+    rate_gbps: FloatArray, alpha: FloatArray, mark_prob: FloatArray, config: DCQCNConfig
+) -> tuple[FloatArray, FloatArray]:
+    """One mean-field DCQCN update, elementwise over fluid-modelled flows.
 
     The fluid domain (:mod:`repro.net.fluid`) does not see individual
     CNPs; it sees a per-interval ECN marking *probability* derived from
@@ -276,14 +281,15 @@ def fluid_rate_step(
       increase average out of the mean-field limit — they accelerate
       convergence, not the fixed point).
 
+    Arguments are floats or equal-shape arrays, one element per flow.
     Returns the clamped ``(new_rate_gbps, new_alpha)`` pair.  Pure
     function of its arguments so the solver stays trivially replayable.
     """
-    if not 0.0 <= mark_prob <= 1.0:
+    if not np.all((mark_prob >= 0.0) & (mark_prob <= 1.0)):
         raise ValueError(f"mark probability must be in [0, 1], got {mark_prob}")
     g = config.g
     new_alpha = (1.0 - g) * alpha + g * mark_prob
     new_rate = rate_gbps * (1.0 - mark_prob * new_alpha / 2.0)
-    new_rate += config.rate_ai_gbps * (1.0 - mark_prob)
-    new_rate = min(config.line_rate_gbps, max(config.min_rate_gbps, new_rate))
+    new_rate = new_rate + config.rate_ai_gbps * (1.0 - mark_prob)
+    new_rate = np.minimum(config.line_rate_gbps, np.maximum(config.min_rate_gbps, new_rate))
     return new_rate, new_alpha

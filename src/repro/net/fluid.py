@@ -21,8 +21,8 @@ The pieces:
   flow arrival/departure and on a recurring coarse clock
   (:meth:`repro.sim.engine.Simulator.schedule_recurring_anon`) it:
 
-  1. accrues ``rate * dt`` served bytes per flow (the piecewise-
-     constant integral);
+  1. settles ``rate * dt`` served bytes per flow up to now (the
+     piecewise-constant integral, one piece per rate change);
   2. samples each shared link's *foreground* (packet-domain) rate from
      its ``bytes_sent`` delta;
   3. derives a per-link ECN marking probability from total utilization
@@ -53,9 +53,12 @@ means real state corruption, not model noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
-from repro.net.dcqcn import DCQCNConfig, fluid_rate_step
+import numpy as np
+import numpy.typing as npt
+
+from repro.net.dcqcn import DCQCNConfig, FloatArray, fluid_rate_step
 from repro.sim.engine import Simulator
 from repro.sim.units import gbps_to_bytes_per_ns
 
@@ -109,92 +112,73 @@ class FluidConfig:
             raise ValueError("envelope slack must be >= 1 interval")
 
 
-def _mark_probability(utilization: float, config: FluidConfig) -> float:
-    """RED-style marking ramp over link utilization (not queue length)."""
-    if utilization <= config.ecn_kmin_util:
-        return 0.0
-    if utilization >= config.ecn_kmax_util:
-        return 1.0
+def _mark_probability(utilization: FloatArray, config: FluidConfig) -> FloatArray:
+    """RED-style marking ramp over per-link utilization (not queue length)."""
     span = config.ecn_kmax_util - config.ecn_kmin_util
-    return config.ecn_pmax * (utilization - config.ecn_kmin_util) / span
+    ramp = config.ecn_pmax * (utilization - config.ecn_kmin_util) / span
+    saturated = np.where(utilization >= config.ecn_kmax_util, 1.0, ramp)
+    return np.where(utilization <= config.ecn_kmin_util, 0.0, saturated)
+
+
+def _column(name: str, doc: str) -> Any:
+    """A :class:`FluidFlow` field stored in its domain's ``name`` array."""
+
+    def get(flow: FluidFlow) -> Any:
+        return getattr(flow._domain, name)[flow.id].item()
+
+    def put(flow: FluidFlow, value: Any) -> None:
+        getattr(flow._domain, name)[flow.id] = value
+
+    return property(get, put, doc=doc)
 
 
 class FluidFlow:
-    """One fluid-modelled background flow."""
+    """One fluid-modelled background flow: a view of row ``id`` of its
+    domain's per-flow arrays, which its numeric properties read and write."""
 
-    __slots__ = (
-        "id",
-        "src",
-        "dst",
-        "demand_bytes_per_ns",
-        "links",
-        "start_ns",
-        "active",
-        "rate_bytes_per_ns",
-        "cc_rate_gbps",
-        "cc_rate_bytes_per_ns",
-        "alpha",
-        "bytes_served",
+    __slots__ = ("id", "src", "dst", "links", "start_ns", "_domain")
+
+    demand_bytes_per_ns = _column(
+        "_demand", "Offered load (the arrival-curve rate ``rho``); fixed for life."
     )
+    active = _column("_active", "False once the flow has departed.")
+    rate_bytes_per_ns = _column(
+        "_rate", "Share the solver last granted (``<= min(demand, cc_rate)``)."
+    )
+    cc_rate_gbps = _column(
+        "_cc_gbps", "Mean-field DCQCN rate limit; starts at line rate like the RP."
+    )
+    cc_rate_bytes_per_ns = _column("_cc", "``cc_rate_gbps`` in B/ns.")
+    alpha = _column(
+        "_alpha",
+        "Congestion-severity EWMA; 0 until marking is first seen (the RP's "
+        "``initial_alpha`` only matters once a CNP arrives, and the "
+        "mean-field EWMA converges there within ~1/g updates).",
+    )
+    bytes_served = _column("_served", "Piecewise-constant integral of the granted rate.")
 
     def __init__(
         self,
+        domain: FluidDomain,
         flow_id: int,
         src: str,
         dst: str,
-        demand_bytes_per_ns: float,
-        links: tuple["Link", ...],
+        links: tuple[Link, ...],
         start_ns: int,
-        line_rate_gbps: float,
     ) -> None:
+        self._domain = domain
         self.id = flow_id
         self.src = src
         self.dst = dst
-        #: Offered load (the arrival-curve rate ``rho``); fixed for the
-        #: flow's lifetime.
-        self.demand_bytes_per_ns = demand_bytes_per_ns
         #: The directed links the flow occupies, in path order.
         self.links = links
         self.start_ns = start_ns
-        self.active = True
-        #: Share the solver last granted (``<= min(demand, cc_rate)``).
-        self.rate_bytes_per_ns = 0.0
-        #: Mean-field DCQCN rate limit; starts at line rate like the RP.
-        self.cc_rate_gbps = line_rate_gbps
-        self.cc_rate_bytes_per_ns = gbps_to_bytes_per_ns(line_rate_gbps)
-        #: Congestion-severity EWMA; 0 until marking is first seen (the
-        #: RP's ``initial_alpha`` only matters once a CNP arrives, and
-        #: the mean-field EWMA converges there within ~1/g updates).
-        self.alpha = 0.0
-        #: Piecewise-constant integral of the granted rate.
-        self.bytes_served = 0.0
 
     def cap_bytes_per_ns(self) -> float:
         """The flow's current share ceiling: min(demand, CC limit)."""
         demand = self.demand_bytes_per_ns
         cc = self.cc_rate_bytes_per_ns
         return demand if demand <= cc else cc
-
-    def accrue(self, dt_ns: Nanoseconds) -> None:
-        """Advance the served-bytes integral by one constant-rate piece."""
-        self.bytes_served += self.rate_bytes_per_ns * dt_ns
-
-    def set_rate(self, rate_bytes_per_ns: float) -> None:
-        self.rate_bytes_per_ns = rate_bytes_per_ns
-
-    def cc_step(self, mark_prob: float, config: DCQCNConfig) -> None:
-        """Apply one mean-field DCQCN update at the given marking prob."""
-        rate_gbps, alpha = fluid_rate_step(
-            self.cc_rate_gbps, self.alpha, mark_prob, config
-        )
-        self.cc_rate_gbps = rate_gbps
-        self.cc_rate_bytes_per_ns = gbps_to_bytes_per_ns(rate_gbps)
-        self.alpha = alpha
-
-    def deactivate(self) -> None:
-        """Flow departure: stop serving (accrual already settled)."""
-        self.active = False
-        self.rate_bytes_per_ns = 0.0
 
 
 class FluidDomain:
@@ -204,29 +188,49 @@ class FluidDomain:
     add flows between fluid-tagged hosts, and :meth:`start` the control
     loop; the coupling to the packet domain is automatic from there.
     Arrivals and departures outside the coarse clock are fine — both
-    re-solve shares immediately.
+    settle served bytes up to now and re-solve shares immediately.
+
+    State is columnar: one NumPy row per flow ever added (row = flow
+    id) and one entry per tracked link.  Link column 0 is a padding
+    slot no flow crosses; ``_hops`` pads shorter paths with it, so its
+    zero marking probability and ignored load make padded hops inert.
     """
 
     def __init__(
-        self, sim: Simulator, net: "Network", config: FluidConfig | None = None
+        self, sim: Simulator, net: Network, config: FluidConfig | None = None
     ) -> None:
         self.sim = sim
         self.net = net
         self.config = config or FluidConfig()
         #: Every flow ever added (envelope checks cover departed ones).
         self.flows: list[FluidFlow] = []
-        self._active: list[FluidFlow] = []
         #: Links any fluid flow occupies, in first-touch order — the
-        #: deterministic iteration axis for sampling and solving.
+        #: deterministic iteration axis for sampling and solving.  Link
+        #: ``self._links[i]`` is column ``i + 1`` of the link arrays.
         self._links: list[Link] = []
-        #: link -> ``bytes_sent`` at the last sample (delta = foreground).
-        self._fg_bytes_prev: dict[Link, int] = {}
-        #: link -> sampled foreground rate over the last window.
-        self._fg_rate: dict[Link, float] = {}
-        #: link -> fluid load pushed at the last solve.
-        self._fluid_load: dict[Link, float] = {}
-        self._last_update_ns = sim.now
-        self._next_id = 0
+        self._column_of: dict[Link, int] = {}
+        # Per-flow columns, see the FluidFlow properties.
+        self._demand: FloatArray = np.empty(0)
+        self._active: npt.NDArray[np.bool_] = np.empty(0, dtype=bool)
+        self._rate: FloatArray = np.empty(0)
+        self._cc_gbps: FloatArray = np.empty(0)
+        self._cc: FloatArray = np.empty(0)
+        self._alpha: FloatArray = np.empty(0)
+        self._served: FloatArray = np.empty(0)
+        #: flow x hop matrix of link columns, padded with column 0.
+        self._hops: npt.NDArray[np.intp] = np.zeros((0, 0), dtype=np.intp)
+        #: Rows of the active flows, in arrival order.
+        self._act: npt.NDArray[np.intp] = np.empty(0, dtype=np.intp)
+        # Per-link columns: capacity, ``bytes_sent`` at the last sample
+        # (delta = foreground), sampled foreground rate, pushed fluid load.
+        self._cap: FloatArray = np.ones(1)
+        self._sent: npt.NDArray[np.int64] = np.zeros(1, dtype=np.int64)
+        self._fg: FloatArray = np.zeros(1)
+        self._load: FloatArray = np.zeros(1)
+        #: Start of the current foreground sample window.
+        self._fg_sample_ns = sim.now
+        #: Served bytes are integrated up to here.
+        self._settled_ns = sim.now
         self.updates = 0
         self._update_cb = self._update  # stable identity for scheduling
         if sim.sanitizer is not None:
@@ -237,48 +241,60 @@ class FluidDomain:
         """Start a fluid flow ``src -> dst`` offering ``demand_gbps``."""
         if demand_gbps <= 0:
             raise ValueError(f"demand must be positive, got {demand_gbps}")
-        flow_id = self._next_id
-        self._next_id += 1
+        flow_id = len(self.flows)
         links = tuple(self.net.path_links(src, dst, flow_id=flow_id))
-        flow = FluidFlow(
-            flow_id,
-            src,
-            dst,
-            gbps_to_bytes_per_ns(demand_gbps),
-            links,
-            self.sim.now,
-            self.config.dcqcn.line_rate_gbps,
-        )
+        self._settle()
+        columns = []
         for link in links:
-            if link not in self._fg_bytes_prev:
+            column = self._column_of.get(link)
+            if column is None:
+                column = self._column_of[link] = len(self._links) + 1
                 self._links.append(link)
-                self._fg_bytes_prev[link] = link.bytes_sent
-                self._fg_rate[link] = 0.0
-                self._fluid_load[link] = 0.0
+                self._cap = np.append(self._cap, link._bytes_per_ns)
+                self._sent = np.append(self._sent, link.bytes_sent)
+                self._fg = np.append(self._fg, 0.0)
+                self._load = np.append(self._load, 0.0)
+            columns.append(column)
+        hops = np.zeros((flow_id + 1, max(self._hops.shape[1], len(columns))), np.intp)
+        hops[:flow_id, : self._hops.shape[1]] = self._hops
+        hops[flow_id, : len(columns)] = columns
+        self._hops = hops
+        line_rate_gbps = self.config.dcqcn.line_rate_gbps
+        for name, value in (
+            ("_demand", gbps_to_bytes_per_ns(demand_gbps)),
+            ("_active", True),
+            ("_rate", 0.0),
+            ("_cc_gbps", line_rate_gbps),
+            ("_cc", gbps_to_bytes_per_ns(line_rate_gbps)),
+            ("_alpha", 0.0),
+            ("_served", 0.0),
+        ):
+            setattr(self, name, np.append(getattr(self, name), value))
+        flow = FluidFlow(self, flow_id, src, dst, links, self.sim.now)
         self.flows.append(flow)
-        self._active.append(flow)
+        self._act = np.append(self._act, flow_id)
         self._resolve()
         return flow
 
     def remove_flow(self, flow: FluidFlow) -> None:
-        """End a fluid flow; settles its accrual and re-solves shares."""
+        """End a fluid flow; settles accrual and re-solves shares."""
         if not flow.active:
             return
-        # Settle the partial window at the rate it actually held, so
-        # departure timing does not leak or invent served bytes.
-        dt_ns = self.sim.now - self._last_update_ns
-        if dt_ns > 0:
-            flow.accrue(dt_ns)
-        flow.deactivate()
-        self._active.remove(flow)
+        self._settle()
+        self._active[flow.id] = False
+        self._rate[flow.id] = 0.0
+        self._act = np.flatnonzero(self._active)
         self._resolve()
 
     @property
     def active_flows(self) -> int:
-        return len(self._active)
+        return len(self._act)
 
     def total_bytes_served(self) -> float:
-        return sum(flow.bytes_served for flow in self.flows)
+        total = 0.0  # left to right, the same float sum on every Python
+        for served in self._served.tolist():
+            total += served
+        return total
 
     # -- control loop ----------------------------------------------------
     def start(self, until_ns: Nanoseconds) -> None:
@@ -287,33 +303,42 @@ class FluidDomain:
             self.config.update_interval_ns, self._update_cb, until_ns=until_ns
         )
 
-    def _update(self) -> None:
-        """One control tick: accrue, sample foreground, CC, re-solve."""
+    def _settle(self) -> None:
+        """Integrate every active flow's granted rate up to now.
+
+        Runs before anything changes a rate, so each piece of the
+        integral is credited at the rate that actually held over it.
+        """
         now = self.sim.now
-        dt_ns = now - self._last_update_ns
+        dt_ns = now - self._settled_ns
         if dt_ns > 0:
-            for flow in self._active:
-                flow.accrue(dt_ns)
-            prev = self._fg_bytes_prev
-            fg = self._fg_rate
-            for link in self._links:
-                sent = link.bytes_sent
-                fg[link] = (sent - prev[link]) / dt_ns
-                prev[link] = sent
-            self._last_update_ns = now
+            act = self._act
+            self._served[act] += self._rate[act] * dt_ns
+            self._settled_ns = now
+
+    def _update(self) -> None:
+        """One control tick: settle, sample foreground, CC, re-solve."""
+        self._settle()
+        now = self.sim.now
+        dt_ns = now - self._fg_sample_ns
+        if dt_ns > 0:
+            links = self._links
+            sent = np.fromiter((link.bytes_sent for link in links), np.int64, len(links))
+            self._fg[1:] = (sent - self._sent[1:]) / dt_ns
+            self._sent[1:] = sent
+            self._fg_sample_ns = now
         config = self.config
-        fluid_load = self._fluid_load
-        fg = self._fg_rate
-        p_link: dict[Link, float] = {}
-        for link in self._links:
-            utilization = (fluid_load[link] + fg[link]) / link._bytes_per_ns
-            p_link[link] = _mark_probability(utilization, config)
-        dcqcn = config.dcqcn
-        for flow in self._active:
-            keep = 1.0
-            for link in flow.links:
-                keep *= 1.0 - p_link[link]
-            flow.cc_step(1.0 - keep, dcqcn)
+        p_link = _mark_probability((self._load + self._fg) / self._cap, config)
+        act = self._act
+        keep = np.ones(len(act))
+        for hop in self._hops[act].T:
+            keep *= 1.0 - p_link[hop]
+        rate_gbps, alpha = fluid_rate_step(
+            self._cc_gbps[act], self._alpha[act], 1.0 - keep, config.dcqcn
+        )
+        self._cc_gbps[act] = rate_gbps
+        self._cc[act] = gbps_to_bytes_per_ns(rate_gbps)
+        self._alpha[act] = alpha
         self.updates += 1
         self._resolve()
 
@@ -323,75 +348,52 @@ class FluidDomain:
 
         Classic progressive filling with per-flow caps: repeatedly find
         the tightest link (smallest remaining-capacity / unfrozen-flow
-        ratio), freeze cap-limited flows at their cap while it is below
-        the fair share, otherwise freeze the bottleneck link's flows at
-        the share.  Terminates in <= flows rounds; every link ends at or
-        under ``headroom * capacity - foreground``, which is what the
-        sanitizer's conservation sweep re-checks from scratch.
+        ratio, first in link order on ties), freeze cap-limited flows
+        at their cap while it is below the fair share, otherwise freeze
+        the bottleneck link's flows at the share.  Terminates in <=
+        flows rounds; every link ends at or under ``headroom *
+        capacity - foreground``, which is what the sanitizer's
+        conservation sweep re-checks from scratch.
+
+        Each round is a handful of array operations.  Remaining
+        capacity is reduced by every frozen grant in flow order and
+        clamped at zero once per round: grants are >= 0, so this equals
+        clamping after each subtraction.
         """
-        active = self._active
-        links = self._links
-        headroom = self.config.headroom
-        fg = self._fg_rate
-        rem: dict[Link, float] = {}
-        count: dict[Link, int] = {}
-        for link in links:
-            rem[link] = 0.0
-            count[link] = 0
-        for flow in active:
-            for link in flow.links:
-                count[link] += 1
-        for link in links:
-            if count[link]:
-                avail = headroom * link._bytes_per_ns - fg[link]
-                rem[link] = avail if avail > 0.0 else 0.0
-        rate: dict[int, float] = {}
-        pending = list(active)
+        act = self._act
+        hops = self._hops[act]
+        count = np.bincount(hops.ravel(), minlength=len(self._cap))
+        count[0] = 0
+        avail = self.config.headroom * self._cap - self._fg
+        rem = np.where(avail > 0.0, avail, 0.0)
+        cap = np.minimum(self._demand[act], self._cc[act])
+        granted = np.zeros(len(act))
+        pending = np.arange(len(act))
         eps = 1e-12
-        while pending:
-            share = -1.0
-            bottleneck = None
-            for link in links:
-                members = count[link]
-                if members > 0:
-                    link_share = rem[link] / members
-                    if bottleneck is None or link_share < share:
-                        share = link_share
-                        bottleneck = link
-            if bottleneck is None:
+        while len(pending):
+            members = np.flatnonzero(count > 0)
+            if not len(members):
                 break  # no pending flow crosses a tracked link
-            limited = [
-                flow for flow in pending if flow.cap_bytes_per_ns() <= share + eps
-            ]
-            if limited:
-                to_freeze = [
-                    (flow, min(flow.cap_bytes_per_ns(), share)) for flow in limited
-                ]
-            else:
-                to_freeze = [
-                    (flow, share) for flow in pending if bottleneck in flow.links
-                ]
-            frozen_ids = set()
-            for flow, granted in to_freeze:
-                rate[flow.id] = granted
-                frozen_ids.add(flow.id)
-                for link in flow.links:
-                    residual = rem[link] - granted
-                    rem[link] = residual if residual > 0.0 else 0.0
-                    count[link] -= 1
-            pending = [flow for flow in pending if flow.id not in frozen_ids]
-        loads: dict[Link, float] = {}
-        for link in links:
-            loads[link] = 0.0
-        for flow in active:
-            flow.set_rate(rate.get(flow.id, 0.0))
-            for link in flow.links:
-                loads[link] += flow.rate_bytes_per_ns
-        fluid_load = self._fluid_load
-        for link in links:
-            load = loads[link]
-            fluid_load[link] = load
-            link.set_fluid_load(load)
+            shares = rem[members] / count[members]
+            tightest = shares.argmin()
+            share = shares[tightest]
+            freeze = cap[pending] <= share + eps
+            if not freeze.any():
+                freeze = (hops[pending] == members[tightest]).any(axis=1)
+            frozen = pending[freeze]
+            granted[frozen] = np.minimum(cap[frozen], share)
+            np.subtract.at(rem, hops[frozen], granted[frozen, None])
+            np.subtract.at(count, hops[frozen], 1)
+            rem = np.where(rem > 0.0, rem, 0.0)
+            pending = pending[~freeze]
+        self._rate[act] = granted
+        loads = np.zeros(len(self._cap))
+        np.add.at(loads, hops, granted[:, None])
+        loads[0] = 0.0
+        links = self._links
+        for column in np.flatnonzero(loads != self._load).tolist():
+            links[column - 1].set_fluid_load(loads[column].item())
+        self._load = loads
 
     # -- invariants (sanitizer check group "fluids") ---------------------
     def fluid_violation(self) -> tuple[str, str] | None:
@@ -401,8 +403,9 @@ class FluidDomain:
         the solver's cached sums) so a corrupted rate shows up no matter
         which side drifted.
         """
-        loads: dict[Link, float] = {}
-        for flow in self._active:
+        act = self._act
+        for row in act.tolist():
+            flow = self.flows[row]
             granted = flow.rate_bytes_per_ns
             if granted < 0.0:
                 return (
@@ -417,11 +420,9 @@ class FluidDomain:
                     f"fluid flow {flow.id} ({flow.src}->{flow.dst}) rate "
                     f"{granted:.6f} B/ns exceeds its demand/CC cap {cap:.6f}",
                 )
-            for link in flow.links:
-                loads[link] = loads.get(link, 0.0) + granted
-        for link in self._links:
-            load = loads.get(link, 0.0)
-            pushed = self._fluid_load[link]
+        loads = np.zeros(len(self._load))
+        np.add.at(loads, self._hops[act], self._rate[act, None])
+        for link, load, pushed in zip(self._links, loads[1:].tolist(), self._load[1:].tolist()):
             if abs(load - pushed) > 1e-6:
                 return (
                     "fluid-conservation",
@@ -465,9 +466,9 @@ class FluidDomain:
         if mtu_bytes <= 0:
             raise ValueError("mtu must be positive")
         total = 0
-        for flow in self.flows:
-            packets = int(flow.bytes_served // mtu_bytes)
-            if flow.bytes_served > packets * mtu_bytes:
+        for flow, served in zip(self.flows, self._served.tolist()):
+            packets = int(served // mtu_bytes)
+            if served > packets * mtu_bytes:
                 packets += 1
             total += packets * (2 * len(flow.links) + 1)
         return total
