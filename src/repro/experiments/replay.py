@@ -92,7 +92,7 @@ def replay_on_device(
 
     feed = _DriverFeed(driver, sim)
     for req in trace:
-        sim.schedule_at(req.arrival_ns, feed, req)
+        sim.schedule_at_anon(req.arrival_ns, feed, req)
 
     last_arrival = trace[-1].arrival_ns
     if drain:

@@ -65,6 +65,14 @@ class _LossFilter:
         return FAULT_PASS
 
 
+def _check_index(fault: str, ssd: str, what: str, index: int, count: int) -> None:
+    """Reject an SSD fault aimed at a chip or channel that does not exist."""
+    if not 0 <= index < count:
+        raise ValueError(
+            f"{fault} on {ssd!r}: {what} {index} out of range (SSD has {count})"
+        )
+
+
 class FaultInjector:
     """Schedules a plan's faults onto live components."""
 
@@ -96,8 +104,10 @@ class FaultInjector:
     def arm(self) -> None:
         """Resolve every spec and schedule its activation events.
 
-        Raises ``KeyError`` when a spec names an unknown link/host/SSD —
-        a misspelled plan fails loudly at arm time, not silently never.
+        Raises ``KeyError`` when a spec names an unknown link/host/SSD,
+        and ``ValueError`` when an SSD fault names a chip or channel the
+        device does not have — a misspelled plan fails loudly at arm
+        time, not silently never.
         """
         if self._armed:
             raise RuntimeError("fault plan already armed")
@@ -122,14 +132,15 @@ class FaultInjector:
                 self.sim.schedule_at(spec.end_ns, self._set_stalled, nic, False)
             elif isinstance(spec, DieFailure):
                 backend = self._resolve_ssd(spec.ssd)
-                if not 0 <= spec.chip < backend.config.n_chips:
-                    raise ValueError(
-                        f"die failure on {spec.ssd!r}: chip {spec.chip} out of "
-                        f"range (SSD has {backend.config.n_chips})"
-                    )
+                _check_index(
+                    "die failure", spec.ssd, "chip", spec.chip, backend.config.n_chips
+                )
                 self.sim.schedule_at(spec.at_ns, self._fail_chip, backend, spec.chip)
             elif isinstance(spec, SlowDie):
                 backend = self._resolve_ssd(spec.ssd)
+                _check_index(
+                    "slow die", spec.ssd, "chip", spec.chip, backend.config.n_chips
+                )
                 self.sim.schedule_at(
                     spec.start_ns,
                     self._set_chip_slowdown,
@@ -142,6 +153,13 @@ class FaultInjector:
                 )
             elif isinstance(spec, ChannelBrownout):
                 backend = self._resolve_ssd(spec.ssd)
+                _check_index(
+                    "channel brownout",
+                    spec.ssd,
+                    "channel",
+                    spec.channel,
+                    backend.config.n_channels,
+                )
                 self.sim.schedule_at(
                     spec.start_ns,
                     self._set_channel_slowdown,

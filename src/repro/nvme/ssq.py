@@ -80,15 +80,10 @@ class SSQDriver:
         """Enqueue with the consistency check, then ring the doorbell."""
         if now_ns is not None:
             request.submit_ns = now_ns
-        natural = self.rsq if request.is_read else self.wsq
-        target = self._consistency_queue(request) if self.consistency_check else None
-        if target is None:
-            target = natural
-        elif target is not natural:
-            self.consistency_redirects += 1
+        queue = self.rsq if request.is_read else self.wsq
         if self.consistency_check:
-            self._index_buckets(request, target)
-        target.append(request)
+            queue = self._check_and_index(request, queue)
+        queue.append(request)
         self.submitted += 1
         if self._doorbell is not None:
             self._doorbell()
@@ -98,29 +93,42 @@ class SSQDriver:
         end = (request.lba * 512 + request.size_bytes - 1) // self.DEPENDENCY_BUCKET_BYTES
         return range(start, end + 1)
 
-    def _consistency_queue(self, request: IORequest) -> deque[IORequest] | None:
-        """The SQ holding a waiting request that overlaps ``request``.
+    def _check_and_index(
+        self, request: IORequest, natural: deque[IORequest]
+    ) -> deque[IORequest]:
+        """Pick ``request``'s SQ and index its buckets, in one walk.
 
-        Overlap is tracked at :data:`DEPENDENCY_BUCKET_BYTES` granularity
-        through an index updated on submit/fetch, so the check is O(pages
-        touched) instead of a queue scan.  Returns None when no
-        dependency is waiting.
+        The request joins the SQ of the first touched bucket that still
+        has a waiting request (counting a redirect when that is not its
+        ``natural`` queue), else ``natural``.  Overlap is tracked at
+        :data:`DEPENDENCY_BUCKET_BYTES` granularity through an index
+        updated on submit/fetch, so the check is O(pages touched)
+        instead of a queue scan.  Buckets already indexed keep their
+        queue (later requests to a bucket follow the same SQ, so
+        repointing is unnecessary) and gain a reference; fresh buckets
+        point at the chosen SQ.
         """
-        for bucket in self._buckets_of(request):
-            entry = self._pending_buckets.get(bucket)
-            if entry is not None:
-                return entry[0]
-        return None
-
-    def _index_buckets(self, request: IORequest, queue: deque[IORequest]) -> None:
-        for bucket in self._buckets_of(request):
-            entry = self._pending_buckets.get(bucket)
+        pending = self._pending_buckets
+        target = None
+        fresh = []
+        first_byte = request.lba * 512
+        last_byte = first_byte + request.size_bytes - 1
+        bucket_bytes = self.DEPENDENCY_BUCKET_BYTES
+        for bucket in range(first_byte // bucket_bytes, last_byte // bucket_bytes + 1):
+            entry = pending.get(bucket)
             if entry is None:
-                self._pending_buckets[bucket] = [queue, 1]
+                fresh.append(bucket)
             else:
-                # Later requests to this bucket follow the same queue, so
-                # repointing is unnecessary; just bump the refcount.
                 entry[1] += 1
+                if target is None:
+                    target = entry[0]
+        if target is None:
+            target = natural
+        elif target is not natural:
+            self.consistency_redirects += 1
+        for bucket in fresh:
+            pending[bucket] = [target, 1]
+        return target
 
     def _unindex_buckets(self, request: IORequest) -> None:
         for bucket in self._buckets_of(request):
@@ -160,9 +168,10 @@ class SSQDriver:
         queue = self.rsq if choice is OpType.READ else self.wsq
         head = queue[0]
         read_slots, write_slots = self._partition(queue_depth)
-        if not self._head_eligible(
-            head, inflight_reads, inflight_writes, read_slots, write_slots
-        ):
+        if head.is_read:
+            if inflight_reads >= read_slots:
+                return None
+        elif inflight_writes >= write_slots:
             return None
         queue.popleft()
         self._unindex_buckets(head)
@@ -171,18 +180,6 @@ class SSQDriver:
             self.wrr.consume(head.op)
         self.fetched += 1
         return head
-
-    @staticmethod
-    def _head_eligible(
-        head: IORequest,
-        inflight_reads: int,
-        inflight_writes: int,
-        read_slots: int,
-        write_slots: int,
-    ) -> bool:
-        if head.is_read:
-            return inflight_reads < read_slots
-        return inflight_writes < write_slots
 
     # -- introspection ----------------------------------------------------------
     def queued(self) -> int:

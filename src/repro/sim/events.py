@@ -12,12 +12,18 @@ kinds:
 
 * ``(time, seq, HANDLED_MARK, Event)`` — a *handled* event: the
   :class:`Event` object (``__slots__``, no ordering protocol) exists so
-  callers can cancel or inspect the scheduled callback.
+  callers can cancel or inspect the scheduled callback (the DCQCN
+  increase timer, the reliability RTO, initiator command timeouts).
 * ``(time, seq, callback, args)`` — an *anonymous* event pushed with
   :meth:`EventQueue.push_anon`: no handle, no cancellation, no per-event
   object allocation.  This is the hot-path shape for fire-and-forget
-  work (link serialization/propagation, feeder ticks) where the handle
+  work (link serialization/propagation, the flash chip and channel
+  stages, device-replay arrivals, Clos tenant ticks) where the handle
   was pure overhead.
+
+Use a handled event only where the caller keeps the handle to cancel
+it; both kinds take ``seq`` from the same counter at push time, so
+switching a site between them never changes dispatch order.
 
 ``HANDLED_MARK`` is a unique sentinel that can never equal a real
 callback, so dispatch loops discriminate with a single identity check

@@ -124,6 +124,8 @@ class SSDController:
         self.ftl = ftl
         self.cache = cache
         self.driver: SubmissionSource | None = None
+        #: Cache copy-out / staging time per page (fixed per device).
+        self._page_transfer_ns: Nanoseconds = config.page_transfer_ns
 
         self.inflight_reads = 0
         self.inflight_writes = 0
@@ -152,12 +154,13 @@ class SSDController:
 
     def kick(self) -> None:
         """Fetch commands while slots are free and the driver has work."""
-        if self.driver is None:
+        driver = self.driver
+        if driver is None:
             return
-        while self.slots_used < self.config.queue_depth:
-            req = self.driver.fetch(
-                self.inflight_reads, self.inflight_writes, self.config.queue_depth
-            )
+        queue_depth = self.config.queue_depth
+        fetch = driver.fetch
+        while self.inflight_reads + self.inflight_writes < queue_depth:
+            req = fetch(self.inflight_reads, self.inflight_writes, queue_depth)
             if req is None:
                 break
             self._start_command(req)
@@ -180,7 +183,7 @@ class SSDController:
             if self.cache.read_hit(lpn):
                 # Served from the write cache at DRAM speed; one page
                 # transfer time stands in for the cache copy-out.
-                self.sim.schedule(self.config.page_transfer_ns, self._page_done, cmd)
+                self.sim.schedule_anon(self._page_transfer_ns, self._page_done, cmd)
                 continue
             chip = self.ftl.chip_for_read(lpn)
             hit = self.ftl.cmt.lookup(lpn)
@@ -225,8 +228,8 @@ class SSDController:
             # Completion at cache speed: data is staged (one page-transfer
             # per page, pipelined => dominated by the last page), flash
             # programs drain in the background.
-            staging = self.config.page_transfer_ns * len(lpns)
-            self.sim.schedule(staging, self._complete_command, cmd)
+            staging = self._page_transfer_ns * len(lpns)
+            self.sim.schedule_anon(staging, self._complete_command, cmd)
         for lpn in lpns:
             self.cache.note_write(lpn)
             chip = self.ftl.allocate_write(lpn)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.sim.engine import Simulator
 from repro.ssd.config import SSDConfig
-from repro.ssd.transactions import PageTransaction, TxnKind
+from repro.ssd.transactions import READ_LIKE_KINDS, PageTransaction, TxnKind
 
 if TYPE_CHECKING:
     from repro.core.units import Nanoseconds
@@ -79,6 +79,17 @@ class FlashBackend:
         self._chips = [_Chip() for _ in range(config.n_chips)]
         self._channels = [_Server() for _ in range(config.n_channels)]
         self.completed: int = 0
+        # -- stage constants: read on every stage, computed once per device.
+        self._chip_latency_ns: dict[TxnKind, Nanoseconds] = {
+            TxnKind.READ: config.read_latency_ns,
+            TxnKind.MAPPING_READ: config.read_latency_ns,
+            TxnKind.GC_READ: config.read_latency_ns,
+            TxnKind.PROGRAM: config.write_latency_ns,
+            TxnKind.GC_PROGRAM: config.write_latency_ns,
+            TxnKind.ERASE: config.erase_latency_ns,
+        }
+        self._page_transfer_ns: Nanoseconds = config.page_transfer_ns
+        self._chips_per_channel = config.chips_per_channel
         # -- fault-injection state (all empty by default; the hot path
         # pays one truthiness check per stage when nothing is injected).
         #: Dead dies: submissions fail fast with an error status.
@@ -113,6 +124,8 @@ class FlashBackend:
 
     def set_chip_slowdown(self, chip_index: int, multiplier: float) -> None:
         """Scale a die's chip-stage latency (``1.0`` clears the fault)."""
+        if not 0 <= chip_index < self.config.n_chips:
+            raise ValueError(f"chip index {chip_index} out of range")
         if multiplier <= 0:
             raise ValueError(f"multiplier must be positive, got {multiplier}")
         if multiplier == 1.0:
@@ -122,6 +135,8 @@ class FlashBackend:
 
     def set_channel_slowdown(self, ch_index: int, multiplier: float) -> None:
         """Scale a channel's transfer latency (brownout; ``1.0`` clears)."""
+        if not 0 <= ch_index < self.config.n_channels:
+            raise ValueError(f"channel index {ch_index} out of range")
         if multiplier <= 0:
             raise ValueError(f"multiplier must be positive, got {multiplier}")
         if multiplier == 1.0:
@@ -131,28 +146,19 @@ class FlashBackend:
 
     # -- latencies ----------------------------------------------------------
     def _chip_latency(self, txn: PageTransaction) -> Nanoseconds:
-        if txn.kind in (TxnKind.READ, TxnKind.MAPPING_READ, TxnKind.GC_READ):
-            latency = self.config.read_latency_ns
-        elif txn.kind in (TxnKind.PROGRAM, TxnKind.GC_PROGRAM):
-            latency = self.config.write_latency_ns
-        elif txn.kind is TxnKind.ERASE:
-            latency = self.config.erase_latency_ns
-        else:
-            raise ValueError(f"unknown txn kind {txn.kind}")
+        latency = self._chip_latency_ns[txn.kind]
         if self._chip_latency_mult:
             mult = self._chip_latency_mult.get(txn.chip_index)
             if mult is not None:
                 latency = max(1, int(latency * mult))
         return latency
 
-    def _channel_latency(self, txn: PageTransaction) -> Nanoseconds:
-        if not txn.uses_channel or txn.page_bytes == 0:
-            return 0
+    def _channel_latency(self, ch_index: int) -> Nanoseconds:
         # Partial last pages still occupy a full page slot on the bus
         # (MQSim transfers whole pages).
-        latency = self.config.page_transfer_ns
+        latency = self._page_transfer_ns
         if self._channel_latency_mult:
-            mult = self._channel_latency_mult.get(self.channel_of(txn.chip_index))
+            mult = self._channel_latency_mult.get(ch_index)
             if mult is not None:
                 latency = max(1, int(latency * mult))
         return latency
@@ -167,19 +173,20 @@ class FlashBackend:
             # operation errored out; no chip or channel time is consumed.
             txn.failed = True
             self.failed_fast += 1
-            self.sim.schedule(self.config.read_latency_ns, self._finish, txn)
+            self.sim.schedule_anon(self.config.read_latency_ns, self._finish, txn)
             return
-        if txn.is_read_like:
-            self._enqueue_chip(txn, next_stage=self._after_read_chip)
-        elif txn.kind in (TxnKind.PROGRAM, TxnKind.GC_PROGRAM):
-            self._enqueue_channel(txn, next_stage=self._after_write_channel)
-        else:  # ERASE
-            self._enqueue_chip(txn, next_stage=self._finish)
+        kind = txn.kind
+        if kind in READ_LIKE_KINDS:
+            self._enqueue_chip(txn, self._after_read_chip, True)
+        elif kind is TxnKind.ERASE:
+            self._enqueue_chip(txn, self._finish, False)
+        else:  # PROGRAM, GC_PROGRAM
+            self._enqueue_channel(txn, self._after_write_channel)
 
     # -- chip stage -------------------------------------------------------
-    def _enqueue_chip(self, txn: PageTransaction, next_stage) -> None:
+    def _enqueue_chip(self, txn: PageTransaction, next_stage, read_like: bool) -> None:
         chip = self._chips[txn.chip_index]
-        queue = chip.read_queue if txn.is_read_like else chip.write_queue
+        queue = chip.read_queue if read_like else chip.write_queue
         queue.append((txn, next_stage))
         if not chip.busy:
             self._start_chip(txn.chip_index)
@@ -195,7 +202,7 @@ class FlashBackend:
         chip.busy = True
         latency = self._chip_latency(txn)
         chip.busy_ns_total += latency
-        self.sim.schedule(latency, self._chip_done, chip_index, txn, next_stage)
+        self.sim.schedule_anon(latency, self._chip_done, chip_index, txn, next_stage)
 
     def _chip_done(self, chip_index: int, txn: PageTransaction, next_stage) -> None:
         self._chips[chip_index].busy = False
@@ -204,11 +211,10 @@ class FlashBackend:
 
     # -- channel stage -------------------------------------------------------
     def _enqueue_channel(self, txn: PageTransaction, next_stage) -> None:
-        latency = self._channel_latency(txn)
-        if latency == 0:
+        if txn.page_bytes == 0:
             next_stage(txn)
             return
-        ch_index = self.channel_of(txn.chip_index)
+        ch_index = txn.chip_index // self._chips_per_channel
         channel = self._channels[ch_index]
         channel.queue.append((txn, next_stage))
         if not channel.busy:
@@ -220,9 +226,9 @@ class FlashBackend:
             return
         txn, next_stage = channel.queue.popleft()
         channel.busy = True
-        latency = self._channel_latency(txn)
+        latency = self._channel_latency(ch_index)
         channel.busy_ns_total += latency
-        self.sim.schedule(latency, self._channel_done, ch_index, txn, next_stage)
+        self.sim.schedule_anon(latency, self._channel_done, ch_index, txn, next_stage)
 
     def _channel_done(self, ch_index: int, txn: PageTransaction, next_stage) -> None:
         self._channels[ch_index].busy = False
@@ -231,10 +237,10 @@ class FlashBackend:
 
     # -- stage transitions ---------------------------------------------------
     def _after_read_chip(self, txn: PageTransaction) -> None:
-        self._enqueue_channel(txn, next_stage=self._finish)
+        self._enqueue_channel(txn, self._finish)
 
     def _after_write_channel(self, txn: PageTransaction) -> None:
-        self._enqueue_chip(txn, next_stage=self._finish)
+        self._enqueue_chip(txn, self._finish, False)
 
     def _finish(self, txn: PageTransaction) -> None:
         txn.done_ns = self.sim.now

@@ -25,6 +25,9 @@ class TxnKind(enum.Enum):
     GC_PROGRAM = "gc_program"
 
 
+#: Chip-op-first kinds: the chip senses, then the channel moves data out.
+READ_LIKE_KINDS = frozenset((TxnKind.READ, TxnKind.MAPPING_READ, TxnKind.GC_READ))
+
 _txn_ids = SerialCounter("ssd.txn")
 
 
@@ -65,11 +68,6 @@ class PageTransaction:
             raise ValueError(f"page bytes must be non-negative, got {self.page_bytes}")
 
     @property
-    def uses_channel(self) -> bool:
-        """Erases occupy only the chip; everything else also moves data."""
-        return self.kind is not TxnKind.ERASE
-
-    @property
     def is_read_like(self) -> bool:
         """Chip-op-first transactions (data flows chip → channel)."""
-        return self.kind in (TxnKind.READ, TxnKind.MAPPING_READ, TxnKind.GC_READ)
+        return self.kind in READ_LIKE_KINDS

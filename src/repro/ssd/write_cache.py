@@ -26,6 +26,8 @@ class WriteCache:
         self.capacity = capacity_bytes
         self.page_bytes = page_bytes
         self.occupied = 0
+        #: Residency bound: how many pages the cache holds at once.
+        self._max_resident = max(1, capacity_bytes // page_bytes)
         self._resident: OrderedDict[int, None] = OrderedDict()
         self.read_hits = 0
         self.read_misses = 0
@@ -57,8 +59,7 @@ class WriteCache:
             self._resident.move_to_end(lpn)
         else:
             self._resident[lpn] = None
-            max_pages = max(1, self.capacity // self.page_bytes)
-            while len(self._resident) > max_pages:
+            while len(self._resident) > self._max_resident:
                 self._resident.popitem(last=False)
 
     def read_hit(self, lpn: int) -> bool:

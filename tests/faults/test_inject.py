@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import DieFailure, FaultInjector, FaultPlan, LinkFlap, LossBurst
+from repro.faults import (
+    ChannelBrownout,
+    DieFailure,
+    FaultInjector,
+    FaultPlan,
+    LinkFlap,
+    LossBurst,
+    SlowDie,
+)
 from repro.net.nic import NICConfig
 from repro.net.reliability import ReliabilityConfig
 from repro.net.topology import build_star
@@ -55,6 +63,22 @@ class TestResolution:
         injector = FaultInjector(sim, plan).attach_ssd("s", backend)
         with pytest.raises(ValueError, match="out of range"):
             injector.arm()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SlowDie("s", chip=FAST_SSD.n_chips, start_ns=0, end_ns=100),
+            ChannelBrownout("s", channel=FAST_SSD.n_channels, start_ns=0, end_ns=100),
+        ],
+        ids=["slow-die-chip", "brownout-channel"],
+    )
+    def test_slowdown_index_out_of_range_fails_at_arm(self, spec):
+        sim = Simulator()
+        backend = FlashBackend(sim, FAST_SSD)
+        injector = FaultInjector(sim, FaultPlan(specs=(spec,))).attach_ssd("s", backend)
+        with pytest.raises(ValueError, match="out of range"):
+            injector.arm()
+        assert sim.pending() == 0  # nothing armed before the bad spec failed
 
     def test_arming_twice_rejected(self):
         sim = Simulator()

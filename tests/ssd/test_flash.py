@@ -95,9 +95,11 @@ def test_alternation_prevents_read_starvation():
 
 def test_mapping_and_gc_reads_use_read_queue():
     sim, backend = make_backend()
+    assert txn(TxnKind.READ).is_read_like
     assert txn(TxnKind.MAPPING_READ).is_read_like
     assert txn(TxnKind.GC_READ).is_read_like
     assert not txn(TxnKind.GC_PROGRAM).is_read_like
+    assert not txn(TxnKind.PROGRAM).is_read_like
 
 
 def test_channel_of_mapping():
@@ -134,3 +136,33 @@ def test_transaction_validation():
         PageTransaction(kind=TxnKind.READ, chip_index=-1, page_bytes=1)
     with pytest.raises(ValueError):
         PageTransaction(kind=TxnKind.READ, chip_index=0, page_bytes=-1)
+
+
+@pytest.mark.parametrize("chip", [-1, FAST_SSD.n_chips])
+def test_chip_slowdown_rejects_unknown_chip(chip):
+    _, backend = make_backend()
+    with pytest.raises(ValueError, match="out of range"):
+        backend.set_chip_slowdown(chip, 2.0)
+
+
+@pytest.mark.parametrize("channel", [-1, FAST_SSD.n_channels])
+def test_channel_slowdown_rejects_unknown_channel(channel):
+    _, backend = make_backend()
+    with pytest.raises(ValueError, match="out of range"):
+        backend.set_channel_slowdown(channel, 2.0)
+
+
+def test_slowdowns_scale_stage_latency_and_clear():
+    sim, backend = make_backend()
+    backend.set_chip_slowdown(0, 2.0)
+    backend.set_channel_slowdown(0, 3.0)
+    done = []
+    backend.submit(txn(TxnKind.READ, chip=0, done=lambda t: done.append(sim.now)))
+    sim.run()
+    slow = 2 * FAST_SSD.read_latency_ns + 3 * FAST_SSD.page_transfer_ns
+    assert done == [slow]
+    backend.set_chip_slowdown(0, 1.0)
+    backend.set_channel_slowdown(0, 1.0)
+    backend.submit(txn(TxnKind.READ, chip=0, done=lambda t: done.append(sim.now)))
+    sim.run()
+    assert done[1] - slow == FAST_SSD.read_latency_ns + FAST_SSD.page_transfer_ns
