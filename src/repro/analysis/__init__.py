@@ -11,7 +11,7 @@ Two layers guard the repo's bit-identical-replay guarantee:
   ``schedule(callback, *args)`` indirection): units-of-measure dataflow
   (:mod:`repro.analysis.units`, SIM101–SIM104), event-callback purity
   (:mod:`repro.analysis.purity`, SIM201–SIM203) and checkpointability
-  (:mod:`repro.analysis.snapshots`, SIM401–SIM404).
+  (:mod:`repro.analysis.snapshots`, SIM401–SIM403).
   :mod:`repro.analysis.run` drives every group by default, with inline
   ``# simlint: ignore[...]`` directives as the only suppression,
   ``--select``/``--ignore`` resolved by :mod:`repro.analysis.registry`

@@ -83,7 +83,7 @@ UNITS_EXEMPT_MODULES: tuple[str, ...] = (
 
 #: Packages whose state ends up inside a checkpoint payload: the
 #: simulation packages plus the experiment drivers that build and own
-#: `Simulator` instances.  The snapshot-safety rules (SIM401–SIM404,
+#: `Simulator` instances.  The snapshot-safety rules (SIM401–SIM403,
 #: :mod:`repro.analysis.snapshots`) apply here; everything else (the
 #: analysis tooling itself, profiling micro-benchmarks) never rides in
 #: a ``{sim, world, counters}`` pickle and is out of scope.

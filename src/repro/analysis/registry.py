@@ -3,7 +3,7 @@
 Every lint rule the driver can emit, grouped by the pass that computes
 it.  Every group runs by default; ``repro lint --select SIM4 --ignore
 SIM203`` style selection resolves here: tokens are rule-id prefixes
-(``SIM4`` -> SIM401–SIM404, ``SIM203`` -> itself) or group keys
+(``SIM4`` -> SIM401–SIM403, ``SIM203`` -> itself) or group keys
 (``snapshots``).  A token matching nothing is an error — a typo
 silently selecting zero rules would read as "clean".
 

@@ -6,7 +6,7 @@
    :mod:`repro.analysis.simlint` over every file;
 2. builds the :class:`~repro.analysis.callgraph.ProjectIndex` and the
    call graph once, then runs the units (SIM101–SIM104), purity
-   (SIM201–SIM203) and snapshot-safety (SIM401–SIM404,
+   (SIM201–SIM203) and snapshot-safety (SIM401–SIM403,
    :mod:`repro.analysis.snapshots`) passes over it.
 
 Every finding is reported; an inline ``# simlint: ignore[...]``

@@ -1,9 +1,9 @@
-"""Snapshot-safety rules (SIM401–SIM404) over the project call graph.
+"""Snapshot-safety rules (SIM401–SIM403) over the project call graph.
 
-PR 9 made checkpoint/restore load-bearing (resumable sweeps,
-crash-resilient supervision, time-travel failure replay — DESIGN §11),
-and its correctness rests on conventions the type system cannot see:
-schedule sites must be closure-free, id streams must route through
+Checkpoint/restore is load-bearing (restore-and-continue equivalence,
+time-travel failure replay — DESIGN §11), and its correctness rests on
+conventions the type system cannot see: schedule sites must be
+closure-free, id streams must route through
 :class:`repro.sim.serial.SerialCounter`, and no simulation state may
 live outside the pickled ``{sim, world, counters}`` root set.  This
 pass turns those conventions into machine-checked invariants:
@@ -41,18 +41,6 @@ SIM403
     :data:`~repro.analysis.manifest.REDUCER_SANCTIONED` is drift: the
     checkpoint pickler honours the hook, so the restored heap could
     bind methods to objects the world no longer references.
-SIM404
-    Restore-order typestate over the checkpoint/supervise lifecycle:
-    ``load`` lexically before ``save`` in the same driver body (clobber
-    of the checkpoint being read), manual ``Simulator(...)``
-    construction beside :func:`~repro.sim.checkpoint.resume_or_start`
-    in the same path (the manual instance never adopts restored
-    state — construct inside the ``build`` factory), direct
-    ``snapshot_counters``/``restore_counters`` calls outside the
-    checkpoint machinery, ``checkpoint.save`` from inside a
-    dispatch-reachable callback (the in-flight event is not on the
-    heap), and ``failure.json`` recipes consumed outside the replay
-    entry points.
 
 As everywhere in :mod:`repro.analysis`, only known-known conflicts
 fire: unresolvable callbacks, opaque types, and unattributed modules
@@ -98,10 +86,6 @@ SNAPSHOT_RULES: dict[str, str] = {
         "heap-reachable classes must be declared in the checkpoint "
         "manifest and stay reducer-clean"
     ),
-    "SIM404": (
-        "checkpoint lifecycle order: no load-before-save, no manual "
-        "Simulator beside resume_or_start, recipes only in replay paths"
-    ),
 }
 
 #: Constructors whose result can never ride in a checkpoint pickle.
@@ -127,18 +111,6 @@ _REDUCER_HOOKS = (
 )
 
 _SIMULATOR_QUALNAME = "repro.sim.engine.Simulator"
-_RESUME_API = frozenset({"repro.sim.checkpoint.resume_or_start"})
-_COUNTER_API = frozenset(
-    {"repro.sim.serial.snapshot_counters", "repro.sim.serial.restore_counters"}
-)
-_SAVE_API = frozenset({"repro.sim.checkpoint.save"})
-_LOAD_API = frozenset({"repro.sim.checkpoint.load"})
-#: Call heads that consume a path — a ``"failure.json"`` constant in
-#: their argument tree is a recipe being read or built (a help string
-#: mentioning the name is not).
-_PATH_CONSUMERS = frozenset(
-    {"open", "load", "loads", "read_text", "write_text", "Path", "joinpath"}
-)
 
 
 def _scoped(module: str) -> bool:
@@ -746,158 +718,14 @@ def _check_manifest_drift(
 
 
 # ---------------------------------------------------------------------------
-# SIM404 — restore-order typestate
-# ---------------------------------------------------------------------------
-
-def _calls_outside_nested(fn_node: ast.AST) -> list[ast.Call]:
-    """Call nodes in the function body, excluding nested def/lambda
-    bodies (the ``build`` factory passed to ``resume_or_start``
-    legitimately constructs the Simulator inside a nested def)."""
-    out: list[ast.Call] = []
-    stack = list(ast.iter_child_nodes(fn_node))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Call):
-            out.append(node)
-        stack.extend(ast.iter_child_nodes(node))
-    return sorted(out, key=lambda n: (n.lineno, n.col_offset))
-
-
-def _constructs_simulator(
-    index: ProjectIndex, fn: FunctionInfo, node: ast.Call,
-    simulator_family: frozenset[str],
-) -> bool:
-    target = _api_target(index, fn.module, node)
-    if target in simulator_family:
-        return True
-    enclosing = index.classes.get(fn.cls) if fn.cls is not None else None
-    resolved = index.resolve_call(
-        node,
-        module=fn.module,
-        enclosing=enclosing,
-        env=index.env_for_function(fn),
-    )
-    return (
-        resolved is not None
-        and resolved.name == "__init__"
-        and resolved.cls in simulator_family
-    )
-
-
-def _mentions_recipe(node: ast.Call) -> bool:
-    """A ``"failure.json"`` constant anywhere in the call (arguments or
-    receiver chain) — a recipe path being built or consumed; a help
-    string naming the file hangs off a non-path-consumer call and
-    never reaches here."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Constant) and sub.value == "failure.json":
-            return True
-    return False
-
-
-def _check_lifecycle(
-    index: ProjectIndex, graph: CallGraph, emitters: _Emitters
-) -> None:
-    reachable = graph.reachable_from_dispatch()
-    simulator_family = _subclass_closure(
-        index, frozenset({_SIMULATOR_QUALNAME})
-    )
-    for qual, fn in sorted(index.functions.items()):
-        if not fn.module.startswith("repro."):
-            continue
-        if fn.module in SNAPSHOT_EXEMPT_MODULES:
-            continue
-        emit = None
-        calls = _calls_outside_nested(fn.node)
-        targets = [(_api_target(index, fn.module, c), c) for c in calls]
-        resume_call = next(
-            (c for t, c in targets if t in _RESUME_API), None
-        )
-        first_save = next((c for t, c in targets if t in _SAVE_API), None)
-        first_load = next((c for t, c in targets if t in _LOAD_API), None)
-        findings: list[tuple[ast.AST, str]] = []
-        if resume_call is not None:
-            for t, call in targets:
-                if _constructs_simulator(index, fn, call, simulator_family):
-                    findings.append(
-                        (
-                            call,
-                            "manual Simulator construction beside "
-                            "resume_or_start in the same driver path: the "
-                            "manual instance never adopts restored state; "
-                            "construct inside the build factory passed to "
-                            "resume_or_start",
-                        )
-                    )
-        if (
-            first_save is not None
-            and first_load is not None
-            and (first_load.lineno, first_load.col_offset)
-            < (first_save.lineno, first_save.col_offset)
-        ):
-            findings.append(
-                (
-                    first_load,
-                    "checkpoint load precedes save in the same driver "
-                    "body: the path being restored is then overwritten; "
-                    "save to a fresh checkpoint or split the driver",
-                )
-            )
-        for t, call in targets:
-            if t in _COUNTER_API:
-                findings.append(
-                    (
-                        call,
-                        f"direct {t.rsplit('.', 1)[-1]} call outside "
-                        "repro.sim.checkpoint: counter snapshots are part "
-                        "of the checkpoint payload and must stay in sync "
-                        "with the sim/world pickle",
-                    )
-                )
-            elif t in _SAVE_API and qual in reachable:
-                findings.append(
-                    (
-                        call,
-                        "checkpoint save from a dispatch-reachable "
-                        "callback: the in-flight event is not on the heap, "
-                        "so the snapshot would drop it; save between "
-                        "events (run_with_checkpoints)",
-                    )
-                )
-            if (
-                t is not None
-                and t.rsplit(".", 1)[-1] in _PATH_CONSUMERS
-                and _mentions_recipe(call)
-                and not fn.name.startswith(("replay", "cmd_replay"))
-            ):
-                findings.append(
-                    (
-                        call,
-                        "failure.json recipe consumed outside a replay "
-                        "entry point: recipes pin checkpoint + horizon and "
-                        "are only meaningful to repro replay-failure",
-                    )
-                )
-        for node, message in findings:
-            if emit is None:
-                emit = emitters.for_module(fn.module)
-            if emit is None:
-                break
-            emit("SIM404", node, message)
-
-
-# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
 def check_snapshots(index: ProjectIndex, graph: CallGraph) -> list[Violation]:
-    """All SIM401–SIM404 findings over one indexed project."""
+    """All SIM401–SIM403 findings over one indexed project."""
     violations: list[Violation] = []
     emitters = _Emitters(index, violations)
     _check_heap_picklability(index, graph, emitters)
     _check_state_escape(index, graph, emitters)
     _check_manifest_drift(index, graph, emitters)
-    _check_lifecycle(index, graph, emitters)
     return violations

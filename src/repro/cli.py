@@ -190,7 +190,12 @@ def cmd_faults(args) -> int:
         payload = {
             "outcomes": [o.as_dict() for o in outcomes if o is not None],
             "failures": [
-                {"index": f.index, "error": f.error, "attempts": f.attempts}
+                {
+                    "index": f.index,
+                    "error": f.error,
+                    "attempts": f.attempts,
+                    "kind": f.kind,
+                }
                 for f in report.failures
             ],
             "perf": report.perf_dict(),
@@ -312,7 +317,7 @@ def cmd_lint(args) -> int:
 
     Per-file determinism rules (SIM001–SIM005), units-of-measure
     dataflow (SIM101–SIM104), event-callback purity (SIM201–SIM203),
-    and snapshot safety (SIM401–SIM404) in one pass.  ``--select`` /
+    and snapshot safety (SIM401–SIM403) in one pass.  ``--select`` /
     ``--ignore`` narrow the rule set by rule-id prefix or group key;
     an inline ``# simlint: ignore[...]`` directive is the only way to
     suppress a finding.  Exit status: 0 = clean (no findings, within
@@ -447,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="whole-program simulation linter (SIM001-005, SIM101-104, "
-        "SIM201-203, SIM401-404; --select/--ignore pick rules)",
+        "SIM201-203, SIM401-403; --select/--ignore pick rules)",
     )
     p.add_argument(
         "paths", nargs="+", help="files or directories to lint (e.g. src)"

@@ -1,9 +1,8 @@
 """Parallel sweep execution.
 
 :mod:`repro.parallel.pool` fans independent cells across a process
-pool; :mod:`repro.parallel.supervise` adds per-worker heartbeats,
-SIGKILL/OOM crash recovery with checkpoint-based re-execution, and
-orphan reaping for long unattended sweeps.
+pool, with per-cell timeouts, orphan reaping and a serial fallback
+when the pool breaks.
 """
 
 from repro.parallel.pool import (
@@ -15,21 +14,13 @@ from repro.parallel.pool import (
     resolve_workers,
     run_cells,
 )
-from repro.parallel.supervise import (
-    SupervisedReport,
-    WorkerState,
-    run_cells_supervised,
-)
 
 __all__ = [
     "CellFailure",
     "CellStats",
-    "SupervisedReport",
     "SweepCellError",
     "SweepReport",
-    "WorkerState",
     "cell_seed",
     "resolve_workers",
     "run_cells",
-    "run_cells_supervised",
 ]

@@ -32,14 +32,13 @@ Failure handling
   down, every orphaned worker process is terminated and reaped (a
   timed-out cell's worker keeps computing otherwise), and every
   uncollected cell falls back to the serial path (timeouts cannot be
-  enforced in-process; the fallback runs to completion).  The kill is
-  charged against the victim cell's attempt budget and recorded in its
-  :class:`CellFailure` as ``kind="timeout"``/``"crash"`` when the
-  budget runs out.
-
-For worker *heartbeats*, SIGKILL/OOM detection, and bounded
-re-execution from periodic checkpoints, see the supervised runner in
-:mod:`repro.parallel.supervise`.
+  enforced in-process; the fallback runs to completion).  A timeout is
+  charged as one attempt against its own cell's budget and recorded in
+  its :class:`CellFailure` as ``kind="timeout"`` when the budget runs
+  out.  A broken pool (a worker SIGKILLed or OOM-killed) charges no
+  cell: ``concurrent.futures`` fails every uncollected future with the
+  same ``BrokenProcessPool``, so the dead worker's cell cannot be told
+  apart, and every uncollected cell reruns with its full budget.
 """
 
 from __future__ import annotations
@@ -110,16 +109,15 @@ class CellFailure:
 
     The failing cell's slot in ``SweepReport.results`` holds ``None``;
     this record carries what a post-mortem needs: which cell, what it
-    raised, how many attempts were spent on it, and how it died:
-    ``"exception"`` (the cell raised), ``"timeout"`` (its worker blew
-    the per-cell deadline and was killed), or ``"crash"`` (the worker
-    process died — SIGKILL, OOM, broken pool).
+    raised, how many attempts were spent on it, and how its last
+    attempt died: ``"exception"`` (the cell raised) or ``"timeout"``
+    (its worker blew the per-cell deadline and was killed).
     """
 
     index: int
     error: str  # repr() of the last exception — picklable, log-friendly
     attempts: int
-    kind: str = "exception"  # "exception" | "timeout" | "crash"
+    kind: str = "exception"  # "exception" | "timeout"
 
 
 @dataclass(frozen=True)
@@ -296,7 +294,7 @@ def run_cells(
         sweep degrades to serial for the uncollected cells.  The
         orphaned worker is terminated and reaped (counted in
         ``SweepReport.workers_reaped``) and the kill is charged as one
-        attempt against the victim cell's budget.
+        attempt against the timed-out cell's budget.
     retries:
         Extra attempts per failing cell before it counts as failed.
     on_error:
@@ -329,13 +327,16 @@ def run_cells(
         if progress:
             progress(sum(s is not None for s in stats), n)
 
-    def record_failure(i: int, err: SweepCellError, kind: str = "exception") -> None:
+    def record_failure(i: int, err: SweepCellError) -> None:
         if on_error == "raise":
             raise err
         results[i] = None
         stats[i] = CellStats(
             index=i, wall_s=0.0, attempts=err.attempts, sim_events=0, mode="failed"
         )
+        # The pool's deadline kill, not a TimeoutError the cell raised.
+        timeout = timed_out is not None and err.cause is timed_out[1]
+        kind = "timeout" if timeout else "exception"
         failures.append(
             CellFailure(
                 index=i, error=repr(err.cause), attempts=err.attempts, kind=kind
@@ -347,8 +348,8 @@ def run_cells(
     mode = "serial"
     start_index = 0
     workers_reaped = 0
-    #: Set when the pool died mid-sweep: (victim cell index, cause).
-    pool_break: tuple[int, BaseException] | None = None
+    #: Set when a cell blew its deadline: (cell index, timeout error).
+    timed_out: tuple[int, BaseException] | None = None
     executor: ProcessPoolExecutor | None = None
     futures: list[Future[tuple[Any, float]]] = []
     if n_workers > 1 and n > 1:
@@ -371,11 +372,14 @@ def run_cells(
                     record(i, value, wall, 1, "pool")
                 except (_FutureTimeout, BrokenProcessPool, OSError) as exc:
                     # Pool-level failure: abandon it, finish serially.
-                    # The victim cell is charged one attempt (the kill).
+                    # A timeout charges its own cell one attempt (the
+                    # kill); a broken pool fails every uncollected
+                    # future alike, so it charges no cell.
                     pool_dead = True
                     mode = "pool+serial-fallback"
                     start_index = i
-                    pool_break = (i, exc)
+                    if isinstance(exc, _FutureTimeout):
+                        timed_out = (i, exc)
                     break
                 except Exception as exc:  # cell failure: retry in-process
                     try:
@@ -401,17 +405,15 @@ def run_cells(
             continue
         prior_attempts = 0
         last_exc: BaseException | None = None
-        kind = "exception"
-        if pool_break is not None and i == pool_break[0]:
-            prior_attempts, last_exc = 1, pool_break[1]
-            kind = "timeout" if isinstance(last_exc, _FutureTimeout) else "crash"
+        if timed_out is not None and i == timed_out[0]:
+            prior_attempts, last_exc = 1, timed_out[1]
         try:
             value, wall, attempts = _run_serial(
                 fn, cell_list[i], i, retries,
                 prior_attempts=prior_attempts, last_exc=last_exc,
             )
         except SweepCellError as err:
-            record_failure(i, err, kind)
+            record_failure(i, err)
         else:
             record(i, value, wall, attempts, "serial")
 

@@ -66,11 +66,9 @@ __all__ = [
     "CheckpointError",
     "CheckpointMeta",
     "CheckpointedRun",
-    "latest_checkpoint",
     "load",
     "read_meta",
     "replay_failure",
-    "resume_or_start",
     "run_with_checkpoints",
     "save",
     "scenario_fingerprint",
@@ -91,7 +89,9 @@ class CheckpointError(RuntimeError):
       this library (state vectors may have drifted);
     * ``"scenario-mismatch"`` — the caller's scenario fingerprint does
       not match the one recorded at save time;
-    * ``"payload-corrupt"`` — the payload hash does not verify.
+    * ``"payload-corrupt"`` — the payload hash does not verify;
+    * ``"bad-recipe"`` — a failure recipe is not a JSON object, or
+      lacks its ``"checkpoint"`` or ``"until"`` entry.
     """
 
     def __init__(self, reason: str, detail: str) -> None:
@@ -330,22 +330,6 @@ def load(
     return payload_obj["sim"], payload_obj["world"]
 
 
-def latest_checkpoint(directory: str | Path) -> Path | None:
-    """Newest checkpoint (by events dispatched) in ``directory``."""
-    directory = Path(directory)
-    best: tuple[int, Path] | None = None
-    if not directory.is_dir():
-        return None
-    for entry in sorted(directory.glob(f"ckpt-*{CKPT_SUFFIX}")):
-        try:
-            events = int(entry.stem.split("-", 1)[1])
-        except (IndexError, ValueError):
-            continue
-        if best is None or events > best[0]:
-            best = (events, entry)
-    return None if best is None else best[1]
-
-
 # -- periodic checkpointing + failure capture -----------------------------
 
 
@@ -355,7 +339,6 @@ class CheckpointedRun:
 
     checkpoints: list[CheckpointMeta]
     dispatched: int
-    failure_recipe: Path | None = None
 
 
 def _ckpt_path(directory: Path, events: int) -> Path:
@@ -370,7 +353,6 @@ def run_with_checkpoints(
     directory: str | Path,
     every: int = DEFAULT_EVERY,
     scenario: Any = None,
-    keep: int = 2,
 ) -> CheckpointedRun:
     """Run to ``until`` in ``every``-event legs, checkpointing each leg.
 
@@ -382,42 +364,40 @@ def run_with_checkpoints(
     consistent — satellite guarantee tested by
     ``tests/sim/test_resume.py``).
 
-    A checkpoint is also written on entry, so crash recovery and
-    failure replay always have a floor to restore from.  On a
-    ``SanitizerError`` the nearest checkpoint and a replay recipe are
-    dumped to ``directory/failure.json`` (the path is attached to the
-    exception as ``replay_recipe``) and the error re-raised.
+    A checkpoint is also written on entry, so failure replay always
+    has a floor to restore from.  Only the newest checkpoint is kept:
+    each leg's save deletes the one before it.  On a ``SanitizerError``
+    that newest checkpoint and a replay recipe are dumped to
+    ``directory/failure.json`` (the path is attached to the exception
+    as ``replay_recipe``) and the error re-raised.
     """
     if every < 1:
         raise ValueError("checkpoint cadence must be >= 1 event")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    checkpoints = [save(_ckpt_path(directory, sim.events_dispatched), sim, world, scenario=scenario)]
+    newest = save(_ckpt_path(directory, sim.events_dispatched), sim, world, scenario=scenario)
     dispatched = 0
     while True:
         try:
             dispatched += sim.run(until=until, max_events=every)
         except MaxEventsExceeded as exc:
             dispatched += exc.dispatched
-            checkpoints.append(
-                save(
-                    _ckpt_path(directory, sim.events_dispatched),
-                    sim,
-                    world,
-                    scenario=scenario,
-                )
+            previous = newest
+            newest = save(
+                _ckpt_path(directory, sim.events_dispatched),
+                sim,
+                world,
+                scenario=scenario,
             )
-            while len(checkpoints) > max(1, keep):
-                old = checkpoints.pop(0)
-                old.path.unlink(missing_ok=True)
+            previous.path.unlink(missing_ok=True)
         except SanitizerError as err:
             recipe_path = _dump_failure(
-                directory, checkpoints[-1], err, until=until, scenario=scenario
+                directory, newest, err, until=until, scenario=scenario
             )
             err.replay_recipe = str(recipe_path)  # type: ignore[attr-defined]
             raise
         else:
-            return CheckpointedRun(checkpoints=checkpoints, dispatched=dispatched)
+            return CheckpointedRun(checkpoints=[newest], dispatched=dispatched)
 
 
 def _dump_failure(
@@ -448,25 +428,7 @@ def _dump_failure(
     return path
 
 
-# -- restore-side helpers --------------------------------------------------
-
-
-def resume_or_start(
-    directory: str | Path,
-    build: Callable[[], tuple[Simulator, Any]],
-    *,
-    scenario: Any = None,
-) -> tuple[Simulator, Any]:
-    """Restore the newest checkpoint in ``directory`` or build afresh.
-
-    The resume primitive for crash-recovering sweep workers: attempt N
-    picks up exactly where attempt N-1 last checkpointed instead of
-    replaying the cell from zero.
-    """
-    path = latest_checkpoint(directory)
-    if path is None:
-        return build()
-    return load(path, scenario=scenario)
+# -- failure replay --------------------------------------------------------
 
 
 def replay_failure(
@@ -488,9 +450,21 @@ def replay_failure(
         recipe_path = Path(recipe)
         if recipe_path.is_dir():
             recipe_path = recipe_path / "failure.json"
-        recipe_obj: dict[str, Any] = json.loads(recipe_path.read_text())
+        try:
+            recipe_obj = json.loads(recipe_path.read_text())
+        except ValueError as exc:
+            raise CheckpointError(
+                "bad-recipe", f"{recipe_path}: not JSON ({exc})"
+            ) from exc
     else:
         recipe_obj = recipe
+    if not isinstance(recipe_obj, dict):
+        raise CheckpointError("bad-recipe", "recipe is not a JSON object")
+    missing = [key for key in ("checkpoint", "until") if key not in recipe_obj]
+    if missing:
+        raise CheckpointError(
+            "bad-recipe", f"recipe lacks {', '.join(map(repr, missing))}"
+        )
     sim, _world = load(
         recipe_obj["checkpoint"], scenario=recipe_obj.get("scenario")
     )

@@ -1,4 +1,4 @@
-"""Snapshot-safety pass: SIM401–SIM404 fixtures, the mutation gate,
+"""Snapshot-safety pass: SIM401–SIM403 fixtures, the mutation gate,
 the rule registry / ``--select`` semantics, the heap census, SARIF
 round-trip, and the CLI surface."""
 

@@ -1,5 +1,7 @@
 """Process-pool sweep executor: ordering, determinism, fallback, retry."""
 
+import os
+import signal
 import time
 
 import pytest
@@ -31,6 +33,14 @@ def failing_cell(x):
 def odd_failing_cell(x):
     if x % 2:
         raise ValueError(f"cell {x} fails")
+    return {"v": x * x, "sim_events": x}
+
+
+def pool_killer_cell(x, parent_pid):
+    # Cell 3 SIGKILLs its pool worker (the OOM-killer case) but runs
+    # cleanly in the parent process, i.e. on the serial fallback.
+    if x == 3 and os.getpid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
     return {"v": x * x, "sim_events": x}
 
 
@@ -169,6 +179,22 @@ class TestPool:
         # The non-victim cell still completed via the serial fallback.
         other = 1 - victim.index
         assert report.results[other] == {"v": other + 1}
+
+    def test_broken_pool_charges_no_cell(self):
+        # A dead worker fails every uncollected future with the same
+        # BrokenProcessPool; no cell may be blamed for it.  Every
+        # uncollected cell reruns serially with its full budget, so
+        # even retries=0 in record mode loses no result.
+        cells = [(i, os.getpid()) for i in range(6)]
+        serial = run_cells(pool_killer_cell, cells, workers=1)
+        report = run_cells(
+            pool_killer_cell, cells, workers=3, retries=0, on_error="record"
+        )
+        if report.mode == "serial":
+            pytest.skip("process pool unavailable on this platform")
+        assert report.results == serial.results
+        assert report.failures == []
+        assert report.mode == "pool+serial-fallback"
 
     def test_report_stats_cover_every_cell(self):
         report = run_cells(square_cell, [(i,) for i in range(5)], workers=3)

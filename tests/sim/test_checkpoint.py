@@ -238,31 +238,16 @@ class TestRunWithCheckpoints:
         assert _trace_sha(sim.dispatch_log) == golden["sha256"]
         assert incast_outputs(net) == golden["outputs"]
         assert run.dispatched == golden["n_events"]
-        # keep=2 prunes older checkpoints but the newest survives.
-        kept = sorted(tmp_path.glob("ckpt-*.ckpt"))
-        assert 1 <= len(kept) <= 2
-        assert ck.latest_checkpoint(tmp_path) == kept[-1]
-
-    def test_resume_or_start(self, tmp_path):
-        golden = _golden()
-        sim, net = _run_to(1500)
-        ck.save(
-            ck._ckpt_path(tmp_path, sim.events_dispatched), sim, net, scenario=CELL
-        )
-
-        def build():
-            raise AssertionError("must resume, not rebuild")
-
-        sim2, net2 = ck.resume_or_start(tmp_path, build, scenario=CELL)
+        # Each leg's save deletes the one before it: only the newest,
+        # the one failure replay reads, stays on disk.
+        newest = run.checkpoints[-1]
+        assert list(tmp_path.glob("ckpt-*.ckpt")) == [newest.path]
+        # It sits at the last leg boundary, before UNTIL; restoring it
+        # after the run has finished and continuing reaches the same end.
+        sim2, _net2 = ck.load(newest.path, scenario=CELL)
+        assert sim2.events_dispatched == newest.events_dispatched
         sim2.run(until=UNTIL)
-        assert _trace_sha(sim2.dispatch_log) == golden["sha256"]
-        # Empty directory: build() is used.
-        empty = tmp_path / "empty"
-        sim3, net3 = ck.resume_or_start(
-            empty, lambda: build_incast_cell(trace=True, **CELL), scenario=CELL
-        )
-        sim3.run(until=UNTIL)
-        assert _trace_sha(sim3.dispatch_log) == golden["sha256"]
+        assert sim2.events_dispatched == run.dispatched
 
 
 def _corrupt_link(link):
@@ -346,6 +331,35 @@ class TestReplayFailureErrorPaths:
         assert error["kind"] == "missing-recipe"
         assert error["reason"] == "missing-recipe"
         assert "failure.json" in error["detail"]
+        assert "replay-failure:" in captured.err
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            "{not json",
+            json.dumps({"until": UNTIL}),
+            json.dumps({"checkpoint": "ckpt-000000000000.ckpt"}),
+            json.dumps(["checkpoint", "until"]),
+        ],
+        ids=["not-json", "no-checkpoint", "no-until", "not-an-object"],
+    )
+    def test_malformed_recipe_exits_2_with_bad_recipe(
+        self, tmp_path, capsys, recipe
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "failure.json"
+        path.write_text(recipe)
+        with pytest.raises(ck.CheckpointError) as exc:
+            ck.replay_failure(path)
+        assert exc.value.reason == "bad-recipe"
+
+        # Exit 1 would read as "not reproduced", i.e. "bug fixed".
+        assert main(["replay-failure", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error["kind"] == "checkpoint"
+        assert error["reason"] == "bad-recipe"
         assert "replay-failure:" in captured.err
 
     def test_corrupt_payload_exits_2_with_reason(self, tmp_path, capsys):
