@@ -649,14 +649,10 @@ class ProjectIndex:
 
 @dataclass
 class ScheduleSite:
-    """One ``sim.schedule(...)`` / ``schedule_at(...)`` call site.
+    """One ``sim.schedule*(...)`` call site.
 
-    ``kind`` is ``"schedule"`` for a named ``schedule*`` method call and
-    ``"heappush"`` for the hot-path inlined form
-    (``heappush(heap, (time, seq, callback, args))``).  For heappush
-    sites ``delay`` is the relative part of the time expression when the
-    push uses the canonical ``now + X`` shape, else None (absolute or
-    opaque time).
+    Outside :mod:`repro.sim`, which keeps the heap entry format private,
+    these calls are the only way a callback gets onto the event heap.
     """
 
     caller: str  # qualname of the function containing the call
@@ -664,36 +660,6 @@ class ScheduleSite:
     delay: ast.expr | None  # first argument (delay / absolute time)
     callback: ast.expr | None
     target: str | None  # resolved callback qualname, None if opaque
-    kind: str = "schedule"
-
-
-def _is_heappush(func: ast.expr) -> bool:
-    """``heappush(...)`` / ``heapq.heappush(...)`` call heads."""
-    if isinstance(func, ast.Name):
-        return func.id == "heappush"
-    return isinstance(func, ast.Attribute) and func.attr == "heappush"
-
-
-def _is_now_expr(node: ast.expr) -> bool:
-    """Expressions spelling the current simulated time."""
-    if isinstance(node, ast.Attribute) and node.attr == "now":
-        return True
-    return isinstance(node, ast.Name) and node.id == "now"
-
-
-def _heappush_delay(time_expr: ast.expr) -> ast.expr | None:
-    """The relative delay of an inlined push, or None if absolute.
-
-    Recognises the ``sim.now + delay`` / ``now + delay`` shape every
-    inlined ``schedule_anon`` in the repo uses; anything else is an
-    absolute timestamp whose distance from now is statically unknown.
-    """
-    if isinstance(time_expr, ast.BinOp) and isinstance(time_expr.op, ast.Add):
-        if _is_now_expr(time_expr.left):
-            return time_expr.right
-        if _is_now_expr(time_expr.right):
-            return time_expr.left
-    return None
 
 
 class CallGraph:
@@ -906,9 +872,6 @@ class CallGraph:
                 sink = self._self_attr_sink(fn, func)
                 if sink is not None and sink in self.wirings:
                     self._wired_edges(fn, sink)
-            if _is_heappush(func):
-                self._record_heappush(fn, node, enclosing, env)
-                continue
             is_schedule = (
                 isinstance(func, ast.Attribute) and func.attr in SCHEDULE_METHODS
             )
@@ -962,45 +925,6 @@ class CallGraph:
     def _wired_edges(self, fn: FunctionInfo, sink: tuple[str, str]) -> None:
         for target in sorted(self.wirings.get(sink, ())):
             self._add_edge(fn.qualname, target)
-
-    def _record_heappush(
-        self,
-        fn: FunctionInfo,
-        node: ast.Call,
-        enclosing: ClassInfo | None,
-        env: TypeEnv,
-    ) -> None:
-        """An inlined ``heappush(heap, (time, seq, callback, args))``.
-
-        The hot paths (``Link.send``, ``Flow.pump``) bypass the
-        ``schedule*`` methods and push event tuples directly; without
-        this, their callbacks (``_finish``, ``_deliver``) look dead to
-        every dispatch-reachability consumer.
-        """
-        if len(node.args) < 2 or not isinstance(node.args[1], ast.Tuple):
-            return
-        elts = node.args[1].elts
-        if len(elts) < 3:
-            return
-        callback = elts[2]
-        target: str | None = None
-        ref = self.index.resolve_function_reference(
-            callback, module=fn.module, enclosing=enclosing, env=env
-        )
-        if ref is not None:
-            target = ref.qualname
-            self.seeds.add(target)
-            self._add_edge(fn.qualname, target)
-        self.schedule_sites.append(
-            ScheduleSite(
-                caller=fn.qualname,
-                node=node,
-                delay=_heappush_delay(elts[0]),
-                callback=callback,
-                target=target,
-                kind="heappush",
-            )
-        )
 
     def _implementer_edges(
         self, fn: FunctionInfo, protocol: ClassInfo, method: str

@@ -18,8 +18,8 @@ SIM401
     path), a factory returning a closure, or a ``functools.partial``
     whose captured arguments reach an unpicklable object (open file,
     generator, thread, lock/``Condition``) raises at ``save()`` — or
-    worse, at restore.  Flagged at the ``schedule*`` / ``heappush``
-    site that would put it on the heap.
+    worse, at restore.  Flagged at the ``schedule*`` site that would
+    put it on the heap.
 SIM402
     Snapshot completeness: the checkpoint payload is exactly
     ``{sim, world, counters}``, so mutable state written from
@@ -262,7 +262,6 @@ def _class_attr_lambda(cls: ClassInfo | None, attr: str) -> bool:
 def _check_heap_picklability(
     index: ProjectIndex, graph: CallGraph, emitters: _Emitters
 ) -> None:
-    site_kinds = {"schedule": "schedule", "heappush": "inlined heappush"}
     for site in graph.schedule_sites:
         caller = index.functions.get(site.caller)
         if caller is None or not _scoped(caller.module):
@@ -272,14 +271,13 @@ def _check_heap_picklability(
         emit = emitters.for_module(caller.module)
         if emit is None:
             continue
-        where = site_kinds[site.kind]
         reason = _callback_reason(index, caller, site.callback)
         if reason is None:
             continue
         emit(
             "SIM401",
             site.callback,
-            f"{reason} at a {where} site cannot be checkpointed: the "
+            f"{reason} at a schedule site cannot be checkpointed: the "
             "pickler re-binds only bound methods with a __func__-identity "
             "path through the owner's MRO; use a bound method of a "
             "component (repro.sim.checkpoint reducer rules)",

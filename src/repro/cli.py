@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from repro.experiments.motivation import (
     MotivationScenario,
@@ -58,11 +59,17 @@ def cmd_motivation(_args) -> int:
     return 0
 
 
-def _nonneg_int(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type`` for integers ``>= low``; anything else exits 2."""
+
+    def parse(value: str) -> int:
+        n = int(value)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def cmd_sweep(args) -> int:
@@ -126,8 +133,9 @@ def cmd_profile(args) -> int:
     ``engine`` is the pure event-loop microbench (no network model);
     ``incast`` is the packet-level in-cast cell.  Both run with a
     :class:`~repro.profiling.SiteCounter` attached, so the output shows
-    events/sec, the heap high-water mark, and per-callback-site dispatch
-    counts; ``--cprofile`` adds a function-level cumulative-time report.
+    events/sec, the peak pending-event count at a dispatch (``heap
+    high-water``), and per-callback-site dispatch counts; ``--cprofile``
+    adds a function-level cumulative-time report.
     """
     from repro.profiling import (
         SiteCounter,
@@ -371,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="small Fig. 5-style weight sweep")
     p.add_argument("--ssd", choices=sorted(SSDS), default="A")
-    p.add_argument("--duration-ms", type=int, default=30)
+    p.add_argument("--duration-ms", type=_int_at_least(1), default=30)
     p.add_argument(
-        "--workers", type=_nonneg_int, default=1,
+        "--workers", type=_int_at_least(0), default=1,
         help="worker processes for the sweep (0 = all cores); "
         "results are identical for any value",
     )
@@ -390,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay a trace CSV on a simulated SSD")
     p.add_argument("trace")
     p.add_argument("--ssd", choices=sorted(SSDS), default="A")
-    p.add_argument("--weight", type=int, default=1)
+    p.add_argument("--weight", type=_int_at_least(1), default=1)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("profile", help="profile the DES engine hot paths")
@@ -399,8 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="pure event-loop microbench, packet-level in-cast cell, or both",
     )
     p.add_argument(
-        "--events", type=int, default=200_000,
-        help="events to dispatch in the engine microbench",
+        "--events", type=_int_at_least(16), default=200_000,
+        help="events to dispatch in the engine microbench (one per chain "
+        "at least: >= 16)",
     )
     p.add_argument(
         "--duration-us", type=int, default=2_000,
@@ -423,9 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="which fault cell to run (default: the whole matrix)",
     )
     p.add_argument("--seed", type=int, default=0, help="fault-plan seed")
-    p.add_argument("--duration-ms", type=int, default=20)
     p.add_argument(
-        "--workers", type=_nonneg_int, default=1,
+        "--duration-ms", type=_int_at_least(10), default=20,
+        help="simulated ms per cell (>= 10: fault windows scale with it)",
+    )
+    p.add_argument(
+        "--workers", type=_int_at_least(0), default=1,
         help="worker processes (0 = all cores); results are identical "
         "for any value",
     )

@@ -15,17 +15,18 @@ traffic hits a single dict entry).  Both steps are scheduled as
 *anonymous* events (``schedule_anon``): nothing ever cancels an
 in-flight serialization or propagation (see :meth:`Link.set_down` — a
 packet on the wire always finishes), so the per-packet ``Event`` handle
-was pure allocation overhead.  One link has at most one serialization
-in flight and each lasts at least 1 ns, so its deliveries never share
-a tick; a :meth:`Link.send_burst` burst is the one case where several
-packets arrive together, and :meth:`Link._deliver_burst` hands them to
-the receiver one by one.
+was pure allocation overhead.  Every step, bursts included, goes
+through that one call; the heap entry format stays private to
+:mod:`repro.sim`.  One link has at most one serialization in flight and
+each lasts at least 1 ns, so its deliveries never share a tick; a
+:meth:`Link.send_burst` burst is the one case where several packets
+arrive together, and :meth:`Link._deliver_burst` hands them to the
+receiver one by one.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
@@ -175,15 +176,7 @@ class Link:
             if ns is None:
                 ns = max(1, int(size / self._eff_bytes_per_ns + 0.5))
                 self._ser_cache[size] = ns
-            sim = self.sim
-            queue = sim._queue
-            seq = queue._seq
-            queue._seq = seq + 1
-            heap = queue._heap
-            heappush(heap, (sim.now + ns, seq, self._finish_cb, (packet,)))
-            queue._live += 1
-            if len(heap) > queue.high_water:
-                queue.high_water = len(heap)
+            self.sim.schedule_anon(ns, self._finish_cb, packet)
             return
         if self.down and not packet.is_control:
             # A dead cable eats data on contact.  Control packets are
@@ -221,18 +214,7 @@ class Link:
         if ns is None:
             ns = max(1, int(size / self._eff_bytes_per_ns + 0.5))
             self._ser_cache[size] = ns
-        # schedule_anon inlined (serialization_ns >= 1, so the delay
-        # check it would perform cannot fire): one serialization start
-        # per packet per hop makes the call frame itself measurable.
-        sim = self.sim
-        queue = sim._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        heap = queue._heap
-        heappush(heap, (sim.now + ns, seq, self._finish_cb, (packet,)))
-        queue._live += 1
-        if len(heap) > queue.high_water:
-            queue.high_water = len(heap)
+        self.sim.schedule_anon(ns, self._finish_cb, packet)
 
     def _finish(self, packet: Packet) -> None:
         """Serialization done: hand off to propagation, start the next."""
@@ -252,16 +234,7 @@ class Link:
             if verdict == FAULT_CORRUPT:
                 packet.corrupted = True
                 self.packets_corrupted += 1
-        # schedule_anon inlined (delay_ns validated >= 0 at construction).
-        sim = self.sim
-        queue = sim._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        heap = queue._heap
-        heappush(heap, (sim.now + self.delay_ns, seq, self._deliver_cb, (packet,)))
-        queue._live += 1
-        if len(heap) > queue.high_water:
-            queue.high_water = len(heap)
+        self.sim.schedule_anon(self.delay_ns, self._deliver_cb, packet)
         self._try_start()
 
     def _deliver(self, packet: Packet) -> None:
@@ -337,16 +310,7 @@ class Link:
         offsets_ns = np.cumsum(per_packet_ns)
         total_ns = int(offsets_ns[-1])
         self._busy = True
-        # schedule_anon inlined, as in send(): one event for the burst.
-        sim = self.sim
-        queue = sim._queue
-        seq = queue._seq
-        queue._seq = seq + 1
-        heap = queue._heap
-        heappush(heap, (sim.now + total_ns, seq, self._finish_burst_cb, (packets,)))
-        queue._live += 1
-        if len(heap) > queue.high_water:
-            queue.high_water = len(heap)
+        self.sim.schedule_anon(total_ns, self._finish_burst_cb, packets)
 
     def _finish_burst(self, packets: list[Packet]) -> None:
         """Burst serialization done: account, filter, propagate as one."""
@@ -375,18 +339,7 @@ class Link:
                 kept.append(packet)
             packets = kept
         if packets:
-            sim = self.sim
-            queue = sim._queue
-            seq = queue._seq
-            queue._seq = seq + 1
-            heap = queue._heap
-            heappush(
-                heap,
-                (sim.now + self.delay_ns, seq, self._deliver_burst_cb, (packets,)),
-            )
-            queue._live += 1
-            if len(heap) > queue.high_water:
-                queue.high_water = len(heap)
+            self.sim.schedule_anon(self.delay_ns, self._deliver_burst_cb, packets)
         self._try_start()
 
     def _deliver_burst(self, packets: list[Packet]) -> None:

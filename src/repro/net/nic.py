@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from heapq import heappush
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -213,16 +212,7 @@ class Flow:
             if now < self._next_send_ns:
                 due = self._next_send_ns
                 self._pump_due_ns = due
-                # schedule_at_anon inlined (due > now by the branch
-                # condition): one pacing wake-up per data packet.
-                equeue = sim._queue
-                eseq = equeue._seq
-                equeue._seq = eseq + 1
-                eheap = equeue._heap
-                heappush(eheap, (due, eseq, self._pump_cb, ()))
-                equeue._live += 1
-                if len(eheap) > equeue.high_water:
-                    equeue.high_water = len(eheap)
+                sim.schedule_at_anon(due, self._pump_cb)
                 return
             if len(link._queue) >= max_backlog:
                 return  # re-pumped when the link drains

@@ -55,6 +55,7 @@ class EngineProfile:
 
     events_dispatched: int = 0
     wall_s: float = 0.0
+    #: Peak number of pending events seen at any dispatch.
     heap_high_water: int = 0
     sim_end_ns: int = 0
     #: callback ``__qualname__`` -> dispatch count.
@@ -96,15 +97,21 @@ class EngineProfile:
 class SiteCounter:
     """Dispatch observer: per-callback-site counts for ``repro profile``.
 
-    Its stride never runs out, so it only ever sees ``dispatch``.
+    Its stride never runs out, so it only ever sees ``dispatch``.  It
+    also tracks the peak of ``sim.pending()`` across dispatches, so only
+    profiled runs pay for a heap high-water mark.
     """
 
-    __slots__ = ("site_counts", "stride", "countdown")
+    __slots__ = ("site_counts", "peak_pending", "stride", "countdown", "_sim")
 
     def __init__(self) -> None:
         #: callback ``__qualname__`` -> dispatch count.
         self.site_counts: dict[str, int] = {}
+        #: Most events ever pending when one was dispatched (the
+        #: dispatched event itself excluded).
+        self.peak_pending = 0
         self.stride = self.countdown = sys.maxsize
+        self._sim: Simulator | None = None
 
     def attach(self, sim: Simulator) -> "SiteCounter":
         """Become ``sim``'s observer; refuses to replace another one."""
@@ -115,11 +122,15 @@ class SiteCounter:
                 f"sanitize=False to profile"
             )
         sim.observer = self
+        self._sim = sim
         return self
 
     def dispatch(self, time: int, callback: Callable[..., Any]) -> None:
         name = site_label(callback)
         self.site_counts[name] = self.site_counts.get(name, 0) + 1
+        pending = self._sim.pending()  # type: ignore[union-attr]
+        if pending > self.peak_pending:
+            self.peak_pending = pending
 
     def sample(self, time: int, callback: Callable[..., Any]) -> None:
         pass
@@ -132,7 +143,7 @@ class SiteCounter:
         return EngineProfile(
             events_dispatched=sim.events_dispatched,
             wall_s=wall_s,
-            heap_high_water=sim._queue.high_water,
+            heap_high_water=self.peak_pending,
             sim_end_ns=sim.now,
             site_counts=dict(self.site_counts),
         )

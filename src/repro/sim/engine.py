@@ -241,11 +241,7 @@ class Simulator:
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1
-        heap = queue._heap
-        heapq.heappush(heap, (self.now + delay, seq, callback, args))
-        queue._live += 1
-        if len(heap) > queue.high_water:
-            queue.high_water = len(heap)
+        heapq.heappush(queue._heap, (self.now + delay, seq, callback, args))
 
     def schedule_at_anon(
         self, time: Nanoseconds, callback: Callable[..., None], *args: Any
@@ -256,11 +252,7 @@ class Simulator:
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1
-        heap = queue._heap
-        heapq.heappush(heap, (time, seq, callback, args))
-        queue._live += 1
-        if len(heap) > queue.high_water:
-            queue.high_water = len(heap)
+        heapq.heappush(queue._heap, (time, seq, callback, args))
 
     def schedule_recurring_anon(
         self,
@@ -347,7 +339,6 @@ class Simulator:
                         break
                     heappop(heap)
                     if callback is not HANDLED_MARK:
-                        queue._live -= 1
                         self.now = time
                         callback(*tail)
                     else:
@@ -356,7 +347,6 @@ class Simulator:
                             queue._dead -= 1
                             continue
                         ev._queue = None
-                        queue._live -= 1
                         self.now = time
                         args = ev.args
                         if args:
@@ -393,7 +383,6 @@ class Simulator:
                     ev._queue = None
                     callback = ev.callback
                     args = ev.args
-                queue._live -= 1
                 if observer is not None:
                     observer.dispatch(time, callback)
                 self.now = time
@@ -407,7 +396,7 @@ class Simulator:
                     observer.sample(time, callback)  # type: ignore[union-attr]
                 if dispatched >= limit:
                     raise MaxEventsExceeded(
-                        limit, dispatched, queue._live, self.now
+                        limit, dispatched, len(queue), self.now
                     )
         except SanitizerError as err:
             # A violation raised inside a callback (e.g. the FTL GC hook)

@@ -34,10 +34,15 @@ at element 0 or 1 and never reaches the third element.
 
 Cancellation (handled events only) is lazy (cancelled entries stay in
 the heap and are skipped when they surface) but *accounted*: a
-live-event counter makes ``len()`` O(1), and when dead entries
+dead-entry counter makes ``len()`` O(1) (every heap entry is live or
+dead, so ``len(heap) - dead`` is the live count), and when dead entries
 outnumber live ones the heap is compacted in place, so
 cancel-and-reschedule patterns (DCQCN timers, NIC pacing) cannot bloat
 the heap.
+
+The tuple format is private to :mod:`repro.sim`: components schedule
+through :class:`repro.sim.engine.Simulator`, never by pushing onto the
+heap themselves, so the linter's call graph sees every callback.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ class Event:
 
     Supports O(1) lazy deletion via :meth:`cancel`: the entry stays in
     the heap but is skipped when popped.  The handle carries the queue's
-    live/dead accounting back-reference while pending; it is detached on
+    dead-entry accounting back-reference while pending; it is detached on
     pop so a late ``cancel()`` on an already-dispatched event is a no-op.
     """
 
@@ -103,7 +108,6 @@ class Event:
         self.cancelled = True
         queue = self._queue
         if queue is not None:
-            queue._live -= 1
             queue._dead += 1
             if (
                 queue._dead >= _COMPACT_MIN_DEAD
@@ -120,18 +124,15 @@ class Event:
 class EventQueue:
     """A deterministic min-heap of handled and anonymous event tuples."""
 
-    __slots__ = ("_heap", "_seq", "_live", "_dead", "high_water")
+    __slots__ = ("_heap", "_seq", "_dead")
 
     def __init__(self) -> None:
         self._heap: list[tuple[Any, ...]] = []
         self._seq = 0
-        self._live = 0  # pending, non-cancelled events
         self._dead = 0  # cancelled entries still sitting in the heap
-        #: Largest raw heap size ever reached (profiling reads this).
-        self.high_water = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._dead
 
     def push(self, time: int, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute ``time``; return its handle."""
@@ -140,11 +141,7 @@ class EventQueue:
         seq = self._seq
         self._seq = seq + 1
         ev = Event(time, seq, callback, args, self)
-        heap = self._heap
-        heapq.heappush(heap, (time, seq, HANDLED_MARK, ev))
-        self._live += 1
-        if len(heap) > self.high_water:
-            self.high_water = len(heap)
+        heapq.heappush(self._heap, (time, seq, HANDLED_MARK, ev))
         return ev
 
     def push_anon(
@@ -160,11 +157,7 @@ class EventQueue:
             raise ValueError(f"event time must be non-negative, got {time}")
         seq = self._seq
         self._seq = seq + 1
-        heap = self._heap
-        heapq.heappush(heap, (time, seq, callback, args))
-        self._live += 1
-        if len(heap) > self.high_water:
-            self.high_water = len(heap)
+        heapq.heappush(self._heap, (time, seq, callback, args))
 
     def pop(self) -> Event | None:
         """Pop the earliest non-cancelled event, or ``None`` if drained.
@@ -177,14 +170,12 @@ class EventQueue:
         while heap:
             entry = heapq.heappop(heap)
             if entry[2] is not HANDLED_MARK:
-                self._live -= 1
                 return Event(entry[0], entry[1], entry[2], entry[3], None)
             ev: Event = entry[3]
             if ev.cancelled:
                 self._dead -= 1
                 continue
             ev._queue = None
-            self._live -= 1
             return ev
         return None
 

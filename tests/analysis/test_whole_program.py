@@ -150,27 +150,55 @@ def test_lambda_callback_seeds_its_call_targets():
     assert "repro.sim.fake_lambda.Timer._fire" in reachable
 
 
-def test_inlined_heappush_is_a_schedule_site():
-    index = _index_of(
-        "# simlint: package=repro.net.link\n"
-        "from heapq import heappush\n"
-        "class Link:\n"
-        "    def __init__(self, sim):\n"
-        "        self.sim = sim\n"
-        "        self.delay_ns = 10\n"
-        "    def send(self, pkt, seq):\n"
-        "        heappush(self.sim.heap,\n"
-        "                 (self.sim.now + self.delay_ns, seq, self._finish, (pkt,)))\n"
-        "    def _finish(self, pkt):\n"
-        "        pass\n"
-    )
-    graph = CallGraph(index)
-    sites = [s for s in graph.schedule_sites if s.kind == "heappush"]
-    assert len(sites) == 1
-    assert sites[0].target == "repro.net.link.Link._finish"
-    # The ``now + X`` shape was stripped down to the relative delay.
-    assert ast.unparse(sites[0].delay) == "self.delay_ns"
-    assert "repro.net.link.Link._finish" in graph.reachable_from_dispatch()
+def _heap_internals_outside_sim() -> list[str]:
+    """Places outside ``repro/sim`` that know the engine's heap format."""
+    found = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(SRC)
+        if rel.parts[:2] == ("repro", "sim"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            if "heapq" in names:
+                found.append(f"{rel}:{node.lineno}: imports heapq")
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            reaches_sim = (isinstance(owner, ast.Name) and owner.id == "sim") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "sim"
+            )
+            if node.attr in ("_heap", "_seq") or (
+                node.attr == "_queue" and reaches_sim
+            ):
+                found.append(f"{rel}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_heap_format_is_private_to_repro_sim():
+    """Components schedule through ``Simulator``, never onto the heap.
+
+    A hand-inlined heap push would hide its callback from the call
+    graph, and with it from the dispatch-reachability (SIM2xx) and
+    checkpoint (SIM4xx) passes.  The link and NIC hot paths, which
+    used to push directly, must be seeded through their schedule
+    calls.
+    """
+    assert _heap_internals_outside_sim() == []
+    files = [(p, p.read_text()) for p in sorted(SRC.rglob("*.py"))]
+    seeds = CallGraph(ProjectIndex.build(files)).seeds
+    for callback in (
+        "repro.net.link.Link._finish",
+        "repro.net.link.Link._deliver",
+        "repro.net.link.Link._finish_burst",
+        "repro.net.link.Link._deliver_burst",
+        "repro.net.nic.Flow.pump",
+    ):
+        assert callback in seeds
 
 
 # -- CLI plumbing ------------------------------------------------------------

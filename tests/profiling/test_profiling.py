@@ -40,8 +40,18 @@ def test_instrumented_simulator_counts_callback_sites():
     assert prof.site_counts[tick.__qualname__] == 5
     assert prof.site_counts[tock.__qualname__] == 1
     assert prof.sim_end_ns == sim.now
-    assert prof.heap_high_water >= 2
+    assert prof.heap_high_water == 1  # one other event pending at each dispatch
     assert prof.wall_s == 0.25
+
+
+def test_heap_high_water_is_peak_pending_at_a_dispatch():
+    sim, sites = _profiled()
+    for t in range(10):
+        sim.schedule(t, lambda: None)
+    sim.schedule(20, lambda: None).cancel()  # a dead entry is not pending
+    sim.run()
+    # The first dispatch leaves the other nine live events pending.
+    assert sites.profile(sim, wall_s=1.0).heap_high_water == 9
 
 
 def test_instrumented_run_matches_plain_engine():

@@ -1,9 +1,13 @@
 """EventQueue ordering and cancellation tests."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.sim import events
+from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
 
 
@@ -162,8 +166,8 @@ class _NaiveQueue:
     Same semantics as :class:`EventQueue` — dispatch in ``(time, seq)``
     order, cancelled entries silently skipped — implemented the obvious
     O(n log n) way.  The property test interleaves pushes, cancels,
-    pops, and forced compactions on the real queue and asserts both
-    models observe the identical dispatch sequence.
+    pops, engine runs and forced compactions on the real queue and
+    asserts both models observe the identical dispatch sequence.
     """
 
     def __init__(self):
@@ -186,28 +190,50 @@ class _NaiveQueue:
         self.entries.remove(entry)
         return entry[2]
 
+    def pop_until(self, time):
+        """Pop every live entry due at or before ``time``, in order."""
+        popped = []
+        while True:
+            live = [e for e in self.entries if e[2] not in self.cancelled]
+            if not live or min(live)[0] > time:
+                return popped
+            popped.append(self.pop())
+
     def live_count(self):
         return len([e for e in self.entries if e[2] not in self.cancelled])
 
 
 @given(st.data())
 def test_compact_matches_naive_reference_heap(data):
-    """Interleaved push/cancel/pop/compact == a queue that never compacts.
+    """Interleaved push/cancel/pop/run/compact == a queue that never compacts.
 
     Times are drawn from a tiny range so same-timestamp runs (and
     cancellations *inside* them) are the norm, not the exception —
     compaction must rebuild exactly the uncompacted dispatch order even
     when every surviving key ties on time and only the sequence number
     discriminates.  Anonymous entries (never cancellable) are mixed in,
-    as in the real engine heap.
+    as in the real engine heap.  The queue belongs to a simulator, so
+    the ``run`` op checks the engine's dispatch loop against the same
+    reference, and ``len(q)`` (derived from the raw heap size and the
+    dead-entry count) after every op.  The auto-compaction threshold is
+    lowered from 64 dead entries to 4 so that cancels inside a
+    120-op run reach the compaction ``Event.cancel`` triggers, not only
+    the forced one.
     """
-    q = EventQueue()
+    with mock.patch.object(events, "_COMPACT_MIN_DEAD", 4):
+        _check_against_reference(data)
+
+
+def _check_against_reference(data):
+    sim = Simulator(sanitize=False)
+    q = sim._queue
     ref = _NaiveQueue()
     handles = {}  # event_id -> Event (handled pushes only)
+    fired = []  # event ids in engine dispatch order
     next_id = 0
     n_ops = data.draw(st.integers(min_value=1, max_value=120), label="n_ops")
     for _ in range(n_ops):
-        choices = ["push", "push_anon", "compact", "pop"]
+        choices = ["push", "push_anon", "compact", "pop", "run"]
         if handles:
             choices.append("cancel")
         op = data.draw(st.sampled_from(choices), label="op")
@@ -215,14 +241,13 @@ def test_compact_matches_naive_reference_heap(data):
             t = data.draw(st.integers(min_value=0, max_value=3), label="t")
             event_id = next_id
             next_id += 1
-            handles[event_id] = q.push(t, lambda: None)
+            handles[event_id] = q.push(t, fired.append, event_id)
             ref.push(t, event_id, "handled")
         elif op == "push_anon":
             t = data.draw(st.integers(min_value=0, max_value=3), label="t")
             event_id = next_id
             next_id += 1
-            # Smuggle the id through the args tuple for identification.
-            q.push_anon(t, lambda: None, (event_id,))
+            q.push_anon(t, fired.append, (event_id,))
             ref.push(t, event_id, "anon")
         elif op == "cancel":
             event_id = data.draw(
@@ -233,6 +258,11 @@ def test_compact_matches_naive_reference_heap(data):
         elif op == "compact":
             q._compact()
             assert q._dead == 0
+        elif op == "run":
+            t = data.draw(st.integers(min_value=0, max_value=3), label="t")
+            fired.clear()
+            sim.run(until=t)
+            assert fired == ref.pop_until(t)
         else:  # pop
             got = q.pop()
             expected = ref.pop()
@@ -240,32 +270,13 @@ def test_compact_matches_naive_reference_heap(data):
                 assert got is None
             else:
                 assert got is not None
-                got_id = got.args[0] if got.args else _handle_id(handles, got, ref)
-                assert got_id == expected
+                assert got.args == (expected,)
         assert len(q) == ref.live_count()
     # Drain: the full remaining dispatch order must match the reference.
     drained = []
     while (ev := q.pop()) is not None:
-        drained.append(ev.args[0] if ev.args else _handle_id(handles, ev, ref))
+        drained.append(ev.args[0])
     expected_drain = []
     while (event_id := ref.pop()) is not None:
         expected_drain.append(event_id)
     assert drained == expected_drain
-
-
-def _handle_id(handles, event, ref):
-    """Recover the model id of a popped handled event."""
-    for event_id, handle in handles.items():
-        if handle is event:
-            return event_id
-    raise AssertionError("popped an unknown (cancelled?) handled event")
-
-
-def test_high_water_tracks_raw_heap_size():
-    q = EventQueue()
-    for t in range(10):
-        q.push(t, lambda: None)
-    for _ in range(10):
-        q.pop()
-    assert q.high_water == 10
-    assert len(q) == 0

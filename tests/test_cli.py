@@ -52,3 +52,25 @@ def test_profile_incast_text_output(capsys):
     assert "--- incast ---" in out
     assert "events/sec" in out
     assert "top callback sites:" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["faults", "--cell", "chaos", "--duration-ms", "5"],
+        ["sweep", "--duration-ms", "0"],
+        ["replay", "t.csv", "--weight", "0"],
+        ["profile", "--scenario", "engine", "--events", "5"],
+    ],
+    ids=["faults-duration-ms", "sweep-duration-ms", "replay-weight",
+         "profile-events"],
+)
+def test_out_of_range_number_is_a_usage_error(argv, capsys):
+    """Each bound is checked by argparse: exit 2 with a usage message,
+    before any simulation runs (no traceback, no FAILED cell)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro ")
+    assert "must be >= " in err
