@@ -9,9 +9,8 @@ Two layers guard the repo's bit-identical-replay guarantee:
   passes share one project-wide symbol table + call graph
   (:mod:`repro.analysis.callgraph`, which resolves the scheduler's
   ``schedule(callback, *args)`` indirection): units-of-measure dataflow
-  (:mod:`repro.analysis.units`, SIM101–SIM104), event-callback purity
-  (:mod:`repro.analysis.purity`, SIM201–SIM203) and checkpointability
-  (:mod:`repro.analysis.snapshots`, SIM401–SIM403).
+  (:mod:`repro.analysis.units`, SIM101–SIM104) and event-callback purity
+  (:mod:`repro.analysis.purity`, SIM201–SIM203).
   :mod:`repro.analysis.run` drives every group by default, with inline
   ``# simlint: ignore[...]`` directives as the only suppression,
   ``--select``/``--ignore`` resolved by :mod:`repro.analysis.registry`
@@ -24,6 +23,8 @@ Two layers guard the repo's bit-identical-replay guarantee:
 
 The package re-exports nothing: import the submodule you need, so a
 ``Simulator()`` that loads the sanitizer never loads the static
-analyzer.  See DESIGN.md §6 ("Determinism & sanitizer contract"), §8
-("Whole-program analysis") and §12 ("Snapshot-safety analysis").
+analyzer.  See DESIGN.md §6 ("Determinism & sanitizer contract") and §8
+("Whole-program analysis").  Checkpointability is not analysed
+statically: every testbed world is saved, restored in a fresh
+interpreter and continued by the test suite (DESIGN.md §11.5).
 """

@@ -653,12 +653,14 @@ class ScheduleSite:
 
     Outside :mod:`repro.sim`, which keeps the heap entry format private,
     these calls are the only way a callback gets onto the event heap.
+    The purity pass reads them for its zero-delay self-schedule check
+    (SIM203); whether a scheduled callback survives a checkpoint is
+    tested at runtime, not here.
     """
 
     caller: str  # qualname of the function containing the call
     node: ast.Call
     delay: ast.expr | None  # first argument (delay / absolute time)
-    callback: ast.expr | None
     target: str | None  # resolved callback qualname, None if opaque
 
 
@@ -1003,8 +1005,7 @@ class CallGraph:
                     self._add_edge(fn.qualname, ref.qualname)
         self.schedule_sites.append(
             ScheduleSite(
-                caller=fn.qualname, node=node, delay=delay,
-                callback=callback, target=target,
+                caller=fn.qualname, node=node, delay=delay, target=target
             )
         )
 

@@ -53,8 +53,6 @@ RNG_EXEMPT_MODULES: tuple[str, ...] = ("repro.sim.rng",)
 #: of these classes.  Cross-component effects must go through a method
 #: call (the documented API) or through ``Simulator.schedule`` so the
 #: golden-trace replay contract stays auditable at call boundaries.
-#: The snapshot-safety pass (SIM403) counts them as declared
-#: checkpoint-manifest members.
 COMPONENT_CLASSES: frozenset[str] = frozenset(
     {
         "repro.sim.engine.Simulator",
@@ -79,56 +77,6 @@ COMPONENT_CLASSES: frozenset[str] = frozenset(
 UNITS_EXEMPT_MODULES: tuple[str, ...] = (
     "repro.sim.units",
     "repro.core.units",
-)
-
-#: Packages whose state ends up inside a checkpoint payload: the
-#: simulation packages plus the experiment drivers that build and own
-#: `Simulator` instances.  The snapshot-safety rules (SIM401–SIM403,
-#: :mod:`repro.analysis.snapshots`) apply here; everything else (the
-#: analysis tooling itself, profiling micro-benchmarks) never rides in
-#: a ``{sim, world, counters}`` pickle and is out of scope.
-CHECKPOINT_PACKAGES: tuple[str, ...] = SIM_PACKAGES + ("repro.experiments",)
-
-#: Modules exempt from the snapshot-safety rules because they *are* the
-#: checkpoint machinery: the custom pickler/reducers and the registered
-#: counter substrate legitimately keep module-level registries
-#: (``SerialCounter._REGISTRY``) that the checkpoint explicitly
-#: serializes out of band.
-SNAPSHOT_EXEMPT_MODULES: tuple[str, ...] = (
-    "repro.sim.serial",
-    "repro.sim.checkpoint",
-)
-
-#: Heap-reachable classes *beyond* :data:`COMPONENT_CLASSES` /
-#: :data:`SLOTS_MANIFEST`: their bound methods sit on the event heap
-#: (``schedule*`` targets), so the checkpoint pickler
-#: must be able to re-bind them, and SIM403 diffs the *computed* census
-#: (owners of dispatch-seeded callbacks) against this declared set.  A
-#: new class scheduling its own methods must be added here — the diff
-#: failing is the point: it forces a human to confirm the class
-#: round-trips through ``repro.sim.checkpoint``.
-HEAP_EXTRA_CLASSES: frozenset[str] = frozenset(
-    {
-        "repro.experiments.clos_scale._ForegroundSource",
-        "repro.experiments.dynamic._SRCAdjuster",
-        "repro.faults.inject.FaultInjector",
-        "repro.nvme.block_sched.BlockLayerThrottle",
-    }
-)
-
-#: Classes allowed to define ``__reduce__``/``__getstate__`` despite
-#: the custom checkpoint pickler: their reducers are *part of* the
-#: checkpoint contract (``_HandledMark`` pickles by module reference to
-#: preserve sentinel identity; ``SerialCounter`` pickles by registry
-#: name).  Any other heap-reachable class defining pickle hooks is
-#: SIM403 drift — the checkpoint pickler silently honours an ad-hoc
-#: ``__getstate__``, so the snapshot diverges from what the author
-#: tested.
-REDUCER_SANCTIONED: frozenset[str] = frozenset(
-    {
-        "repro.sim.events._HandledMark",
-        "repro.sim.serial.SerialCounter",
-    }
 )
 
 #: Hot-path classes that must declare ``__slots__`` (directly or via

@@ -1,10 +1,10 @@
 """Unified SIM rule registry and CLI rule selection.
 
 Every lint rule the driver can emit, grouped by the pass that computes
-it.  Every group runs by default; ``repro lint --select SIM4 --ignore
+it.  Every group runs by default; ``repro lint --select SIM2 --ignore
 SIM203`` style selection resolves here: tokens are rule-id prefixes
-(``SIM4`` -> SIM401–SIM403, ``SIM203`` -> itself) or group keys
-(``snapshots``).  A token matching nothing is an error — a typo
+(``SIM2`` -> SIM201–SIM203, ``SIM203`` -> itself) or group keys
+(``purity``).  A token matching nothing is an error — a typo
 silently selecting zero rules would read as "clean".
 
 SIM999 (file does not parse) is always active: a parse failure
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from repro.analysis.purity import PURITY_RULES
 from repro.analysis.simlint import RULES
-from repro.analysis.snapshots import SNAPSHOT_RULES
 from repro.analysis.units import UNIT_RULES
 
 __all__ = [
@@ -33,7 +32,7 @@ __all__ = [
 class RuleGroup:
     """One lint pass and the rules it emits."""
 
-    key: str  # selection token (``--select snapshots``)
+    key: str  # selection token (``--select purity``)
     title: str
     rules: tuple[str, ...]
 
@@ -42,16 +41,10 @@ RULE_GROUPS: tuple[RuleGroup, ...] = (
     RuleGroup("core", "per-file determinism rules", tuple(sorted(RULES))),
     RuleGroup("units", "units-of-measure dataflow", tuple(sorted(UNIT_RULES))),
     RuleGroup("purity", "event-callback purity", tuple(sorted(PURITY_RULES))),
-    RuleGroup(
-        "snapshots", "snapshot safety (checkpointability)",
-        tuple(sorted(SNAPSHOT_RULES)),
-    ),
 )
 
 #: Every rule the whole-program driver can emit.
-ALL_RULES: dict[str, str] = {
-    **RULES, **UNIT_RULES, **PURITY_RULES, **SNAPSHOT_RULES
-}
+ALL_RULES: dict[str, str] = {**RULES, **UNIT_RULES, **PURITY_RULES}
 
 _GROUPS_BY_KEY = {g.key: g for g in RULE_GROUPS}
 
@@ -59,8 +52,8 @@ _GROUPS_BY_KEY = {g.key: g for g in RULE_GROUPS}
 def expand_selection(tokens: list[str]) -> frozenset[str]:
     """Rule ids matching the given tokens (comma-splittable).
 
-    A token is a group key (``snapshots``) or a rule-id prefix
-    (``SIM4``, ``sim203``).  Raises ``ValueError`` on a token that
+    A token is a group key (``purity``) or a rule-id prefix
+    (``SIM2``, ``sim203``).  Raises ``ValueError`` on a token that
     matches nothing.
     """
     out: set[str] = set()

@@ -5,9 +5,8 @@
 1. runs the per-file syntactic rules (SIM001–SIM005, SIM999) of
    :mod:`repro.analysis.simlint` over every file;
 2. builds the :class:`~repro.analysis.callgraph.ProjectIndex` and the
-   call graph once, then runs the units (SIM101–SIM104), purity
-   (SIM201–SIM203) and snapshot-safety (SIM401–SIM403,
-   :mod:`repro.analysis.snapshots`) passes over it.
+   call graph once, then runs the units (SIM101–SIM104) and purity
+   (SIM201–SIM203) passes over it.
 
 Every finding is reported; an inline ``# simlint: ignore[...]``
 directive is the only way to suppress one.
@@ -27,7 +26,6 @@ from repro.analysis.simlint import (
     _iter_python_files,
     lint_file,
 )
-from repro.analysis.snapshots import SNAPSHOT_RULES, check_snapshots
 from repro.analysis.units import UNIT_RULES, check_units
 
 __all__ = ["ALL_RULES", "LintReport", "lint_project"]
@@ -67,7 +65,7 @@ def lint_project(
             v for v in lint_file(path) if v.rule in active
         )
 
-    graph_rules = set(UNIT_RULES) | set(PURITY_RULES) | set(SNAPSHOT_RULES)
+    graph_rules = set(UNIT_RULES) | set(PURITY_RULES)
     if active & graph_rules:
         index = ProjectIndex.build([(p, p.read_text()) for p in files])
         graph = CallGraph(index)
@@ -78,10 +76,6 @@ def lint_project(
         if active & set(PURITY_RULES):
             violations.extend(
                 v for v in check_purity(index, graph) if v.rule in active
-            )
-        if active & set(SNAPSHOT_RULES):
-            violations.extend(
-                v for v in check_snapshots(index, graph) if v.rule in active
             )
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
 

@@ -324,13 +324,13 @@ def cmd_lint(args) -> int:
     """Run the whole-program simulation linter (see repro.analysis).
 
     Per-file determinism rules (SIM001–SIM005), units-of-measure
-    dataflow (SIM101–SIM104), event-callback purity (SIM201–SIM203),
-    and snapshot safety (SIM401–SIM403) in one pass.  ``--select`` /
-    ``--ignore`` narrow the rule set by rule-id prefix or group key;
-    an inline ``# simlint: ignore[...]`` directive is the only way to
-    suppress a finding.  Exit status: 0 = clean (no findings, within
-    the time budget), 1 = findings or over budget, 2 = bad rule
-    selector or a path that is neither a directory nor a ``.py`` file.
+    dataflow (SIM101–SIM104) and event-callback purity (SIM201–SIM203)
+    in one pass.  ``--select`` / ``--ignore`` narrow the rule set by
+    rule-id prefix or group key; an inline ``# simlint: ignore[...]``
+    directive is the only way to suppress a finding.  Exit status:
+    0 = clean (no findings, within the time budget), 1 = findings or
+    over budget, 2 = bad rule selector or a path that is neither a
+    directory nor a ``.py`` file.
     """
     from pathlib import Path
 
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="whole-program simulation linter (SIM001-005, SIM101-104, "
-        "SIM201-203, SIM401-403; --select/--ignore pick rules)",
+        "SIM201-203; --select/--ignore pick rules)",
     )
     p.add_argument(
         "paths", nargs="+", help="files or directories to lint (e.g. src)"
@@ -478,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--select", action="append", default=None, metavar="RULES",
         help="only run rules matching these comma-separated rule-id "
-        "prefixes or group keys (core, units, purity, snapshots; e.g. "
-        "'SIM4', 'SIM203'); repeatable; default: every rule",
+        "prefixes or group keys (core, units, purity; e.g. "
+        "'SIM2', 'SIM203'); repeatable; default: every rule",
     )
     p.add_argument(
         "--ignore", action="append", default=None, metavar="RULES",

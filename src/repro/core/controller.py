@@ -198,22 +198,13 @@ class SRCController:
     def attach(self, target, sim) -> None:
         """Wire this controller to a fabric target.
 
-        Subscribes to the target NIC's DCQCN rate changes and shims the
-        target's command-arrival path so the workload monitor sees every
+        Subscribes to the target NIC's DCQCN rate changes and to the
+        target's command arrivals, so the workload monitor sees every
         request.
         """
         self._target = target
         self._sim = sim
-        original = target._on_message
-
-        def observing(payload, src, size_bytes):
-            capsule_req = getattr(payload, "request", None)
-            if capsule_req is not None:
-                self.monitor.observe(capsule_req, sim.now)
-            original(payload, src, size_bytes)
-
-        target._on_message = observing
-        target.nic.endpoint = observing
+        target.arrival_listeners.append(self.monitor.observe)
         target.add_rate_listener(self._on_rate_change)
 
     def _aggregate_rate_gbps(self) -> float:

@@ -12,11 +12,14 @@ drained from each device CQ in order:
   CQ until the device's completion posting — and with it command slots —
   stalls.  This is the §II-B degradation chain.
 
-The target also exposes its NIC's DCQCN rate-change stream, which the
-SRC controller (:mod:`repro.core.controller`) subscribes to.
+The target also exposes its NIC's DCQCN rate-change stream and its
+command arrivals, which the SRC controller (:mod:`repro.core.controller`)
+subscribes to.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.fabric.capsule import Capsule, CapsuleKind
 from repro.net.nic import NIC
@@ -51,6 +54,9 @@ class Target:
         self.write_completions: list[tuple[int, int]] = []
         self.read_device_completions: list[tuple[int, int]] = []
         self.commands_received = 0
+        #: ``listener(req, now_ns)`` per arriving command, before it is
+        #: submitted to a driver (the SRC workload monitor's tap).
+        self.arrival_listeners: list[Callable[[IORequest, int], None]] = []
         #: Commands completed with a device error (surfaced to the
         #: initiator as ERROR capsules instead of data/acks).
         self.error_completions = 0
@@ -62,6 +68,8 @@ class Target:
         req = payload.request
         req.initiator = req.initiator or src
         self.commands_received += 1
+        for listener in self.arrival_listeners:
+            listener(req, self.sim.now)
         driver = self.drivers[self._rr]
         self._rr = (self._rr + 1) % len(self.drivers)
         driver.submit(req, now_ns=self.sim.now)

@@ -1,14 +1,21 @@
-"""Whole-program linter: unit/purity fixtures, the call graph, SARIF
-output, directive scoping, and the CLI plumbing around them."""
+"""Whole-program linter: unit/purity fixtures, the call graph, rule
+selection, SARIF output, directive scoping, and the CLI plumbing around
+them."""
 
 from __future__ import annotations
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.callgraph import CallGraph, ProjectIndex
+from repro.analysis.registry import (
+    RULE_GROUPS,
+    expand_selection,
+    resolve_active_rules,
+)
 from repro.analysis.run import ALL_RULES, lint_project
 from repro.analysis.sarif import sarif_report, to_sarif, violations_from_sarif
 from repro.analysis.simlint import lint_source, module_name_of
@@ -26,16 +33,11 @@ WHOLE_PROGRAM_RULES = (
     "SIM202",
     "SIM203",
 )
-
-
-#: The unit/purity fixtures model toy components that schedule their
-#: own methods without a checkpoint-manifest entry, so SIM403 rightly
-#: fires on them; runs over them deselect the snapshot group.
-NO_SNAPSHOTS = ["snapshots"]
+PURITY = frozenset({"SIM201", "SIM202", "SIM203"})
 
 
 def lint_one(path: Path):
-    return lint_project([path], ignore=NO_SNAPSHOTS).violations
+    return lint_project([path]).violations
 
 
 # -- fixtures: every rule fires on bad, stays quiet on good -----------------
@@ -183,10 +185,9 @@ def test_heap_format_is_private_to_repro_sim():
     """Components schedule through ``Simulator``, never onto the heap.
 
     A hand-inlined heap push would hide its callback from the call
-    graph, and with it from the dispatch-reachability (SIM2xx) and
-    checkpoint (SIM4xx) passes.  The link and NIC hot paths, which
-    used to push directly, must be seeded through their schedule
-    calls.
+    graph, and with it from the dispatch-reachability (SIM2xx) passes.
+    The link and NIC hot paths, which used to push directly, must be
+    seeded through their schedule calls.
     """
     assert _heap_internals_outside_sim() == []
     files = [(p, p.read_text()) for p in sorted(SRC.rglob("*.py"))]
@@ -201,7 +202,77 @@ def test_heap_format_is_private_to_repro_sim():
         assert callback in seeds
 
 
+# -- rule registry / selection semantics -------------------------------------
+
+
+def test_expand_selection_accepts_groups_prefixes_and_commas():
+    assert expand_selection(["purity"]) == PURITY
+    assert expand_selection(["SIM2"]) == PURITY
+    assert expand_selection(["sim201"]) == frozenset({"SIM201"})
+    both = expand_selection(["SIM201,SIM202"])
+    assert both == frozenset({"SIM201", "SIM202"})
+    assert expand_selection(["purity", "SIM101"]) == PURITY | {"SIM101"}
+
+
+def test_expand_selection_rejects_unknown_tokens():
+    with pytest.raises(ValueError, match="BOGUS"):
+        expand_selection(["BOGUS"])
+    with pytest.raises(ValueError, match="groups:"):
+        expand_selection(["SIM9x"])
+
+
+def test_resolve_active_rules_defaults_cover_every_group():
+    active = resolve_active_rules()
+    assert active == frozenset(ALL_RULES)
+    for group in RULE_GROUPS:
+        assert set(group.rules) <= active
+    assert "SIM999" in active
+
+
+def test_select_replaces_the_defaults():
+    only = resolve_active_rules(select=["SIM201"])
+    assert only == frozenset({"SIM201", "SIM999"})
+    mixed = resolve_active_rules(select=["SIM001", "purity"])
+    assert mixed == frozenset({"SIM001", "SIM999"}) | PURITY
+
+
+def test_ignore_wins_but_sim999_is_sticky():
+    active = resolve_active_rules(ignore=["SIM201"])
+    assert "SIM201" not in active
+    assert "SIM202" in active
+    assert "SIM999" in resolve_active_rules(ignore=["SIM999"])
+
+
 # -- CLI plumbing ------------------------------------------------------------
+
+
+def test_cli_select_and_ignore_filter_rules(capsys):
+    rc = cli_main(
+        [
+            "lint",
+            *(str(FIXTURES / f"bad_sim{n}.py") for n in ("003", "201", "202")),
+            "--select", "SIM2", "--ignore", "SIM202",
+            "--format", "json",
+        ]
+    )
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert {v["rule"] for v in payload} == {"SIM201"}
+
+
+# ``snapshots`` and ``SIM4`` selected the deleted snapshot-safety rules;
+# a stale selector must not read as a clean run.
+@pytest.mark.parametrize("selector", ["BOGUS", "snapshots", "SIM4"])
+def test_cli_rejects_bogus_selector(selector, capsys):
+    rc = cli_main(
+        [
+            "lint", str(FIXTURES / "good_sim201.py"),
+            "--select", selector,
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert selector in err and "groups:" in err
 
 
 def test_cli_github_format_emits_annotations(capsys):
@@ -265,6 +336,35 @@ def test_sarif_round_trips_the_findings():
     assert driver["name"] == "simlint"
     assert [r["id"] for r in driver["rules"]] == ["SIM003"]
     assert driver["rules"][0]["shortDescription"]["text"] == ALL_RULES["SIM003"]
+
+
+def test_sarif_round_trips_purity_findings():
+    violations = lint_one(FIXTURES / "bad_sim201.py")
+    assert violations  # guard: the round-trip must carry something
+    text = to_sarif(violations, ALL_RULES)
+    assert violations_from_sarif(text) == violations
+
+    report = sarif_report(violations, ALL_RULES)
+    driver = report["runs"][0]["tool"]["driver"]
+    assert [r["id"] for r in driver["rules"]] == ["SIM201"]
+    assert driver["rules"][0]["shortDescription"]["text"] == ALL_RULES["SIM201"]
+
+
+def test_cli_default_run_flags_purity_fixture(tmp_path, capsys):
+    # No --select: the whole-program purity group is on by default.
+    out_file = tmp_path / "lint.sarif"
+    rc = cli_main(
+        [
+            "lint", str(FIXTURES / "bad_sim201.py"),
+            "--format", "sarif", "--sarif-output", str(out_file),
+        ]
+    )
+    assert rc == 1
+    stdout = capsys.readouterr().out
+    assert {v.rule for v in violations_from_sarif(stdout)} == {"SIM201"}
+    assert {
+        v.rule for v in violations_from_sarif(out_file.read_text())
+    } == {"SIM201"}
 
 
 # -- directive scoping -------------------------------------------------------
