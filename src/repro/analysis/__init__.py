@@ -6,11 +6,9 @@ Two layers guard the repo's bit-identical-replay guarantee:
   determinism rules (SIM001–SIM005): wall-clock access, out-of-band
   randomness, unordered set iteration, missing ``__slots__`` on
   manifest hot-path classes, swallowed exceptions.  The whole-program
-  passes share one project-wide symbol table + call graph
-  (:mod:`repro.analysis.callgraph`, which resolves the scheduler's
-  ``schedule(callback, *args)`` indirection): units-of-measure dataflow
-  (:mod:`repro.analysis.units`, SIM101–SIM104) and event-callback purity
-  (:mod:`repro.analysis.purity`, SIM201–SIM203).
+  units-of-measure dataflow pass (:mod:`repro.analysis.units`,
+  SIM101–SIM104) runs over a project-wide symbol table
+  (:mod:`repro.analysis.index`).
   :mod:`repro.analysis.run` drives every group by default, with inline
   ``# simlint: ignore[...]`` directives as the only suppression,
   ``--select``/``--ignore`` resolved by :mod:`repro.analysis.registry`
@@ -24,7 +22,8 @@ Two layers guard the repo's bit-identical-replay guarantee:
 The package re-exports nothing: import the submodule you need, so a
 ``Simulator()`` that loads the sanitizer never loads the static
 analyzer.  See DESIGN.md §6 ("Determinism & sanitizer contract") and §8
-("Whole-program analysis").  Checkpointability is not analysed
-statically: every testbed world is saved, restored in a fresh
-interpreter and continued by the test suite (DESIGN.md §11.5).
+("Whole-program analysis").  Checkpointability and I/O-free dispatch
+are not analysed statically: every testbed world is saved, restored in
+a fresh interpreter and continued under an audit hook by the test
+suite (DESIGN.md §11.5).
 """

@@ -47,31 +47,6 @@ ITERATION_PACKAGES: tuple[str, ...] = SIM_PACKAGES + (
 #: the single chokepoint every other module must import from.
 RNG_EXEMPT_MODULES: tuple[str, ...] = ("repro.sim.rng",)
 
-#: Components with an *owner*: the whole-program purity pass (SIM202,
-#: :mod:`repro.analysis.purity`) flags a dispatch-reachable callback
-#: that stores directly into an attribute of a foreign instance of one
-#: of these classes.  Cross-component effects must go through a method
-#: call (the documented API) or through ``Simulator.schedule`` so the
-#: golden-trace replay contract stays auditable at call boundaries.
-COMPONENT_CLASSES: frozenset[str] = frozenset(
-    {
-        "repro.sim.engine.Simulator",
-        "repro.net.link.Link",
-        "repro.net.switch.Switch",
-        "repro.net.nic.NIC",
-        "repro.net.nic.Flow",
-        "repro.net.reliability.FlowReliability",
-        "repro.net.dcqcn.DCQCNRateControl",
-        "repro.net.fluid.FluidDomain",
-        "repro.net.fluid.FluidFlow",
-        "repro.ssd.flash.FlashBackend",
-        "repro.ssd.controller.SSDController",
-        "repro.nvme.wrr.TokenWRR",
-        "repro.fabric.initiator.Initiator",
-        "repro.fabric.target.Target",
-    }
-)
-
 #: Modules exempt from the unit-mixing rules (SIM101/SIM104): they
 #: *define* the conversions, so units legitimately meet there.
 UNITS_EXEMPT_MODULES: tuple[str, ...] = (

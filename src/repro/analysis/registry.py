@@ -1,10 +1,10 @@
 """Unified SIM rule registry and CLI rule selection.
 
 Every lint rule the driver can emit, grouped by the pass that computes
-it.  Every group runs by default; ``repro lint --select SIM2 --ignore
-SIM203`` style selection resolves here: tokens are rule-id prefixes
-(``SIM2`` -> SIM201–SIM203, ``SIM203`` -> itself) or group keys
-(``purity``).  A token matching nothing is an error — a typo
+it.  Every group runs by default; ``repro lint --select SIM1 --ignore
+SIM102`` style selection resolves here: tokens are rule-id prefixes
+(``SIM1`` -> SIM101–SIM104, ``SIM102`` -> itself) or group keys
+(``units``).  A token matching nothing is an error — a typo
 silently selecting zero rules would read as "clean".
 
 SIM999 (file does not parse) is always active: a parse failure
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.purity import PURITY_RULES
 from repro.analysis.simlint import RULES
 from repro.analysis.units import UNIT_RULES
 
@@ -32,7 +31,7 @@ __all__ = [
 class RuleGroup:
     """One lint pass and the rules it emits."""
 
-    key: str  # selection token (``--select purity``)
+    key: str  # selection token (``--select units``)
     title: str
     rules: tuple[str, ...]
 
@@ -40,11 +39,10 @@ class RuleGroup:
 RULE_GROUPS: tuple[RuleGroup, ...] = (
     RuleGroup("core", "per-file determinism rules", tuple(sorted(RULES))),
     RuleGroup("units", "units-of-measure dataflow", tuple(sorted(UNIT_RULES))),
-    RuleGroup("purity", "event-callback purity", tuple(sorted(PURITY_RULES))),
 )
 
 #: Every rule the whole-program driver can emit.
-ALL_RULES: dict[str, str] = {**RULES, **UNIT_RULES, **PURITY_RULES}
+ALL_RULES: dict[str, str] = {**RULES, **UNIT_RULES}
 
 _GROUPS_BY_KEY = {g.key: g for g in RULE_GROUPS}
 
@@ -52,8 +50,8 @@ _GROUPS_BY_KEY = {g.key: g for g in RULE_GROUPS}
 def expand_selection(tokens: list[str]) -> frozenset[str]:
     """Rule ids matching the given tokens (comma-splittable).
 
-    A token is a group key (``purity``) or a rule-id prefix
-    (``SIM2``, ``sim203``).  Raises ``ValueError`` on a token that
+    A token is a group key (``units``) or a rule-id prefix
+    (``SIM1``, ``sim102``).  Raises ``ValueError`` on a token that
     matches nothing.
     """
     out: set[str] = set()

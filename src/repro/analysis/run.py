@@ -1,12 +1,12 @@
-"""Whole-program lint driver: per-file rules + call-graph passes.
+"""Whole-program lint driver: per-file rules + the units pass.
 
 ``repro lint`` lands here.  One invocation:
 
 1. runs the per-file syntactic rules (SIM001–SIM005, SIM999) of
    :mod:`repro.analysis.simlint` over every file;
-2. builds the :class:`~repro.analysis.callgraph.ProjectIndex` and the
-   call graph once, then runs the units (SIM101–SIM104) and purity
-   (SIM201–SIM203) passes over it.
+2. when a units rule is active, builds the
+   :class:`~repro.analysis.index.ProjectIndex` once and runs the units
+   pass (SIM101–SIM104) over it.
 
 Every finding is reported; an inline ``# simlint: ignore[...]``
 directive is the only way to suppress one.
@@ -18,8 +18,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.callgraph import CallGraph, ProjectIndex
-from repro.analysis.purity import PURITY_RULES, check_purity
+from repro.analysis.index import ProjectIndex
 from repro.analysis.registry import ALL_RULES, resolve_active_rules
 from repro.analysis.simlint import (
     Violation,
@@ -52,8 +51,8 @@ def lint_project(
     Every rule group runs unless ``select`` / ``ignore`` narrow the rule
     set (:func:`repro.analysis.registry.resolve_active_rules` — a
     selector matching nothing raises ``ValueError``, and so does a path
-    that is neither a directory nor an existing ``.py`` file).  A pass
-    none of whose rules are active is skipped entirely.
+    that is neither a directory nor an existing ``.py`` file).  The
+    project index is built only when a units rule is active.
     """
     start = time.perf_counter()
     active = resolve_active_rules(select=select, ignore=ignore)
@@ -65,18 +64,9 @@ def lint_project(
             v for v in lint_file(path) if v.rule in active
         )
 
-    graph_rules = set(UNIT_RULES) | set(PURITY_RULES)
-    if active & graph_rules:
+    if not active.isdisjoint(UNIT_RULES):
         index = ProjectIndex.build([(p, p.read_text()) for p in files])
-        graph = CallGraph(index)
-        if active & set(UNIT_RULES):
-            violations.extend(
-                v for v in check_units(index, graph) if v.rule in active
-            )
-        if active & set(PURITY_RULES):
-            violations.extend(
-                v for v in check_purity(index, graph) if v.rule in active
-            )
+        violations.extend(v for v in check_units(index) if v.rule in active)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
 
     return LintReport(

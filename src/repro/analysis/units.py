@@ -7,7 +7,7 @@ to an engine that counts ns.  This pass assigns each expression a unit
 from three sources, in priority order:
 
 1. signature annotations using the :mod:`repro.core.units` aliases
-   (collected into the :class:`~repro.analysis.callgraph.ProjectIndex`);
+   (collected into the :class:`~repro.analysis.index.ProjectIndex`);
 2. the repo's name-suffix convention (``_ns``, ``_bytes``, ``_gbps``,
    ...) for unannotated locals, attributes, and function names;
 3. a small algebra over arithmetic: ``bytes / ns -> bytes_per_ns``,
@@ -48,8 +48,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.callgraph import (
-    CallGraph,
+from repro.analysis.index import (
     ClassInfo,
     FunctionInfo,
     ParamInfo,
@@ -78,9 +77,9 @@ _RATE_CLASH = frozenset({"bytes", "ns", "us", "ms", "s"})
 
 
 def _scoped(module: str) -> bool:
-    # Unlike the purity rules (scoped to the packages that run inside
-    # the simulated clock), unit conventions hold project-wide: the
-    # classic ms-vs-ns bug lives in experiment drivers and the CLI.
+    # Unit conventions hold project-wide, not only in the packages that
+    # run inside the simulated clock: the classic ms-vs-ns bug lives in
+    # experiment drivers and the CLI.
     return module == "repro" or module.startswith("repro.")
 
 
@@ -493,15 +492,11 @@ class _FunctionUnits:
             )
 
 
-def check_units(index: ProjectIndex, graph: CallGraph) -> list[Violation]:
+def check_units(index: ProjectIndex) -> list[Violation]:
     """Run SIM101–SIM104 over every in-scope function of the index.
 
-    The call graph is part of the signature for parity with the purity
-    pass (and so call-resolution work is shared by the runner); the
-    units pass itself propagates through signatures, which the index
-    already carries.
+    Units propagate through the signatures the index carries.
     """
-    del graph  # propagation happens through indexed signatures
     violations: list[Violation] = []
     for module in sorted(index.modules.values(), key=lambda m: m.name):
         if not _scoped(module.name):

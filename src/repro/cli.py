@@ -59,16 +59,20 @@ def cmd_motivation(_args) -> int:
     return 0
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse ``type`` for integers ``>= low``; anything else exits 2."""
+def _at_least(
+    low: float, kind: Callable[[str], float] = int
+) -> Callable[[str], float]:
+    """An argparse ``type`` for ``kind`` numbers ``>= low`` (NaN fails
+    too); anything else exits 2."""
 
-    def parse(value: str) -> int:
-        n = int(value)
-        if n < low:
+    def parse(value: str) -> float:
+        n = kind(value)
+        if not n >= low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
         return n
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    # argparse names the type in "invalid int value".
+    parse.__name__ = getattr(kind, "__name__", "number")
     return parse
 
 
@@ -323,11 +327,11 @@ def cmd_replay_failure(args) -> int:
 def cmd_lint(args) -> int:
     """Run the whole-program simulation linter (see repro.analysis).
 
-    Per-file determinism rules (SIM001–SIM005), units-of-measure
-    dataflow (SIM101–SIM104) and event-callback purity (SIM201–SIM203)
-    in one pass.  ``--select`` / ``--ignore`` narrow the rule set by
-    rule-id prefix or group key; an inline ``# simlint: ignore[...]``
-    directive is the only way to suppress a finding.  Exit status:
+    Per-file determinism rules (SIM001–SIM005) and units-of-measure
+    dataflow (SIM101–SIM104) in one pass.  ``--select`` / ``--ignore``
+    narrow the rule set by rule-id prefix or group key; an inline
+    ``# simlint: ignore[...]`` directive is the only way to suppress a
+    finding.  Exit status:
     0 = clean (no findings, within the time budget), 1 = findings or
     over budget, 2 = bad rule selector or a path that is neither a
     directory nor a ``.py`` file.
@@ -379,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="small Fig. 5-style weight sweep")
     p.add_argument("--ssd", choices=sorted(SSDS), default="A")
-    p.add_argument("--duration-ms", type=_int_at_least(1), default=30)
+    p.add_argument("--duration-ms", type=_at_least(1), default=30)
     p.add_argument(
-        "--workers", type=_int_at_least(0), default=1,
+        "--workers", type=_at_least(0), default=1,
         help="worker processes for the sweep (0 = all cores); "
         "results are identical for any value",
     )
@@ -389,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="generate a synthetic trace CSV")
     p.add_argument("--profile", choices=sorted(PROFILES), default="vdi")
-    p.add_argument("--reads", type=int, default=2000)
-    p.add_argument("--writes", type=int, default=1000)
+    p.add_argument("--reads", type=_at_least(0), default=2000)
+    p.add_argument("--writes", type=_at_least(0), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_synthesize)
@@ -398,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="replay a trace CSV on a simulated SSD")
     p.add_argument("trace")
     p.add_argument("--ssd", choices=sorted(SSDS), default="A")
-    p.add_argument("--weight", type=_int_at_least(1), default=1)
+    p.add_argument("--weight", type=_at_least(1), default=1)
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("profile", help="profile the DES engine hot paths")
@@ -407,15 +411,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="pure event-loop microbench, packet-level in-cast cell, or both",
     )
     p.add_argument(
-        "--events", type=_int_at_least(16), default=200_000,
+        "--events", type=_at_least(16), default=200_000,
         help="events to dispatch in the engine microbench (one per chain "
         "at least: >= 16)",
     )
     p.add_argument(
-        "--duration-us", type=int, default=2_000,
+        "--duration-us", type=_at_least(1), default=2_000,
         help="simulated microseconds for the in-cast cell",
     )
-    p.add_argument("--top", type=int, default=10, help="callback sites to show")
+    p.add_argument(
+        "--top", type=_at_least(0), default=10, help="callback sites to show"
+    )
     p.add_argument(
         "--cprofile", action="store_true",
         help="also run under cProfile and print a cumulative-time report",
@@ -433,11 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="fault-plan seed")
     p.add_argument(
-        "--duration-ms", type=_int_at_least(10), default=20,
+        "--duration-ms", type=_at_least(10), default=20,
         help="simulated ms per cell (>= 10: fault windows scale with it)",
     )
     p.add_argument(
-        "--workers", type=_int_at_least(0), default=1,
+        "--workers", type=_at_least(0), default=1,
         help="worker processes (0 = all cores); results are identical "
         "for any value",
     )
@@ -463,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="whole-program simulation linter (SIM001-005, SIM101-104, "
-        "SIM201-203; --select/--ignore pick rules)",
+        help="whole-program simulation linter (SIM001-005, SIM101-104; "
+        "--select/--ignore pick rules)",
     )
     p.add_argument(
         "paths", nargs="+", help="files or directories to lint (e.g. src)"
@@ -478,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--select", action="append", default=None, metavar="RULES",
         help="only run rules matching these comma-separated rule-id "
-        "prefixes or group keys (core, units, purity; e.g. "
-        "'SIM2', 'SIM203'); repeatable; default: every rule",
+        "prefixes or group keys (core, units; e.g. "
+        "'SIM1', 'SIM102'); repeatable; default: every rule",
     )
     p.add_argument(
         "--ignore", action="append", default=None, metavar="RULES",
@@ -492,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(independent of --format)",
     )
     p.add_argument(
-        "--max-seconds", type=float, default=None,
+        "--max-seconds", type=_at_least(0, float), default=None,
         help="fail if the whole pass exceeds this wall-clock budget",
     )
     p.set_defaults(fn=cmd_lint)

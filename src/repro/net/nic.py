@@ -261,7 +261,7 @@ class Flow:
                 self.queued_bytes -= total
                 # Hot path: the per-burst TXQ refund stays inlined here;
                 # cold paths go through NIC.txq_refund instead.
-                nic._txq_used -= total  # simlint: ignore[SIM202]
+                nic._txq_used -= total
                 # One rate-control charge for the whole burst: bursts are
                 # <= burst_k * MTU, far below the 10 MiB DCQCN byte
                 # counter, so stage crossings land at the same points.
@@ -316,7 +316,7 @@ class Flow:
             self.queued_bytes -= seg
             # Hot path: the per-segment TXQ refund stays inlined here;
             # cold paths go through NIC.txq_refund instead.
-            nic._txq_used -= seg  # simlint: ignore[SIM202]
+            nic._txq_used -= seg
             rate_control.on_bytes_sent(seg)
             gap = seg / rate_control.current_bytes_per_ns
             self._next_send_ns = now + max(1, int(gap + 0.5))

@@ -10,8 +10,7 @@ co-routines — because profiling showed plain callback dispatch is the
 fastest way to push millions of events through CPython (see
 ``DESIGN.md`` §5).  :meth:`Simulator.run` works directly on the event
 queue's tuple heap: each iteration peeks the head tuple once, pops it,
-and dispatches, instead of paying a ``peek_time()`` + ``pop()`` double
-traversal per event.
+and dispatches; it is the only code that pops the heap.
 
 Two event kinds flow through the loop (see :mod:`repro.sim.events`):
 handled ``(time, seq, HANDLED_MARK, Event)`` entries for anything that
@@ -236,8 +235,8 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        # push_anon inlined: this is the per-packet scheduling path, and
-        # the extra call frame measurably shows up on the incast cell.
+        # The push is inlined: this is the per-packet scheduling path,
+        # and an extra call frame measurably shows up on the incast cell.
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + 1

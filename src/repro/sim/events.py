@@ -14,8 +14,9 @@ kinds:
   :class:`Event` object (``__slots__``, no ordering protocol) exists so
   callers can cancel or inspect the scheduled callback (the DCQCN
   increase timer, the reliability RTO, initiator command timeouts).
-* ``(time, seq, callback, args)`` — an *anonymous* event pushed with
-  :meth:`EventQueue.push_anon`: no handle, no cancellation, no per-event
+* ``(time, seq, callback, args)`` — an *anonymous* event pushed by
+  :meth:`repro.sim.engine.Simulator.schedule_anon` /
+  ``schedule_at_anon``: no handle, no cancellation, no per-event
   object allocation.  This is the hot-path shape for fire-and-forget
   work (link serialization/propagation, the flash chip and channel
   stages, device-replay arrivals, Clos tenant ticks) where the handle
@@ -42,7 +43,7 @@ the heap.
 
 The tuple format is private to :mod:`repro.sim`: components schedule
 through :class:`repro.sim.engine.Simulator`, never by pushing onto the
-heap themselves, so the linter's call graph sees every callback.
+heap themselves, and only the engine's run loop pops it.
 """
 
 from __future__ import annotations
@@ -80,8 +81,9 @@ class Event:
 
     Supports O(1) lazy deletion via :meth:`cancel`: the entry stays in
     the heap but is skipped when popped.  The handle carries the queue's
-    dead-entry accounting back-reference while pending; it is detached on
-    pop so a late ``cancel()`` on an already-dispatched event is a no-op.
+    dead-entry accounting back-reference while pending; the engine
+    detaches it on dispatch so a late ``cancel()`` on an
+    already-dispatched event is a no-op.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_queue")
@@ -143,53 +145,6 @@ class EventQueue:
         ev = Event(time, seq, callback, args, self)
         heapq.heappush(self._heap, (time, seq, HANDLED_MARK, ev))
         return ev
-
-    def push_anon(
-        self, time: int, callback: Callable[..., None], args: tuple = ()
-    ) -> None:
-        """Schedule ``callback(*args)`` at ``time`` with no handle.
-
-        Anonymous events cannot be cancelled or inspected; in exchange
-        they skip the per-event :class:`Event` allocation entirely.  Use
-        for fire-and-forget hot paths.
-        """
-        if time < 0:
-            raise ValueError(f"event time must be non-negative, got {time}")
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (time, seq, callback, args))
-
-    def pop(self) -> Event | None:
-        """Pop the earliest non-cancelled event, or ``None`` if drained.
-
-        Anonymous entries come back wrapped in a detached (queue-less)
-        :class:`Event` so callers see one handle type; this is a cold
-        path — the engine's run loop dispatches raw tuples directly.
-        """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            if entry[2] is not HANDLED_MARK:
-                return Event(entry[0], entry[1], entry[2], entry[3], None)
-            ev: Event = entry[3]
-            if ev.cancelled:
-                self._dead -= 1
-                continue
-            ev._queue = None
-            return ev
-        return None
-
-    def peek_time(self) -> int | None:
-        """Firing time of the next live event without removing it."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[2] is HANDLED_MARK and entry[3].cancelled:
-                heapq.heappop(heap)
-                self._dead -= 1
-                continue
-            return int(entry[0])
-        return None
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify, in place.

@@ -1,6 +1,5 @@
-"""Whole-program linter: unit/purity fixtures, the call graph, rule
-selection, SARIF output, directive scoping, and the CLI plumbing around
-them."""
+"""Whole-program linter: units fixtures, rule selection, SARIF output,
+directive scoping, and the CLI plumbing around them."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.callgraph import CallGraph, ProjectIndex
 from repro.analysis.registry import (
     RULE_GROUPS,
     expand_selection,
@@ -29,11 +27,8 @@ WHOLE_PROGRAM_RULES = (
     "SIM102",
     "SIM103",
     "SIM104",
-    "SIM201",
-    "SIM202",
-    "SIM203",
 )
-PURITY = frozenset({"SIM201", "SIM202", "SIM203"})
+UNITS = frozenset(WHOLE_PROGRAM_RULES)
 
 
 def lint_one(path: Path):
@@ -67,89 +62,7 @@ def test_whole_program_src_tree_is_clean():
     assert report.file_count > 50
 
 
-# -- call graph --------------------------------------------------------------
-
-
-def _index_of(source: str) -> ProjectIndex:
-    return ProjectIndex.build([(Path("fake.py"), source)])
-
-
-def test_schedule_callback_seeds_reachability():
-    index = _index_of(
-        "# simlint: package=repro.sim.fake_graph\n"
-        "class Ticker:\n"
-        "    def __init__(self, sim):\n"
-        "        self.sim = sim\n"
-        "    def start(self):\n"
-        "        self.sim.schedule(1, self._tick)\n"
-        "    def _tick(self):\n"
-        "        self._helper()\n"
-        "    def _helper(self):\n"
-        "        pass\n"
-        "    def _unreached(self):\n"
-        "        pass\n"
-    )
-    reachable = CallGraph(index).reachable_from_dispatch()
-    assert "repro.sim.fake_graph.Ticker._tick" in reachable
-    assert "repro.sim.fake_graph.Ticker._helper" in reachable
-    assert "repro.sim.fake_graph.Ticker._unreached" not in reachable
-    # ``start`` is only *called by* user code, never dispatched.
-    assert "repro.sim.fake_graph.Ticker.start" not in reachable
-
-
-def test_schedule_through_bound_method_alias_resolves():
-    index = _index_of(
-        "# simlint: package=repro.sim.fake_alias\n"
-        "class Timer:\n"
-        "    def __init__(self, sim):\n"
-        "        self.sim = sim\n"
-        "        self._cb = self._fire\n"
-        "    def arm(self):\n"
-        "        self.sim.schedule(5, self._cb)\n"
-        "    def _fire(self):\n"
-        "        pass\n"
-    )
-    graph = CallGraph(index)
-    targets = {site.target for site in graph.schedule_sites}
-    assert "repro.sim.fake_alias.Timer._fire" in targets
-    assert "repro.sim.fake_alias.Timer._fire" in graph.reachable_from_dispatch()
-
-
-def test_anon_schedule_callback_seeds_reachability():
-    index = _index_of(
-        "# simlint: package=repro.sim.fake_anon\n"
-        "class Pump:\n"
-        "    def __init__(self, sim):\n"
-        "        self.sim = sim\n"
-        "    def start(self):\n"
-        "        self.sim.schedule_anon(1, self._tick)\n"
-        "        self.sim.schedule_at_anon(9, self._late)\n"
-        "    def _tick(self):\n"
-        "        pass\n"
-        "    def _late(self):\n"
-        "        pass\n"
-        "    def _unreached(self):\n"
-        "        pass\n"
-    )
-    reachable = CallGraph(index).reachable_from_dispatch()
-    assert "repro.sim.fake_anon.Pump._tick" in reachable
-    assert "repro.sim.fake_anon.Pump._late" in reachable
-    assert "repro.sim.fake_anon.Pump._unreached" not in reachable
-
-
-def test_lambda_callback_seeds_its_call_targets():
-    index = _index_of(
-        "# simlint: package=repro.sim.fake_lambda\n"
-        "class Timer:\n"
-        "    def __init__(self, sim):\n"
-        "        self.sim = sim\n"
-        "    def arm(self):\n"
-        "        self.sim.schedule(5, lambda: self._fire())\n"
-        "    def _fire(self):\n"
-        "        pass\n"
-    )
-    reachable = CallGraph(index).reachable_from_dispatch()
-    assert "repro.sim.fake_lambda.Timer._fire" in reachable
+# -- heap privacy ------------------------------------------------------------
 
 
 def _heap_internals_outside_sim() -> list[str]:
@@ -184,34 +97,22 @@ def _heap_internals_outside_sim() -> list[str]:
 def test_heap_format_is_private_to_repro_sim():
     """Components schedule through ``Simulator``, never onto the heap.
 
-    A hand-inlined heap push would hide its callback from the call
-    graph, and with it from the dispatch-reachability (SIM2xx) passes.
-    The link and NIC hot paths, which used to push directly, must be
-    seeded through their schedule calls.
+    A hand-inlined heap push would bypass the engine's argument checks
+    and tie the component to the heap's private tuple format.
     """
     assert _heap_internals_outside_sim() == []
-    files = [(p, p.read_text()) for p in sorted(SRC.rglob("*.py"))]
-    seeds = CallGraph(ProjectIndex.build(files)).seeds
-    for callback in (
-        "repro.net.link.Link._finish",
-        "repro.net.link.Link._deliver",
-        "repro.net.link.Link._finish_burst",
-        "repro.net.link.Link._deliver_burst",
-        "repro.net.nic.Flow.pump",
-    ):
-        assert callback in seeds
 
 
 # -- rule registry / selection semantics -------------------------------------
 
 
 def test_expand_selection_accepts_groups_prefixes_and_commas():
-    assert expand_selection(["purity"]) == PURITY
-    assert expand_selection(["SIM2"]) == PURITY
-    assert expand_selection(["sim201"]) == frozenset({"SIM201"})
-    both = expand_selection(["SIM201,SIM202"])
-    assert both == frozenset({"SIM201", "SIM202"})
-    assert expand_selection(["purity", "SIM101"]) == PURITY | {"SIM101"}
+    assert expand_selection(["units"]) == UNITS
+    assert expand_selection(["SIM1"]) == UNITS
+    assert expand_selection(["sim101"]) == frozenset({"SIM101"})
+    both = expand_selection(["SIM101,SIM102"])
+    assert both == frozenset({"SIM101", "SIM102"})
+    assert expand_selection(["units", "SIM001"]) == UNITS | {"SIM001"}
 
 
 def test_expand_selection_rejects_unknown_tokens():
@@ -230,16 +131,16 @@ def test_resolve_active_rules_defaults_cover_every_group():
 
 
 def test_select_replaces_the_defaults():
-    only = resolve_active_rules(select=["SIM201"])
-    assert only == frozenset({"SIM201", "SIM999"})
-    mixed = resolve_active_rules(select=["SIM001", "purity"])
-    assert mixed == frozenset({"SIM001", "SIM999"}) | PURITY
+    only = resolve_active_rules(select=["SIM101"])
+    assert only == frozenset({"SIM101", "SIM999"})
+    mixed = resolve_active_rules(select=["SIM001", "units"])
+    assert mixed == frozenset({"SIM001", "SIM999"}) | UNITS
 
 
 def test_ignore_wins_but_sim999_is_sticky():
-    active = resolve_active_rules(ignore=["SIM201"])
-    assert "SIM201" not in active
-    assert "SIM202" in active
+    active = resolve_active_rules(ignore=["SIM101"])
+    assert "SIM101" not in active
+    assert "SIM102" in active
     assert "SIM999" in resolve_active_rules(ignore=["SIM999"])
 
 
@@ -250,23 +151,26 @@ def test_cli_select_and_ignore_filter_rules(capsys):
     rc = cli_main(
         [
             "lint",
-            *(str(FIXTURES / f"bad_sim{n}.py") for n in ("003", "201", "202")),
-            "--select", "SIM2", "--ignore", "SIM202",
+            *(str(FIXTURES / f"bad_sim{n}.py") for n in ("003", "101", "102")),
+            "--select", "SIM1", "--ignore", "SIM102",
             "--format", "json",
         ]
     )
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert {v["rule"] for v in payload} == {"SIM201"}
+    assert {v["rule"] for v in payload} == {"SIM101"}
 
 
-# ``snapshots`` and ``SIM4`` selected the deleted snapshot-safety rules;
-# a stale selector must not read as a clean run.
-@pytest.mark.parametrize("selector", ["BOGUS", "snapshots", "SIM4"])
+# ``snapshots``/``SIM4`` and ``purity``/``SIM2``/``SIM201`` selected the
+# deleted snapshot-safety and purity rules; a stale selector must not
+# read as a clean run.
+@pytest.mark.parametrize(
+    "selector", ["BOGUS", "snapshots", "SIM4", "purity", "SIM2", "SIM201"]
+)
 def test_cli_rejects_bogus_selector(selector, capsys):
     rc = cli_main(
         [
-            "lint", str(FIXTURES / "good_sim201.py"),
+            "lint", str(FIXTURES / "good_sim101.py"),
             "--select", selector,
         ]
     )
@@ -339,32 +243,32 @@ def test_sarif_round_trips_the_findings():
 
 
 def test_sarif_round_trips_purity_findings():
-    violations = lint_one(FIXTURES / "bad_sim201.py")
+    violations = lint_one(FIXTURES / "bad_sim101.py")
     assert violations  # guard: the round-trip must carry something
     text = to_sarif(violations, ALL_RULES)
     assert violations_from_sarif(text) == violations
 
     report = sarif_report(violations, ALL_RULES)
     driver = report["runs"][0]["tool"]["driver"]
-    assert [r["id"] for r in driver["rules"]] == ["SIM201"]
-    assert driver["rules"][0]["shortDescription"]["text"] == ALL_RULES["SIM201"]
+    assert [r["id"] for r in driver["rules"]] == ["SIM101"]
+    assert driver["rules"][0]["shortDescription"]["text"] == ALL_RULES["SIM101"]
 
 
 def test_cli_default_run_flags_purity_fixture(tmp_path, capsys):
-    # No --select: the whole-program purity group is on by default.
+    # No --select: the whole-program units group is on by default.
     out_file = tmp_path / "lint.sarif"
     rc = cli_main(
         [
-            "lint", str(FIXTURES / "bad_sim201.py"),
+            "lint", str(FIXTURES / "bad_sim101.py"),
             "--format", "sarif", "--sarif-output", str(out_file),
         ]
     )
     assert rc == 1
     stdout = capsys.readouterr().out
-    assert {v.rule for v in violations_from_sarif(stdout)} == {"SIM201"}
+    assert {v.rule for v in violations_from_sarif(stdout)} == {"SIM101"}
     assert {
         v.rule for v in violations_from_sarif(out_file.read_text())
-    } == {"SIM201"}
+    } == {"SIM101"}
 
 
 # -- directive scoping -------------------------------------------------------

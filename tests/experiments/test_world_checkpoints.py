@@ -14,6 +14,12 @@ every checkpoint, continues each to ``T2`` and prints its digest.
 The child must be a fresh process: module-level state and
 ``SerialCounter`` rewinds can only diverge there, and an unpicklable
 callback anywhere in the world graph fails the save itself.
+
+The child also checks that dispatch does no I/O.  A
+:func:`sys.addaudithook` hook records every ``open``, ``os.*``,
+``subprocess.*``, ``socket.*`` and ``shutil.*`` audit event raised
+while ``sim.run(until=T2)`` runs, and the child's stdout must be its
+one JSON line, so a ``print`` inside a callback fails the test too.
 """
 
 from __future__ import annotations
@@ -141,12 +147,23 @@ def test_every_world_continues_identically_in_a_fresh_process(tmp_path, tiny_tpm
         "import json, sys\n"
         "from repro.sim import checkpoint as ck\n"
         "from tests.experiments.test_world_checkpoints import T2, world_digest\n"
+        "IO_ROOTS = ('os', 'subprocess', 'socket', 'shutil')\n"
+        "running = None\n"
+        "io = []\n"
+        "def audit(event, args):\n"
+        "    if running is not None and (\n"
+        "        event == 'open' or event.split('.')[0] in IO_ROOTS\n"
+        "    ):\n"
+        "        io.append([running, event, repr(args)[:200]])\n"
+        "sys.addaudithook(audit)\n"
         "out = {}\n"
         "for name, path in json.loads(sys.argv[1]).items():\n"
         "    sim, result = ck.load(path)\n"
+        "    running = name\n"
         "    sim.run(until=T2)\n"
+        "    running = None\n"
         "    out[name] = world_digest(result)\n"
-        "print(json.dumps(out))\n"
+        "print(json.dumps({'digests': out, 'io': io}))\n"
     )
     repo_root = Path(__file__).resolve().parents[2]
     env = dict(os.environ)
@@ -156,7 +173,12 @@ def test_every_world_continues_identically_in_a_fresh_process(tmp_path, tiny_tpm
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    continued = json.loads(done.stdout)
+    # One JSON line and nothing else: a callback's print() lands here.
+    assert done.stdout.endswith("\n") and done.stdout.count("\n") == 1, (
+        done.stdout[:2000]
+    )
+    report = json.loads(done.stdout)
+    assert report["io"] == []
     for name in WORLDS:
-        assert continued[name] == expected[name], name
+        assert report["digests"][name] == expected[name], name
 

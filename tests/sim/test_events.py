@@ -11,34 +11,44 @@ from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
 
 
+def _sim_and_queue():
+    """A simulator and its queue.
+
+    The engine's run loop is the queue's only consumer, so these tests
+    push onto the queue and drain it through :meth:`Simulator.run`.
+    """
+    sim = Simulator(sanitize=False)
+    return sim, sim._queue
+
+
 def test_pop_returns_events_in_time_order():
-    q = EventQueue()
+    sim, q = _sim_and_queue()
     fired = []
-    q.push(30, lambda: fired.append(30))
-    q.push(10, lambda: fired.append(10))
-    q.push(20, lambda: fired.append(20))
-    while (ev := q.pop()) is not None:
-        ev.callback()
+    q.push(30, fired.append, 30)
+    q.push(10, fired.append, 10)
+    q.push(20, fired.append, 20)
+    sim.run()
     assert fired == [10, 20, 30]
 
 
 def test_same_time_events_pop_in_insertion_order():
-    q = EventQueue()
+    sim, q = _sim_and_queue()
     order = []
     for i in range(5):
-        q.push(100, lambda i=i: order.append(i))
-    while (ev := q.pop()) is not None:
-        ev.callback()
+        q.push(100, order.append, i)
+    sim.run()
     assert order == [0, 1, 2, 3, 4]
 
 
 def test_cancelled_events_are_skipped():
-    q = EventQueue()
-    keep = q.push(10, lambda: None)
-    drop = q.push(5, lambda: None)
+    sim, q = _sim_and_queue()
+    fired = []
+    q.push(10, fired.append, "keep")
+    drop = q.push(5, fired.append, "drop")
     drop.cancel()
-    assert q.pop() is keep
-    assert q.pop() is None
+    assert sim.run() == 1
+    assert fired == ["keep"]
+    assert len(q) == 0 and q._dead == 0
 
 
 def test_len_excludes_cancelled():
@@ -50,18 +60,6 @@ def test_len_excludes_cancelled():
     assert len(q) == 1
 
 
-def test_peek_time_skips_cancelled_head():
-    q = EventQueue()
-    head = q.push(1, lambda: None)
-    q.push(7, lambda: None)
-    head.cancel()
-    assert q.peek_time() == 7
-
-
-def test_peek_time_empty_is_none():
-    assert EventQueue().peek_time() is None
-
-
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         EventQueue().push(-1, lambda: None)
@@ -69,12 +67,11 @@ def test_negative_time_rejected():
 
 @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=200))
 def test_pop_order_is_sorted_property(times):
-    q = EventQueue()
-    for t in times:
-        q.push(t, lambda: None)
+    sim, q = _sim_and_queue()
     popped = []
-    while (ev := q.pop()) is not None:
-        popped.append(ev.time)
+    for t in times:
+        q.push(t, lambda: popped.append(sim.now))
+    sim.run()
     assert popped == sorted(times)
 
 
@@ -83,33 +80,32 @@ def test_pop_order_is_sorted_property(times):
     st.data(),
 )
 def test_cancellation_never_pops_cancelled(times, data):
-    q = EventQueue()
-    events = [q.push(t, lambda: None) for t in times]
+    sim, q = _sim_and_queue()
+    popped = []
+    events = [q.push(t, popped.append, i) for i, t in enumerate(times)]
     to_cancel = data.draw(
         st.sets(st.integers(min_value=0, max_value=len(events) - 1), max_size=len(events))
     )
     for i in to_cancel:
         events[i].cancel()
-    popped = []
-    while (ev := q.pop()) is not None:
-        popped.append(ev)
-    assert all(not ev.cancelled for ev in popped)
+    sim.run()
+    assert not to_cancel & set(popped)
     assert len(popped) == len(events) - len(to_cancel)
 
 
 def test_push_with_args_binds_them_to_the_event():
-    q = EventQueue()
+    sim, q = _sim_and_queue()
     seen = []
-    q.push(5, lambda a, b: seen.append((a, b)), "x", 2)
-    ev = q.pop()
-    ev.callback(*ev.args)
+    ev = q.push(5, lambda a, b: seen.append((a, b)), "x", 2)
+    assert ev.args == ("x", 2)
+    sim.run()
     assert seen == [("x", 2)]
 
 
 def test_cancel_after_pop_is_a_noop():
-    q = EventQueue()
-    q.push(1, lambda: None)
-    ev = q.pop()
+    sim, q = _sim_and_queue()
+    ev = q.push(1, lambda: None)
+    sim.run()
     ev.cancel()  # already dispatched; must not corrupt the counters
     assert len(q) == 0
     q.push(2, lambda: None)
@@ -117,19 +113,22 @@ def test_cancel_after_pop_is_a_noop():
 
 
 def test_double_cancel_counts_once():
-    q = EventQueue()
-    ev = q.push(1, lambda: None)
-    q.push(2, lambda: None)
+    sim, q = _sim_and_queue()
+    fired = []
+    ev = q.push(1, fired.append, 1)
+    q.push(2, fired.append, 2)
     ev.cancel()
     ev.cancel()
     assert len(q) == 1
-    assert q.pop().time == 2
-    assert q.pop() is None
+    sim.run()
+    assert fired == [2]
+    assert len(q) == 0 and q._dead == 0
 
 
 def test_compaction_removes_dead_entries_from_the_heap():
-    q = EventQueue()
-    events = [q.push(t, lambda: None) for t in range(200)]
+    sim, q = _sim_and_queue()
+    popped = []
+    events = [q.push(t, lambda: popped.append(sim.now)) for t in range(200)]
     for ev in events[:150]:
         ev.cancel()
     # Dead entries crossed the compaction threshold along the way, so
@@ -139,24 +138,21 @@ def test_compaction_removes_dead_entries_from_the_heap():
     assert len(q) == 50
     assert len(q._heap) < 150
     assert len(q._heap) - q._dead == 50
-    popped = []
-    while (ev := q.pop()) is not None:
-        popped.append(ev.time)
+    sim.run()
     assert popped == list(range(150, 200))
 
 
 def test_compaction_preserves_same_time_insertion_order():
-    q = EventQueue()
+    sim, q = _sim_and_queue()
     order = []
     keep = []
     for i in range(100):
-        keep.append(q.push(7, lambda i=i: order.append(i)))
+        keep.append(q.push(7, order.append, i))
         q.push(7, lambda: None).cancel()  # interleave dead entries
     # Force well past the compaction threshold.
     for _ in range(50):
         q.push(7, lambda: None).cancel()
-    while (ev := q.pop()) is not None:
-        ev.callback(*ev.args)
+    sim.run()
     assert order == list(range(100))
 
 
@@ -166,8 +162,8 @@ class _NaiveQueue:
     Same semantics as :class:`EventQueue` — dispatch in ``(time, seq)``
     order, cancelled entries silently skipped — implemented the obvious
     O(n log n) way.  The property test interleaves pushes, cancels,
-    pops, engine runs and forced compactions on the real queue and
-    asserts both models observe the identical dispatch sequence.
+    engine runs and forced compactions on the real queue and asserts
+    both models observe the identical dispatch sequence.
     """
 
     def __init__(self):
@@ -205,17 +201,18 @@ class _NaiveQueue:
 
 @given(st.data())
 def test_compact_matches_naive_reference_heap(data):
-    """Interleaved push/cancel/pop/run/compact == a queue that never compacts.
+    """Interleaved push/cancel/run/compact == a queue that never compacts.
 
     Times are drawn from a tiny range so same-timestamp runs (and
     cancellations *inside* them) are the norm, not the exception —
     compaction must rebuild exactly the uncompacted dispatch order even
     when every surviving key ties on time and only the sequence number
-    discriminates.  Anonymous entries (never cancellable) are mixed in,
-    as in the real engine heap.  The queue belongs to a simulator, so
-    the ``run`` op checks the engine's dispatch loop against the same
-    reference, and ``len(q)`` (derived from the raw heap size and the
-    dead-entry count) after every op.  The auto-compaction threshold is
+    discriminates.  Anonymous entries (never cancellable, pushed with
+    ``Simulator.schedule_at_anon``) are mixed in, as in the real engine
+    heap.  The ``run`` op and the final drain check the engine's
+    dispatch loop against the reference, and ``len(q)`` (derived from
+    the raw heap size and the dead-entry count) is checked after every
+    op.  The auto-compaction threshold is
     lowered from 64 dead entries to 4 so that cancels inside a
     120-op run reach the compaction ``Event.cancel`` triggers, not only
     the forced one.
@@ -233,7 +230,7 @@ def _check_against_reference(data):
     next_id = 0
     n_ops = data.draw(st.integers(min_value=1, max_value=120), label="n_ops")
     for _ in range(n_ops):
-        choices = ["push", "push_anon", "compact", "pop", "run"]
+        choices = ["push", "push_anon", "compact", "run"]
         if handles:
             choices.append("cancel")
         op = data.draw(st.sampled_from(choices), label="op")
@@ -244,10 +241,11 @@ def _check_against_reference(data):
             handles[event_id] = q.push(t, fired.append, event_id)
             ref.push(t, event_id, "handled")
         elif op == "push_anon":
-            t = data.draw(st.integers(min_value=0, max_value=3), label="t")
+            # The engine refuses an anonymous event in the past.
+            t = data.draw(st.integers(min_value=sim.now, max_value=3), label="t")
             event_id = next_id
             next_id += 1
-            q.push_anon(t, fired.append, (event_id,))
+            sim.schedule_at_anon(t, fired.append, event_id)
             ref.push(t, event_id, "anon")
         elif op == "cancel":
             event_id = data.draw(
@@ -258,25 +256,16 @@ def _check_against_reference(data):
         elif op == "compact":
             q._compact()
             assert q._dead == 0
-        elif op == "run":
+        else:  # run
             t = data.draw(st.integers(min_value=0, max_value=3), label="t")
             fired.clear()
             sim.run(until=t)
             assert fired == ref.pop_until(t)
-        else:  # pop
-            got = q.pop()
-            expected = ref.pop()
-            if expected is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert got.args == (expected,)
         assert len(q) == ref.live_count()
     # Drain: the full remaining dispatch order must match the reference.
-    drained = []
-    while (ev := q.pop()) is not None:
-        drained.append(ev.args[0])
+    fired.clear()
+    sim.run()
     expected_drain = []
     while (event_id := ref.pop()) is not None:
         expected_drain.append(event_id)
-    assert drained == expected_drain
+    assert fired == expected_drain

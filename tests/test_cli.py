@@ -61,9 +61,17 @@ def test_profile_incast_text_output(capsys):
         ["sweep", "--duration-ms", "0"],
         ["replay", "t.csv", "--weight", "0"],
         ["profile", "--scenario", "engine", "--events", "5"],
+        ["profile", "--scenario", "incast", "--duration-us", "-5"],
+        ["profile", "--top", "-1"],
+        ["synthesize", "--reads", "-3", "-o", "t.csv"],
+        ["synthesize", "--writes", "-3", "-o", "t.csv"],
+        ["lint", "src", "--max-seconds", "-1"],
+        ["lint", "src", "--max-seconds", "nan"],
     ],
     ids=["faults-duration-ms", "sweep-duration-ms", "replay-weight",
-         "profile-events"],
+         "profile-events", "profile-duration-us", "profile-top",
+         "synthesize-reads", "synthesize-writes", "lint-max-seconds",
+         "lint-max-seconds-nan"],
 )
 def test_out_of_range_number_is_a_usage_error(argv, capsys):
     """Each bound is checked by argparse: exit 2 with a usage message,
