@@ -5,14 +5,11 @@ Two layers guard the repo's bit-identical-replay guarantee:
 * ``repro lint`` — :mod:`repro.analysis.simlint` runs the per-file AST
   determinism rules (SIM001–SIM005): wall-clock access, out-of-band
   randomness, unordered set iteration, missing ``__slots__`` on
-  manifest hot-path classes, swallowed exceptions.  The whole-program
-  units-of-measure dataflow pass (:mod:`repro.analysis.units`,
-  SIM101–SIM104) runs over a project-wide symbol table
-  (:mod:`repro.analysis.index`).
-  :mod:`repro.analysis.run` drives every group by default, with inline
-  ``# simlint: ignore[...]`` directives as the only suppression,
-  ``--select``/``--ignore`` resolved by :mod:`repro.analysis.registry`
-  and :mod:`repro.analysis.sarif` as the CI-neutral output format;
+  manifest hot-path classes, swallowed exceptions.
+  :mod:`repro.analysis.run` drives them, with inline
+  ``# simlint: ignore[...]`` directives as the only suppression and
+  ``--select``/``--ignore`` rule-id prefixes to narrow a run;
+  :mod:`repro.analysis.sarif` is the CI-neutral output format;
 * :mod:`repro.analysis.sanitizer` — a runtime invariant checker
   (``Simulator(sanitize=True)`` / ``REPRO_SANITIZE=1``) that verifies
   clock monotonicity, queue-depth non-negativity, NIC byte
@@ -22,8 +19,9 @@ Two layers guard the repo's bit-identical-replay guarantee:
 The package re-exports nothing: import the submodule you need, so a
 ``Simulator()`` that loads the sanitizer never loads the static
 analyzer.  See DESIGN.md §6 ("Determinism & sanitizer contract") and §8
-("Whole-program analysis").  Checkpointability and I/O-free dispatch
-are not analysed statically: every testbed world is saved, restored in
-a fresh interpreter and continued under an audit hook by the test
-suite (DESIGN.md §11.5).
+("Units convention").  Units, checkpointability and I/O-free dispatch
+are not analysed statically: pinned outputs guard the unit conversions
+(DESIGN.md §8), and every testbed world is saved, restored in a fresh
+interpreter and continued under an audit hook by the test suite
+(DESIGN.md §11.5).
 """

@@ -47,13 +47,6 @@ ITERATION_PACKAGES: tuple[str, ...] = SIM_PACKAGES + (
 #: the single chokepoint every other module must import from.
 RNG_EXEMPT_MODULES: tuple[str, ...] = ("repro.sim.rng",)
 
-#: Modules exempt from the unit-mixing rules (SIM101/SIM104): they
-#: *define* the conversions, so units legitimately meet there.
-UNITS_EXEMPT_MODULES: tuple[str, ...] = (
-    "repro.sim.units",
-    "repro.core.units",
-)
-
 #: Hot-path classes that must declare ``__slots__`` (directly or via
 #: ``@dataclass(slots=True)``): one instance per packet / event / flow /
 #: page transaction, so a stray ``__dict__`` costs real memory and

@@ -1,12 +1,15 @@
-"""Whole-program lint driver: per-file rules + the units pass.
+"""Lint driver: rule selection plus the per-file rules.
 
-``repro lint`` lands here.  One invocation:
+``repro lint`` lands here.  One invocation runs the per-file
+determinism rules (SIM001–SIM005, SIM999) of
+:mod:`repro.analysis.simlint` over every file and keeps the findings of
+the selected rules.  ``--select`` / ``--ignore`` tokens are rule-id
+prefixes (``SIM00`` -> SIM001–SIM005, ``sim003`` -> itself); a token
+matching no rule is an error, since a typo silently selecting zero
+rules would read as "clean".
 
-1. runs the per-file syntactic rules (SIM001–SIM005, SIM999) of
-   :mod:`repro.analysis.simlint` over every file;
-2. when a units rule is active, builds the
-   :class:`~repro.analysis.index.ProjectIndex` once and runs the units
-   pass (SIM101–SIM104) over it.
+SIM999 (file does not parse) is always active: a parse failure hides
+every other finding, so deselecting it can only hide findings.
 
 Every finding is reported; an inline ``# simlint: ignore[...]``
 directive is the only way to suppress one.
@@ -18,21 +21,64 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.index import ProjectIndex
-from repro.analysis.registry import ALL_RULES, resolve_active_rules
 from repro.analysis.simlint import (
+    RULES,
     Violation,
     _iter_python_files,
     lint_file,
 )
-from repro.analysis.units import UNIT_RULES, check_units
 
-__all__ = ["ALL_RULES", "LintReport", "lint_project"]
+__all__ = [
+    "LintReport",
+    "expand_selection",
+    "lint_project",
+    "resolve_active_rules",
+]
+
+
+def expand_selection(tokens: list[str]) -> frozenset[str]:
+    """Rule ids matching the given rule-id prefixes (comma-splittable).
+
+    Raises ``ValueError`` on a token that matches nothing.
+    """
+    out: set[str] = set()
+    for raw in tokens:
+        for token in raw.split(","):
+            token = token.strip()
+            if not token:
+                continue
+            prefix = token.upper()
+            matches = {r for r in RULES if r.startswith(prefix)}
+            if not matches:
+                raise ValueError(
+                    f"rule selector {token!r} matches no SIM rule "
+                    f"(rules: {', '.join(sorted(RULES))})"
+                )
+            out.update(matches)
+    return frozenset(out)
+
+
+def resolve_active_rules(
+    *,
+    select: list[str] | None = None,
+    ignore: list[str] | None = None,
+) -> frozenset[str]:
+    """The rule set one lint run should emit.
+
+    Without ``select``, every rule runs; with it, only the selection.
+    ``ignore`` is subtracted last and wins.  SIM999 is never
+    deselectable.
+    """
+    active = set(expand_selection(select)) if select else set(RULES)
+    if ignore:
+        active -= expand_selection(ignore)
+    active.add("SIM999")
+    return frozenset(active)
 
 
 @dataclass
 class LintReport:
-    """Outcome of one whole-program lint run."""
+    """Outcome of one lint run."""
 
     #: Every finding of the selected rules — any one fails CI.
     violations: list[Violation]
@@ -48,11 +94,10 @@ def lint_project(
 ) -> LintReport:
     """Run the selected rules over ``paths``.
 
-    Every rule group runs unless ``select`` / ``ignore`` narrow the rule
-    set (:func:`repro.analysis.registry.resolve_active_rules` — a
-    selector matching nothing raises ``ValueError``, and so does a path
-    that is neither a directory nor an existing ``.py`` file).  The
-    project index is built only when a units rule is active.
+    Every rule runs unless ``select`` / ``ignore`` narrow the rule set
+    (:func:`resolve_active_rules` — a selector matching nothing raises
+    ``ValueError``, and so does a path that is neither a directory nor
+    an existing ``.py`` file).
     """
     start = time.perf_counter()
     active = resolve_active_rules(select=select, ignore=ignore)
@@ -63,10 +108,6 @@ def lint_project(
         violations.extend(
             v for v in lint_file(path) if v.rule in active
         )
-
-    if not active.isdisjoint(UNIT_RULES):
-        index = ProjectIndex.build([(p, p.read_text()) for p in files])
-        violations.extend(v for v in check_units(index) if v.rule in active)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
 
     return LintReport(

@@ -7,7 +7,7 @@
     python -m repro synthesize --profile vdi -o trace.csv
     python -m repro replay trace.csv [--ssd A] [--weight 4]
     python -m repro profile [--scenario engine|incast|both] [--cprofile]
-    python -m repro lint src [--format json|github]   # whole-program linter
+    python -m repro lint src [--format json|github]   # determinism linter
     python -m repro faults [--cell chaos] [--seed 7]   # chaos matrix
 
 The full-scale reproductions live in ``benchmarks/`` (pytest-benchmark);
@@ -116,7 +116,12 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    trace = Trace.load(args.trace)
+    try:
+        trace = Trace.load(args.trace)
+    except (OSError, ValueError) as err:
+        # A missing, unreadable or foreign file is a usage error.
+        print(f"replay: {err}", file=sys.stderr)
+        return 2
     config = SSDS[args.ssd]
     driver = SSQDriver(read_weight=1, write_weight=args.weight)
     result = replay_on_device(
@@ -325,11 +330,10 @@ def cmd_replay_failure(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Run the whole-program simulation linter (see repro.analysis).
+    """Run the simulation linter (see repro.analysis).
 
-    Per-file determinism rules (SIM001–SIM005) and units-of-measure
-    dataflow (SIM101–SIM104) in one pass.  ``--select`` / ``--ignore``
-    narrow the rule set by rule-id prefix or group key; an inline
+    Per-file determinism rules (SIM001–SIM005).  ``--select`` /
+    ``--ignore`` narrow the rule set by rule-id prefix; an inline
     ``# simlint: ignore[...]`` directive is the only way to suppress a
     finding.  Exit status:
     0 = clean (no findings, within the time budget), 1 = findings or
@@ -338,9 +342,9 @@ def cmd_lint(args) -> int:
     """
     from pathlib import Path
 
-    from repro.analysis.run import ALL_RULES, lint_project
+    from repro.analysis.run import lint_project
     from repro.analysis.sarif import to_sarif
-    from repro.analysis.simlint import format_violations
+    from repro.analysis.simlint import RULES, format_violations
 
     try:
         report = lint_project(
@@ -350,19 +354,19 @@ def cmd_lint(args) -> int:
         print(f"simlint: {err}", file=sys.stderr)
         return 2
     if args.format == "sarif":
-        out = to_sarif(report.violations, ALL_RULES).rstrip("\n")
+        out = to_sarif(report.violations, RULES).rstrip("\n")
     else:
         out = format_violations(report.violations, fmt=args.format)
     if out:
         print(out)
     if args.sarif_output:
         Path(args.sarif_output).write_text(
-            to_sarif(report.violations, ALL_RULES)
+            to_sarif(report.violations, RULES)
         )
     failed = bool(report.violations)
     if args.max_seconds is not None and report.elapsed_s > args.max_seconds:
         print(
-            f"simlint: whole-program pass took {report.elapsed_s:.2f}s, "
+            f"simlint: lint pass took {report.elapsed_s:.2f}s, "
             f"over the {args.max_seconds:.2f}s budget "
             f"({report.file_count} files)",
             file=sys.stderr,
@@ -395,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=sorted(PROFILES), default="vdi")
     p.add_argument("--reads", type=_at_least(0), default=2000)
     p.add_argument("--writes", type=_at_least(0), default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_synthesize)
 
@@ -437,7 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all", "baseline", "loss", "flap", "die", "chaos"),
         help="which fault cell to run (default: the whole matrix)",
     )
-    p.add_argument("--seed", type=int, default=0, help="fault-plan seed")
+    p.add_argument(
+        "--seed", type=_at_least(0), default=0, help="fault-plan seed"
+    )
     p.add_argument(
         "--duration-ms", type=_at_least(10), default=20,
         help="simulated ms per cell (>= 10: fault windows scale with it)",
@@ -469,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="whole-program simulation linter (SIM001-005, SIM101-104; "
+        help="simulation determinism linter (SIM001-005; "
         "--select/--ignore pick rules)",
     )
     p.add_argument(
@@ -484,8 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--select", action="append", default=None, metavar="RULES",
         help="only run rules matching these comma-separated rule-id "
-        "prefixes or group keys (core, units; e.g. "
-        "'SIM1', 'SIM102'); repeatable; default: every rule",
+        "prefixes (e.g. 'SIM00', 'SIM003'); repeatable; default: "
+        "every rule",
     )
     p.add_argument(
         "--ignore", action="append", default=None, metavar="RULES",
@@ -499,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-seconds", type=_at_least(0, float), default=None,
-        help="fail if the whole pass exceeds this wall-clock budget",
+        help="fail if the lint pass exceeds this wall-clock budget",
     )
     p.set_defaults(fn=cmd_lint)
 

@@ -76,7 +76,7 @@ def _sweep_point(
     trace = generate_micro_trace(
         wl, n_reads=n_requests, n_writes=n_requests,
         # Deliberate unit mixing: hashing ns and bytes into a seed.
-        seed=seed + int(interarrival_ns) % 997 + int(size_bytes) % 991,  # simlint: ignore[SIM101]
+        seed=seed + int(interarrival_ns) % 997 + int(size_bytes) % 991,
     )
     result = replay_on_device(
         trace,

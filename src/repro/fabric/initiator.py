@@ -31,7 +31,7 @@ from repro.workloads.request import IORequest
 from repro.workloads.traces import Trace
 
 if TYPE_CHECKING:
-    from repro.core.units import Nanoseconds
+    from repro.sim.units import Nanoseconds
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,9 @@ import numpy.typing as npt
 
 from repro.net.dcqcn import DCQCNConfig, FloatArray, fluid_rate_step
 from repro.sim.engine import Simulator
-from repro.sim.units import gbps_to_bytes_per_ns
+from repro.sim.units import Bytes, Nanoseconds, gbps_to_bytes_per_ns
 
 if TYPE_CHECKING:
-    from repro.core.units import Bytes, Nanoseconds
     from repro.net.link import Link
     from repro.net.topology import Network
 

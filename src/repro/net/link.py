@@ -27,16 +27,13 @@ receiver one by one.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
-from repro.sim.units import gbps_to_bytes_per_ns
-
-if TYPE_CHECKING:
-    from repro.core.units import Bytes, Gbps, Nanoseconds
+from repro.sim.units import Bytes, Gbps, Nanoseconds, gbps_to_bytes_per_ns
 
 #: Fault-filter verdicts (see :attr:`Link.fault_filter`).
 FAULT_PASS = 0

@@ -36,7 +36,7 @@ from repro.sim.rng import make_rng
 from repro.sim.serial import SerialCounter
 
 if TYPE_CHECKING:
-    from repro.core.units import Bytes, Nanoseconds
+    from repro.sim.units import Bytes, Nanoseconds
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,8 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     import numpy as np
 
-    from repro.core.units import Bytes, Nanoseconds, Ratio
     from repro.net.nic import Flow, _Message
+    from repro.sim.units import Bytes, Nanoseconds, Ratio
 
 
 @dataclass(frozen=True)

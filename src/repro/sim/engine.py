@@ -38,7 +38,7 @@ from repro.sim.events import HANDLED_MARK, Event, EventQueue
 
 if TYPE_CHECKING:
     from repro.analysis.sanitizer import Sanitizer
-    from repro.core.units import Nanoseconds
+    from repro.sim.units import Nanoseconds
 
 #: Sentinel "no deadline" for the run loop's ``until`` comparison —
 #: far beyond any simulated instant, so one int compare replaces an

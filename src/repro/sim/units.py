@@ -9,15 +9,34 @@ Conventions used across the whole library:
   bytes/ns internally.
 
 Keeping every conversion in this module means a unit bug is a one-file
-audit rather than a simulation-wide hunt.
+audit rather than a simulation-wide hunt.  Names carry the unit too
+(``_ns``, ``_bytes``, ``_gbps``, ...; DESIGN.md §8), and hot-path
+signatures use the aliases below.  They are plain ``int``/``float``:
+documentation for the reader, with nothing checking them.  The
+conversions are guarded by pinned outputs of the paths that cross them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.core.units import Bytes, BytesPerNs, Gbps, Nanoseconds
+# --- annotation aliases -----------------------------------------------------
+#: The simulated clock: integer nanoseconds.
+Nanoseconds = int
+#: Microseconds (CLI/config boundaries only; convert with ``US``).
+Microseconds = int
+#: Milliseconds (CLI/config boundaries only; convert with ``MS``).
+Milliseconds = int
+#: Seconds (foreign-trace boundaries only; convert with ``SEC``).
+Seconds = float
+#: Payload and buffer sizes: integer bytes.
+Bytes = int
+#: Flash page counts (FTL / controller accounting).
+PageCount = int
+#: Link and flow rates at configuration boundaries.
+Gbps = float
+#: The internal, pacing-ready rate form (``gbps_to_bytes_per_ns``).
+BytesPerNs = float
+#: Dimensionless fractions and ratios.
+Ratio = float
 
 # --- time ------------------------------------------------------------------
 NS: int = 1

@@ -30,7 +30,7 @@ from repro.ssd.write_cache import WriteCache
 from repro.workloads.request import IORequest
 
 if TYPE_CHECKING:
-    from repro.core.units import Nanoseconds, PageCount
+    from repro.sim.units import Nanoseconds, PageCount
 
 
 class SubmissionSource(Protocol):

@@ -24,7 +24,7 @@ from repro.ssd.config import SSDConfig
 from repro.ssd.transactions import READ_LIKE_KINDS, PageTransaction, TxnKind
 
 if TYPE_CHECKING:
-    from repro.core.units import Nanoseconds
+    from repro.sim.units import Nanoseconds
 
 
 @dataclass

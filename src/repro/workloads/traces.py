@@ -86,7 +86,11 @@ class Trace:
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
-        """Read a trace previously written by :meth:`save`."""
+        """Read a trace previously written by :meth:`save`.
+
+        A file with another header or a malformed row raises
+        ``ValueError`` naming the file (and the line).
+        """
         requests = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -94,14 +98,18 @@ class Trace:
             if header is None or tuple(header) != _CSV_FIELDS:
                 raise ValueError(f"{path}: not a trace file (header {header!r})")
             for row in reader:
-                requests.append(
-                    IORequest(
+                try:
+                    request = IORequest(
                         arrival_ns=int(row[0]),
                         op=OpType[row[1]],
                         lba=int(row[2]),
                         size_bytes=int(row[3]),
                     )
-                )
+                except (ValueError, KeyError, IndexError) as err:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: bad trace row {row!r} ({err!r})"
+                    ) from err
+                requests.append(request)
         return cls(requests)
 
 

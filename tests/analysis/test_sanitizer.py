@@ -55,7 +55,7 @@ def test_simulator_does_not_import_the_static_analyzer(env_sanitize):
         "import repro.sim.engine\n"
         "repro.sim.engine.Simulator()\n"
         "assert 'repro.analysis.sanitizer' in sys.modules\n"
-        "leaked = sorted(m for m in ('repro.analysis.index', 'scipy')"
+        "leaked = sorted(m for m in ('repro.analysis.simlint', 'scipy')"
         " if m in sys.modules)\n"
         "assert not leaked, leaked\n"
     )

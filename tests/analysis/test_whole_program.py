@@ -1,5 +1,5 @@
-"""Whole-program linter: units fixtures, rule selection, SARIF output,
-directive scoping, and the CLI plumbing around them."""
+"""Lint driver: rule selection, SARIF output, directive scoping, the
+CLI plumbing around them, and the heap-privacy scan of ``src/``."""
 
 from __future__ import annotations
 
@@ -9,51 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.registry import (
-    RULE_GROUPS,
-    expand_selection,
-    resolve_active_rules,
-)
-from repro.analysis.run import ALL_RULES, lint_project
+from repro.analysis.run import expand_selection, lint_project, resolve_active_rules
 from repro.analysis.sarif import sarif_report, to_sarif, violations_from_sarif
-from repro.analysis.simlint import lint_source, module_name_of
+from repro.analysis.simlint import RULES, lint_source, module_name_of
 from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[2] / "src"
 
-WHOLE_PROGRAM_RULES = (
-    "SIM101",
-    "SIM102",
-    "SIM103",
-    "SIM104",
-)
-UNITS = frozenset(WHOLE_PROGRAM_RULES)
+CORE = frozenset({"SIM001", "SIM002", "SIM003", "SIM004", "SIM005"})
 
 
 def lint_one(path: Path):
     return lint_project([path]).violations
-
-
-# -- fixtures: every rule fires on bad, stays quiet on good -----------------
-
-
-@pytest.mark.parametrize("rule", WHOLE_PROGRAM_RULES)
-def test_bad_fixture_trips_exactly_its_rule(rule):
-    number = rule[len("SIM"):]
-    violations = lint_one(FIXTURES / f"bad_sim{number}.py")
-    assert {v.rule for v in violations} == {rule}, violations
-
-
-@pytest.mark.parametrize("rule", WHOLE_PROGRAM_RULES)
-def test_good_fixture_is_clean(rule):
-    number = rule[len("SIM"):]
-    assert lint_one(FIXTURES / f"good_sim{number}.py") == []
-
-
-def test_every_whole_program_rule_has_a_description():
-    for rule in WHOLE_PROGRAM_RULES:
-        assert rule in ALL_RULES
 
 
 def test_whole_program_src_tree_is_clean():
@@ -103,45 +71,43 @@ def test_heap_format_is_private_to_repro_sim():
     assert _heap_internals_outside_sim() == []
 
 
-# -- rule registry / selection semantics -------------------------------------
+# -- rule selection semantics -----------------------------------------------
 
 
 def test_expand_selection_accepts_groups_prefixes_and_commas():
-    assert expand_selection(["units"]) == UNITS
-    assert expand_selection(["SIM1"]) == UNITS
-    assert expand_selection(["sim101"]) == frozenset({"SIM101"})
-    both = expand_selection(["SIM101,SIM102"])
-    assert both == frozenset({"SIM101", "SIM102"})
-    assert expand_selection(["units", "SIM001"]) == UNITS | {"SIM001"}
+    # Rule-id prefixes only: no group keys remain.
+    assert expand_selection(["SIM00"]) == CORE
+    assert expand_selection(["sim003"]) == frozenset({"SIM003"})
+    both = expand_selection(["SIM001,SIM002"])
+    assert both == frozenset({"SIM001", "SIM002"})
+    assert expand_selection(["SIM00", "SIM999"]) == CORE | {"SIM999"}
 
 
 def test_expand_selection_rejects_unknown_tokens():
     with pytest.raises(ValueError, match="BOGUS"):
         expand_selection(["BOGUS"])
-    with pytest.raises(ValueError, match="groups:"):
+    with pytest.raises(ValueError, match="matches no SIM rule"):
         expand_selection(["SIM9x"])
 
 
 def test_resolve_active_rules_defaults_cover_every_group():
     active = resolve_active_rules()
-    assert active == frozenset(ALL_RULES)
-    for group in RULE_GROUPS:
-        assert set(group.rules) <= active
-    assert "SIM999" in active
+    assert active == frozenset(RULES) == CORE | {"SIM999"}
 
 
 def test_select_replaces_the_defaults():
-    only = resolve_active_rules(select=["SIM101"])
-    assert only == frozenset({"SIM101", "SIM999"})
-    mixed = resolve_active_rules(select=["SIM001", "units"])
-    assert mixed == frozenset({"SIM001", "SIM999"}) | UNITS
+    only = resolve_active_rules(select=["SIM003"])
+    assert only == frozenset({"SIM003", "SIM999"})
+    mixed = resolve_active_rules(select=["SIM001", "SIM004,SIM005"])
+    assert mixed == frozenset({"SIM001", "SIM004", "SIM005", "SIM999"})
 
 
 def test_ignore_wins_but_sim999_is_sticky():
-    active = resolve_active_rules(ignore=["SIM101"])
-    assert "SIM101" not in active
-    assert "SIM102" in active
+    active = resolve_active_rules(ignore=["SIM003"])
+    assert "SIM003" not in active
+    assert "SIM002" in active
     assert "SIM999" in resolve_active_rules(ignore=["SIM999"])
+    assert resolve_active_rules(select=["SIM00"], ignore=["SIM00"]) == {"SIM999"}
 
 
 # -- CLI plumbing ------------------------------------------------------------
@@ -151,48 +117,51 @@ def test_cli_select_and_ignore_filter_rules(capsys):
     rc = cli_main(
         [
             "lint",
-            *(str(FIXTURES / f"bad_sim{n}.py") for n in ("003", "101", "102")),
-            "--select", "SIM1", "--ignore", "SIM102",
+            *(str(FIXTURES / f"bad_sim{n}.py") for n in ("001", "002", "003")),
+            "--select", "SIM00", "--ignore", "SIM002",
             "--format", "json",
         ]
     )
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert {v["rule"] for v in payload} == {"SIM101"}
+    assert {v["rule"] for v in payload} == {"SIM001", "SIM003"}
 
 
-# ``snapshots``/``SIM4`` and ``purity``/``SIM2``/``SIM201`` selected the
-# deleted snapshot-safety and purity rules; a stale selector must not
-# read as a clean run.
+# ``snapshots``/``SIM4``, ``purity``/``SIM2``/``SIM201`` and
+# ``units``/``SIM1``/``SIM101`` selected deleted rules, and ``core`` was
+# the per-file rules' group key; a stale selector must not read as a
+# clean run.
 @pytest.mark.parametrize(
-    "selector", ["BOGUS", "snapshots", "SIM4", "purity", "SIM2", "SIM201"]
+    "selector",
+    ["BOGUS", "snapshots", "SIM4", "purity", "SIM2", "SIM201",
+     "units", "core", "SIM1", "SIM101"],
 )
 def test_cli_rejects_bogus_selector(selector, capsys):
     rc = cli_main(
         [
-            "lint", str(FIXTURES / "good_sim101.py"),
+            "lint", str(FIXTURES / "good_sim003.py"),
             "--select", selector,
         ]
     )
     assert rc == 2
     err = capsys.readouterr().err
-    assert selector in err and "groups:" in err
+    assert selector in err and "matches no SIM rule" in err
 
 
 def test_cli_github_format_emits_annotations(capsys):
-    bad = str(FIXTURES / "bad_sim104.py")
+    bad = str(FIXTURES / "bad_sim001.py")
     assert cli_main(["lint", "--format", "github", bad]) == 1
     out = capsys.readouterr().out
     assert out.startswith("::error file=")
-    assert "title=SIM104" in out
+    assert "title=SIM001" in out
     # A clean run emits nothing at all (no stray annotation lines).
-    good = str(FIXTURES / "good_sim104.py")
+    good = str(FIXTURES / "good_sim001.py")
     assert cli_main(["lint", "--format", "github", good]) == 0
     assert capsys.readouterr().out == ""
 
 
 def test_cli_max_seconds_budget(capsys):
-    good = str(FIXTURES / "good_sim101.py")
+    good = str(FIXTURES / "good_sim003.py")
     assert cli_main(["lint", "--max-seconds", "0", good]) == 1
     assert "over the" in capsys.readouterr().err
     assert cli_main(["lint", "--max-seconds", "60", good]) == 0
@@ -231,44 +200,15 @@ def test_cli_emits_and_writes_sarif(tmp_path, capsys):
 def test_sarif_round_trips_the_findings():
     violations = lint_one(FIXTURES / "bad_sim003.py")
     assert violations  # guard: the round-trip must carry something
-    text = to_sarif(violations, ALL_RULES)
+    text = to_sarif(violations, RULES)
     assert violations_from_sarif(text) == violations
 
-    report = sarif_report(violations, ALL_RULES)
+    report = sarif_report(violations, RULES)
     assert report["version"] == "2.1.0"
     driver = report["runs"][0]["tool"]["driver"]
     assert driver["name"] == "simlint"
     assert [r["id"] for r in driver["rules"]] == ["SIM003"]
-    assert driver["rules"][0]["shortDescription"]["text"] == ALL_RULES["SIM003"]
-
-
-def test_sarif_round_trips_purity_findings():
-    violations = lint_one(FIXTURES / "bad_sim101.py")
-    assert violations  # guard: the round-trip must carry something
-    text = to_sarif(violations, ALL_RULES)
-    assert violations_from_sarif(text) == violations
-
-    report = sarif_report(violations, ALL_RULES)
-    driver = report["runs"][0]["tool"]["driver"]
-    assert [r["id"] for r in driver["rules"]] == ["SIM101"]
-    assert driver["rules"][0]["shortDescription"]["text"] == ALL_RULES["SIM101"]
-
-
-def test_cli_default_run_flags_purity_fixture(tmp_path, capsys):
-    # No --select: the whole-program units group is on by default.
-    out_file = tmp_path / "lint.sarif"
-    rc = cli_main(
-        [
-            "lint", str(FIXTURES / "bad_sim101.py"),
-            "--format", "sarif", "--sarif-output", str(out_file),
-        ]
-    )
-    assert rc == 1
-    stdout = capsys.readouterr().out
-    assert {v.rule for v in violations_from_sarif(stdout)} == {"SIM101"}
-    assert {
-        v.rule for v in violations_from_sarif(out_file.read_text())
-    } == {"SIM101"}
+    assert driver["rules"][0]["shortDescription"]["text"] == RULES["SIM003"]
 
 
 # -- directive scoping -------------------------------------------------------

@@ -9,6 +9,7 @@ from repro.experiments.comparison import (
     IntensityLevel,
     SchemeComparison,
     compare_schemes,
+    incast_analysis_with_report,
 )
 from repro.experiments.runner import TestbedConfig
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
@@ -62,3 +63,22 @@ def test_improvement_handles_zero_baseline():
 
     cmp = SchemeComparison(label="z", dcqcn_only=FakeRun(), dcqcn_src=FakeRun())
     assert cmp.improvement == 0.0
+
+
+def test_incast_row_is_pinned(tiny_tpm):
+    """One Table IV row, exactly.  Its read inter-arrival is derived
+    from ``total_read_gbps`` (a Gbps -> bytes/ns boundary), so a
+    dropped conversion there moves both throughputs."""
+    from repro.sim.units import MS
+
+    (row,), report = incast_analysis_with_report(
+        tiny_tpm,
+        points=(IncastPoint(2, 1),),
+        ssd_config=FAST_SSD,
+        n_requests=400,
+        duration_ns=6 * MS,
+    )
+    assert not report.failures
+    assert row.label == "2:1"
+    assert row.only_gbps == 20.982442666666667
+    assert row.src_gbps == 21.386581333333336

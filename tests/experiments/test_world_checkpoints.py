@@ -93,6 +93,109 @@ WORLDS: dict[str, TestbedConfig] = {
 }
 
 
+#: ``world_digest`` of each uninterrupted world at ``T2``.  A unit slip
+#: on any path these worlds exercise (link and DCQCN rates, background
+#: message gaps, SSD timing) moves a digest; re-pin only for a
+#: deliberate model change.
+GOLDEN: dict[str, dict[str, object]] = {
+    "default": {
+        "now": 6000000,
+        "events_dispatched": 73725,
+        "read_deliveries": (
+            "0e0fd8630c7d26a0ee7cbc2b20296310badc04b19e4632647497443dad5c8d35"
+        ),
+        "write_completions": (
+            "abae226f35140c25547b8dba4ad0e3bda7c7324244aa830dc97965a28b2e4510"
+        ),
+        "cnp_log": (
+            "35dac6db79f8cd921cebd5f18ce781d0de3ea6f7f6ac051ad9a090fb9826883d"
+        ),
+        "adjustments": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "failures": (
+            "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05"
+        ),
+    },
+    "ssq+src": {
+        "now": 6000000,
+        "events_dispatched": 73485,
+        "read_deliveries": (
+            "c2b58b1cb033e1395ddab7056e5896d569e2517fdb6b6c590e23dec0c160d097"
+        ),
+        "write_completions": (
+            "461809c9cba7e6263ca48af7be39d56c5f9525179fceceaf7082dead9ec65031"
+        ),
+        "cnp_log": (
+            "b2136fb3d6c3add19ba8945588d5953b201535ca6d478b84c17e3d3a5db4cfc8"
+        ),
+        "adjustments": (
+            "a108ef6c675aeb40c0f6f37744f379a8a1346fe345a75ca24302c214d84194cd"
+        ),
+        "failures": (
+            "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05"
+        ),
+    },
+    "block+src": {
+        "now": 6000000,
+        "events_dispatched": 74051,
+        "read_deliveries": (
+            "6c40ed7f9a04db539ddc6b91e2c72afdb0618ff135fc6bca2e3c29e18c9d107d"
+        ),
+        "write_completions": (
+            "7d962a67f6dad83cb1d44e2672bd7ea560ea1f4f9d50f663e6a7cbdaca31dd9a"
+        ),
+        "cnp_log": (
+            "6e3ed06be6b1c28fd07ee7b42c2fc4527e64c0fa1fa15670f6e4486c1990a39b"
+        ),
+        "adjustments": (
+            "636c5bd61b366a4c75901715703d0318fd0b9673e22d6ed77adbbc68a9597887"
+        ),
+        "failures": (
+            "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05"
+        ),
+    },
+    "chaos/static": {
+        "now": 6000000,
+        "events_dispatched": 128202,
+        "read_deliveries": (
+            "7393190e72daeef1e4d9a232c7b6bb67f46c811f3ed9ebbf0e819cd3aead09cf"
+        ),
+        "write_completions": (
+            "e7e74fff8d9084766bd4b07cecc6da11f2f3787c541f5c733a70a053b800af49"
+        ),
+        "cnp_log": (
+            "2770627bfb5d78b09999628856b08fcb5d1348a8a2da33a5eb32f4e49a457ccf"
+        ),
+        "adjustments": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "failures": (
+            "f62e977221d51ea37b6056236db72036e84ef9aaf5dbc4942682074e3e22505a"
+        ),
+    },
+    "chaos/src": {
+        "now": 6000000,
+        "events_dispatched": 128815,
+        "read_deliveries": (
+            "71a38f98abdb2f115d1d6a93a973ec6a5f4d86bd285c5cb9a9cf7afee2faa143"
+        ),
+        "write_completions": (
+            "67585338126d5b3ad52a82fa0f10c2526f83d31b682ff3859ee0388f07dbef32"
+        ),
+        "cnp_log": (
+            "e64dc38592479bbe084ad51a45081ce6a13b8fd01a7cb599fd637ee5c5fcdd10"
+        ),
+        "adjustments": (
+            "f35be08a6d3e090547278400f0354f54bdf4c96c703fca268ca8f92e3168d4c0"
+        ),
+        "failures": (
+            "06a2800d63f6a2fc8c76c03c58919c5cddaaaf2c41a77271f451f4e06982a09e"
+        ),
+    },
+}
+
+
 def _trace():
     stream = MicroWorkloadConfig(mean_interarrival_ns=5_000, mean_size_bytes=8 * KIB)
     return generate_micro_trace(stream, n_reads=1200, n_writes=1200, seed=3)
@@ -142,6 +245,7 @@ def test_every_world_continues_identically_in_a_fresh_process(tmp_path, tiny_tpm
             assert min(raised) < T1 < max(raised)
         paths[name] = str(path)
         expected[name] = world_digest(result)
+        assert expected[name] == GOLDEN[name], name
 
     script = (
         "import json, sys\n"
