@@ -110,7 +110,12 @@ def cmd_synthesize(args) -> int:
     trace = synthesize_from_profile(
         profile, n_reads=args.reads, n_writes=args.writes, seed=args.seed
     )
-    trace.save(args.output)
+    try:
+        trace.save(args.output)
+    except OSError as err:
+        # An unwritable output path (e.g. a missing directory) is a usage error.
+        print(f"synthesize: {err}", file=sys.stderr)
+        return 2
     print(f"wrote {len(trace)} requests ({profile.name}) to {args.output}")
     return 0
 
@@ -337,8 +342,8 @@ def cmd_lint(args) -> int:
     ``# simlint: ignore[...]`` directive is the only way to suppress a
     finding.  Exit status:
     0 = clean (no findings, within the time budget), 1 = findings or
-    over budget, 2 = bad rule selector or a path that is neither a
-    directory nor a ``.py`` file.
+    over budget, 2 = bad rule selector, a path that is neither a
+    directory nor a ``.py`` file, or an unwritable ``--sarif-output``.
     """
     from pathlib import Path
 
@@ -360,9 +365,11 @@ def cmd_lint(args) -> int:
     if out:
         print(out)
     if args.sarif_output:
-        Path(args.sarif_output).write_text(
-            to_sarif(report.violations, RULES)
-        )
+        try:
+            Path(args.sarif_output).write_text(to_sarif(report.violations, RULES))
+        except OSError as err:
+            print(f"simlint: {err}", file=sys.stderr)
+            return 2
     failed = bool(report.violations)
     if args.max_seconds is not None and report.elapsed_s > args.max_seconds:
         print(

@@ -139,8 +139,7 @@ def run_dynamic_control(
     monitor = WorkloadMonitor(window_ns)
 
     feed = _MonitoredFeed(monitor, driver, sim)
-    for req in trace:
-        sim.schedule_at(req.arrival_ns, feed, req)
+    sim.schedule_series_at([(req.arrival_ns, feed, (req,)) for req in trace])
 
     outcomes: list[AdjustmentOutcome] = []
 

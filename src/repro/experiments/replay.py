@@ -91,8 +91,7 @@ def replay_on_device(
     ssd.set_cq_listener(ssd.auto_drain)
 
     feed = _DriverFeed(driver, sim)
-    for req in trace:
-        sim.schedule_at_anon(req.arrival_ns, feed, req)
+    sim.schedule_series_at([(req.arrival_ns, feed, (req,)) for req in trace])
 
     last_arrival = trace[-1].arrival_ns
     if drain:

@@ -212,7 +212,7 @@ class _BackgroundFeeder:
         if self.sim.now >= self.end_ns:
             return
         self.nic.send_message(self.victim, self.message_bytes)
-        self.sim.schedule(self.gap_ns, self)
+        self.sim.schedule_anon(self.gap_ns, self)
 
 
 def _make_driver(
@@ -323,12 +323,14 @@ def run_testbed(
         for initiator in initiators:
             watchdog.track_initiator(initiator)
 
-    # Round-robin request assignment.
+    # Round-robin request assignment; the whole trace is one series.
+    arrivals = []
     for idx, req in enumerate(trace):
         initiator = initiators[idx % len(initiators)]
         req.target = tgt_names[idx % len(tgt_names)]
         req.initiator = initiator.name
-        sim.schedule_at(req.arrival_ns, initiator.issue, req)
+        arrivals.append((req.arrival_ns, initiator.issue, (req,)))
+    sim.schedule_series_at(arrivals)
 
     # Background congestion episode.
     if config.background:
@@ -340,7 +342,7 @@ def run_testbed(
             feeder = _BackgroundFeeder(
                 sim, net.hosts[name], victim, bg.message_bytes, bg.end_ns, gap_ns
             )
-            sim.schedule_at(bg.start_ns, feeder)
+            sim.schedule_at_anon(bg.start_ns, feeder)
 
     end = duration_ns if duration_ns is not None else trace[-1].arrival_ns + drain_margin_ns
     sim.run(until=end)

@@ -93,11 +93,17 @@ class Initiator:
 
     # -- workload ------------------------------------------------------------
     def load_trace(self, trace: Trace, target_of) -> None:
-        """Schedule every request; ``target_of(request) -> target name``."""
+        """Schedule every request; ``target_of(request) -> target name``.
+
+        The trace goes onto the event heap as one series
+        (:meth:`Simulator.schedule_series_at`), so it occupies one heap
+        slot however many requests it holds.
+        """
+        issue = self.issue
         for req in trace:
             req.initiator = self.name
             req.target = target_of(req)
-            self.sim.schedule_at(req.arrival_ns, self.issue, req)
+        self.sim.schedule_series_at([(req.arrival_ns, issue, (req,)) for req in trace])
 
     def issue(self, request: IORequest) -> None:
         """Send one request now (queues locally if the TXQ is full)."""

@@ -16,7 +16,11 @@ Two event kinds flow through the loop (see :mod:`repro.sim.events`):
 handled ``(time, seq, HANDLED_MARK, Event)`` entries for anything that
 might be cancelled, and anonymous ``(time, seq, callback, args)``
 entries (:meth:`Simulator.schedule_anon`) for fire-and-forget hot
-paths; one sentinel identity check per dispatch tells them apart.
+paths; one sentinel identity check per dispatch tells them apart.  A
+pre-scheduled series (:meth:`Simulator.schedule_series_at`, a whole
+arrival trace) is one anonymous entry whose callback is the
+:class:`_Series` itself; the observed loop unwraps it to the entry's
+real callback, as it does a handled :class:`Event`.
 
 :meth:`Simulator.run` holds exactly two loops.  The lean loop serves
 plain runs.  Everything else — a dispatch log, a ``max_events``
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 import os
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
 
 from repro.sim.events import HANDLED_MARK, Event, EventQueue
 
@@ -47,8 +51,12 @@ _NO_DEADLINE = 1 << 62
 
 
 def site_label(callback: Callable[..., Any]) -> str:
-    """Stable label for a callback site (trace, profiler and sanitizer key)."""
-    return getattr(callback, "__qualname__", None) or repr(callback)
+    """Stable label for a callback site (trace, profiler and sanitizer key).
+
+    Functions and bound methods give their ``__qualname__``; a callable
+    instance gives its class's, never a ``repr`` with a memory address.
+    """
+    return getattr(callback, "__qualname__", None) or type(callback).__qualname__
 
 
 class SanitizerError(RuntimeError):
@@ -132,6 +140,44 @@ class MaxEventsExceeded(RuntimeError):
         self.dispatched = dispatched
         self.pending = pending
         self.now = now
+
+
+class _Series:
+    """One pre-scheduled series of anonymous events in a single heap slot.
+
+    Made by :meth:`Simulator.schedule_series_at`.  The heap holds at
+    most one entry per series, ``(time, seq, series, ())``, for its next
+    event; firing it pushes the entry after it under the ``seq`` that
+    was reserved for that entry when the series was scheduled, so every
+    event keeps the ``(time, seq)`` key it would have had if pushed up
+    front and dispatch order is unchanged.  ``_rest`` holds the
+    remaining ``(time, callback, args)`` entries reversed, the one in
+    the heap last, so each step is a ``list.pop()`` and a checkpoint
+    pickles only what is still to come.
+    """
+
+    __slots__ = ("_heap", "_rest", "_seq")
+
+    def __init__(self, heap: list, rest: list, seq: int) -> None:
+        self._heap = heap
+        self._rest = rest
+        #: The sequence number reserved for the entry after the one in
+        #: the heap.
+        self._seq = seq
+
+    def step(self) -> tuple[Callable[..., Any], tuple]:
+        """Take the due entry, queue its successor, return its call."""
+        rest = self._rest
+        _time, callback, args = rest.pop()
+        if rest:
+            seq = self._seq
+            self._seq = seq + 1
+            heapq.heappush(self._heap, (rest[-1][0], seq, self, ()))
+        return callback, args
+
+    def __call__(self) -> None:
+        callback, args = self.step()
+        callback(*args)
 
 
 class Simulator:
@@ -252,6 +298,42 @@ class Simulator:
         seq = queue._seq
         queue._seq = seq + 1
         heapq.heappush(queue._heap, (time, seq, callback, args))
+
+    def schedule_series_at(
+        self, entries: Sequence[tuple[Nanoseconds, Callable[..., None], tuple]]
+    ) -> None:
+        """Schedule ``callback(*args)`` at ``time`` for each entry, handle-free.
+
+        ``entries`` is a list of ``(time, callback, args)`` in
+        non-decreasing time order, none before ``now`` (checked in one
+        pass; the list is not sorted).  The dispatch order, event count
+        and every output are exactly those of one
+        :meth:`schedule_at_anon` per entry, in list order, made at this
+        call: the series reserves one sequence number per entry now.
+        The heap, however, holds one entry for the whole series rather
+        than ``len(entries)``, so pre-scheduling a whole arrival trace
+        leaves every other push and pop at the depth of the model's
+        working set.
+        """
+        prev = self.now
+        for entry in entries:
+            time = entry[0]
+            if time < prev:
+                if prev == self.now:
+                    raise ValueError(
+                        f"cannot schedule in the past: {time} < {self.now}"
+                    )
+                raise ValueError(
+                    f"series times must be non-decreasing: {time} after {prev}"
+                )
+            prev = time
+        if not entries:
+            return
+        queue = self._queue
+        seq = queue._seq
+        queue._seq = seq + len(entries)
+        series = _Series(queue._heap, list(reversed(entries)), seq + 1)
+        heapq.heappush(queue._heap, (entries[0][0], seq, series, ()))
 
     def schedule_recurring_anon(
         self,
@@ -382,6 +464,8 @@ class Simulator:
                     ev._queue = None
                     callback = ev.callback
                     args = ev.args
+                elif callback.__class__ is _Series:
+                    callback, args = callback.step()
                 if observer is not None:
                     observer.dispatch(time, callback)
                 self.now = time

@@ -19,8 +19,10 @@ kinds:
   ``schedule_at_anon``: no handle, no cancellation, no per-event
   object allocation.  This is the hot-path shape for fire-and-forget
   work (link serialization/propagation, the flash chip and channel
-  stages, device-replay arrivals, Clos tenant ticks) where the handle
-  was pure overhead.
+  stages, Clos tenant ticks) where the handle was pure overhead.  A
+  whole pre-scheduled arrival trace is one such entry whose callback
+  is the series itself
+  (:meth:`repro.sim.engine.Simulator.schedule_series_at`).
 
 Use a handled event only where the caller keeps the handle to cancel
 it; both kinds take ``seq`` from the same counter at push time, so

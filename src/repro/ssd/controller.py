@@ -36,7 +36,9 @@ if TYPE_CHECKING:
 class SubmissionSource(Protocol):
     """What the controller needs from an NVMe driver."""
 
-    def fetch(self, inflight_reads: int, inflight_writes: int, queue_depth: int) -> IORequest | None:
+    def fetch(
+        self, inflight_reads: int, inflight_writes: int, queue_depth: int
+    ) -> IORequest | None:
         """Pop the next command to fetch, or None if nothing eligible."""
         ...
 

@@ -2,13 +2,17 @@
 
 import pytest
 
+import repro.experiments.runner as runner
 from repro.experiments.runner import (
     BackgroundTraffic,
     TestbedConfig,
     run_testbed,
 )
+from repro.profiling import SiteCounter
+from repro.sim.engine import Simulator
 from repro.sim.units import MS
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
+from repro.workloads.request import IORequest, OpType
 from repro.workloads.traces import Trace
 from tests.conftest import FAST_SSD
 
@@ -119,3 +123,49 @@ def test_validation():
         BackgroundTraffic(start_ns=0, end_ns=10, rate_gbps=1.0, n_hosts=0)
     with pytest.raises(ValueError):
         run_testbed(Trace([]), base_config())
+
+
+def profiled_testbed(monkeypatch, trace, config, **kw):
+    """``run_testbed`` with a :class:`SiteCounter` on its simulator."""
+    counters = []
+
+    def profiled_simulator():
+        sim = Simulator(sanitize=False)
+        counters.append(SiteCounter().attach(sim))
+        return sim
+
+    monkeypatch.setattr(runner, "Simulator", profiled_simulator)
+    res = run_testbed(trace, config, **kw)
+    return res, counters[0]
+
+
+def test_profiled_sites_are_stable_labels(monkeypatch):
+    trace = small_trace(n=100, inter=10_000)
+    bg = BackgroundTraffic(start_ns=0, end_ns=2 * MS, rate_gbps=45.0, n_hosts=3)
+    _res, sites = profiled_testbed(
+        monkeypatch, trace, base_config(background=bg), duration_ns=3 * MS
+    )
+    assert not [name for name in sites.site_counts if " at 0x" in name]
+    assert sites.site_counts["Initiator.issue"] == len(trace)
+    assert sites.site_counts["_BackgroundFeeder"] > 0
+
+
+def paced_trace(n, gap_ns=50_000):
+    """``n`` requests far enough apart that each finishes before the next."""
+    return Trace(
+        IORequest(
+            arrival_ns=k * gap_ns,
+            op=OpType.READ if k % 2 else OpType.WRITE,
+            lba=8 * k,
+            size_bytes=8 * 1024,
+        )
+        for k in range(n)
+    )
+
+
+def test_heap_depth_does_not_grow_with_trace_length(monkeypatch):
+    # The arrival trace is one heap slot, so the deepest the heap gets is
+    # the model's working set, the same for 200 requests as for 2,000.
+    _res, few = profiled_testbed(monkeypatch, paced_trace(200), base_config())
+    _res, many = profiled_testbed(monkeypatch, paced_trace(2000), base_config())
+    assert few.peak_pending == many.peak_pending < 20

@@ -84,6 +84,18 @@ class TestEndToEnd:
         sim.run()
         assert ini.reads_completed == 5
 
+    def test_load_trace_takes_one_heap_slot(self):
+        # Per-request pushes would leave every later push and pop paying
+        # for the whole trace's depth; the trace is one series instead.
+        sim, net, ini, tgt = build()
+        trace = Trace(
+            [IORequest(arrival_ns=i * 10_000, op=OpType.READ, lba=i, size_bytes=4096)
+             for i in range(500)]
+        )
+        before = sim.pending()
+        ini.load_trace(trace, target_of=lambda r: "tgt")
+        assert sim.pending() == before + 1
+
     def test_multiple_ssds_round_robin(self):
         sim, net, ini, tgt = build(n_ssds=3)
         for i in range(9):

@@ -127,3 +127,27 @@ def test_replay_of_a_bad_trace_is_a_usage_error(tmp_path, capsys, content, reaso
     assert captured.err.startswith("replay: ")
     assert captured.err.count("\n") == 1
     assert reason in captured.err
+
+
+def test_synthesize_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "absent" / "t.csv"
+    assert main(["synthesize", "--reads", "10", "--writes", "10",
+                 "-o", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("synthesize: ")
+    assert captured.err.count("\n") == 1
+    assert "absent" in captured.err
+
+
+def test_lint_sarif_output_to_a_missing_directory_is_a_usage_error(
+    tmp_path, capsys
+):
+    source = tmp_path / "clean.py"
+    source.write_text("X = 1\n")
+    path = tmp_path / "absent" / "x.sarif"
+    assert main(["lint", str(source), "--sarif-output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("simlint: ")
+    assert captured.err.count("\n") == 1
+    assert "absent" in captured.err
