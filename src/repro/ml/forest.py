@@ -80,14 +80,28 @@ class RandomForestRegressor:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        """Mean of the trees' predictions.
+
+        Each row is walked as plain floats.  The per-output sums run
+        from 0.0 over the trees in fit order and are then divided by
+        the tree count: the same float operations, in the same order,
+        as accumulating whole per-tree prediction arrays.
+        """
         if not self.trees_:
             raise RuntimeError("model is not fitted")
         X = check_X(X, self._n_features)
-        acc = np.zeros((X.shape[0], self.trees_[0]._root.value.shape[0]))
-        for tree in self.trees_:
-            acc += tree.predict(X)
-        acc /= len(self.trees_)
-        return acc.ravel() if self._single_output else acc
+        trees = self.trees_
+        n_trees = len(trees)
+        n_out = len(trees[0]._value[0])
+        out = []
+        for row in X.tolist():
+            acc = [0.0] * n_out
+            for tree in trees:
+                for j, v in enumerate(tree.leaf_value(row)):
+                    acc[j] += v
+            out.append([a / n_trees for a in acc])
+        pred = np.array(out, dtype=np.float64).reshape(X.shape[0], n_out)
+        return pred.ravel() if self._single_output else pred
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -9,31 +9,20 @@ and write throughput jointly (as the TPM requires).
 Feature importances follow Breiman's mean-decrease-in-impurity: each
 split credits its feature with ``n_node * (impurity - weighted child
 impurity)``, normalised to sum to one.
+
+A fitted tree is stored as flat per-node lists (pre-order, root at
+index 0) of plain Python ints and floats.  Inference walks them with a
+row of plain floats: per-call NumPy overhead would dominate the
+microsecond-scale walk, and the SRC controller predicts one row at a
+time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ml.base import check_X, check_Xy
 from repro.sim.rng import make_rng
-
-
-@dataclass
-class _Node:
-    """One tree node; leaves have ``feature == -1``."""
-
-    feature: int
-    threshold: float
-    left: "_Node | None"
-    right: "_Node | None"
-    value: np.ndarray  # mean target of the node's training rows
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
 
 
 def _impurity_sums(y: np.ndarray) -> float:
@@ -80,7 +69,13 @@ class DecisionTreeRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self._root: _Node | None = None
+        # Per-node lists, filled by fit(); leaves have feature -1 and
+        # children -1.  _value holds each node's mean training target.
+        self._feature: list[int] = []
+        self._threshold: list[float] = []
+        self._left: list[int] = []
+        self._right: list[int] = []
+        self._value: list[list[float]] = []
         self._n_features = 0
         self._importance_raw: np.ndarray | None = None
         self._single_output = True
@@ -93,7 +88,9 @@ class DecisionTreeRegressor:
         self._n_features = X.shape[1]
         self._importance_raw = np.zeros(self._n_features)
         self._rng = make_rng(self.seed)
-        self._root = self._build(X, y2, depth=0)
+        self._feature, self._threshold = [], []
+        self._left, self._right, self._value = [], [], []
+        self._build(X, y2, depth=0)
         return self
 
     def _n_candidate_features(self) -> int:
@@ -153,35 +150,56 @@ class DecisionTreeRegressor:
                 best = (int(f), float(thr), float(decrease[i]))
         return best
 
-    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        value = y.mean(axis=0)
+    def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> int:
+        """Append the subtree for these rows; returns its root's index."""
+        node = len(self._feature)
+        self._feature.append(-1)
+        self._threshold.append(0.0)
+        self._left.append(-1)
+        self._right.append(-1)
+        self._value.append(y.mean(axis=0).tolist())
         n = X.shape[0]
         if (
             n < self.min_samples_split
             or (self.max_depth is not None and depth >= self.max_depth)
         ):
-            return _Node(-1, 0.0, None, None, value)
+            return node
         split = self._best_split(X, y)
         if split is None:
-            return _Node(-1, 0.0, None, None, value)
+            return node
         feature, threshold, decrease = split
         self._importance_raw[feature] += decrease
         mask = X[:, feature] <= threshold
-        left = self._build(X[mask], y[mask], depth + 1)
-        right = self._build(X[~mask], y[~mask], depth + 1)
-        return _Node(feature, threshold, left, right, value)
+        self._feature[node] = feature
+        self._threshold[node] = threshold
+        self._left[node] = self._build(X[mask], y[mask], depth + 1)
+        self._right[node] = self._build(X[~mask], y[~mask], depth + 1)
+        return node
 
     # -- inference -----------------------------------------------------------
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._root is None:
+    def _check_fitted(self) -> None:
+        if not self._feature:
             raise RuntimeError("model is not fitted")
+
+    def leaf_value(self, row: list[float]) -> list[float]:
+        """Mean training target of the leaf ``row`` (plain floats) lands in."""
+        feature = self._feature
+        threshold = self._threshold
+        left = self._left
+        right = self._right
+        node = 0
+        f = feature[0]
+        while f >= 0:
+            node = left[node] if row[f] <= threshold[node] else right[node]
+            f = feature[node]
+        return self._value[node]
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        self._check_fitted()
         X = check_X(X, self._n_features)
-        out = np.empty((X.shape[0], self._root.value.shape[0]))
-        for i, row in enumerate(X):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
+        out = np.array(
+            [self.leaf_value(row) for row in X.tolist()], dtype=np.float64
+        ).reshape(X.shape[0], len(self._value[0]))
         return out.ravel() if self._single_output else out
 
     @property
@@ -196,24 +214,15 @@ class DecisionTreeRegressor:
 
     def depth(self) -> int:
         """Actual depth of the fitted tree (0 = single leaf)."""
-        if self._root is None:
-            raise RuntimeError("model is not fitted")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self._root)
+        self._check_fitted()
+        # Pre-order storage: every child comes after its parent.
+        depths = [0] * len(self._feature)
+        for node, f in enumerate(self._feature):
+            if f >= 0:
+                depths[self._left[node]] = depths[self._right[node]] = depths[node] + 1
+        return max(depths)
 
     def n_leaves(self) -> int:
         """Number of leaf nodes in the fitted tree."""
-        if self._root is None:
-            raise RuntimeError("model is not fitted")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self._root)
+        self._check_fitted()
+        return sum(1 for f in self._feature if f < 0)

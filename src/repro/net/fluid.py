@@ -285,10 +285,6 @@ class FluidDomain:
         self._act = np.flatnonzero(self._active)
         self._resolve()
 
-    @property
-    def active_flows(self) -> int:
-        return len(self._act)
-
     def total_bytes_served(self) -> float:
         total = 0.0  # left to right, the same float sum on every Python
         for served in self._served.tolist():

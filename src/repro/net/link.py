@@ -7,21 +7,25 @@ the propagation delay.  PFC pauses stop *data* transmission; control
 packets still pass, as PFC operates per traffic class and control
 traffic rides the lossless high-priority class.
 
-Hot-path notes: the serialization-finish and arrival steps are bound
-methods that receive the packet as an event argument — the engine calls
-``callback(packet)`` directly, so no closure is allocated per packet —
-and serialization times are memoised per packet size (MTU-dominated
-traffic hits a single dict entry).  Both steps are scheduled as
-*anonymous* events (``schedule_anon``): nothing ever cancels an
-in-flight serialization or propagation (see :meth:`Link.set_down` — a
-packet on the wire always finishes), so the per-packet ``Event`` handle
-was pure allocation overhead.  Every step, bursts included, goes
-through that one call; the heap entry format stays private to
-:mod:`repro.sim`.  One link has at most one serialization in flight and
-each lasts at least 1 ns, so its deliveries never share a tick; a
-:meth:`Link.send_burst` burst is the one case where several packets
-arrive together, and :meth:`Link._deliver_burst` hands them to the
-receiver one by one.
+Hot-path notes: a packet hop is two anonymous events
+(``schedule_anon``).  The serialization finish is the cached bound
+method :meth:`Link._finish` with the packet as its event argument, so
+no closure is allocated per packet.  The arrival is the receiver's own
+``receive(packet, dst_port)``, scheduled by ``_finish`` directly: no
+link-side trampoline sits between the wire and the receiver, and
+dispatch logs name the arrival ``Switch.receive`` or ``NIC.receive``.
+``_finish`` calls :meth:`Link._try_start` only when packets are
+queued; most finishes find the queue empty.  Serialization times are
+memoised per packet size (MTU-dominated traffic hits a single dict
+entry).  Nothing ever cancels an in-flight serialization or
+propagation (see :meth:`Link.set_down`: a packet on the wire always
+finishes), so neither step needs an ``Event`` handle; every step,
+bursts included, goes through that one call, and the heap entry format
+stays private to :mod:`repro.sim`.  One link has at most one
+serialization in flight and each lasts at least 1 ns, so its
+deliveries never share a tick; a :meth:`Link.send_burst` burst is the
+one case where several packets arrive together, and
+:meth:`Link._deliver_burst` hands them to the receiver one by one.
 """
 
 from __future__ import annotations
@@ -74,7 +78,6 @@ class Link:
         "packets_dropped_down",
         "_ser_cache",
         "_finish_cb",
-        "_deliver_cb",
         "_fluid_load_bytes_per_ns",
         "_eff_bytes_per_ns",
         "_ns_per_byte",
@@ -141,10 +144,9 @@ class Link:
         self.packets_dropped_down = 0
         #: size -> serialization ns memo (one entry for MTU traffic).
         self._ser_cache: dict[int, int] = {}
-        # Bound methods cached once: scheduling them with the packet as
-        # an event argument replaces the two per-packet closures.
+        # Bound method cached once: scheduling it with the packet as an
+        # event argument replaces the per-packet closure.
         self._finish_cb = self._finish
-        self._deliver_cb = self._deliver
         self._finish_burst_cb = self._finish_burst
         self._deliver_burst_cb = self._deliver_burst
         if sim.sanitizer is not None:
@@ -218,12 +220,14 @@ class Link:
         self._busy = False
         self.bytes_sent += packet.size_bytes
         self.packets_sent += 1
-        if self.on_depart is not None:
-            self.on_depart(packet)
-        if self.fault_filter is not None and not packet.is_control:
+        on_depart = self.on_depart
+        if on_depart is not None:
+            on_depart(packet)
+        fault_filter = self.fault_filter
+        if fault_filter is not None and not packet.is_control:
             # After on_depart: the bytes left the upstream buffer either
             # way; only delivery is in question.
-            verdict = self.fault_filter(packet)
+            verdict = fault_filter(packet)
             if verdict == FAULT_DROP:
                 self.packets_lost += 1
                 self._try_start()
@@ -231,11 +235,16 @@ class Link:
             if verdict == FAULT_CORRUPT:
                 packet.corrupted = True
                 self.packets_corrupted += 1
-        self.sim.schedule_anon(self.delay_ns, self._deliver_cb, packet)
-        self._try_start()
-
-    def _deliver(self, packet: Packet) -> None:
-        self.dst.receive(packet, self.dst_port)
+        # The arrival event is the receiver's own ``receive`` call,
+        # looked up per packet so a wrapper installed on the device
+        # instance still sees every arrival.
+        self.sim.schedule_anon(
+            self.delay_ns, self.dst.receive, packet, self.dst_port
+        )
+        # _try_start is a no-op on an empty queue, which most finishes
+        # find: skip the call.
+        if self._queue:
+            self._try_start()
 
     # -- dual-fidelity coupling (fluid background load) ---------------------
     @property

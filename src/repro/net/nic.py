@@ -129,6 +129,7 @@ class Flow:
         "_pump_cb",
         "bytes_sent",
         "_rel",
+        "_plain",
     )
 
     def __init__(self, nic: "NIC", dst: str) -> None:
@@ -153,6 +154,9 @@ class Flow:
         else:
             assert nic._rel_rng is not None
             self._rel = FlowReliability(self, rel_cfg, nic._rel_rng)
+        #: Reliability off and one segment per send: ``pump`` takes its
+        #: lean path, else ``_pump_full``.
+        self._plain = rel_cfg is None and nic.config.burst_segments == 1
 
     def enqueue(self, size_bytes: Bytes, payload: Any) -> None:
         self._messages.append(
@@ -176,15 +180,13 @@ class Flow:
     def pump(self) -> None:
         """Send segments while allowed; reschedules itself as needed.
 
-        In reliability mode retransmissions (queued by the flow's RTO)
-        take priority over fresh segments and go out through this same
-        loop — a recovery burst is paced at the DCQCN rate and respects
-        the link backlog cap like any other traffic — and fresh
-        segments stop while the go-back-N window is closed.
+        The paper path's flows (reliability off, ``burst_segments=1``)
+        take the lean loop below, which reads only what sending one
+        segment needs; the common pacing wake-up sends one segment and
+        reschedules.  Other flows go through :meth:`_pump_full`.
         """
         nic = self.nic
-        sim = nic.sim
-        now = sim.now  # constant for the whole call: pumping never dispatches
+        now = nic.sim.now  # constant for the whole call: pumping never dispatches
         if self._pump_due_ns > now:
             # A pacing wake-up is already scheduled for exactly when
             # sending next becomes allowed; until then every other
@@ -194,6 +196,68 @@ class Flow:
             return
         if nic.stalled:
             return  # re-pumped when the stall window ends
+        if not self._plain:
+            self._pump_full(now)
+            return
+        messages = self._messages
+        link = nic.link
+        while messages:
+            due = self._next_send_ns
+            if now < due:
+                self._pump_due_ns = due
+                nic.sim.schedule_at_anon(due, self._pump_cb)
+                return
+            config = nic.config
+            if len(link._queue) >= config.max_link_backlog_packets:
+                return  # re-pumped when the link drains
+            msg = messages[0]
+            size = msg.size_bytes
+            seg = size - msg.sent_bytes
+            if seg > config.mtu_bytes:
+                seg = config.mtu_bytes
+            sent = msg.sent_bytes + seg
+            msg.sent_bytes = sent
+            last = sent >= size
+            link.send(
+                Packet(
+                    kind=PacketKind.DATA,
+                    src=nic.name,
+                    dst=self.dst,
+                    size_bytes=seg,
+                    flow_id=self.id,
+                    message_id=msg.id,
+                    message_bytes=size,
+                    last_of_message=last,
+                    seq=-1,
+                    payload=msg.payload if last else None,
+                )
+            )
+            self.bytes_sent += seg
+            self.queued_bytes -= seg
+            # Hot path: the per-segment TXQ refund stays inlined here;
+            # cold paths go through NIC.txq_refund instead.
+            nic._txq_used -= seg
+            rate_control = self.rate_control
+            rate_control.on_bytes_sent(seg)
+            gap_ns = int(seg / rate_control.current_bytes_per_ns + 0.5)
+            self._next_send_ns = now + (gap_ns if gap_ns > 1 else 1)
+            if last:
+                messages.popleft()
+            if nic.txq_drain_listeners:
+                nic._notify_txq_drain()
+        nic._backlogged.pop(self.id, None)
+
+    def _pump_full(self, now: Nanoseconds) -> None:
+        """:meth:`pump` for reliability or burst flows.
+
+        In reliability mode retransmissions (queued by the flow's RTO)
+        take priority over fresh segments and go out through this same
+        loop — a recovery burst is paced at the DCQCN rate and respects
+        the link backlog cap like any other traffic — and fresh
+        segments stop while the go-back-N window is closed.
+        """
+        nic = self.nic
+        sim = nic.sim
         messages = self._messages
         link = nic.link
         config = nic.config
@@ -403,12 +467,12 @@ class NIC:
             return
         now = self.sim.now
         if len(backlogged) == 1:
-            for flow in tuple(backlogged.values()):
-                # Same keep-alive guard as Flow.pump's entry, hoisted to
-                # skip the call: a flow whose pacing wake-up is still in
-                # the future cannot send yet.
-                if flow._pump_due_ns <= now:
-                    flow.pump()
+            (flow,) = backlogged.values()
+            # Same keep-alive guard as Flow.pump's entry, hoisted to
+            # skip the call: a flow whose pacing wake-up is still in the
+            # future cannot send yet.
+            if flow._pump_due_ns <= now:
+                flow.pump()
             return
         for flow_id in sorted(backlogged):
             flow = backlogged.get(flow_id)
@@ -528,8 +592,7 @@ class NIC:
         return len(self._reassembly)
 
     def receive(self, packet: Packet, in_port: int) -> None:
-        kind = packet.kind
-        if kind is PacketKind.DATA:
+        if not packet.is_control:
             self.bytes_received += packet.size_bytes
             if packet.ecn_marked:
                 self._maybe_send_cnp(packet)
@@ -576,6 +639,7 @@ class NIC:
                     self.reassembly_bytes_discarded += reassembly.pop(oldest)
                     self.reassembly_evictions += 1
             return
+        kind = packet.kind
         if kind in (PacketKind.PAUSE, PacketKind.RESUME):
             if self.link is not None:
                 if kind is PacketKind.PAUSE:

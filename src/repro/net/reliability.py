@@ -148,9 +148,6 @@ class FlowReliability:
     def window_free(self) -> bool:
         return len(self.unacked) < self.config.window_packets
 
-    def has_retransmit(self) -> bool:
-        return bool(self.retransmit_queue)
-
     def pop_retransmit(self) -> _Segment:
         self.retransmits += 1
         return self.retransmit_queue.popleft()

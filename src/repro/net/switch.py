@@ -62,6 +62,12 @@ class Switch:
         self.sim = sim
         self.name = name
         self.config = config or SwitchConfig()
+        # Thresholds read on every forwarded packet, copied out of the
+        # (frozen) config once.
+        self._buffer_bytes = self.config.buffer_bytes
+        self._ecn_kmin_bytes = self.config.ecn_kmin_bytes
+        self._pfc_xoff_bytes = self.config.pfc_xoff_bytes
+        self._pfc_xon_bytes = self.config.pfc_xon_bytes
         self._rng = make_rng(seed)
         self._out_links: list[Link] = []
         self._neighbor_of_port: dict[str, int] = {}  # neighbor name -> out port
@@ -100,10 +106,23 @@ class Switch:
         # Departure accounting only needs the packet's recorded ingress
         # port, so one bound method serves every out-link (and, unlike
         # the factory closure it replaced, survives checkpoint pickling).
+        size = packet.size_bytes
         in_port = packet._ingress_port
-        if in_port is not None and in_port in self._ingress_bytes:
-            self._account_ingress(in_port, -packet.size_bytes)
-        self._buffered_bytes -= packet.size_bytes
+        if in_port is not None:
+            ingress = self._ingress_bytes
+            if in_port in ingress:
+                # PFC ingress accounting, inlined as in receive().
+                level = ingress[in_port] - size
+                ingress[in_port] = level
+                paused = self._paused_upstream
+                if level > self._pfc_xoff_bytes:
+                    if in_port not in paused:
+                        paused.add(in_port)
+                        self._send_pfc(in_port, PacketKind.PAUSE)
+                elif paused and level < self._pfc_xon_bytes and in_port in paused:
+                    paused.discard(in_port)
+                    self._send_pfc(in_port, PacketKind.RESUME)
+        self._buffered_bytes -= size
 
     def port_to(self, neighbor_name: str) -> int:
         return self._neighbor_of_port[neighbor_name]
@@ -124,7 +143,7 @@ class Switch:
             )
             link = self._out_links[out_port]
             size = packet.size_bytes
-            if self._buffered_bytes + size > self.config.buffer_bytes:
+            if self._buffered_bytes + size > self._buffer_bytes:
                 self.packets_dropped += 1
                 self.drops_by_port[out_port] = self.drops_by_port.get(out_port, 0) + 1
                 self.drops_by_class["data"] += 1
@@ -133,11 +152,24 @@ class Switch:
                 return
             # ECN pre-check hoisted: below Kmin no mark is possible and no
             # RNG draw happens, so skipping the call is bit-identical.
-            if link._queued_bytes > self.config.ecn_kmin_bytes:
+            if link._queued_bytes > self._ecn_kmin_bytes:
                 self._maybe_mark_ecn(packet, link)
             packet._ingress_port = in_port  # for departure accounting
             self._buffered_bytes += size
-            self._account_ingress(in_port, size)
+            # PFC ingress accounting: PAUSE the upstream neighbor above
+            # XOFF, RESUME it below XON.  Inlined here and in
+            # _on_link_depart, the two per-packet callers.
+            ingress = self._ingress_bytes
+            level = ingress.get(in_port, 0) + size
+            ingress[in_port] = level
+            paused = self._paused_upstream
+            if level > self._pfc_xoff_bytes:
+                if in_port not in paused:
+                    paused.add(in_port)
+                    self._send_pfc(in_port, PacketKind.PAUSE)
+            elif paused and level < self._pfc_xon_bytes and in_port in paused:
+                paused.discard(in_port)
+                self._send_pfc(in_port, PacketKind.RESUME)
             link.send(packet)
             self.packets_forwarded += 1
             return
@@ -170,18 +202,6 @@ class Switch:
             self.ecn_marks += 1
 
     # -- PFC -----------------------------------------------------------------
-    def _account_ingress(self, in_port: int, delta: int) -> None:
-        ingress = self._ingress_bytes
-        level = ingress.get(in_port, 0) + delta
-        ingress[in_port] = level
-        paused = self._paused_upstream
-        if level > self.config.pfc_xoff_bytes and in_port not in paused:
-            paused.add(in_port)
-            self._send_pfc(in_port, PacketKind.PAUSE)
-        elif paused and level < self.config.pfc_xon_bytes and in_port in paused:
-            paused.discard(in_port)
-            self._send_pfc(in_port, PacketKind.RESUME)
-
     def _send_pfc(self, in_port: int, kind: PacketKind) -> None:
         # The reverse direction of the same cable shares the port index by
         # construction (the topology builder adds both directions in one

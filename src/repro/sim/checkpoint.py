@@ -12,7 +12,7 @@ the uninterrupted run byte-for-byte:
   owner's MRO class dicts for the exact function object; at load time
   ``getattr(type(owner), name).__get__(owner, ...)`` rebuilds the bound
   method without touching instance state.  The pickle memo preserves
-  object identity, so cached callback slots (``Link._deliver_cb``)
+  object identity, so cached callback slots (``Link._finish_cb``)
   restore as the *same* object the heap entries alias, exactly as in
   the saved world;
 * every component's state vectors (queues, DCQCN rate state,

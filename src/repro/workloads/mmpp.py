@@ -245,59 +245,3 @@ def generate_mmpp_trace(
     ]
     return Trace(requests)
 
-
-@dataclass(frozen=True)
-class FluidTenantLoad:
-    """Aggregate offered load of a population of MMPP-modelled tenants.
-
-    The dual-fidelity engine does not replay individual MMPP arrivals
-    for background tenants — it feeds each tenant's *long-run* offered
-    rate into the fluid share solver as the flow's arrival-curve demand
-    (``rho``).  This dataclass is that reduction: the per-tenant mean
-    and peak byte rates implied by an :class:`MMPP2` plus a mean
-    request size, scaled to ``n_tenants``.
-    """
-
-    n_tenants: int
-    #: Long-run per-tenant demand: ``mean_rate * mean_request_bytes``.
-    mean_bytes_per_ns: float
-    #: Burst-phase ceiling: ``max(lambda1, lambda2) * mean_request_bytes``
-    #: — what the tenant offers while its modulating chain sits in the
-    #: high-rate state.  Useful for sizing envelope slack.
-    peak_bytes_per_ns: float
-
-    def __post_init__(self) -> None:
-        if self.n_tenants <= 0:
-            raise ValueError("n_tenants must be positive")
-        if not 0.0 < self.mean_bytes_per_ns <= self.peak_bytes_per_ns:
-            raise ValueError("need 0 < mean rate <= peak rate")
-
-    @property
-    def total_mean_bytes_per_ns(self) -> float:
-        return self.n_tenants * self.mean_bytes_per_ns
-
-    @property
-    def burstiness(self) -> float:
-        """Peak-to-mean ratio of a single tenant."""
-        return self.peak_bytes_per_ns / self.mean_bytes_per_ns
-
-
-def fluid_demand_bytes_per_ns(process: MMPP2, mean_request_bytes: float) -> float:
-    """Long-run byte rate a tenant replaying ``process`` would offer."""
-    if mean_request_bytes <= 0:
-        raise ValueError("mean request size must be positive")
-    mean_interarrival_ns = 1.0 / process.mean_rate
-    return mean_request_bytes / mean_interarrival_ns
-
-
-def aggregate_fluid_tenants(
-    process: MMPP2, mean_request_bytes: float, n_tenants: int
-) -> FluidTenantLoad:
-    """Reduce ``n_tenants`` i.i.d. MMPP tenants to fluid demand terms."""
-    burst_interarrival_ns = 1.0 / max(process.lambda1, process.lambda2)
-    peak_bytes_per_ns = mean_request_bytes / burst_interarrival_ns
-    return FluidTenantLoad(
-        n_tenants=n_tenants,
-        mean_bytes_per_ns=fluid_demand_bytes_per_ns(process, mean_request_bytes),
-        peak_bytes_per_ns=peak_bytes_per_ns,
-    )

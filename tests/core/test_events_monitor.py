@@ -131,3 +131,48 @@ def test_features_match_cloned_trace_and_consume_no_request_ids(steps, window_ns
         got = monitor.features(now)
         assert next(_request_ids) == before + 1
         assert _bits(got) == _bits(expected)
+
+
+def test_features_match_rebuilt_columns_over_long_random_sequence():
+    """The incrementally kept columns equal a full rebuild.
+
+    Thousands of seeded observations with bursts and quiet gaps grow,
+    compact and drain the column buffers; after every few steps the
+    features must equal those extracted from arrays rebuilt from a
+    plain deque of everything still inside the window.
+    """
+    import random
+    from collections import deque
+
+    import numpy as np
+
+    from repro.workloads.features import features_from_arrays
+
+    rng = random.Random(5)
+    window_ns = 60_000
+    monitor = WorkloadMonitor(window_ns=window_ns)
+    window: deque[tuple[int, int, bool]] = deque()
+    now = 0
+    for step in range(6_000):
+        now += rng.choice((0, 7, 40, 300)) if rng.random() < 0.995 else 200_000
+        is_read = rng.random() < 0.7
+        size = rng.randrange(512, 1 << 17)
+        monitor.observe(req(size=size, op=OpType.READ if is_read else OpType.WRITE), now)
+        window.append((now, size, is_read))
+        while window and window[0][0] < now - window_ns:
+            window.popleft()
+        if step % 7 == 0:
+            probe = now + rng.choice((0, 0, 0, 0, 500, 90_000))
+            while window and window[0][0] < probe - window_ns:
+                window.popleft()
+            n = len(window)
+            expected = features_from_arrays(
+                np.fromiter((t for t, _, _ in window), dtype=np.int64, count=n),
+                np.fromiter((s for _, s, _ in window), dtype=np.int64, count=n),
+                np.fromiter((r for _, _, r in window), dtype=bool, count=n),
+                window_ns=window_ns,
+            )
+            assert _bits(monitor.features(probe)) == _bits(expected)
+            assert monitor.in_window(probe) == n
+    assert monitor.observed == 6_000
+    assert monitor._arrivals.size > 256  # the columns grew on the way

@@ -95,3 +95,76 @@ def test_validation():
         RandomForestRegressor().predict(np.zeros((1, 1)))
     with pytest.raises(RuntimeError):
         _ = RandomForestRegressor().feature_importances_
+
+
+def _descend(tree, node, row):
+    """Recursive reference walk over a fitted tree's node lists."""
+    f = tree._feature[node]
+    if f < 0:
+        return np.asarray(tree._value[node])
+    if row[f] <= tree._threshold[node]:
+        return _descend(tree, tree._left[node], row)
+    return _descend(tree, tree._right[node], row)
+
+
+def _reference_predict(forest, X):
+    """Per-tree recursive walks into whole arrays, summed by NumPy."""
+    acc = np.zeros((X.shape[0], len(forest.trees_[0]._value[0])))
+    for tree in forest.trees_:
+        acc += np.array([_descend(tree, 0, row) for row in X])
+    acc /= len(forest.trees_)
+    return acc
+
+
+def _subtree_depth(tree, node):
+    if tree._feature[node] < 0:
+        return 0
+    return 1 + max(
+        _subtree_depth(tree, tree._left[node]), _subtree_depth(tree, tree._right[node])
+    )
+
+
+def _subtree_leaves(tree, node):
+    if tree._feature[node] < 0:
+        return 1
+    return _subtree_leaves(tree, tree._left[node]) + _subtree_leaves(
+        tree, tree._right[node]
+    )
+
+
+def test_flat_walk_is_bit_identical_to_recursive_walk():
+    """The plain-float walk sums trees in fit order, then divides: the
+    same float operations as accumulating per-tree arrays, so every
+    prediction matches to the last bit — on the training rows, on
+    perturbed and out-of-range rows, and on rows sitting exactly on a
+    split threshold (where ``<=`` must send them left)."""
+    rng = np.random.default_rng(11)
+    X = rng.uniform(size=(200, 9))
+    X[:, 4] = np.round(X[:, 4] * 4)  # a few repeated values, as in ratios
+    Y = np.column_stack(
+        [5 * X[:, 0] * X[:, 1] + X[:, 4], np.sin(3 * X[:, 2]) + rng.normal(0, 0.1, 200)]
+    )
+    forest = RandomForestRegressor(40, max_features=1 / 3, seed=7).fit(X, Y)
+    on_split = X[:50].copy()
+    for i, tree in enumerate(forest.trees_[:50]):
+        on_split[i, tree._feature[0]] = tree._threshold[0]
+    probes = np.vstack([
+        X,
+        X + rng.normal(0, 0.05, size=X.shape),
+        rng.uniform(-1.0, 2.0, size=(100, 9)),
+        on_split,
+    ])
+    want = _reference_predict(forest, probes)
+    got = forest.predict(probes)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    for row in probes[:40]:  # the controller predicts one row at a time
+        assert forest.predict(row.reshape(1, -1)).tobytes() == (
+            _reference_predict(forest, row.reshape(1, -1)).tobytes()
+        )
+    for tree in forest.trees_:
+        assert tree.depth() == _subtree_depth(tree, 0)
+        assert tree.n_leaves() == _subtree_leaves(tree, 0)
+        single = tree.predict(probes)
+        ref = np.array([_descend(tree, 0, row) for row in probes])
+        assert single.tobytes() == ref.tobytes()

@@ -43,6 +43,12 @@ itself the point of the PR and is called out as such).
   dispatches keep their count and instants.  The scalar timer fires one
   extra no-op tick after a flow fully recovers, which the table did
   not, but no flow recovers within this 600 µs cell.
+* **v4 (2026-10, delivery trampoline removed).**  No regeneration.
+  ``Link._finish`` now schedules the receiver's ``receive`` directly
+  instead of a ``Link._deliver`` hop that called it, so every delivery
+  dispatches as ``Switch.receive`` or ``NIC.receive`` — same instant,
+  same sequence number.  Both names map to ``link.deliver`` above; the
+  hash, the per-tag counts and the outputs are unchanged.
 
 Regenerate (only when intentionally changing simulation behaviour)::
 
@@ -70,6 +76,9 @@ NORMALIZE = {
     "Link._try_start.<locals>.finish.<locals>.<lambda>": "link.deliver",
     "Link._finish": "link.finish",
     "Link._deliver": "link.deliver",
+    # The delivery event is the receiver's own receive() (v4).
+    "Switch.receive": "link.deliver",
+    "NIC.receive": "link.deliver",
     # DCQCN rate-increase timer keeps firing as a real event.
     "DCQCNRateControl._timer_tick": "dcqcn.timer_tick",
 }
