@@ -1,12 +1,12 @@
 """Runtime DES sanitizer: dispatch-time invariant checks (opt-in).
 
-The static linter (:mod:`repro.analysis.simlint`) catches patterns that
-*could* break determinism; this module catches state that already *has*
-gone wrong, the moment it happens.  Enable it with
-``Simulator(sanitize=True)`` or ``REPRO_SANITIZE=1`` (which sanitizes
-every :class:`~repro.sim.engine.Simulator` constructed without an
-explicit ``sanitize`` in the process, so whole existing scenarios run
-sanitized unchanged).  The :class:`Sanitizer` is the simulator's
+The fresh-process replay test catches output that moves with the
+process environment (hash seed, clock, global RNG); this module catches
+model state that already *has* gone wrong, the moment it happens.
+Enable it with ``Simulator(sanitize=True)`` or ``REPRO_SANITIZE=1``
+(which sanitizes every :class:`~repro.sim.engine.Simulator` constructed
+without an explicit ``sanitize`` in the process, so whole existing
+scenarios run sanitized unchanged).  The :class:`Sanitizer` is the simulator's
 observer: the engine's observed dispatch loop calls it around every
 event (see :mod:`repro.sim.engine`).
 

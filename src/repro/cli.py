@@ -7,7 +7,6 @@
     python -m repro synthesize --profile vdi -o trace.csv
     python -m repro replay trace.csv [--ssd A] [--weight 4]
     python -m repro profile [--scenario engine|incast|both] [--cprofile]
-    python -m repro lint src [--format json|github]   # determinism linter
     python -m repro faults [--cell chaos] [--seed 7]   # chaos matrix
 
 The full-scale reproductions live in ``benchmarks/`` (pytest-benchmark);
@@ -59,20 +58,18 @@ def cmd_motivation(_args) -> int:
     return 0
 
 
-def _at_least(
-    low: float, kind: Callable[[str], float] = int
-) -> Callable[[str], float]:
-    """An argparse ``type`` for ``kind`` numbers ``>= low`` (NaN fails
-    too); anything else exits 2."""
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type`` for integers ``>= low``; anything else
+    exits 2."""
 
-    def parse(value: str) -> float:
-        n = kind(value)
-        if not n >= low:
+    def parse(value: str) -> int:
+        n = int(value)
+        if n < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
         return n
 
     # argparse names the type in "invalid int value".
-    parse.__name__ = getattr(kind, "__name__", "number")
+    parse.__name__ = "int"
     return parse
 
 
@@ -334,54 +331,6 @@ def cmd_replay_failure(args) -> int:
     return 0 if report["reproduced"] else 1
 
 
-def cmd_lint(args) -> int:
-    """Run the simulation linter (see repro.analysis).
-
-    Per-file determinism rules (SIM001–SIM005).  ``--select`` /
-    ``--ignore`` narrow the rule set by rule-id prefix; an inline
-    ``# simlint: ignore[...]`` directive is the only way to suppress a
-    finding.  Exit status:
-    0 = clean (no findings, within the time budget), 1 = findings or
-    over budget, 2 = bad rule selector, a path that is neither a
-    directory nor a ``.py`` file, or an unwritable ``--sarif-output``.
-    """
-    from pathlib import Path
-
-    from repro.analysis.run import lint_project
-    from repro.analysis.sarif import to_sarif
-    from repro.analysis.simlint import RULES, format_violations
-
-    try:
-        report = lint_project(
-            args.paths, select=args.select, ignore=args.ignore
-        )
-    except ValueError as err:
-        print(f"simlint: {err}", file=sys.stderr)
-        return 2
-    if args.format == "sarif":
-        out = to_sarif(report.violations, RULES).rstrip("\n")
-    else:
-        out = format_violations(report.violations, fmt=args.format)
-    if out:
-        print(out)
-    if args.sarif_output:
-        try:
-            Path(args.sarif_output).write_text(to_sarif(report.violations, RULES))
-        except OSError as err:
-            print(f"simlint: {err}", file=sys.stderr)
-            return 2
-    failed = bool(report.violations)
-    if args.max_seconds is not None and report.elapsed_s > args.max_seconds:
-        print(
-            f"simlint: lint pass took {report.elapsed_s:.2f}s, "
-            f"over the {args.max_seconds:.2f}s budget "
-            f"({report.file_count} files)",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="SRC paper-reproduction toolkit"
@@ -479,42 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(fn=cmd_replay_failure)
-
-    p = sub.add_parser(
-        "lint",
-        help="simulation determinism linter (SIM001-005; "
-        "--select/--ignore pick rules)",
-    )
-    p.add_argument(
-        "paths", nargs="+", help="files or directories to lint (e.g. src)"
-    )
-    p.add_argument(
-        "--format", choices=("text", "json", "github", "sarif"),
-        default="text",
-        help="violation report format ('github' emits ::error annotations, "
-        "'sarif' a SARIF 2.1.0 log)",
-    )
-    p.add_argument(
-        "--select", action="append", default=None, metavar="RULES",
-        help="only run rules matching these comma-separated rule-id "
-        "prefixes (e.g. 'SIM00', 'SIM003'); repeatable; default: "
-        "every rule",
-    )
-    p.add_argument(
-        "--ignore", action="append", default=None, metavar="RULES",
-        help="drop rules matching these selectors after --select "
-        "(same syntax); SIM999 cannot be ignored",
-    )
-    p.add_argument(
-        "--sarif-output", default=None, metavar="PATH",
-        help="additionally write a SARIF 2.1.0 log to PATH "
-        "(independent of --format)",
-    )
-    p.add_argument(
-        "--max-seconds", type=_at_least(0, float), default=None,
-        help="fail if the lint pass exceeds this wall-clock budget",
-    )
-    p.set_defaults(fn=cmd_lint)
 
     return parser
 

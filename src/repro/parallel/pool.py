@@ -381,7 +381,7 @@ def run_cells(
                     if isinstance(exc, _FutureTimeout):
                         timed_out = (i, exc)
                     break
-                except Exception as exc:  # cell failure: retry in-process
+                except Exception as exc:  # noqa: BLE001 — cell failure: retry in-process
                     try:
                         value, wall, attempts = _run_serial(
                             fn, cell_list[i], i, retries,

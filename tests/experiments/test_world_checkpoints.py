@@ -1,5 +1,5 @@
-"""Every testbed world restores in a fresh interpreter and continues
-exactly as the uninterrupted run.
+"""Every testbed world replays bit-identically in fresh interpreters
+whose hash seed, clock and global RNGs all differ.
 
 One world per :func:`~repro.experiments.runner.run_testbed` driver mode
 (FIFO, SSQ with the SRC controller, block layer with its rate
@@ -8,18 +8,30 @@ controller) plus the chaos configuration of
 reliability, command retry, stuck-I/O watchdog) with both of its
 policies.  Each runs to ``T1`` under a background congestion episode,
 is saved with :func:`repro.sim.checkpoint.save`, and is continued
-in-process to ``T2`` as the reference.  One child interpreter loads
-every checkpoint, continues each to ``T2`` and prints its digest.
+in-process to ``T2`` as the reference, which must match ``GOLDEN``.
 
-The child must be a fresh process: module-level state and
+Two child interpreters then run concurrently, one per entry of
+``CHILDREN``.  Each perturbs what a replay must not depend on: a fixed
+``PYTHONHASHSEED`` of its own (set and ``str``-keyed dict orders), the
+``time`` module's clocks shifted by its own offset, and the global
+``random`` and ``np.random`` states reseeded to its own value.  Each
+child builds the ``FRESH`` worlds from t=0, which must match
+``GOLDEN``, and then loads every checkpoint, continues it to ``T2`` and
+reports its digest and the :mod:`repro.sim.serial` counter positions,
+which must match the reference.  A salted iteration order, a wall-clock
+read or an out-of-band random draw on any path these worlds take
+therefore moves a digest in at least one child on every run, instead of
+on some hash seeds only.
+
+The children must be fresh processes: module-level state and
 ``SerialCounter`` rewinds can only diverge there, and an unpicklable
 callback anywhere in the world graph fails the save itself.
 
-The child also checks that dispatch does no I/O.  A
+The children also check that dispatch does no I/O.  A
 :func:`sys.addaudithook` hook records every ``open``, ``os.*``,
 ``subprocess.*``, ``socket.*`` and ``shutil.*`` audit event raised
-while ``sim.run(until=T2)`` runs, and the child's stdout must be its
-one JSON line, so a ``print`` inside a callback fails the test too.
+while a continued world runs, and a child's stdout must be its one JSON
+line, so a ``print`` inside a callback fails the test too.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +50,7 @@ from repro.fabric.initiator import RetryPolicy
 from repro.net.nic import NICConfig
 from repro.net.reliability import ReliabilityConfig
 from repro.sim import checkpoint as ck
+from repro.sim.serial import snapshot_counters
 from repro.sim.units import KIB, MS, US
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
 from tests.conftest import FAST_SSD
@@ -226,6 +240,63 @@ def world_digest(result) -> dict[str, object]:
     return digest
 
 
+#: One child interpreter per entry, run concurrently: its string-hash
+#: seed, the offset added to every ``time`` clock (seconds; an odd
+#: number of seconds apart, years from the real time) and the seed of
+#: the global ``random`` and ``np.random`` states.
+CHILDREN: tuple[dict[str, object], ...] = (
+    {"hash_seed": "0", "clock_offset_s": 10**6, "global_seed": 1},
+    {"hash_seed": "1", "clock_offset_s": 10**8 + 1, "global_seed": 2},
+)
+
+#: Worlds each child also builds from t=0 and checks against ``GOLDEN``.
+FRESH = ("ssq+src",)
+
+CHILD = """
+import json, random, sys, time
+args = json.loads(sys.argv[1])
+offset_s = args["clock_offset_s"]
+for clock in ("time", "monotonic", "perf_counter"):
+    setattr(time, clock, lambda f=getattr(time, clock): f() + offset_s)
+for clock in ("time_ns", "monotonic_ns", "perf_counter_ns"):
+    setattr(time, clock, lambda f=getattr(time, clock): f() + offset_s * 10**9)
+import numpy as np
+random.seed(args["global_seed"])
+np.random.seed(args["global_seed"])
+import pickle
+from repro.experiments.runner import run_testbed
+from repro.sim import checkpoint as ck
+from repro.sim.serial import snapshot_counters
+from tests.experiments.test_world_checkpoints import (
+    T1, T2, WORLDS, _trace, world_digest,
+)
+with open(args["tpm"], "rb") as f:
+    tpm = pickle.load(f)
+fresh = {}
+for name in args["fresh"]:
+    result = run_testbed(_trace(), WORLDS[name], tpm=tpm, duration_ns=T1)
+    result.sim.run(until=T2)
+    fresh[name] = world_digest(result)
+IO_ROOTS = ("os", "subprocess", "socket", "shutil")
+running = None
+io = []
+def audit(event, detail):
+    if running is not None and (
+        event == "open" or event.split(".")[0] in IO_ROOTS
+    ):
+        io.append([running, event, repr(detail)[:200]])
+sys.addaudithook(audit)
+continued = {}
+for name, path in args["paths"].items():
+    sim, result = ck.load(path)
+    running = name
+    sim.run(until=T2)
+    running = None
+    continued[name] = {**world_digest(result), "counters": snapshot_counters()}
+print(json.dumps({"fresh": fresh, "continued": continued, "io": io}))
+"""
+
+
 def test_every_world_continues_identically_in_a_fresh_process(tmp_path, tiny_tpm):
     paths: dict[str, str] = {}
     expected: dict[str, dict[str, object]] = {}
@@ -244,45 +315,42 @@ def test_every_world_continues_identically_in_a_fresh_process(tmp_path, tiny_tpm
                       for a in c.adjustments if a.weight_ratio > 1]
             assert min(raised) < T1 < max(raised)
         paths[name] = str(path)
-        expected[name] = world_digest(result)
-        assert expected[name] == GOLDEN[name], name
+        digest = world_digest(result)
+        assert digest == GOLDEN[name], name
+        # Counter positions depend on what this process ran before, so
+        # they are compared with the children, never pinned.
+        expected[name] = {**digest, "counters": snapshot_counters()}
 
-    script = (
-        "import json, sys\n"
-        "from repro.sim import checkpoint as ck\n"
-        "from tests.experiments.test_world_checkpoints import T2, world_digest\n"
-        "IO_ROOTS = ('os', 'subprocess', 'socket', 'shutil')\n"
-        "running = None\n"
-        "io = []\n"
-        "def audit(event, args):\n"
-        "    if running is not None and (\n"
-        "        event == 'open' or event.split('.')[0] in IO_ROOTS\n"
-        "    ):\n"
-        "        io.append([running, event, repr(args)[:200]])\n"
-        "sys.addaudithook(audit)\n"
-        "out = {}\n"
-        "for name, path in json.loads(sys.argv[1]).items():\n"
-        "    sim, result = ck.load(path)\n"
-        "    running = name\n"
-        "    sim.run(until=T2)\n"
-        "    running = None\n"
-        "    out[name] = world_digest(result)\n"
-        "print(json.dumps({'digests': out, 'io': io}))\n"
-    )
+    tpm_path = tmp_path / "tpm.pkl"
+    tpm_path.write_bytes(pickle.dumps(tiny_tpm))
     repo_root = Path(__file__).resolve().parents[2]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(repo_root / "src"), str(repo_root)])
-    done = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(paths)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 0, done.stderr
-    # One JSON line and nothing else: a callback's print() lands here.
-    assert done.stdout.endswith("\n") and done.stdout.count("\n") == 1, (
-        done.stdout[:2000]
-    )
-    report = json.loads(done.stdout)
-    assert report["io"] == []
-    for name in WORLDS:
-        assert report["digests"][name] == expected[name], name
+    procs = []
+    for child in CHILDREN:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(repo_root / "src"), str(repo_root)])
+        env["PYTHONHASHSEED"] = child["hash_seed"]
+        args = {**child, "tpm": str(tpm_path), "fresh": FRESH, "paths": paths}
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", CHILD, json.dumps(args)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ))
+    try:
+        outputs = [proc.communicate(timeout=300) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
 
+    for child, proc, (stdout, stderr) in zip(CHILDREN, procs, outputs):
+        label = f"PYTHONHASHSEED={child['hash_seed']}"
+        assert proc.returncode == 0, (label, stderr)
+        # One JSON line and nothing else: a callback's print() lands here.
+        assert stdout.endswith("\n") and stdout.count("\n") == 1, (
+            label, stdout[:2000]
+        )
+        report = json.loads(stdout)
+        assert report["io"] == [], label
+        for name in FRESH:
+            assert report["fresh"][name] == GOLDEN[name], (label, name)
+        for name in WORLDS:
+            assert report["continued"][name] == expected[name], (label, name)

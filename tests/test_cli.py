@@ -84,15 +84,13 @@ def test_profile_incast_text_output(capsys):
         ["profile", "--top", "-1"],
         ["synthesize", "--reads", "-3", "-o", "t.csv"],
         ["synthesize", "--writes", "-3", "-o", "t.csv"],
-        ["lint", "src", "--max-seconds", "-1"],
-        ["lint", "src", "--max-seconds", "nan"],
         ["synthesize", "--seed", "-1", "-o", "t.csv"],
         ["faults", "--cell", "baseline", "--duration-ms", "10", "--seed", "-1"],
     ],
     ids=["faults-duration-ms", "sweep-duration-ms", "replay-weight",
          "profile-events", "profile-duration-us", "profile-top",
-         "synthesize-reads", "synthesize-writes", "lint-max-seconds",
-         "lint-max-seconds-nan", "synthesize-seed", "faults-seed"],
+         "synthesize-reads", "synthesize-writes", "synthesize-seed",
+         "faults-seed"],
 )
 def test_out_of_range_number_is_a_usage_error(argv, capsys):
     """Each bound is checked by argparse: exit 2 with a usage message,
@@ -136,18 +134,5 @@ def test_synthesize_to_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("synthesize: ")
-    assert captured.err.count("\n") == 1
-    assert "absent" in captured.err
-
-
-def test_lint_sarif_output_to_a_missing_directory_is_a_usage_error(
-    tmp_path, capsys
-):
-    source = tmp_path / "clean.py"
-    source.write_text("X = 1\n")
-    path = tmp_path / "absent" / "x.sarif"
-    assert main(["lint", str(source), "--sarif-output", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("simlint: ")
     assert captured.err.count("\n") == 1
     assert "absent" in captured.err
