@@ -6,9 +6,9 @@ model state that already *has* gone wrong, the moment it happens.
 Enable it with ``Simulator(sanitize=True)`` or ``REPRO_SANITIZE=1``
 (which sanitizes every :class:`~repro.sim.engine.Simulator` constructed
 without an explicit ``sanitize`` in the process, so whole existing
-scenarios run sanitized unchanged).  The :class:`Sanitizer` is the simulator's
-observer: the engine's observed dispatch loop calls it around every
-event (see :mod:`repro.sim.engine`).
+scenarios run sanitized unchanged).  A simulator carrying a
+:class:`Sanitizer` runs the engine's observed dispatch loop, which calls
+it around every event (see :mod:`repro.sim.engine`).
 
 Checked invariants, per checked event:
 
@@ -53,8 +53,8 @@ first offending event.
 
 Violations raise :class:`SanitizerError` carrying the invariant name,
 the simulated time, and the offending event's callback site label
-(:func:`repro.sim.engine.site_label`, the label the dispatch trace and
-the profiler use), so a failure reads like
+(:func:`repro.sim.engine.site_label`, the label the dispatch trace
+uses), so a failure reads like
 ``[queue-depth] at t=1840ns during Link._finish: ...``.
 
 The sanitizer never schedules events or draws randomness, so a
@@ -143,7 +143,7 @@ class _CheckedFinishGC:
 
 
 class Sanitizer:
-    """Registry of tracked components, their checks, and the run observer.
+    """Registry of tracked components, their checks, and the run hooks.
 
     Components self-register at construction time when their simulator
     carries a sanitizer (``sim.sanitizer is not None``); tests can also
@@ -151,10 +151,10 @@ class Sanitizer:
     a checked event costs a handful of Python calls, each a tight loop
     over a homogeneous list.
 
-    As the simulator's observer (see :mod:`repro.sim.engine`) it checks
-    clock monotonicity before every event, runs the component sweep
-    after every :attr:`stride`-th event — the countdown carries across
-    ``run()`` calls — and, when strided, sweeps once more as each
+    Called by the engine's observed loop (see :mod:`repro.sim.engine`),
+    it checks clock monotonicity before every event, runs the component
+    sweep after every :attr:`stride`-th event — the countdown carries
+    across ``run()`` calls — and, when strided, sweeps once more as each
     ``run()`` call returns.
     """
 
@@ -348,7 +348,7 @@ class Sanitizer:
             invariant, detail = failure
             raise SanitizerError(invariant, detail, time_ns=now)
 
-    # -- observer hooks (called by Simulator.run) -----------------------
+    # -- run hooks (called by Simulator.run) ----------------------------
     def dispatch(self, time: int, callback: Callable[..., Any]) -> None:
         """Before each event: the clock must never move backwards."""
         if time < self._last_ns:
@@ -436,11 +436,6 @@ def escalate(
             time_ns=coarse.time_ns,
             site=coarse.site,
         ) from coarse
-
-
-def env_sanitize_enabled(value: str | None) -> bool:
-    """Interpret the ``REPRO_SANITIZE`` environment value as on/off."""
-    return bool(env_sanitize_mode(value))
 
 
 def env_sanitize_mode(value: str | None) -> bool | str:

@@ -6,8 +6,8 @@
     python -m repro sweep [--ssd A|B|C]   # a small Fig. 5-style sweep
     python -m repro synthesize --profile vdi -o trace.csv
     python -m repro replay trace.csv [--ssd A] [--weight 4]
-    python -m repro profile [--scenario engine|incast|both] [--cprofile]
     python -m repro faults [--cell chaos] [--seed 7]   # chaos matrix
+    python -m repro replay-failure ckpts/ [--until NS]  # time-travel replay
 
 The full-scale reproductions live in ``benchmarks/`` (pytest-benchmark);
 this CLI exists for interactive exploration at small scale.
@@ -135,52 +135,6 @@ def cmd_replay(args) -> int:
         f"write {result.write_tput_gbps:.2f} Gbps "
         f"({result.reads_completed}r/{result.writes_completed}w)"
     )
-    return 0
-
-
-def cmd_profile(args) -> int:
-    """Profile the DES engine on the standard scenarios.
-
-    ``engine`` is the pure event-loop microbench (no network model);
-    ``incast`` is the packet-level in-cast cell.  Both run with a
-    :class:`~repro.profiling.SiteCounter` attached, so the output shows
-    events/sec, the peak pending-event count at a dispatch (``heap
-    high-water``), and per-callback-site dispatch counts; ``--cprofile``
-    adds a function-level cumulative-time report.
-    """
-    from repro.profiling import (
-        SiteCounter,
-        engine_microbench,
-        run_incast_cell,
-        run_with_cprofile,
-    )
-    from repro.sim.engine import Simulator
-    from repro.sim.units import US
-
-    scenarios = ("engine", "incast") if args.scenario == "both" else (args.scenario,)
-    payload = {}
-    for scenario in scenarios:
-        sim = Simulator(sanitize=False)
-        sites = SiteCounter().attach(sim)
-        if scenario == "engine":
-            run = lambda: engine_microbench(n_events=args.events, sim=sim)  # noqa: E731
-        else:
-            run = lambda: run_incast_cell(  # noqa: E731
-                duration_ns=args.duration_us * US, sim=sim
-            )[0]
-        if args.cprofile:
-            bench, report = run_with_cprofile(run, top=args.top)
-        else:
-            bench, report = run(), None
-        profile = sites.profile(sim, bench.wall_s)
-        payload[scenario] = profile.as_dict()
-        if not args.json:
-            print(f"--- {scenario} ---")
-            print(profile.format(top=args.top))
-            if report:
-                print(report)
-    if args.json:
-        print(json.dumps(payload, indent=2))
     return 0
 
 
@@ -365,30 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=_at_least(1), default=1)
     p.set_defaults(fn=cmd_replay)
 
-    p = sub.add_parser("profile", help="profile the DES engine hot paths")
-    p.add_argument(
-        "--scenario", choices=("engine", "incast", "both"), default="both",
-        help="pure event-loop microbench, packet-level in-cast cell, or both",
-    )
-    p.add_argument(
-        "--events", type=_at_least(16), default=200_000,
-        help="events to dispatch in the engine microbench (one per chain "
-        "at least: >= 16)",
-    )
-    p.add_argument(
-        "--duration-us", type=_at_least(1), default=2_000,
-        help="simulated microseconds for the in-cast cell",
-    )
-    p.add_argument(
-        "--top", type=_at_least(0), default=10, help="callback sites to show"
-    )
-    p.add_argument(
-        "--cprofile", action="store_true",
-        help="also run under cProfile and print a cumulative-time report",
-    )
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.set_defaults(fn=cmd_profile)
-
     p = sub.add_parser(
         "faults", help="run the deterministic chaos matrix (SRC vs static)"
     )
@@ -423,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
         "failure.json) dumped by run_with_checkpoints",
     )
     p.add_argument(
-        "--until", type=int, default=None,
-        help="override the replay horizon in ns (default: the recipe's)",
+        "--until", type=_at_least(0), default=None,
+        help="override the replay horizon in ns (default: the recipe's); "
+        "it may not precede the checkpoint's clock",
     )
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(fn=cmd_replay_failure)

@@ -1,111 +1,24 @@
-"""Standard engine workloads for profiling and perf regression guards.
+"""The packet-level in-cast cell: the engine's standard network scenario.
 
-Two deterministic scenarios, used by ``benchmarks/perf``, the
-``repro profile`` CLI subcommand, and the golden-trace test:
+:func:`build_incast_cell` / :func:`run_incast_cell` wire a small
+packet-level in-cast: ``n_senders`` hosts blast messages at one
+receiver through a star switch, overloading the receiver downlink so
+ECN marking, CNPs, and DCQCN rate control all engage.  It exercises
+every network hot path (link serialization, NIC pacing, DCQCN timers)
+and is the scenario the golden dispatch trace is recorded from;
+``benchmarks/perf`` times it as ``incast_observed``.
 
-* :func:`engine_microbench` — pure event-loop throughput: self-
-  rescheduling callback chains with a sprinkle of cancellations, no
-  network or SSD model in the way.  This is the headline "events/sec"
-  number for the DES core itself.
-* :func:`build_incast_cell` / :func:`run_incast_cell` — a small
-  packet-level in-cast: ``n_senders`` hosts blast messages at one
-  receiver through a star switch, overloading the receiver downlink so
-  ECN marking, CNPs, and DCQCN rate control all engage.  It exercises
-  every network hot path (link serialization, NIC pacing, DCQCN timers)
-  and is the scenario the golden dispatch trace is recorded from.
-
-Both are seed-free and RNG-stable (the only randomness is the switch's
-seeded ECN draw), so a run is exactly reproducible.
+The cell is seed-free and RNG-stable (the only randomness is the
+switch's seeded ECN draw), so a run is exactly reproducible.
 """
 
 from __future__ import annotations
-
-import time as _time
-from dataclasses import dataclass
 
 from repro.net.nic import NICConfig
 from repro.net.topology import Network, build_star
 from repro.sim.engine import Simulator
 from repro.sim.units import US, gbps_to_bytes_per_ns
 
-
-@dataclass
-class BenchResult:
-    """Timing of one benchmark scenario."""
-
-    events: int
-    wall_s: float
-    sim_end_ns: int
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "events": self.events,
-            "wall_s": round(self.wall_s, 6),
-            "events_per_sec": round(self.events_per_sec),
-            "sim_end_ns": self.sim_end_ns,
-        }
-
-
-# -- pure engine microbench -------------------------------------------------
-
-class _Chain:
-    """A self-rescheduling callback chain with periodic cancellations.
-
-    Every ``tick`` reschedules itself ``step_ns`` ahead; every fourth
-    tick also schedules a decoy event and cancels it, exercising the
-    cancellation path the same way DCQCN's cancel-and-reschedule
-    pattern does.
-    """
-
-    __slots__ = ("sim", "step_ns", "remaining", "ticks")
-
-    def __init__(self, sim: Simulator, step_ns: int, remaining: int) -> None:
-        self.sim = sim
-        self.step_ns = step_ns
-        self.remaining = remaining
-        self.ticks = 0
-
-    def tick(self) -> None:
-        self.ticks += 1
-        self.remaining -= 1
-        if self.remaining <= 0:
-            return
-        if self.ticks % 4 == 0:
-            decoy = self.sim.schedule(self.step_ns * 2, self._decoy)
-            decoy.cancel()
-        self.sim.schedule(self.step_ns, self.tick)
-
-    def _decoy(self) -> None:  # pragma: no cover - always cancelled
-        raise AssertionError("cancelled decoy event must never fire")
-
-
-def engine_microbench(
-    *, n_events: int = 200_000, n_chains: int = 16, sim: Simulator | None = None
-) -> BenchResult:
-    """Dispatch ``n_events`` through interleaved callback chains.
-
-    ``n_chains`` concurrent chains with co-prime-ish steps keep the heap
-    populated (so pushes/pops pay real sift costs) rather than degenerate
-    single-event ping-pong.
-    """
-    if n_events < n_chains:
-        raise ValueError("need at least one event per chain")
-    sim = sim or Simulator()
-    per_chain = n_events // n_chains
-    for i in range(n_chains):
-        chain = _Chain(sim, step_ns=7 + 2 * i, remaining=per_chain)
-        sim.schedule(1 + i, chain.tick)
-    t0 = _time.perf_counter()
-    dispatched = sim.run()
-    wall = _time.perf_counter() - t0
-    return BenchResult(events=dispatched, wall_s=wall, sim_end_ns=sim.now)
-
-
-# -- packet-level incast cell -----------------------------------------------
 
 class _Feeder:
     """Keeps one sender's TXQ loaded with fixed-size messages."""
@@ -168,7 +81,7 @@ def run_incast_cell(
     trace: bool = False,
     sim: Simulator | None = None,
     nic_config: NICConfig | None = None,
-) -> tuple[BenchResult, Simulator, Network]:
+) -> tuple[Simulator, Network]:
     """Run the in-cast cell to ``duration_ns`` plus drain margin."""
     sim, net = build_incast_cell(
         n_senders=n_senders,
@@ -178,10 +91,8 @@ def run_incast_cell(
         sim=sim,
         nic_config=nic_config,
     )
-    t0 = _time.perf_counter()
-    dispatched = sim.run(until=duration_ns + 50 * US)
-    wall = _time.perf_counter() - t0
-    return BenchResult(events=dispatched, wall_s=wall, sim_end_ns=sim.now), sim, net
+    sim.run(until=duration_ns + 50 * US)
+    return sim, net
 
 
 def incast_outputs(net: Network) -> dict:

@@ -91,7 +91,10 @@ class CheckpointError(RuntimeError):
       not match the one recorded at save time;
     * ``"payload-corrupt"`` — the payload hash does not verify;
     * ``"bad-recipe"`` — a failure recipe is not a JSON object, or
-      lacks its ``"checkpoint"`` or ``"until"`` entry.
+      lacks its ``"checkpoint"`` or ``"until"`` entry;
+    * ``"horizon-before-checkpoint"`` — a failure replay's horizon
+      precedes the restored checkpoint's clock, so it would replay
+      nothing.
     """
 
     def __init__(self, reason: str, detail: str) -> None:
@@ -468,12 +471,18 @@ def replay_failure(
     sim, _world = load(
         recipe_obj["checkpoint"], scenario=recipe_obj.get("scenario")
     )
+    horizon = until if until is not None else recipe_obj["until"]
+    if horizon is not None and horizon < sim.now:
+        raise CheckpointError(
+            "horizon-before-checkpoint",
+            f"replay horizon t={horizon}ns precedes the checkpoint's "
+            f"clock t={sim.now}ns",
+        )
     start_events = sim.events_dispatched
     sanitizer = sim.sanitizer
     sanitizing = sanitizer is not None
     if sanitizer is not None:
         sanitizer.stride = sanitizer.countdown = 1  # full fidelity from here on
-    horizon = until if until is not None else recipe_obj["until"]
     report: dict[str, Any] = {
         "reproduced": False,
         "checkpoint": recipe_obj["checkpoint"],

@@ -24,19 +24,18 @@ real callback, as it does a handled :class:`Event`.
 
 :meth:`Simulator.run` holds exactly two loops.  The lean loop serves
 plain runs.  Everything else — a dispatch log, a ``max_events``
-limit, or an attached :class:`Observer` (the runtime sanitizer,
-:class:`repro.analysis.sanitizer.Sanitizer`, or the profiler's
-:class:`repro.profiling.SiteCounter`) — runs the observed loop, which
-defines ``until``, ``max_events``, tracing, the watchdog and
-:class:`SanitizerError` stamping once.  Both dispatch exactly one
-event per iteration.
+limit, or the runtime sanitizer
+(:class:`repro.analysis.sanitizer.Sanitizer`) — runs the observed
+loop, which defines ``until``, ``max_events``, tracing, the sanitizer's
+calls, the watchdog and :class:`SanitizerError` stamping once.  Both
+dispatch exactly one event per iteration.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from typing import TYPE_CHECKING, Any, Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.sim.events import HANDLED_MARK, Event, EventQueue
 
@@ -51,7 +50,7 @@ _NO_DEADLINE = 1 << 62
 
 
 def site_label(callback: Callable[..., Any]) -> str:
-    """Stable label for a callback site (trace, profiler and sanitizer key).
+    """Stable label for a callback site (dispatch trace and sanitizer key).
 
     Functions and bound methods give their ``__qualname__``; a callable
     instance gives its class's, never a ``repr`` with a memory address.
@@ -94,26 +93,6 @@ class SanitizerError(RuntimeError):
         at = f" at t={self.time_ns}ns" if self.time_ns is not None else ""
         during = f" during {self.site}" if self.site else ""
         return f"[{self.invariant}]{at}{during}: {self.detail}"
-
-
-class Observer(Protocol):
-    """What the observed loop calls on ``Simulator.observer``.
-
-    ``dispatch`` runs before every callback and ``sample`` after every
-    ``stride``-th one; the loop reads ``countdown`` on entry and writes
-    it back on exit, so the phase carries across ``run()`` calls.
-    ``finish`` runs when a ``run()`` call returns normally, before the
-    clock advances to ``until``.
-    """
-
-    stride: int
-    countdown: int
-
-    def dispatch(self, time: int, callback: Callable[..., Any]) -> None: ...
-
-    def sample(self, time: int, callback: Callable[..., Any]) -> None: ...
-
-    def finish(self, sim: "Simulator", dispatched: int) -> None: ...
 
 
 class MaxEventsExceeded(RuntimeError):
@@ -193,8 +172,8 @@ class Simulator:
     sanitize:
         When true (or when the ``REPRO_SANITIZE`` environment variable
         is set and ``sanitize`` is left as ``None``), a
-        :class:`repro.analysis.sanitizer.Sanitizer` is attached as the
-        observer: the run checks runtime invariants (clock
+        :class:`repro.analysis.sanitizer.Sanitizer` is attached and the
+        run takes the observed loop: it checks runtime invariants (clock
         monotonicity, queue depths, byte conservation, ...) and raises
         :class:`SanitizerError` on violation.  The string form
         ``"stride:K"`` (e.g. ``"stride:64"``, also accepted in
@@ -213,7 +192,6 @@ class Simulator:
         "dispatch_log",
         "events_dispatched",
         "sanitizer",
-        "observer",
         "watchdog",
     )
 
@@ -226,11 +204,9 @@ class Simulator:
         self.dispatch_log: list[tuple[int, str]] = []
         self.events_dispatched: int = 0
         #: The runtime sanitizer under ``sanitize``, else ``None``;
-        #: components register themselves on it when it is set.
+        #: components register themselves on it when it is set, and the
+        #: observed loop calls it around every event.
         self.sanitizer: "Sanitizer | None" = None
-        #: The one observer the observed loop reports to: the sanitizer,
-        #: or a profiler attached after construction.
-        self.observer: Observer | None = None
         if sanitize is None:
             from repro.analysis.sanitizer import env_sanitize_mode
 
@@ -238,7 +214,7 @@ class Simulator:
         if sanitize:
             from repro.analysis.sanitizer import Sanitizer
 
-            self.sanitizer = self.observer = Sanitizer(sanitize)
+            self.sanitizer = Sanitizer(sanitize)
         #: Quiescence hook (e.g. the stuck-I/O watchdog from
         #: :mod:`repro.faults.watchdog`): called with the simulator once
         #: per :meth:`run` call, only when the event heap fully drained —
@@ -405,12 +381,12 @@ class Simulator:
         heap = queue._heap  # the queue compacts in place; alias stays valid
         heappop = heapq.heappop
         trace = self._trace
-        observer = self.observer
+        sanitizer = self.sanitizer
         deadline = _NO_DEADLINE if until is None else until
         dispatched = 0
-        if not trace and max_events is None and observer is None:
+        if not trace and max_events is None and sanitizer is None:
             # Lean loop for the overwhelmingly common configuration: no
-            # dispatch log, no event limit, no observer.  Identical
+            # dispatch log, no event limit, no sanitizer.  Identical
             # semantics to the observed loop below minus its per-event
             # checks, which measurably add up at millions of events.
             try:
@@ -445,11 +421,11 @@ class Simulator:
         # Observed loop: the lean loop plus per-event checks.
         log = self.dispatch_log
         limit = _NO_DEADLINE if max_events is None else max_events
-        if observer is None:
+        if sanitizer is None:
             stride = countdown = _NO_DEADLINE
         else:
-            stride = observer.stride
-            countdown = observer.countdown
+            stride = sanitizer.stride
+            countdown = sanitizer.countdown
         try:
             while heap:
                 time, _seq, callback, args = heap[0]
@@ -466,8 +442,8 @@ class Simulator:
                     args = ev.args
                 elif callback.__class__ is _Series:
                     callback, args = callback.step()
-                if observer is not None:
-                    observer.dispatch(time, callback)
+                if sanitizer is not None:
+                    sanitizer.dispatch(time, callback)
                 self.now = time
                 if trace:
                     log.append((time, site_label(callback)))
@@ -476,7 +452,7 @@ class Simulator:
                 countdown -= 1
                 if countdown <= 0:
                     countdown = stride
-                    observer.sample(time, callback)  # type: ignore[union-attr]
+                    sanitizer.sample(time, callback)  # type: ignore[union-attr]
                 if dispatched >= limit:
                     raise MaxEventsExceeded(
                         limit, dispatched, len(queue), self.now
@@ -490,11 +466,11 @@ class Simulator:
                 err.time_ns = time
             raise
         finally:
-            if observer is not None:
-                observer.countdown = countdown
+            if sanitizer is not None:
+                sanitizer.countdown = countdown
             self.events_dispatched += dispatched
-        if observer is not None:
-            observer.finish(self, dispatched)
+        if sanitizer is not None:
+            sanitizer.finish(self, dispatched)
         if until is not None and until > self.now:
             self.now = until
         if self.watchdog is not None and not heap:

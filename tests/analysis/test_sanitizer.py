@@ -3,7 +3,7 @@
 The sanitizer must (a) engage via ``Simulator(sanitize=True)`` or
 ``REPRO_SANITIZE=1``, (b) catch each class of corrupted state with a
 structured :class:`SanitizerError` naming the offending event's site,
-and (c) be a pure observer — a sanitized run is bit-identical to a
+and (c) only read model state — a sanitized run is bit-identical to a
 plain one.
 """
 
@@ -19,14 +19,13 @@ import pytest
 from repro.analysis.sanitizer import (
     Sanitizer,
     SanitizerError,
-    env_sanitize_enabled,
+    env_sanitize_mode,
     escalate,
     ftl_mapping_violation,
     parse_stride,
 )
 from repro.net.topology import build_star
 from repro.nvme.wrr import TokenWRR
-from repro.profiling import SiteCounter
 from repro.profiling.bench import incast_outputs, run_incast_cell
 from repro.sim.engine import MaxEventsExceeded, Simulator
 from repro.sim.units import US
@@ -43,7 +42,6 @@ def test_sanitize_kwarg_promotes_construction(monkeypatch):
     sim = Simulator(sanitize=True)
     assert type(sim) is Simulator
     assert isinstance(sim.sanitizer, Sanitizer)
-    assert sim.observer is sim.sanitizer
 
 
 @pytest.mark.parametrize("env_sanitize", [None, "1"])
@@ -78,16 +76,6 @@ def test_env_variable_promotes_construction(monkeypatch):
     assert Simulator().sanitizer is None
 
 
-def test_profiler_never_replaces_the_sanitizer(monkeypatch):
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    with pytest.raises(ValueError):
-        SiteCounter().attach(Simulator())
-    sim = Simulator(sanitize=False)
-    sites = SiteCounter().attach(sim)
-    assert sim.observer is sites
-    assert sim.sanitizer is None
-
-
 @pytest.mark.parametrize(
     "value,expected",
     [
@@ -97,7 +85,7 @@ def test_profiler_never_replaces_the_sanitizer(monkeypatch):
     ],
 )
 def test_env_sanitize_enabled(value, expected):
-    assert env_sanitize_enabled(value) is expected
+    assert bool(env_sanitize_mode(value)) is expected
 
 
 # -- invariant detection ------------------------------------------------------
@@ -252,16 +240,16 @@ def test_gc_hook_is_clean_on_correct_gc():
 # -- transparency -------------------------------------------------------------
 
 def test_sanitized_incast_is_bit_identical_and_clean():
-    plain, plain_sim, plain_net = run_incast_cell(
+    plain_sim, plain_net = run_incast_cell(
         duration_ns=200 * US, sim=Simulator(trace=True)
     )
-    checked, checked_sim, checked_net = run_incast_cell(
+    checked_sim, checked_net = run_incast_cell(
         duration_ns=200 * US, sim=Simulator(trace=True, sanitize=True)
     )
     assert plain_sim.dispatch_log == checked_sim.dispatch_log
     assert incast_outputs(plain_net) == incast_outputs(checked_net)
-    assert plain.events == checked.events
-    assert checked_sim.sanitizer.events_checked == checked.events
+    assert plain_sim.events_dispatched == checked_sim.events_dispatched
+    assert checked_sim.sanitizer.events_checked == checked_sim.events_dispatched
 
 
 def test_max_events_valve_still_works_sanitized():
@@ -380,22 +368,23 @@ def test_strided_incast_is_bit_identical_to_unsanitized():
     """A clean ``stride:64`` incast run == the plain engine, byte for byte.
 
     Same dispatch log (one line per dispatched event) and same
-    externally visible outputs — the strided sanitizer is a pure
-    observer.
+    externally visible outputs — the strided sanitizer only reads
+    model state.
     """
-    plain, plain_sim, plain_net = run_incast_cell(
+    plain_sim, plain_net = run_incast_cell(
         duration_ns=200 * US, sim=Simulator(trace=True)
     )
-    strided, strided_sim, strided_net = run_incast_cell(
+    strided_sim, strided_net = run_incast_cell(
         duration_ns=200 * US, sim=Simulator(trace=True, sanitize="stride:64")
     )
     assert plain_sim.dispatch_log == strided_sim.dispatch_log
     assert incast_outputs(plain_net) == incast_outputs(strided_net)
-    assert plain.events == strided.events
+    events = strided_sim.events_dispatched
+    assert plain_sim.events_dispatched == events
     # ... while checking only ~1/64th of the events mid-run.
     checked = strided_sim.sanitizer.events_checked
-    assert checked < strided.events // 32
-    assert checked >= strided.events // 64
+    assert checked < events // 32
+    assert checked >= events // 64
 
 
 def test_stride_countdown_survives_run_boundaries():

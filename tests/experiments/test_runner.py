@@ -1,5 +1,7 @@
 """Integrated testbed runner (scaled-down smoke + semantics tests)."""
 
+from collections import Counter
+
 import pytest
 
 import repro.experiments.runner as runner
@@ -8,7 +10,7 @@ from repro.experiments.runner import (
     TestbedConfig,
     run_testbed,
 )
-from repro.profiling import SiteCounter
+from repro.fabric.initiator import Initiator
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
@@ -125,29 +127,15 @@ def test_validation():
         run_testbed(Trace([]), base_config())
 
 
-def profiled_testbed(monkeypatch, trace, config, **kw):
-    """``run_testbed`` with a :class:`SiteCounter` on its simulator."""
-    counters = []
-
-    def profiled_simulator():
-        sim = Simulator(sanitize=False)
-        counters.append(SiteCounter().attach(sim))
-        return sim
-
-    monkeypatch.setattr(runner, "Simulator", profiled_simulator)
-    res = run_testbed(trace, config, **kw)
-    return res, counters[0]
-
-
 def test_profiled_sites_are_stable_labels(monkeypatch):
     trace = small_trace(n=100, inter=10_000)
     bg = BackgroundTraffic(start_ns=0, end_ns=2 * MS, rate_gbps=45.0, n_hosts=3)
-    _res, sites = profiled_testbed(
-        monkeypatch, trace, base_config(background=bg), duration_ns=3 * MS
-    )
-    assert not [name for name in sites.site_counts if " at 0x" in name]
-    assert sites.site_counts["Initiator.issue"] == len(trace)
-    assert sites.site_counts["_BackgroundFeeder"] > 0
+    monkeypatch.setattr(runner, "Simulator", lambda: Simulator(trace=True))
+    res = run_testbed(trace, base_config(background=bg), duration_ns=3 * MS)
+    sites = Counter(name for _, name in res.sim.dispatch_log)
+    assert not [name for name in sites if " at 0x" in name]
+    assert sites["Initiator.issue"] == len(trace)
+    assert sites["_BackgroundFeeder"] > 0
 
 
 def paced_trace(n, gap_ns=50_000):
@@ -163,9 +151,25 @@ def paced_trace(n, gap_ns=50_000):
     )
 
 
+def peak_pending_at_issue(monkeypatch, trace):
+    """Most events pending when an arrival is issued during ``trace``."""
+    pending = []
+    issue = Initiator.issue
+
+    def recording_issue(self, request):
+        pending.append(self.sim.pending())
+        issue(self, request)
+
+    monkeypatch.setattr(Initiator, "issue", recording_issue)
+    run_testbed(trace, base_config())
+    assert len(pending) == len(trace)
+    return max(pending)
+
+
 def test_heap_depth_does_not_grow_with_trace_length(monkeypatch):
-    # The arrival trace is one heap slot, so the deepest the heap gets is
-    # the model's working set, the same for 200 requests as for 2,000.
-    _res, few = profiled_testbed(monkeypatch, paced_trace(200), base_config())
-    _res, many = profiled_testbed(monkeypatch, paced_trace(2000), base_config())
-    assert few.peak_pending == many.peak_pending < 20
+    # The arrival trace is one heap slot, so the heap at each arrival
+    # holds the model's working set, the same for 200 requests as for
+    # 2,000; one push per request would leave every later one pending.
+    few = peak_pending_at_issue(monkeypatch, paced_trace(200))
+    many = peak_pending_at_issue(monkeypatch, paced_trace(2000))
+    assert few == many < 20

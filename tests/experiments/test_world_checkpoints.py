@@ -13,7 +13,9 @@ in-process to ``T2`` as the reference, which must match ``GOLDEN``.
 Two child interpreters then run concurrently, one per entry of
 ``CHILDREN``.  Each perturbs what a replay must not depend on: a fixed
 ``PYTHONHASHSEED`` of its own (set and ``str``-keyed dict orders), the
-``time`` module's clocks shifted by its own offset, and the global
+``time`` module's clocks shifted by its own offset (its calendar
+functions and ``datetime.datetime.now``/``today`` read the shifted
+clock too), and the global
 ``random`` and ``np.random`` states reseeded to its own value.  Each
 child builds the ``FRESH`` worlds from t=0, which must match
 ``GOLDEN``, and then loads every checkpoint, continues it to ``T2`` and
@@ -253,13 +255,28 @@ CHILDREN: tuple[dict[str, object], ...] = (
 FRESH = ("ssq+src",)
 
 CHILD = """
-import json, random, sys, time
+import datetime, json, random, sys, time
 args = json.loads(sys.argv[1])
 offset_s = args["clock_offset_s"]
 for clock in ("time", "monotonic", "perf_counter"):
     setattr(time, clock, lambda f=getattr(time, clock): f() + offset_s)
 for clock in ("time_ns", "monotonic_ns", "perf_counter_ns"):
     setattr(time, clock, lambda f=getattr(time, clock): f() + offset_s * 10**9)
+# The calendar functions read the C clock when given no time; give them
+# the shifted one.  date.today() already calls time.time().
+for clock in ("localtime", "gmtime", "ctime"):
+    setattr(time, clock, lambda secs=None, f=getattr(time, clock): f(
+        time.time() if secs is None else secs))
+time.strftime = lambda fmt, t=None, f=time.strftime: f(
+    fmt, time.localtime() if t is None else t)
+class ShiftedDatetime(datetime.datetime):
+    @classmethod
+    def now(cls, tz=None):
+        return cls.fromtimestamp(time.time(), tz)
+    @classmethod
+    def today(cls):
+        return cls.fromtimestamp(time.time())
+datetime.datetime = ShiftedDatetime
 import numpy as np
 random.seed(args["global_seed"])
 np.random.seed(args["global_seed"])

@@ -99,7 +99,7 @@ def normalized_log(dispatch_log: list[tuple[int, str]]) -> list[tuple[int, str]]
 
 def capture() -> dict:
     """Run the golden cell and summarise its normalised dispatch log."""
-    _, sim, net = run_incast_cell(trace=True, **CELL)
+    sim, net = run_incast_cell(trace=True, **CELL)
     log = normalized_log(sim.dispatch_log)
     canonical = "\n".join(f"{t} {name}" for t, name in log)
     counts: dict[str, int] = {}

@@ -398,3 +398,29 @@ class TestReplayFailureErrorPaths:
         assert error["kind"] == "checkpoint"
         assert error["reason"] == "schema-mismatch"
         assert "replay-failure:" in captured.err
+
+    def test_horizon_before_the_checkpoint_exits_2_with_reason(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        err = _violating_run(tmp_path)
+        recipe = json.loads(Path(err.replay_recipe).read_text())
+        at = ck.read_meta(recipe["checkpoint"]).time_ns
+        assert at > 0
+        with pytest.raises(ck.CheckpointError) as exc:
+            ck.replay_failure(err.replay_recipe, until=at - 1)
+        assert exc.value.reason == "horizon-before-checkpoint"
+        # The checkpoint's own instant is a valid horizon: it replays only
+        # the events still due then, which stop short of the violation.
+        report = ck.replay_failure(err.replay_recipe, until=at)
+        assert report["reproduced"] is False
+
+        # Exit 1 would read as "not reproduced", i.e. "bug fixed".
+        argv = ["replay-failure", err.replay_recipe, "--until", "0", "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        error = json.loads(captured.out)["error"]
+        assert error["kind"] == "checkpoint"
+        assert error["reason"] == "horizon-before-checkpoint"
+        assert "replay-failure:" in captured.err

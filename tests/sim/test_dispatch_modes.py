@@ -1,21 +1,18 @@
 """Every dispatch mode of the engine replays the v2 golden incast cell.
 
 ``Simulator.run`` has two loops: the lean loop (plain runs) and the
-observed loop (a trace, ``max_events`` legs, or an observer — the
-sanitizer or the profiler's site counter).  Each mode
-below runs the golden cell to its horizon and must reproduce the golden
-outputs and event count, and traced modes the golden dispatch log.
+observed loop (a trace, ``max_events`` legs, or the sanitizer).  Each
+mode below runs the golden cell to its horizon and must reproduce the
+golden outputs and event count, and traced modes the golden dispatch
+log.
 Each run is then drained: the watchdog must fire exactly once, on the
 ``run()`` call that empties the heap, whichever loop served it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
-from repro.profiling import SiteCounter
 from repro.profiling.bench import build_incast_cell, incast_outputs
 from repro.sim import checkpoint as ck
 from repro.sim.engine import MaxEventsExceeded, Simulator
@@ -29,7 +26,6 @@ MODES = {
     "max_events": dict(trace=True, sanitize=False),
     "sanitized": dict(trace=True, sanitize=True),
     "strided": dict(trace=True, sanitize="stride:64"),
-    "profiled": dict(trace=True, sanitize=False),
     "checkpointed": dict(trace=True, sanitize=False),
 }
 
@@ -58,7 +54,6 @@ def _run_in_legs(sim: Simulator, until: int | None) -> None:
 def test_every_dispatch_mode_replays_the_golden_cell(mode, tmp_path):
     golden = _golden()
     sim = Simulator(**MODES[mode])
-    sites = SiteCounter().attach(sim) if mode == "profiled" else None
     sim, net = build_incast_cell(sim=sim, **CELL)
     sim.watchdog = watchdog = _Watchdog()
 
@@ -82,5 +77,3 @@ def test_every_dispatch_mode_replays_the_golden_cell(mode, tmp_path):
     else:
         sim.run()
     assert len(watchdog.fired) == 1
-    if sites is not None:
-        assert sites.site_counts == Counter(name for _, name in sim.dispatch_log)
