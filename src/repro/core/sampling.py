@@ -21,8 +21,9 @@ import numpy as np
 from repro.nvme.ssq import SSQDriver
 from repro.parallel import SweepReport, run_cells
 from repro.ssd.config import SSDConfig
-from repro.workloads.features import FEATURE_NAMES, extract_features
+from repro.workloads.features import FEATURE_NAMES, WorkloadFeatures, extract_features
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
+from repro.workloads.request import IORequest, OpType
 from repro.workloads.traces import Trace
 
 
@@ -109,6 +110,11 @@ class TrainingSet:
         return self.X.shape[0]
 
 
+#: A trace as immutable per-request columns, in trace order:
+#: ``(arrival_ns, op, lba, size_bytes)``.
+TraceColumns = tuple[tuple[int, ...], tuple[OpType, ...], tuple[int, ...], tuple[int, ...]]
+
+
 def sample_trace(
     trace: Trace,
     config: SSDConfig,
@@ -120,67 +126,52 @@ def sample_trace(
     """One training sample: replay ``trace`` at ``weight_ratio``.
 
     Returns (x_row, y_row) with x in FEATURE_NAMES order and y =
-    (read Gbps, write Gbps).
+    (read Gbps, write Gbps).  Like the sweep, it replays fresh copies
+    of the requests, so ``trace`` is left unstamped.
+    """
+    if weight_ratio < 1:
+        raise ValueError(f"weight ratio must be >= 1, got {weight_ratio}")
+    sample = _sample_cell(
+        config,
+        _trace_columns(trace),
+        extract_features(trace, window_ns=window_ns),
+        weight_ratio,
+        measure_start_fraction,
+    )
+    return sample["x"], sample["y"]
+
+
+def _trace_columns(trace: Trace) -> TraceColumns:
+    requests = trace.requests
+    return (
+        tuple(r.arrival_ns for r in requests),
+        tuple(r.op for r in requests),
+        tuple(r.lba for r in requests),
+        tuple(r.size_bytes for r in requests),
+    )
+
+
+def _sample_cell(
+    config: SSDConfig,
+    columns: TraceColumns,
+    features: WorkloadFeatures,
+    weight_ratio: int,
+    measure_start_fraction: float,
+) -> dict:
+    """One training sample — a sweep worker cell (module-level so the
+    pool can pickle it).
+
+    The trace arrives as columns, built once per sweep for all of its
+    weight ratios, and is replayed as fresh requests in trace order:
+    ``req_id`` only breaks arrival ties, so the order is the source's,
+    and no replay stamps requests another cell (or the caller) holds.
     """
     # Imported here rather than at module level: repro.experiments depends
     # on repro.core (the runner wires SRC controllers), so the reverse
     # edge must stay lazy.
     from repro.experiments.replay import replay_on_device
 
-    if weight_ratio < 1:
-        raise ValueError(f"weight ratio must be >= 1, got {weight_ratio}")
-    features = extract_features(trace, window_ns=window_ns)
-    driver = SSQDriver(read_weight=1, write_weight=weight_ratio)
-    result = replay_on_device(
-        trace, config, driver, drain=False, measure_start_fraction=measure_start_fraction
-    )
-    x = features.with_weight(weight_ratio)
-    y = np.array([result.read_tput_gbps, result.write_tput_gbps])
-    return x, y
-
-
-def _micro_sample_cell(
-    config: SSDConfig,
-    plan: SamplingPlan,
-    interarrival_ns: float,
-    size_bytes: float,
-    mix: float,
-    weight_ratio: int,
-) -> dict:
-    """One micro-grid training sample — a sweep worker cell.
-
-    The trace is regenerated inside the worker from the plan's seed
-    (``hash`` of numbers is process-stable, so parallel workers build
-    the identical trace the serial loop would).
-    """
-    read_wl = MicroWorkloadConfig(
-        mean_interarrival_ns=interarrival_ns, mean_size_bytes=size_bytes
-    )
-    write_wl = MicroWorkloadConfig(
-        mean_interarrival_ns=interarrival_ns * mix, mean_size_bytes=size_bytes
-    )
-    trace = generate_micro_trace(
-        read_wl,
-        write_wl,
-        n_reads=plan.requests_for(interarrival_ns),
-        n_writes=plan.requests_for(interarrival_ns * mix),
-        seed=plan.seed + hash((interarrival_ns, size_bytes, mix)) % 10_000,
-    )
-    return _trace_sample_cell(
-        config, trace, weight_ratio, plan.measure_start_fraction
-    )
-
-
-def _trace_sample_cell(
-    config: SSDConfig,
-    trace: Trace,
-    weight_ratio: int,
-    measure_start_fraction: float,
-) -> dict:
-    """One explicit-trace training sample — a sweep worker cell."""
-    from repro.experiments.replay import replay_on_device
-
-    features = extract_features(trace)
+    trace = Trace(IORequest(*row) for row in zip(*columns))
     result = replay_on_device(
         trace,
         config,
@@ -195,11 +186,63 @@ def _trace_sample_cell(
     }
 
 
-def _sample_cell(config: SSDConfig, kind: str, args: tuple) -> dict:
-    """Dispatch a cell spec (module-level so the pool can pickle it)."""
-    if kind == "micro":
-        return _micro_sample_cell(config, *args)
-    return _trace_sample_cell(config, *args)
+def _micro_trace(
+    plan: SamplingPlan, interarrival_ns: float, size_bytes: float, mix: float
+) -> Trace:
+    """The plan's micro trace for one (inter-arrival, size, mix) point.
+
+    Seeded from the plan (``hash`` of numbers is process-stable), so
+    every process builds the identical trace.
+    """
+    read_wl = MicroWorkloadConfig(
+        mean_interarrival_ns=interarrival_ns, mean_size_bytes=size_bytes
+    )
+    write_wl = MicroWorkloadConfig(
+        mean_interarrival_ns=interarrival_ns * mix, mean_size_bytes=size_bytes
+    )
+    return generate_micro_trace(
+        read_wl,
+        write_wl,
+        n_reads=plan.requests_for(interarrival_ns),
+        n_writes=plan.requests_for(interarrival_ns * mix),
+        seed=plan.seed + hash((interarrival_ns, size_bytes, mix)) % 10_000,
+    )
+
+
+def _sweep_cells(
+    config: SSDConfig,
+    plan: SamplingPlan | None,
+    traces: Sequence[Trace],
+    ratios: Sequence[int],
+    measure_start_fraction: float,
+) -> list[tuple]:
+    """Every cell of a sweep, in sample order.
+
+    The plan's micro grid (inter-arrival, size, mix, ratio) comes
+    first, then each extra trace at ``ratios``.  Each distinct trace is
+    built, and its features extracted, once; its cells share them.
+    """
+    cells: list[tuple] = []
+    if plan is not None:
+        for inter in plan.interarrival_ns:
+            for size in plan.size_bytes:
+                for mix in plan.read_write_mixes:
+                    trace = _micro_trace(plan, inter, size, mix)
+                    cells += _trace_cells(
+                        config, trace, plan.weight_ratios, measure_start_fraction
+                    )
+    for trace in traces:
+        cells += _trace_cells(config, trace, ratios, measure_start_fraction)
+    return cells
+
+
+def _trace_cells(
+    config: SSDConfig, trace: Trace, ratios: Sequence[int], measure_start_fraction: float
+) -> list[tuple]:
+    """One cell per weight ratio, sharing ``trace``'s columns and features."""
+    columns = _trace_columns(trace)
+    features = extract_features(trace)
+    return [(config, columns, features, w, measure_start_fraction) for w in ratios]
 
 
 def collect_training_set_with_report(
@@ -230,29 +273,18 @@ def collect_training_set_with_report(
     workers:
         Fan the independent (workload, ratio) cells across this many
         processes (``None`` = all cores); results are bit-identical to
-        the serial run because every cell reseeds from the plan.
+        the serial run because every cell replays its own fresh requests
+        rebuilt from the same trace columns.  The sweep never stamps
+        the requests of ``traces``.
     """
     if plan is None and traces is None:
         plan = SamplingPlan()
     ratios = list(weight_ratios or (plan.weight_ratios if plan else (1, 2, 4, 8)))
     mf = plan.measure_start_fraction if plan else 0.4
 
-    cells: list[tuple] = []
-    if plan is not None:
-        for inter in plan.interarrival_ns:
-            for size in plan.size_bytes:
-                for mix in plan.read_write_mixes:
-                    for w in plan.weight_ratios:
-                        cells.append(
-                            (config, "micro", (plan, inter, size, mix, w))
-                        )
-    for trace in traces or []:
-        for w in ratios:
-            cells.append((config, "trace", (trace, w, mf)))
-
     report = run_cells(
         _sample_cell,
-        cells,
+        _sweep_cells(config, plan, traces or [], ratios, mf),
         workers=workers,
         timeout_s=timeout_s,
         retries=retries,

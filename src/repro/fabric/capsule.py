@@ -18,6 +18,22 @@ class CapsuleKind(enum.Enum):
     ERROR = "error"  # target -> initiator: command failed (see request.error)
 
 
+def wire_bytes(kind: CapsuleKind, request: IORequest) -> int:
+    """Bytes a ``kind`` capsule for ``request`` occupies on the wire.
+
+    Write commands carry their data in-capsule (outbound flow); read
+    commands are bare; read responses carry the retrieved data (inbound
+    flow); write acks and error completions are bare.
+    """
+    if kind is CapsuleKind.COMMAND:
+        if request.is_read:
+            return CAPSULE_BYTES
+        return CAPSULE_BYTES + request.size_bytes
+    if kind is CapsuleKind.READ_DATA:
+        return CAPSULE_BYTES + request.size_bytes
+    return CAPSULE_BYTES
+
+
 @dataclass(frozen=True)
 class Capsule:
     """One fabric-level message payload."""
@@ -27,16 +43,5 @@ class Capsule:
 
     @property
     def wire_bytes(self) -> int:
-        """Bytes this capsule occupies on the wire.
-
-        Write commands carry their data in-capsule (outbound flow); read
-        commands are bare; read responses carry the retrieved data
-        (inbound flow); write acks and error completions are bare.
-        """
-        if self.kind is CapsuleKind.COMMAND:
-            if self.request.is_read:
-                return CAPSULE_BYTES
-            return CAPSULE_BYTES + self.request.size_bytes
-        if self.kind is CapsuleKind.READ_DATA:
-            return CAPSULE_BYTES + self.request.size_bytes
-        return CAPSULE_BYTES
+        """Bytes this capsule occupies on the wire (see :func:`wire_bytes`)."""
+        return wire_bytes(self.kind, self.request)

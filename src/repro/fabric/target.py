@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.fabric.capsule import Capsule, CapsuleKind
+from repro.fabric.capsule import Capsule, CapsuleKind, wire_bytes
 from repro.net.nic import NIC
 from repro.sim.engine import Simulator
 from repro.ssd.device import SSD
@@ -125,9 +125,9 @@ class Target:
                 )
                 continue
             if req.is_read:
-                capsule = Capsule(kind=CapsuleKind.READ_DATA, request=req)
-                if not self.nic.send_message(
-                    req.initiator, capsule.wire_bytes, payload=capsule
+                size = wire_bytes(CapsuleKind.READ_DATA, req)
+                if size > self.nic.txq_free_bytes or not self.nic.send_message(
+                    req.initiator, size, payload=Capsule(kind=CapsuleKind.READ_DATA, request=req)
                 ):
                     return  # TXQ full: leave the CQ head in place
                 ssd.pop_completion()

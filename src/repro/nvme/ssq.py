@@ -52,6 +52,11 @@ class SSQDriver:
         # bucket -> [queue, refcount]: which SQ holds waiting requests
         # touching this address bucket, and how many.
         self._pending_buckets: dict[int, list] = {}
+        #: True while the last fetch stalled on a slot-blocked head (see
+        #: :meth:`submit`); cleared by a fetch that returns a command.
+        self._stalled = False
+        #: (read weight, write weight, queue depth) -> (read, write slots).
+        self._slots: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     def connect(self, device) -> None:
         """Bind to a device; submissions will ring its doorbell."""
@@ -66,6 +71,7 @@ class SSQDriver:
     def set_weights(self, read_weight: int, write_weight: int, *, now_ns: int = 0) -> None:
         self.wrr.set_weights(read_weight, write_weight)
         self.weight_log.append((now_ns, read_weight, write_weight))
+        self._stalled = False
         # A weight change can unblock fetch immediately (e.g. a larger
         # write partition); let the device re-evaluate.
         if self._doorbell is not None:
@@ -77,15 +83,26 @@ class SSQDriver:
 
     # -- host side -----------------------------------------------------------
     def submit(self, request: IORequest, *, now_ns: int | None = None) -> None:
-        """Enqueue with the consistency check, then ring the doorbell."""
+        """Enqueue with the consistency check, then ring the doorbell.
+
+        The doorbell is skipped when it cannot fetch: the last fetch
+        stalled on a slot-blocked head and ``request`` joins a non-empty
+        queue.  A re-fetch would then see the same non-empty queues and
+        tokens (so :meth:`TokenWRR.choose` picks the same class, and any
+        round reset already happened), the same head and the same
+        in-flight counts, which move only through a fetch (one that
+        returns a command clears the stall) or a completion (which kicks
+        the device itself).
+        """
         if now_ns is not None:
             request.submit_ns = now_ns
         queue = self.rsq if request.is_read else self.wsq
         if self.consistency_check:
             queue = self._check_and_index(request, queue)
+        ring = not (self._stalled and queue)
         queue.append(request)
         self.submitted += 1
-        if self._doorbell is not None:
+        if ring and self._doorbell is not None:
             self._doorbell()
 
     def _buckets_of(self, request: IORequest) -> range:
@@ -109,13 +126,14 @@ class SSQDriver:
         point at the chosen SQ.
         """
         pending = self._pending_buckets
+        get = pending.get
         target = None
         fresh = []
         first_byte = request.lba * 512
         last_byte = first_byte + request.size_bytes - 1
         bucket_bytes = self.DEPENDENCY_BUCKET_BYTES
         for bucket in range(first_byte // bucket_bytes, last_byte // bucket_bytes + 1):
-            entry = pending.get(bucket)
+            entry = get(bucket)
             if entry is None:
                 fresh.append(bucket)
             else:
@@ -131,13 +149,15 @@ class SSQDriver:
         return target
 
     def _unindex_buckets(self, request: IORequest) -> None:
+        pending = self._pending_buckets
         for bucket in self._buckets_of(request):
-            entry = self._pending_buckets.get(bucket)
+            entry = pending.get(bucket)
             if entry is None:
                 continue
-            entry[1] -= 1
-            if entry[1] <= 0:
-                del self._pending_buckets[bucket]
+            if entry[1] > 1:
+                entry[1] -= 1
+            else:
+                del pending[bucket]
 
     # -- device side (SubmissionSource) -----------------------------------------
     def has_pending(self) -> bool:
@@ -145,10 +165,14 @@ class SSQDriver:
 
     def _partition(self, queue_depth: int) -> tuple[int, int]:
         """(read slots, write slots) split of QD by the weight ratio."""
-        total = self.wrr.read_weight + self.wrr.write_weight
-        write_slots = max(1, (queue_depth * self.wrr.write_weight) // total)
-        read_slots = max(1, queue_depth - write_slots)
-        return read_slots, write_slots
+        wrr = self.wrr
+        key = (wrr.read_weight, wrr.write_weight, queue_depth)
+        slots = self._slots.get(key)
+        if slots is None:
+            total = wrr.read_weight + wrr.write_weight
+            write_slots = max(1, (queue_depth * wrr.write_weight) // total)
+            slots = self._slots[key] = (max(1, queue_depth - write_slots), write_slots)
+        return slots
 
     def fetch(
         self, inflight_reads: int, inflight_writes: int, queue_depth: int
@@ -161,23 +185,26 @@ class SSQDriver:
         # partition guarantees each class its own slots so a class whose
         # completions are back-pressured (reads under congestion) can
         # never occupy the whole device.
-        choice = self.wrr.choose(bool(self.rsq), bool(self.wsq))
+        rsq, wsq = self.rsq, self.wsq
+        choice = self.wrr.choose(bool(rsq), bool(wsq))
         if choice is None:
             return None
-        both = bool(self.rsq) and bool(self.wsq)
-        queue = self.rsq if choice is OpType.READ else self.wsq
+        queue = rsq if choice is OpType.READ else wsq
         head = queue[0]
         read_slots, write_slots = self._partition(queue_depth)
         if head.is_read:
             if inflight_reads >= read_slots:
+                self._stalled = True
                 return None
         elif inflight_writes >= write_slots:
+            self._stalled = True
             return None
+        self._stalled = False
+        # Tokens move only when both queues competed for the turn.
+        if rsq and wsq:
+            self.wrr.consume(head.op)
         queue.popleft()
         self._unindex_buckets(head)
-        # Tokens move only when both queues competed for the turn.
-        if both:
-            self.wrr.consume(head.op)
         self.fetched += 1
         return head
 

@@ -179,41 +179,49 @@ class SSDController:
 
     # -- reads ----------------------------------------------------------
     def _start_read(self, req: IORequest) -> None:
-        lpns = list(self.ftl.lpn_range(req.lba, req.size_bytes))
+        lpns = self.ftl.lpn_range(req.lba, req.size_bytes)
         cmd = _Inflight(request=req, pages_outstanding=len(lpns))
+        # One completion callback per command, shared by its pages.
+        page_done = partial(self._page_done, cmd)
+        read_hit = self.cache.read_hit
+        chip_for_read = self.ftl.chip_for_read
+        cmt_lookup = self.ftl.cmt.lookup
+        submit = self.backend.submit
+        page_bytes = self.config.page_bytes
+        mapping_read_penalty = self.config.mapping_read_penalty
         for lpn in lpns:
-            if self.cache.read_hit(lpn):
+            if read_hit(lpn):
                 # Served from the write cache at DRAM speed; one page
                 # transfer time stands in for the cache copy-out.
                 self.sim.schedule_anon(self._page_transfer_ns, self._page_done, cmd)
                 continue
-            chip = self.ftl.chip_for_read(lpn)
-            hit = self.ftl.cmt.lookup(lpn)
+            chip = chip_for_read(lpn)
+            hit = cmt_lookup(lpn)
             data_txn = PageTransaction(
                 kind=TxnKind.READ,
                 chip_index=chip,
-                page_bytes=self.config.page_bytes,
+                page_bytes=page_bytes,
                 owner=cmd,
-                on_done=partial(self._page_done, cmd),
+                on_done=page_done,
             )
-            if not hit and self.config.mapping_read_penalty:
+            if not hit and mapping_read_penalty:
                 # The translation itself must be read from flash first.
                 mapping_txn = PageTransaction(
                     kind=TxnKind.MAPPING_READ,
                     chip_index=chip,
-                    page_bytes=self.config.page_bytes,
+                    page_bytes=page_bytes,
                     owner=cmd,
                     on_done=partial(self._mapping_done, data_txn, cmd),
                 )
-                self.backend.submit(mapping_txn)
+                submit(mapping_txn)
             else:
-                self.backend.submit(data_txn)
+                submit(data_txn)
 
     # -- writes ----------------------------------------------------------
     def _start_write(self, req: IORequest) -> None:
-        lpns = list(self.ftl.lpn_range(req.lba, req.size_bytes))
-        stage_bytes = len(lpns) * self.config.page_bytes
-        cmd = _Inflight(request=req, pages_outstanding=len(lpns), cache_reserved=stage_bytes)
+        n_pages = len(self.ftl.lpn_range(req.lba, req.size_bytes))
+        stage_bytes = n_pages * self.config.page_bytes
+        cmd = _Inflight(request=req, pages_outstanding=n_pages, cache_reserved=stage_bytes)
         if not self.cache.can_reserve(stage_bytes):
             # Fetched but unadmittable: the command holds its slot until
             # flushes free staging space (realistic full-cache stall).
@@ -224,7 +232,7 @@ class SSDController:
     def _admit_write(self, cmd: _Inflight) -> None:
         self.cache.reserve(cmd.cache_reserved)
         req = cmd.request
-        lpns = list(self.ftl.lpn_range(req.lba, req.size_bytes))
+        lpns = self.ftl.lpn_range(req.lba, req.size_bytes)
         write_back = self.config.write_cache_policy == "write_back"
         if write_back:
             # Completion at cache speed: data is staged (one page-transfer
@@ -232,18 +240,25 @@ class SSDController:
             # programs drain in the background.
             staging = self._page_transfer_ns * len(lpns)
             self.sim.schedule_anon(staging, self._complete_command, cmd)
+        # One completion callback per command, shared by its pages.
+        page_done = partial(self._write_page_done, cmd)
+        note_write = self.cache.note_write
+        allocate_write = self.ftl.allocate_write
+        cmt_lookup = self.ftl.cmt.lookup
+        submit = self.backend.submit
+        page_bytes = self.config.page_bytes
         for lpn in lpns:
-            self.cache.note_write(lpn)
-            chip = self.ftl.allocate_write(lpn)
-            self.ftl.cmt.lookup(lpn)  # writes touch the mapping too
+            note_write(lpn)
+            chip = allocate_write(lpn)
+            cmt_lookup(lpn)  # writes touch the mapping too
             txn = PageTransaction(
                 kind=TxnKind.PROGRAM,
                 chip_index=chip,
-                page_bytes=self.config.page_bytes,
+                page_bytes=page_bytes,
                 owner=cmd,
-                on_done=partial(self._write_page_done, cmd),
+                on_done=page_done,
             )
-            self.backend.submit(txn)
+            submit(txn)
             self._maybe_gc(chip)
 
     def _write_page_done(self, cmd: _Inflight, txn: PageTransaction | None = None) -> None:

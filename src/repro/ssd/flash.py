@@ -44,7 +44,8 @@ class _Chip:
     transaction type; with the equal priority the paper assumes
     ("SSD firmware grants an equal priority to read and write commands"),
     service alternates between the two queues whenever both are
-    backlogged, so a burst of slow programs cannot starve reads.
+    backlogged (:meth:`FlashBackend._start_chip`), so a burst of slow
+    programs cannot starve reads.
     """
 
     busy: bool = False
@@ -55,19 +56,6 @@ class _Chip:
 
     def pending(self) -> int:
         return len(self.read_queue) + len(self.write_queue)
-
-    def next_item(self):
-        """Pop the next transaction, alternating classes when both wait."""
-        if self.read_queue and self.write_queue:
-            use_read = not self.last_was_read
-        elif self.read_queue:
-            use_read = True
-        elif self.write_queue:
-            use_read = False
-        else:
-            return None
-        self.last_was_read = use_read
-        return (self.read_queue if use_read else self.write_queue).popleft()
 
 
 class FlashBackend:
@@ -195,12 +183,21 @@ class FlashBackend:
         chip = self._chips[chip_index]
         if chip.busy:
             return
-        item = chip.next_item()
-        if item is None:
+        # Next transaction, alternating classes when both wait (see _Chip).
+        read_queue, write_queue = chip.read_queue, chip.write_queue
+        if read_queue:
+            use_read = not chip.last_was_read if write_queue else True
+        elif write_queue:
+            use_read = False
+        else:
             return
-        txn, next_stage = item
+        chip.last_was_read = use_read
+        txn, next_stage = (read_queue if use_read else write_queue).popleft()
         chip.busy = True
-        latency = self._chip_latency(txn)
+        if self._chip_latency_mult:
+            latency = self._chip_latency(txn)
+        else:
+            latency = self._chip_latency_ns[txn.kind]
         chip.busy_ns_total += latency
         self.sim.schedule_anon(latency, self._chip_done, chip_index, txn, next_stage)
 
@@ -226,7 +223,10 @@ class FlashBackend:
             return
         txn, next_stage = channel.queue.popleft()
         channel.busy = True
-        latency = self._channel_latency(ch_index)
+        if self._channel_latency_mult:
+            latency = self._channel_latency(ch_index)
+        else:
+            latency = self._page_transfer_ns
         channel.busy_ns_total += latency
         self.sim.schedule_anon(latency, self._channel_done, ch_index, txn, next_stage)
 

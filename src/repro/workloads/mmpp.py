@@ -86,37 +86,37 @@ class MMPP2:
         return phi, inv, p
 
     # -- inter-arrival statistics -------------------------------------------
+    # Each statistic is a function of the embedded chain; the public
+    # methods build it once per call, :meth:`fit_statistics` once for all.
     def interarrival_mean(self) -> float:
         phi, inv, _ = self._embedded()
-        ones = np.ones(2)
-        return float(phi @ inv @ ones)
+        return _mean(phi, inv)
 
     def interarrival_moment(self, k: int) -> float:
         """k-th raw moment of the stationary inter-arrival time."""
         if k < 1:
             raise ValueError(f"moment order must be >= 1, got {k}")
         phi, inv, _ = self._embedded()
-        ones = np.ones(2)
-        return float(math.factorial(k) * phi @ np.linalg.matrix_power(inv, k) @ ones)
+        return _moment(k, phi, inv)
 
     def interarrival_scv(self) -> float:
-        m1 = self.interarrival_moment(1)
-        m2 = self.interarrival_moment(2)
-        return (m2 - m1**2) / m1**2
+        phi, inv, _ = self._embedded()
+        return _scv(phi, inv)
 
     def autocorrelation(self, lag: int = 1) -> float:
         """Lag-``k`` autocorrelation of consecutive inter-arrival times."""
         if lag < 1:
             raise ValueError(f"lag must be >= 1, got {lag}")
+        return _autocorrelation(lag, *self._embedded())
+
+    def fit_statistics(self) -> tuple[float, float, float]:
+        """(mean, SCV, lag-1 autocorrelation) from one embedded chain.
+
+        Bit-identical to the three public methods; :func:`fit_mmpp2`'s
+        residual calls this once per evaluation.
+        """
         phi, inv, p = self._embedded()
-        ones = np.ones(2)
-        m1 = float(phi @ inv @ ones)
-        m2 = float(2.0 * phi @ inv @ inv @ ones)
-        var = m2 - m1**2
-        if var <= 0:
-            return 0.0
-        joint = float(phi @ inv @ np.linalg.matrix_power(p, lag) @ inv @ ones)
-        return (joint - m1**2) / var
+        return _mean(phi, inv), _scv(phi, inv), _autocorrelation(1, phi, inv, p)
 
     # -- generation ----------------------------------------------------------
     def sample_interarrivals(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -140,6 +140,34 @@ class MMPP2:
                 state = 1 - state
             out[i] = t
         return out
+
+
+def _mean(phi: np.ndarray, inv: np.ndarray) -> float:
+    ones = np.ones(2)
+    return float(phi @ inv @ ones)
+
+
+def _moment(k: int, phi: np.ndarray, inv: np.ndarray) -> float:
+    ones = np.ones(2)
+    return float(math.factorial(k) * phi @ np.linalg.matrix_power(inv, k) @ ones)
+
+
+def _scv(phi: np.ndarray, inv: np.ndarray) -> float:
+    m1 = _moment(1, phi, inv)
+    m2 = _moment(2, phi, inv)
+    return (m2 - m1**2) / m1**2
+
+
+def _autocorrelation(lag: int, phi: np.ndarray, inv: np.ndarray, p: np.ndarray) -> float:
+    """Lag-``lag`` autocorrelation from the embedded chain (phi, inv, P)."""
+    ones = np.ones(2)
+    m1 = float(phi @ inv @ ones)
+    m2 = float(2.0 * phi @ inv @ inv @ ones)
+    var = m2 - m1**2
+    if var <= 0:
+        return 0.0
+    joint = float(phi @ inv @ np.linalg.matrix_power(p, lag) @ inv @ ones)
+    return (joint - m1**2) / var
 
 
 def _mmpp_from_logparams(x: np.ndarray) -> MMPP2:
@@ -178,14 +206,14 @@ def fit_mmpp2(
 
     def residuals(x: np.ndarray) -> np.ndarray:
         try:
-            m = _mmpp_from_logparams(x)
+            mean, scv, rho1 = _mmpp_from_logparams(x).fit_statistics()
             return np.array(
                 [
-                    np.log(m.interarrival_mean()) - target[0],
-                    m.interarrival_scv() - target[1],
+                    np.log(mean) - target[0],
+                    scv - target[1],
                     # Autocorrelation is small in magnitude; weight it up so
                     # the optimizer does not ignore it next to the SCV term.
-                    10.0 * (m.autocorrelation(1) - target[2]),
+                    10.0 * (rho1 - target[2]),
                 ]
             )
         except (np.linalg.LinAlgError, ValueError, OverflowError):

@@ -1,15 +1,22 @@
 """Training-sample collection tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.sampling import (
     SamplingPlan,
     TrainingSet,
+    _micro_trace,
+    _sample_cell,
+    _sweep_cells,
     collect_training_set,
     sample_trace,
 )
-from repro.workloads.features import FEATURE_NAMES
+from repro.experiments.replay import replay_on_device
+from repro.nvme.ssq import SSQDriver
+from repro.workloads.features import FEATURE_NAMES, extract_features
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
 from tests.conftest import FAST_SSD
 
@@ -112,6 +119,45 @@ class TestCollection:
         trace = generate_micro_trace(wl, n_reads=50, n_writes=50, seed=4)
         with pytest.raises(ValueError):
             sample_trace(trace, FAST_SSD, 0)
+
+    def test_serial_sweep_leaves_caller_trace_untouched(self):
+        wl = MicroWorkloadConfig(3_000, 8 * 1024)
+        trace = generate_micro_trace(wl, n_reads=200, n_writes=200, seed=5)
+        before = [dataclasses.astuple(r) for r in trace]
+        collect_training_set(
+            FAST_SSD, None, traces=[trace], weight_ratios=(1, 2), workers=1
+        )
+        sample_trace(trace, FAST_SSD, 2)
+        assert [dataclasses.astuple(r) for r in trace] == before
+        assert all(r.submit_ns == r.fetch_ns == r.device_done_ns == -1 for r in trace)
+
+    def test_cells_match_fresh_trace_replays_in_any_order(self):
+        # Cells share one trace's columns; each must equal replaying a
+        # freshly generated trace, whatever ran before it.
+        cells = _sweep_cells(
+            FAST_SSD, TINY_PLAN, [], (), TINY_PLAN.measure_start_fraction
+        )
+        grid = [
+            (inter, size, mix, w)
+            for inter in TINY_PLAN.interarrival_ns
+            for size in TINY_PLAN.size_bytes
+            for mix in TINY_PLAN.read_write_mixes
+            for w in TINY_PLAN.weight_ratios
+        ]
+        assert len(cells) == len(grid) == TINY_PLAN.n_cells()
+        for cell, (inter, size, mix, w) in reversed(list(zip(cells, grid))):
+            got = _sample_cell(*cell)
+            trace = _micro_trace(TINY_PLAN, inter, size, mix)
+            want = replay_on_device(
+                trace,
+                FAST_SSD,
+                SSQDriver(read_weight=1, write_weight=w),
+                drain=False,
+                measure_start_fraction=TINY_PLAN.measure_start_fraction,
+            )
+            assert got["x"].tobytes() == extract_features(trace).with_weight(w).tobytes()
+            assert got["y"].tolist() == [want.read_tput_gbps, want.write_tput_gbps]
+            assert got["sim_events"] == want.sim_events
 
     def test_parallel_collection_matches_serial(self):
         from repro.core.sampling import collect_training_set_with_report

@@ -166,6 +166,54 @@ class TestWeights:
         assert FakeDevice.rings == before + 1
 
 
+class TestDoorbell:
+    """When a submit rings (the device-level property test is
+    ``test_ssq_doorbell.py``)."""
+
+    class Device:
+        def __init__(self):
+            self.rings = []
+
+        def doorbell(self):
+            self.rings.append(1)
+
+        def attach_driver(self, driver):
+            pass
+
+    def connected(self, *weights):
+        device = self.Device()
+        d = SSQDriver(*weights)
+        d.connect(device)
+        return d, device.rings
+
+    def test_submit_to_non_empty_queue_after_a_stall_does_not_ring(self):
+        d, rings = self.connected(1, 1)
+        d.submit(req(OpType.WRITE, lba=distinct_lba(1)))
+        assert d.fetch(0, 32, 64) is None  # write head slot-blocked
+        d.submit(req(OpType.WRITE, lba=distinct_lba(2)))
+        assert len(rings) == 1
+        # An empty queue changes what WRR can choose: that submit rings.
+        d.submit(req(OpType.READ, lba=distinct_lba(3)))
+        assert len(rings) == 2
+
+    def test_fetching_a_command_clears_the_stall(self):
+        d, rings = self.connected(1, 1)
+        for i in range(2):
+            d.submit(req(OpType.WRITE, lba=distinct_lba(i)))
+        assert d.fetch(0, 32, 64) is None
+        assert d.fetch(0, 0, 64) is not None
+        d.submit(req(OpType.WRITE, lba=distinct_lba(3)))
+        assert len(rings) == 3
+
+    def test_weight_change_clears_the_stall(self):
+        d, rings = self.connected(1, 1)
+        d.submit(req(OpType.WRITE, lba=distinct_lba(1)))
+        assert d.fetch(0, 32, 64) is None
+        d.set_weights(1, 4)
+        d.submit(req(OpType.WRITE, lba=distinct_lba(2)))
+        assert len(rings) == 3
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 50)), min_size=1, max_size=60))
 def test_every_submitted_request_is_fetched_exactly_once_property(specs):

@@ -89,6 +89,19 @@ class TestFitting:
         with pytest.raises(ValueError):
             fit_mmpp2(1000, -1.0)
 
+    @pytest.mark.parametrize(
+        "target", [(12_000, 3.0, 0.2), (1_000, 1.5, 0.0), (64_000, 8.0, 0.3), (10_000, 0.5, 0.0)]
+    )
+    def test_residual_statistics_equal_public_ones_bit_for_bit(self, target):
+        # The fit's residual reads fit_statistics(); the model it returns
+        # must report exactly those values through the public methods.
+        for m in (fit_mmpp2(*target), bursty(), poissonish()):
+            assert m.fit_statistics() == (
+                m.interarrival_mean(),
+                m.interarrival_scv(),
+                m.autocorrelation(1),
+            )
+
     @settings(deadline=None, max_examples=15)
     @given(
         st.floats(min_value=1_000, max_value=100_000),
