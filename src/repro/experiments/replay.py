@@ -78,6 +78,10 @@ def replay_on_device(
         last arrival (False — measures only the arrival window, so a
         saturated device reports its service rate rather than having the
         backlog drain distort averages).
+
+    The returned ``ssd`` keeps every counter, log and statistic for
+    inspection, but its driver and CQ listener are detached, so the
+    world cannot be continued.
     """
     if len(trace) == 0:
         raise ValueError("cannot replay an empty trace")
@@ -117,6 +121,11 @@ def replay_on_device(
             write_bytes += req.size_bytes
             writes += 1
 
+    # Unwire the driver and CQ listener: both close reference cycles
+    # through the device, which would leave a drained world to the
+    # cyclic garbage collector instead of reference counting.
+    ssd.attach_driver(None)
+    ssd.set_cq_listener(None)
     return DeviceReplayResult(
         read_tput_gbps=read_bytes / span / GBPS,
         write_tput_gbps=write_bytes / span / GBPS,

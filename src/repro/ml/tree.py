@@ -1,10 +1,10 @@
 """CART regression tree with variance-reduction splitting.
 
-Split search is vectorised per node: for each candidate feature the
-sorted prefix sums of ``y`` and ``y**2`` give the weighted child
-impurities of every threshold in one pass.  Multi-output targets use the
-summed per-output variance as the impurity, so one tree can predict read
-and write throughput jointly (as the TPM requires).
+Split search is vectorised per node: for all candidate features at
+once, the sorted prefix sums of ``y`` and ``y**2`` give the weighted
+child impurities of every threshold in one pass.  Multi-output targets
+use the summed per-output variance as the impurity, so one tree can
+predict read and write throughput jointly (as the TPM requires).
 
 Feature importances follow Breiman's mean-decrease-in-impurity: each
 split credits its feature with ``n_node * (impurity - weighted child
@@ -118,36 +118,46 @@ class DecisionTreeRegressor:
         else:
             features = np.arange(self._n_features)
 
-        best: tuple[int, float, float] | None = None
+        # All candidate features in one batched pass: column j of every
+        # array below runs the float operations of a per-feature search
+        # on features[j] in the same order (cumsum accumulates
+        # sequentially, the output sum reduces the same contiguous last
+        # axis), so the chosen split is bit-identical to that search's.
+        xf = X[:, features]
+        order = np.argsort(xf, axis=0, kind="stable")
+        xs = np.take_along_axis(xf, order, axis=0)
+        ys = y[order]  # (n, k, outputs)
+        # Prefix sums over rows for every feature and output column.
+        csum = np.cumsum(ys, axis=0)
+        csum2 = np.cumsum(ys**2, axis=0)
+        total, total2 = csum[-1], csum2[-1]
+        # Candidate split after position i (1-indexed sizes).
+        sizes_l = np.arange(1, n)
         min_leaf = self.min_samples_leaf
-        for f in features:
-            order = np.argsort(X[:, f], kind="stable")
-            xs = X[order, f]
-            ys = y[order]
-            # Prefix sums over rows for every output column.
-            csum = np.cumsum(ys, axis=0)
-            csum2 = np.cumsum(ys**2, axis=0)
-            total, total2 = csum[-1], csum2[-1]
-            # Candidate split after position i (1-indexed sizes).
-            sizes_l = np.arange(1, n)
-            valid = (xs[:-1] < xs[1:]) & (sizes_l >= min_leaf) & (n - sizes_l >= min_leaf)
-            if not valid.any():
+        sizes_ok = (sizes_l >= min_leaf) & (n - sizes_l >= min_leaf)
+        valid = (xs[:-1] < xs[1:]) & sizes_ok[:, None]
+        sl = csum[:-1]
+        sl2 = csum2[:-1]
+        nl = sizes_l[:, None, None].astype(np.float64)
+        nr = (n - sizes_l)[:, None, None].astype(np.float64)
+        # n * variance = sum(y^2) - sum(y)^2 / n, per child, per output.
+        imp_l = (sl2 - sl**2 / nl).sum(axis=2)
+        imp_r = ((total2 - sl2) - (total - sl) ** 2 / nr).sum(axis=2)
+        decrease = parent_imp - (imp_l + imp_r)
+        decrease[~valid] = -np.inf
+        best_rows = np.argmax(decrease, axis=0)
+
+        best: tuple[int, float, float] | None = None
+        # Features in drawn order; a strictly larger decrease wins.  A
+        # feature with no valid split reads -inf and is skipped here.
+        for j, f in enumerate(features):
+            i = best_rows[j]
+            gain = decrease[i, j]
+            if gain <= 1e-12:
                 continue
-            sl = csum[:-1]
-            sl2 = csum2[:-1]
-            nl = sizes_l[:, None].astype(np.float64)
-            nr = (n - sizes_l)[:, None].astype(np.float64)
-            # n * variance = sum(y^2) - sum(y)^2 / n, per child, per output.
-            imp_l = (sl2 - sl**2 / nl).sum(axis=1)
-            imp_r = ((total2 - sl2) - (total - sl) ** 2 / nr).sum(axis=1)
-            decrease = parent_imp - (imp_l + imp_r)
-            decrease[~valid] = -np.inf
-            i = int(np.argmax(decrease))
-            if decrease[i] <= 1e-12:
-                continue
-            thr = 0.5 * (xs[i] + xs[i + 1])
-            if best is None or decrease[i] > best[2]:
-                best = (int(f), float(thr), float(decrease[i]))
+            if best is None or gain > best[2]:
+                thr = 0.5 * (xs[i, j] + xs[i + 1, j])
+                best = (int(f), float(thr), float(gain))
         return best
 
     def _build(self, X: np.ndarray, y: np.ndarray, depth: int) -> int:

@@ -49,9 +49,10 @@ class SSQDriver:
         self.consistency_redirects = 0
         #: History of (submit-time) weight changes, for experiment plots.
         self.weight_log: list[tuple[int, int, int]] = []
-        # bucket -> [queue, refcount]: which SQ holds waiting requests
-        # touching this address bucket, and how many.
-        self._pending_buckets: dict[int, list] = {}
+        # bucket -> signed refcount: how many waiting requests touch this
+        # address bucket, and which SQ holds them (positive: RSQ,
+        # negative: WSQ).  Plain ints keep the index out of the cyclic GC.
+        self._pending_buckets: dict[int, int] = {}
         #: True while the last fetch stalled on a slot-blocked head (see
         #: :meth:`submit`); cleared by a fetch that returns a command.
         self._stalled = False
@@ -123,39 +124,41 @@ class SSQDriver:
         instead of a queue scan.  Buckets already indexed keep their
         queue (later requests to a bucket follow the same SQ, so
         repointing is unnecessary) and gain a reference; fresh buckets
-        point at the chosen SQ.
+        take the chosen SQ's sign.  Most requests touch no indexed
+        bucket and take the one-call fast path.
         """
         pending = self._pending_buckets
-        get = pending.get
-        target = None
+        buckets = self._buckets_of(request)
+        if pending.keys().isdisjoint(buckets):
+            pending.update(dict.fromkeys(buckets, 1 if natural is self.rsq else -1))
+            return natural
+        sign = 0
         fresh = []
-        first_byte = request.lba * 512
-        last_byte = first_byte + request.size_bytes - 1
-        bucket_bytes = self.DEPENDENCY_BUCKET_BYTES
-        for bucket in range(first_byte // bucket_bytes, last_byte // bucket_bytes + 1):
-            entry = get(bucket)
-            if entry is None:
+        for bucket in buckets:
+            count = pending.get(bucket)
+            if count is None:
                 fresh.append(bucket)
-            else:
-                entry[1] += 1
-                if target is None:
-                    target = entry[0]
-        if target is None:
-            target = natural
-        elif target is not natural:
-            self.consistency_redirects += 1
+                continue
+            if not sign:
+                sign = 1 if count > 0 else -1
+            pending[bucket] = count + 1 if count > 0 else count - 1
         for bucket in fresh:
-            pending[bucket] = [target, 1]
+            pending[bucket] = sign
+        target = self.rsq if sign > 0 else self.wsq
+        if target is not natural:
+            self.consistency_redirects += 1
         return target
 
     def _unindex_buckets(self, request: IORequest) -> None:
         pending = self._pending_buckets
         for bucket in self._buckets_of(request):
-            entry = pending.get(bucket)
-            if entry is None:
+            count = pending.get(bucket)
+            if count is None:
                 continue
-            if entry[1] > 1:
-                entry[1] -= 1
+            if count > 1:
+                pending[bucket] = count - 1
+            elif count < -1:
+                pending[bucket] = count + 1
             else:
                 del pending[bucket]
 

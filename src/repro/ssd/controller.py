@@ -142,7 +142,7 @@ class SSDController:
         self.background_write_failures = 0
 
     # -- wiring -----------------------------------------------------------
-    def attach_driver(self, driver: SubmissionSource) -> None:
+    def attach_driver(self, driver: SubmissionSource | None) -> None:
         self.driver = driver
 
     @property

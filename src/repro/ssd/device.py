@@ -34,7 +34,7 @@ class SSD:
             sim.sanitizer.track_ftl(self.ftl)
 
     # -- host-facing surface ------------------------------------------------
-    def attach_driver(self, driver: SubmissionSource) -> None:
+    def attach_driver(self, driver: SubmissionSource | None) -> None:
         self.controller.attach_driver(driver)
 
     def doorbell(self) -> None:
@@ -43,7 +43,7 @@ class SSD:
     def pop_completion(self) -> CompletionEntry | None:
         return self.controller.pop_completion()
 
-    def set_cq_listener(self, listener: Callable[[CompletionEntry], None]) -> None:
+    def set_cq_listener(self, listener: Callable[[CompletionEntry], None] | None) -> None:
         self.controller.cq_listener = listener
 
     def auto_drain(self, _entry: CompletionEntry) -> None:

@@ -68,14 +68,9 @@ class FlashBackend:
         self._channels = [_Server() for _ in range(config.n_channels)]
         self.completed: int = 0
         # -- stage constants: read on every stage, computed once per device.
-        self._chip_latency_ns: dict[TxnKind, Nanoseconds] = {
-            TxnKind.READ: config.read_latency_ns,
-            TxnKind.MAPPING_READ: config.read_latency_ns,
-            TxnKind.GC_READ: config.read_latency_ns,
-            TxnKind.PROGRAM: config.write_latency_ns,
-            TxnKind.GC_PROGRAM: config.write_latency_ns,
-            TxnKind.ERASE: config.erase_latency_ns,
-        }
+        self._read_latency_ns: Nanoseconds = config.read_latency_ns
+        self._write_latency_ns: Nanoseconds = config.write_latency_ns
+        self._erase_latency_ns: Nanoseconds = config.erase_latency_ns
         self._page_transfer_ns: Nanoseconds = config.page_transfer_ns
         self._chips_per_channel = config.chips_per_channel
         # -- fault-injection state (all empty by default; the hot path
@@ -133,14 +128,6 @@ class FlashBackend:
             self._channel_latency_mult[ch_index] = multiplier
 
     # -- latencies ----------------------------------------------------------
-    def _chip_latency(self, txn: PageTransaction) -> Nanoseconds:
-        latency = self._chip_latency_ns[txn.kind]
-        if self._chip_latency_mult:
-            mult = self._chip_latency_mult.get(txn.chip_index)
-            if mult is not None:
-                latency = max(1, int(latency * mult))
-        return latency
-
     def _channel_latency(self, ch_index: int) -> Nanoseconds:
         # Partial last pages still occupy a full page slot on the bus
         # (MQSim transfers whole pages).
@@ -192,12 +179,23 @@ class FlashBackend:
         else:
             return
         chip.last_was_read = use_read
-        txn, next_stage = (read_queue if use_read else write_queue).popleft()
+        # The queue tells the latency: the read queue holds the read-like
+        # kinds, the write queue programs and erases.  Identity tests
+        # keep the Python-level Enum.__hash__ off this path.
+        if use_read:
+            txn, next_stage = read_queue.popleft()
+            latency = self._read_latency_ns
+        else:
+            txn, next_stage = write_queue.popleft()
+            if txn.kind is TxnKind.ERASE:
+                latency = self._erase_latency_ns
+            else:
+                latency = self._write_latency_ns
         chip.busy = True
         if self._chip_latency_mult:
-            latency = self._chip_latency(txn)
-        else:
-            latency = self._chip_latency_ns[txn.kind]
+            mult = self._chip_latency_mult.get(chip_index)
+            if mult is not None:
+                latency = max(1, int(latency * mult))
         chip.busy_ns_total += latency
         self.sim.schedule_anon(latency, self._chip_done, chip_index, txn, next_stage)
 

@@ -26,7 +26,9 @@ class TxnKind(enum.Enum):
 
 
 #: Chip-op-first kinds: the chip senses, then the channel moves data out.
-READ_LIKE_KINDS = frozenset((TxnKind.READ, TxnKind.MAPPING_READ, TxnKind.GC_READ))
+#: A tuple, not a set: ``in`` then tests identity in C instead of calling
+#: the Python-level ``Enum.__hash__``.
+READ_LIKE_KINDS = (TxnKind.READ, TxnKind.MAPPING_READ, TxnKind.GC_READ)
 
 _txn_ids = SerialCounter("ssd.txn")
 
@@ -54,7 +56,7 @@ class PageTransaction:
     page_bytes: int
     owner: Any = None
     on_done: Callable[["PageTransaction"], None] | None = None
-    txn_id: int = field(default_factory=lambda: next(_txn_ids))
+    txn_id: int = field(default_factory=_txn_ids.__next__)
     issued_ns: int = -1
     done_ns: int = -1
     #: Set by the backend when the target die has failed: the

@@ -9,6 +9,7 @@ into one arrival-ordered stream.
 from __future__ import annotations
 
 import csv
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -17,13 +18,16 @@ import numpy as np
 from repro.workloads.request import IORequest, OpType
 
 _CSV_FIELDS = ("arrival_ns", "op", "lba", "size_bytes")
+#: Sort key: arrival time, ties broken by request id (a C call per
+#: request, no Python frame).
+_ARRIVAL_ORDER = attrgetter("arrival_ns", "req_id")
 
 
 class Trace:
     """An arrival-ordered sequence of I/O requests."""
 
     def __init__(self, requests: Iterable[IORequest]) -> None:
-        self.requests: list[IORequest] = sorted(requests, key=lambda r: (r.arrival_ns, r.req_id))
+        self.requests: list[IORequest] = sorted(requests, key=_ARRIVAL_ORDER)
 
     def __len__(self) -> int:
         return len(self.requests)

@@ -1,5 +1,7 @@
 """Device-local replay harness tests."""
 
+import gc
+
 import pytest
 
 from repro.experiments.replay import replay_on_device
@@ -62,3 +64,18 @@ def test_deterministic():
     b = replay_on_device(trace(seed=3), FAST_SSD, SSQDriver(1, 2), drain=False)
     assert a.read_tput_gbps == b.read_tput_gbps
     assert a.write_tput_gbps == b.write_tput_gbps
+
+
+def test_drained_world_is_freed_by_reference_counting(monkeypatch):
+    # The sanitizer's registry is itself a reference cycle.
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    t = trace()
+    gc.collect()
+    gc.disable()
+    try:
+        result = replay_on_device(t, FAST_SSD, SSQDriver(1, 2), drain=True)
+        assert result.ssd.controller.commands_completed == len(t)
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -130,3 +130,84 @@ def test_predictions_within_target_range_property(n, seed):
     pred = tree.predict(rng.normal(size=(20, 2)) * 10)
     assert pred.min() >= y.min() - 1e-9
     assert pred.max() <= y.max() + 1e-9
+
+
+class PerFeatureTree(DecisionTreeRegressor):
+    """Reference split search: one feature at a time, in drawn order."""
+
+    def _best_split(self, X, y):
+        n = X.shape[0]
+        parent_imp = float(np.sum(y.var(axis=0)) * y.shape[0])
+        if parent_imp <= 1e-12:
+            return None
+        k = self._n_candidate_features()
+        if k < self._n_features:
+            features = self._rng.choice(self._n_features, size=k, replace=False)
+        else:
+            features = np.arange(self._n_features)
+        best = None
+        min_leaf = self.min_samples_leaf
+        for f in features:
+            order = np.argsort(X[:, f], kind="stable")
+            xs = X[order, f]
+            ys = y[order]
+            csum = np.cumsum(ys, axis=0)
+            csum2 = np.cumsum(ys**2, axis=0)
+            total, total2 = csum[-1], csum2[-1]
+            sizes_l = np.arange(1, n)
+            valid = (xs[:-1] < xs[1:]) & (sizes_l >= min_leaf) & (n - sizes_l >= min_leaf)
+            if not valid.any():
+                continue
+            sl = csum[:-1]
+            sl2 = csum2[:-1]
+            nl = sizes_l[:, None].astype(np.float64)
+            nr = (n - sizes_l)[:, None].astype(np.float64)
+            imp_l = (sl2 - sl**2 / nl).sum(axis=1)
+            imp_r = ((total2 - sl2) - (total - sl) ** 2 / nr).sum(axis=1)
+            decrease = parent_imp - (imp_l + imp_r)
+            decrease[~valid] = -np.inf
+            i = int(np.argmax(decrease))
+            if decrease[i] <= 1e-12:
+                continue
+            thr = 0.5 * (xs[i] + xs[i + 1])
+            if best is None or decrease[i] > best[2]:
+                best = (int(f), float(thr), float(decrease[i]))
+        return best
+
+
+def fitted_bits(tree):
+    """Every fitted float of ``tree`` as bytes, plus its structure."""
+    return (
+        tree._feature,
+        tree._left,
+        tree._right,
+        np.array(tree._threshold).tobytes(),
+        np.array(tree._value).tobytes(),
+        tree._importance_raw.tobytes(),
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(min_value=2, max_value=40),  # rows
+    st.integers(min_value=1, max_value=5),  # features
+    st.integers(min_value=1, max_value=3),  # outputs
+    st.integers(min_value=1, max_value=6),  # distinct x values per feature
+    st.integers(min_value=1, max_value=4),  # min_samples_leaf
+    st.sampled_from([None, 1, 2, 3, 0.5, 1.0]),  # max_features
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_batched_split_matches_per_feature_search_property(
+    n, n_features, n_outputs, levels, min_leaf, max_features, seed
+):
+    """All candidate features searched at once pick bit-identical splits."""
+    rng = np.random.default_rng(seed)
+    # Few distinct x values: duplicate thresholds and invalid columns.
+    X = rng.integers(0, levels, size=(n, n_features)).astype(np.float64) * 0.1
+    y = rng.normal(size=(n, n_outputs)) * 10.0 ** rng.integers(-3, 4, size=n_outputs)
+    if n_outputs == 1:
+        y = y.ravel()
+    params = dict(min_samples_leaf=min_leaf, max_features=max_features, seed=seed)
+    batched = DecisionTreeRegressor(**params).fit(X, y)
+    reference = PerFeatureTree(**params).fit(X, y)
+    assert fitted_bits(batched) == fitted_bits(reference)

@@ -73,8 +73,8 @@ weights = st.integers(min_value=1, max_value=8)
 
 
 def driver_buckets(driver: SSQDriver) -> dict[int, tuple[str, int]]:
-    names = {id(driver.rsq): "r", id(driver.wsq): "w"}
-    return {b: (names[id(q)], n) for b, (q, n) in driver._pending_buckets.items()}
+    # The driver codes each bucket as a signed refcount: positive for RSQ.
+    return {b: ("r" if n > 0 else "w", abs(n)) for b, n in driver._pending_buckets.items()}
 
 
 @settings(max_examples=300)

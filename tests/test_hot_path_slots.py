@@ -1,7 +1,7 @@
 """Hot-path classes keep their instances free of ``__dict__``.
 
-Each class below has one instance per event, packet, flow, message or
-page transaction, so a ``__dict__`` (a dropped ``__slots__``, or a
+Each class below has one instance per event, packet, flow, message,
+I/O request or page transaction, so a ``__dict__`` (a dropped ``__slots__``, or a
 subclass or base that lacks one) costs memory and attribute-access time
 on every dispatch.
 """
@@ -21,6 +21,7 @@ HOT_PATH_CLASSES: dict[str, tuple[str, ...]] = {
     "repro.net.reliability": ("FlowReliability", "_Segment"),
     "repro.ssd.transactions": ("PageTransaction",),
     "repro.ssd.controller": ("CompletionEntry", "_Inflight", "_GCJob"),
+    "repro.workloads.request": ("IORequest",),
 }
 
 

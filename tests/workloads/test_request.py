@@ -1,5 +1,7 @@
 """IORequest semantics: validation, overlap, latency accessors."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,16 @@ def test_optype_read_flag():
 
 def test_request_ids_are_unique():
     assert req().req_id != req().req_id
+
+
+def test_stamped_request_pickles():
+    r = req(lba=8, size=8192, op=OpType.WRITE, arrival=5)
+    r.initiator, r.target = "h0", "t1"
+    r.submit_ns, r.fetch_ns, r.device_done_ns, r.complete_ns = 6, 7, 9, 12
+    r.error, r.retries = "timeout", 2
+    back = pickle.loads(pickle.dumps(r))
+    assert back == r
+    assert back.req_id == r.req_id
 
 
 def test_validation_rejects_bad_fields():
