@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import networkx as nx
-
 from repro.net.link import Link
 from repro.net.nic import NIC, NICConfig
 from repro.net.switch import Switch, SwitchConfig
@@ -32,7 +30,9 @@ class Network:
         self.sim = sim
         self.hosts: dict[str, NIC] = {}
         self.switches: dict[str, Switch] = {}
-        self.graph = nx.Graph()
+        #: Adjacency: node name -> {neighbour name: None}, both in
+        #: insertion order (a dict used as an ordered set).
+        self.graph: dict[str, dict[str, None]] = {}
         #: host name -> fidelity mode; absent = ``"packet"`` (the
         #: default exact DES).  ``"fluid"`` hosts carry background
         #: traffic modelled by :class:`repro.net.fluid.FluidDomain`.
@@ -44,7 +44,7 @@ class Network:
             raise ValueError(f"duplicate node name {name!r}")
         nic = NIC(self.sim, name, config)
         self.hosts[name] = nic
-        self.graph.add_node(name, kind="host")
+        self.graph[name] = {}
         return nic
 
     def add_switch(self, name: str, config: SwitchConfig | None = None) -> Switch:
@@ -52,7 +52,7 @@ class Network:
             raise ValueError(f"duplicate node name {name!r}")
         switch = Switch(self.sim, name, config, seed=len(self.switches))
         self.switches[name] = switch
-        self.graph.add_node(name, kind="switch")
+        self.graph[name] = {}
         return switch
 
     def node(self, name: str):
@@ -70,7 +70,7 @@ class Network:
         """
         if a == b:
             raise ValueError(f"cannot connect node {a!r} to itself")
-        if self.graph.has_edge(a, b):
+        if b in self.graph[a]:
             raise ValueError(
                 f"duplicate cable {a!r} <-> {b!r}: the pair is already "
                 f"connected, and re-cabling would overwrite the port map"
@@ -90,7 +90,8 @@ class Network:
         # which is what PFC needs to pause the right upstream transmitter.
         link_ab.dst_port = port_b
         link_ba.dst_port = port_a
-        self.graph.add_edge(a, b, rate_gbps=rate_gbps, delay_ns=delay_ns)
+        self.graph[a][b] = None
+        self.graph[b][a] = None
 
     @staticmethod
     def _register(device, out_link: Link, neighbor: str) -> int:
@@ -114,7 +115,7 @@ class Network:
                 d = dist[sw_name]
                 ports = sorted(
                     switch.port_to(nb)
-                    for nb in self.graph.neighbors(sw_name)
+                    for nb in self.graph[sw_name]
                     if dist.get(nb, float("inf")) == d - 1
                 )
                 if ports:
@@ -125,7 +126,7 @@ class Network:
         frontier = deque([src])
         while frontier:
             node = frontier.popleft()
-            for nb in self.graph.neighbors(node):
+            for nb in self.graph[node]:
                 if nb not in dist and nb not in self.hosts:
                     # Paths never transit through another host.
                     dist[nb] = dist[node] + 1

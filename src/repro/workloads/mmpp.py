@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.sim.rng import make_rng
 from repro.workloads.micro import DEFAULT_ADDRESS_SPACE_SECTORS
@@ -218,6 +217,9 @@ def fit_mmpp2(
             )
         except (np.linalg.LinAlgError, ValueError, OverflowError):
             return np.array([1e3, 1e3, 1e3])
+
+    # Imported here: scipy.optimize costs ~0.6 s and ~45 MB, and only fitting needs it.
+    from scipy.optimize import least_squares
 
     result = least_squares(residuals, x0, max_nfev=max_iter * 4, xtol=1e-12, ftol=1e-12)
     return _mmpp_from_logparams(result.x)

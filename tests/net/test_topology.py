@@ -137,6 +137,16 @@ def test_self_loop_cable_rejected():
         net.connect("swA", "swA", rate_gbps=40.0)
 
 
+@pytest.mark.parametrize("a,b", [("ghost", "swA"), ("swA", "ghost")])
+def test_connect_unknown_node_raises_key_error(a, b):
+    sim = Simulator()
+    net = Network(sim)
+    net.add_switch("swA")
+    with pytest.raises(KeyError, match="ghost"):
+        net.connect(a, b, rate_gbps=40.0)
+    assert net.switches["swA"]._out_links == []  # no half-made cable
+
+
 def test_fidelity_tagging():
     sim = Simulator()
     net = build_star(sim, ["a", "b", "c"])
