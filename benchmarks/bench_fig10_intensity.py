@@ -12,11 +12,8 @@ Expected shapes:
 
 import pytest
 
-from benchmarks.common import bench_workers, save_perf, save_result, trained_tpm
-from repro.experiments.comparison import (
-    INTENSITY_LEVELS,
-    intensity_analysis_with_report,
-)
+from benchmarks.common import bench_workers, save_result, trained_tpm
+from repro.experiments.comparison import intensity_analysis
 from repro.experiments.tables import format_percent, format_table
 from repro.ssd.config import SSD_A
 
@@ -25,7 +22,7 @@ def run_fig10():
     from repro.sim.units import MS
 
     tpm = trained_tpm(SSD_A)
-    return intensity_analysis_with_report(
+    return intensity_analysis(
         tpm,
         ssd_config=SSD_A,
         span_ms=45.0,
@@ -36,8 +33,7 @@ def run_fig10():
 
 @pytest.mark.benchmark(group="fig10")
 def test_fig10_intensity(benchmark):
-    comparisons, report = benchmark.pedantic(run_fig10, rounds=1, iterations=1)
-    benchmark.extra_info["perf"] = save_perf("fig10_intensity", report)
+    comparisons = benchmark.pedantic(run_fig10, rounds=1, iterations=1)
 
     rows = [
         [

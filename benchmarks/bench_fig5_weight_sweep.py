@@ -12,9 +12,9 @@ Paper observations to reproduce (SSD-A, inter-arrival 10–25 µs × size
 import numpy as np
 import pytest
 
-from benchmarks.common import bench_workers, save_perf, save_result
+from benchmarks.common import bench_workers, save_result
 from repro.experiments.tables import format_table
-from repro.experiments.weight_sweep import run_weight_sweep_with_report
+from repro.experiments.weight_sweep import run_weight_sweep
 from repro.sim.units import MS
 from repro.ssd.config import SSD_A
 
@@ -28,7 +28,7 @@ RATIOS = (1, 2, 4, 8, 16)
 
 
 def run_fig5():
-    return run_weight_sweep_with_report(
+    return run_weight_sweep(
         SSD_A,
         interarrivals_ns=INTERARRIVALS,
         sizes_bytes=SIZES,
@@ -40,8 +40,7 @@ def run_fig5():
 
 @pytest.mark.benchmark(group="fig5")
 def test_fig5_weight_sweep(benchmark):
-    cells, report = benchmark.pedantic(run_fig5, rounds=1, iterations=1)
-    benchmark.extra_info["perf"] = save_perf("fig5_weight_sweep", report)
+    cells = benchmark.pedantic(run_fig5, rounds=1, iterations=1)
 
     rows = []
     for cell in cells:

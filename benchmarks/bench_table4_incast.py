@@ -11,8 +11,8 @@ load (WRR → RR) or as extra initiators relieve the congestion.
 
 import pytest
 
-from benchmarks.common import bench_workers, save_perf, save_result, trained_tpm
-from repro.experiments.comparison import TABLE4_POINTS, incast_analysis_with_report
+from benchmarks.common import bench_workers, save_result, trained_tpm
+from repro.experiments.comparison import incast_analysis
 from repro.experiments.tables import format_percent, format_table
 from repro.ssd.config import SSD_A
 
@@ -23,7 +23,7 @@ def run_table4():
     from repro.sim.units import MS
 
     tpm = trained_tpm(SSD_A)
-    return incast_analysis_with_report(
+    return incast_analysis(
         tpm,
         ssd_config=SSD_A,
         total_read_gbps=38.0,
@@ -35,8 +35,7 @@ def run_table4():
 
 @pytest.mark.benchmark(group="table4")
 def test_table4_incast_ratio(benchmark):
-    comparisons, report = benchmark.pedantic(run_table4, rounds=1, iterations=1)
-    benchmark.extra_info["perf"] = save_perf("table4_incast_ratio", report)
+    comparisons = benchmark.pedantic(run_table4, rounds=1, iterations=1)
 
     rows = [
         [

@@ -2,9 +2,7 @@
 
 * :func:`save_result` — persist a reproduced table under
   ``benchmarks/results/`` and queue it for the terminal summary;
-* :func:`save_perf` / :func:`bench_workers` — sweep perf counters
-  (events/sec, per-cell wall time, worker utilisation) persisted as
-  JSON so BENCH_*.json runs can track the parallel-runner speedup;
+* :func:`bench_workers` — the worker count for the figure sweeps;
 * :func:`trained_tpm` — session-cached TPM training per SSD model (the
   expensive sweep runs once even when several figure benches need it);
 * workload factories matching the §IV descriptions (VDI-like trace, the
@@ -13,13 +11,11 @@
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
-from repro.core.sampling import SamplingPlan, collect_training_set_with_report
+from repro.core.sampling import SamplingPlan, collect_training_set
 from repro.core.tpm import ThroughputPredictionModel
-from repro.parallel import SweepReport
 from repro.sim.units import MS
 from repro.ssd.config import SSDConfig
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
@@ -29,9 +25,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 #: (name, text) pairs replayed by the terminal summary hook.
 SESSION_RESULTS: list[tuple[str, str]] = []
-
-#: name -> perf counters, replayed by the terminal summary hook.
-SESSION_PERF: dict[str, dict] = {}
 
 
 def bench_workers() -> int:
@@ -49,21 +42,6 @@ def save_result(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     SESSION_RESULTS.append((name, text))
-
-
-def save_perf(name: str, report: SweepReport) -> dict:
-    """Persist a sweep's perf counters as JSON next to the tables.
-
-    Returns the counter dict so benches can also attach it to
-    ``benchmark.extra_info`` (landing in BENCH_*.json).
-    """
-    payload = report.perf_dict()
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}_perf.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-    SESSION_PERF[name] = payload
-    return payload
 
 
 #: Training sweep used for every TPM in the benchmark suite: the Fig. 5
@@ -85,15 +63,13 @@ _TPM_CACHE: dict[str, ThroughputPredictionModel] = {}
 def trained_tpm(config: SSDConfig, plan: SamplingPlan | None = None) -> ThroughputPredictionModel:
     """A Random-Forest TPM for ``config``, trained once per session.
 
-    The training sweep fans across :func:`bench_workers` processes; its
-    perf counters land in ``results/tpm_training_<name>_perf.json``.
+    The training sweep fans across :func:`bench_workers` processes.
     """
     key = config.name
     if key not in _TPM_CACHE:
-        training, report = collect_training_set_with_report(
+        training = collect_training_set(
             config, plan or DEFAULT_PLAN, workers=bench_workers()
         )
-        save_perf(f"tpm_training_{key}", report)
         _TPM_CACHE[key] = ThroughputPredictionModel().fit(training)
     return _TPM_CACHE[key]
 

@@ -25,12 +25,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             tr.write_line(f"===== {name} =====")
             for line in text.splitlines():
                 tr.write_line(line)
-    if common.SESSION_PERF:
-        tr.section("sweep perf counters (repro.parallel)")
-        for name, perf in common.SESSION_PERF.items():
-            tr.write_line(
-                f"{name}: mode={perf['mode']} workers={perf['workers']} "
-                f"cells={perf['n_cells']} wall={perf['wall_s']}s "
-                f"events/s={perf['events_per_sec']} "
-                f"util={perf['utilization']}"
-            )

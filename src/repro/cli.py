@@ -163,15 +163,8 @@ def cmd_faults(args) -> int:
         payload = {
             "outcomes": [o.as_dict() for o in outcomes if o is not None],
             "failures": [
-                {
-                    "index": f.index,
-                    "error": f.error,
-                    "attempts": f.attempts,
-                    "kind": f.kind,
-                }
-                for f in report.failures
+                {"index": f.index, "error": f.error} for f in report.failures
             ],
-            "perf": report.perf_dict(),
         }
         print(json.dumps(payload, indent=2))
     else:
@@ -195,10 +188,7 @@ def cmd_faults(args) -> int:
         ))
         for failure in report.failures:
             cell_name, policy = outcomes_grid_label(cells, POLICIES, failure.index)
-            print(
-                f"FAILED cell {cell_name}/{policy} after "
-                f"{failure.attempts} attempt(s): {failure.error}"
-            )
+            print(f"FAILED cell {cell_name}/{policy}: {failure.error}")
     bad = bool(report.failures) or any(o and o.wedged for o in outcomes)
     return 1 if bad else 0
 

@@ -253,10 +253,12 @@ def collect_training_set_with_report(
     weight_ratios: Sequence[int] | None = None,
     progress: Callable[[int, int], None] | None = None,
     workers: int | None = 1,
-    timeout_s: float | None = None,
-    retries: int = 1,
+    retries: int = 0,
 ) -> tuple[TrainingSet, SweepReport]:
-    """Build a training set and return the sweep's perf report.
+    """Build a training set and return the sweep report.
+
+    The report's ``sim_events`` is the simulator events summed over
+    every cell.
 
     Parameters
     ----------
@@ -276,7 +278,13 @@ def collect_training_set_with_report(
         the serial run because every cell replays its own fresh requests
         rebuilt from the same trace columns.  The sweep never stamps
         the requests of ``traces``.
+    retries:
+        Must be 0: a deterministic cell that raises is never rerun.
     """
+    # Kept for benchmarks/perf, which passes retries=0; drop it with the
+    # next benchmark-defining change (ROADMAP item 1).
+    if retries != 0:
+        raise ValueError(f"retries must be 0 (cells are never rerun), got {retries}")
     if plan is None and traces is None:
         plan = SamplingPlan()
     ratios = list(weight_ratios or (plan.weight_ratios if plan else (1, 2, 4, 8)))
@@ -286,12 +294,11 @@ def collect_training_set_with_report(
         _sample_cell,
         _sweep_cells(config, plan, traces or [], ratios, mf),
         workers=workers,
-        timeout_s=timeout_s,
-        retries=retries,
         progress=progress,
     )
     xs = [r["x"] for r in report.results]
     ys = [r["y"] for r in report.results]
+    report.sim_events = sum(r["sim_events"] for r in report.results)
     return TrainingSet(X=np.vstack(xs), y=np.vstack(ys)), report
 
 

@@ -24,7 +24,6 @@ from repro.experiments.runner import (
 from repro.experiments.weight_sweep import (
     WeightSweepCell,
     run_weight_sweep,
-    run_weight_sweep_with_report,
 )
 from repro.experiments.motivation import (
     MotivationOutcome,
@@ -43,9 +42,7 @@ from repro.experiments.comparison import (
     SchemeComparison,
     compare_schemes,
     incast_analysis,
-    incast_analysis_with_report,
     intensity_analysis,
-    intensity_analysis_with_report,
 )
 from repro.experiments.clos_scale import (
     ClosScaleConfig,
@@ -67,7 +64,6 @@ __all__ = [
     "run_testbed",
     "WeightSweepCell",
     "run_weight_sweep",
-    "run_weight_sweep_with_report",
     "MotivationScenario",
     "MotivationOutcome",
     "no_congestion",
@@ -83,9 +79,7 @@ __all__ = [
     "INTENSITY_LEVELS",
     "MicroTraceSpec",
     "incast_analysis",
-    "incast_analysis_with_report",
     "intensity_analysis",
-    "intensity_analysis_with_report",
     "format_table",
     "format_gbps",
     "format_percent",

@@ -18,7 +18,7 @@ from typing import Callable
 
 from repro.core.tpm import ThroughputPredictionModel
 from repro.experiments.runner import RunResult, TestbedConfig, run_testbed
-from repro.parallel import SweepReport, run_cells
+from repro.parallel import run_cells
 from repro.sim.units import MS, US, gbps_to_bytes_per_ns
 from repro.ssd.config import SSDConfig
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
@@ -79,14 +79,6 @@ class SchemeComparison:
         """Relative aggregated-throughput gain of SRC over DCQCN-only."""
         base = self.only_gbps
         return (self.src_gbps - base) / base if base > 0 else 0.0
-
-    @property
-    def sim_events(self) -> int:
-        """Total simulator events across both runs (perf accounting)."""
-        return int(
-            getattr(self.dcqcn_only, "sim_events", 0)
-            + getattr(self.dcqcn_src, "sim_events", 0)
-        )
 
 
 def compare_schemes(
@@ -154,7 +146,7 @@ TABLE4_POINTS = (
 )
 
 
-def incast_analysis_with_report(
+def incast_analysis(
     tpm: ThroughputPredictionModel,
     *,
     points: tuple[IncastPoint, ...] = TABLE4_POINTS,
@@ -170,9 +162,7 @@ def incast_analysis_with_report(
     congestion: "BackgroundTraffic | None | str" = "default",
     duration_ns: int | None = None,
     workers: int | None = 1,
-    timeout_s: float | None = None,
-    retries: int = 1,
-) -> tuple[list[SchemeComparison], SweepReport]:
+) -> list[SchemeComparison]:
     """Reproduce Table IV: fixed total traffic, varying in-cast ratio.
 
     The total offered read traffic stays at ``total_read_gbps``
@@ -214,18 +204,7 @@ def incast_analysis_with_report(
             background=congestion,
         )
         cells.append((spec, cfg, tpm, point.label, duration_ns))
-    report = run_cells(
-        _comparison_cell, cells, workers=workers, timeout_s=timeout_s, retries=retries
-    )
-    return list(report.results), report
-
-
-def incast_analysis(
-    tpm: ThroughputPredictionModel, **kwargs
-) -> list[SchemeComparison]:
-    """Table IV rows (see :func:`incast_analysis_with_report`)."""
-    results, _ = incast_analysis_with_report(tpm, **kwargs)
-    return results
+    return run_cells(_comparison_cell, cells, workers=workers).results
 
 
 # -- Fig. 10: workload intensity ---------------------------------------------------
@@ -252,7 +231,7 @@ INTENSITY_LEVELS = (
 )
 
 
-def intensity_analysis_with_report(
+def intensity_analysis(
     tpm: ThroughputPredictionModel,
     *,
     levels: tuple[IntensityLevel, ...] = INTENSITY_LEVELS,
@@ -263,9 +242,7 @@ def intensity_analysis_with_report(
     congestion: "BackgroundTraffic | None | str" = "default",
     duration_ns: int | None = None,
     workers: int | None = 1,
-    timeout_s: float | None = None,
-    retries: int = 1,
-) -> tuple[list[SchemeComparison], SweepReport]:
+) -> list[SchemeComparison]:
     """Reproduce Fig. 10: both schemes at light/moderate/heavy intensity.
 
     Each level runs under the same congestion episode (Fig. 10's runs all
@@ -299,15 +276,4 @@ def intensity_analysis_with_report(
             background=congestion,
         )
         cells.append((spec, cfg, tpm, level.label, duration_ns))
-    report = run_cells(
-        _comparison_cell, cells, workers=workers, timeout_s=timeout_s, retries=retries
-    )
-    return list(report.results), report
-
-
-def intensity_analysis(
-    tpm: ThroughputPredictionModel, **kwargs
-) -> list[SchemeComparison]:
-    """Fig. 10 levels (see :func:`intensity_analysis_with_report`)."""
-    results, _ = intensity_analysis_with_report(tpm, **kwargs)
-    return results
+    return run_cells(_comparison_cell, cells, workers=workers).results

@@ -220,7 +220,5 @@ def run_chaos_matrix(
     if cells is None:
         cells = tuple(fault_matrix(duration_ns, seed=seed))
     grid = [(c, p, seed, duration_ns) for c in cells for p in policies]
-    report = run_cells(
-        run_chaos_cell, grid, workers=workers, on_error="record", retries=0
-    )
+    report = run_cells(run_chaos_cell, grid, workers=workers, on_error="record")
     return list(report.results), report

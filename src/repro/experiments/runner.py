@@ -122,7 +122,6 @@ class RunMeasurement:
     read_series: ThroughputSeries
     write_series: ThroughputSeries
     n_pauses: int
-    sim_events: int
     bin_ns: int = MS
 
     @property
@@ -171,7 +170,6 @@ class RunResult:
             read_series=self.read_series,
             write_series=self.write_series,
             n_pauses=len(self.pause_times_ns),
-            sim_events=self.sim.events_dispatched,
             bin_ns=self.bin_ns,
         )
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.experiments.replay import replay_on_device
 from repro.nvme.ssq import SSQDriver
-from repro.parallel import SweepReport, run_cells
+from repro.parallel import run_cells
 from repro.ssd.config import SSDConfig
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
 
@@ -85,14 +85,10 @@ def _sweep_point(
         drain=False,
         measure_start_fraction=measure_start_fraction,
     )
-    return {
-        "read": result.read_tput_gbps,
-        "write": result.write_tput_gbps,
-        "sim_events": result.sim_events,
-    }
+    return {"read": result.read_tput_gbps, "write": result.write_tput_gbps}
 
 
-def run_weight_sweep_with_report(
+def run_weight_sweep(
     config: SSDConfig,
     *,
     interarrivals_ns: Sequence[float] = (10_000, 17_500, 25_000),
@@ -103,10 +99,8 @@ def run_weight_sweep_with_report(
     seed: int = 42,
     measure_start_fraction: float = 0.4,
     workers: int | None = 1,
-    timeout_s: float | None = None,
-    retries: int = 1,
-) -> tuple[list[WeightSweepCell], SweepReport]:
-    """Run the Fig. 5 grid; returns the panels plus the sweep report.
+) -> list[WeightSweepCell]:
+    """Run the Fig. 5 grid; returns one cell per (inter-arrival, size).
 
     Each cell's trace spans ``duration_ns`` so deeply saturated devices
     (whose command latencies reach several ms) are measured at steady
@@ -125,9 +119,7 @@ def run_weight_sweep_with_report(
         for size in sizes_bytes
         for w in weight_ratios
     ]
-    report = run_cells(
-        _sweep_point, points, workers=workers, timeout_s=timeout_s, retries=retries
-    )
+    report = run_cells(_sweep_point, points, workers=workers)
 
     cells: list[WeightSweepCell] = []
     n_w = len(weight_ratios)
@@ -147,31 +139,4 @@ def run_weight_sweep_with_report(
                 write_gbps=np.array([p["write"] for p in panel]),
             )
         )
-    return cells, report
-
-
-def run_weight_sweep(
-    config: SSDConfig,
-    *,
-    interarrivals_ns: Sequence[float] = (10_000, 17_500, 25_000),
-    sizes_bytes: Sequence[float] = (10 * 1024, 25 * 1024, 40 * 1024),
-    weight_ratios: Sequence[int] = (1, 2, 4, 8, 16),
-    duration_ns: int = 60_000_000,
-    min_requests: int = 300,
-    seed: int = 42,
-    measure_start_fraction: float = 0.4,
-    workers: int | None = 1,
-) -> list[WeightSweepCell]:
-    """Run the Fig. 5 grid; returns one cell per (inter-arrival, size)."""
-    cells, _ = run_weight_sweep_with_report(
-        config,
-        interarrivals_ns=interarrivals_ns,
-        sizes_bytes=sizes_bytes,
-        weight_ratios=weight_ratios,
-        duration_ns=duration_ns,
-        min_requests=min_requests,
-        seed=seed,
-        measure_start_fraction=measure_start_fraction,
-        workers=workers,
-    )
     return cells

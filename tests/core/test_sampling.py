@@ -170,5 +170,5 @@ class TestCollection:
         )
         assert np.array_equal(serial.X, pooled.X)
         assert np.array_equal(serial.y, pooled.y)
-        assert serial_report.n_cells == TINY_PLAN.n_cells()
+        assert len(serial_report.results) == TINY_PLAN.n_cells()
         assert serial_report.sim_events == pool_report.sim_events > 0

@@ -80,8 +80,6 @@ def test_validation():
 def test_parallel_matches_serial_bit_for_bit():
     # Same root seed ⇒ identical per-cell outputs, pool or not: the
     # determinism guarantee every figure sweep relies on.
-    from repro.experiments.weight_sweep import run_weight_sweep_with_report
-
     kw = dict(
         interarrivals_ns=(2_000, 40_000),
         sizes_bytes=(8 * 1024,),
@@ -89,14 +87,9 @@ def test_parallel_matches_serial_bit_for_bit():
         duration_ns=2_000_000,
         min_requests=100,
     )
-    serial_cells, serial_report = run_weight_sweep_with_report(
-        FAST_SSD, workers=1, **kw
-    )
-    pool_cells, pool_report = run_weight_sweep_with_report(
-        FAST_SSD, workers=2, **kw
-    )
-    assert serial_report.mode == "serial"
+    serial_cells = run_weight_sweep(FAST_SSD, workers=1, **kw)
+    pool_cells = run_weight_sweep(FAST_SSD, workers=2, **kw)
+    assert len(serial_cells) == len(pool_cells) == 2
     for a, b in zip(serial_cells, pool_cells):
         assert np.array_equal(a.read_gbps, b.read_gbps)
         assert np.array_equal(a.write_gbps, b.write_gbps)
-    assert serial_report.sim_events == pool_report.sim_events > 0

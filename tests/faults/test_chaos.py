@@ -36,7 +36,7 @@ def test_matrix_records_failures_instead_of_aborting():
     outcomes, report = run_chaos_matrix(
         ("baseline",), POLICIES, seed=0, duration_ns=20 * MS, workers=1
     )
-    assert report.n_failed == 0
+    assert len(report.failures) == 0
     assert len(outcomes) == len(POLICIES)
     assert all(o is not None and o.wedged == 0 for o in outcomes)
     baseline = outcomes[0]

@@ -1,5 +1,7 @@
 """CLI smoke tests."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -39,6 +41,14 @@ SWEEP_4MS = (
 def test_sweep_output_is_pinned(capsys):
     assert main(["sweep", "--duration-ms", "4"]) == 0
     assert capsys.readouterr().out == "\n".join(SWEEP_4MS) + "\n"
+
+
+def test_faults_json_carries_outcomes_and_failures_only(capsys):
+    argv = ["faults", "--cell", "baseline", "--duration-ms", "10", "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"outcomes", "failures"}
+    assert payload["failures"] == []
 
 
 def test_unknown_command_rejected(capsys):
