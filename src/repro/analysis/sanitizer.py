@@ -45,11 +45,11 @@ compares).  A strided run is bit-identical to a plain or fully-checked
 run — the sanitizer only observes.
 
 When a strided run does trip, the violation site is coarse (the event
-*at the sampling point*, not the event that corrupted state).  The
-:func:`escalate` helper implements the rewind-free escalation protocol:
-re-run the same scenario seeded with ``sanitize=True`` — determinism
-makes the replay exact — and let the full-fidelity run pinpoint the
-first offending event.
+*at the sampling point*, not the event that corrupted state).  To
+pinpoint the first offending event, re-run the same scenario with
+``sanitize=True`` — determinism makes the replay exact — or, for a run
+driven by :func:`repro.sim.checkpoint.run_with_checkpoints`, replay its
+failure tail from the nearest checkpoint with ``repro replay-failure``.
 
 Violations raise :class:`SanitizerError` carrying the invariant name,
 the simulated time, and the offending event's callback site label
@@ -67,7 +67,7 @@ measured by the ``incast_observed`` workload of ``benchmarks/perf``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.engine import SanitizerError, site_label
 
@@ -83,12 +83,9 @@ if TYPE_CHECKING:
 __all__ = [
     "SanitizerError",
     "Sanitizer",
-    "escalate",
     "ftl_mapping_violation",
     "parse_stride",
 ]
-
-_T = TypeVar("_T")
 
 
 def ftl_mapping_violation(ftl: "FTL") -> str | None:
@@ -123,9 +120,12 @@ class _CheckedFinishGC:
 
     A slotted callable rather than a closure so a sanitized FTL can be
     checkpoint-pickled.  It deliberately stores only the FTL and calls
-    the *class* method through ``type(...)``: capturing the original
-    bound ``ftl.finish_gc`` would re-capture this very wrapper (the
-    instance attribute shadows the class method) after a restore.
+    the *class* method through ``type(...)``: a stored bound
+    ``ftl.finish_gc`` pickles as ``(ftl, "finish_gc")`` and would
+    resolve to this very wrapper (the instance attribute shadows the
+    class method) after a restore.  For the same reason nothing may
+    schedule a bound ``ftl.finish_gc``; ``_GCJob`` looks it up on the
+    FTL at call time instead.
     """
 
     __slots__ = ("ftl",)
@@ -379,8 +379,7 @@ class Sanitizer:
                 raise SanitizerError(
                     invariant,
                     f"{detail} (caught by the end-of-run sweep; re-run with "
-                    f"sanitize=True or repro.analysis.sanitizer.escalate() "
-                    f"for the exact event)",
+                    f"sanitize=True for the exact event)",
                     time_ns=sim.now,
                 )
 
@@ -402,40 +401,6 @@ def parse_stride(sanitize: bool | str) -> int:
                 raise ValueError(f"sanitize stride must be >= 1, got {stride}")
             return stride
     return 1
-
-
-def escalate(
-    scenario: Callable[[bool | str], _T], *, stride: int = 64
-) -> _T:
-    """Run ``scenario`` strided; on violation, replay at full fidelity.
-
-    ``scenario`` must build and run its simulation from the ``sanitize``
-    value it is passed (e.g. ``lambda s: run_incast_cell(sim=
-    Simulator(sanitize=s))``) and be deterministic — every simulation in
-    this library is, for fixed seeds.  The strided leg is cheap
-    (~1/stride of the checking cost); only if its sampled sweep reports
-    a violation is the cell re-run with ``sanitize=True``, which stops
-    at the exact first offending event.  No state rewind is needed —
-    determinism *is* the rewind.
-
-    Raises the full-fidelity :class:`SanitizerError` (chained to the
-    strided one) when the replay reproduces the violation; re-raises the
-    strided error annotated as non-reproducing otherwise (a scenario
-    that draws entropy outside the simulator could cause this).
-    Returns the strided run's result when no violation fires.
-    """
-    try:
-        return scenario(f"stride:{stride}")
-    except SanitizerError as coarse:
-        result = scenario(True)  # a precise SanitizerError chains implicitly
-        del result
-        raise SanitizerError(
-            coarse.invariant,
-            f"{coarse.detail} (violation did not reproduce under the "
-            f"full-fidelity re-run; is the scenario deterministic?)",
-            time_ns=coarse.time_ns,
-            site=coarse.site,
-        ) from coarse
 
 
 def env_sanitize_mode(value: str | None) -> bool | str:

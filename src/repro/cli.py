@@ -205,9 +205,8 @@ def cmd_replay_failure(args) -> int:
 
     Restores the nearest checkpoint named by the failure recipe and
     deterministically re-runs to the violating event under full-fidelity
-    sanitizing (stride forced to 1 — the escalation
-    :func:`repro.analysis.sanitizer.escalate` applies from time zero,
-    applied from the checkpoint instead).
+    sanitizing (stride forced to 1, as a ``sanitize=True`` re-run from
+    time zero would check, but starting at the checkpoint instead).
     """
     import json as _json
 

@@ -33,8 +33,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Protocol
 
-import numpy as np
-
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.units import Bytes, Gbps, Nanoseconds, gbps_to_bytes_per_ns
@@ -115,9 +113,9 @@ class Link:
         #: when the load is zero, so packet-only runs use the exact same
         #: float as ``_bytes_per_ns`` and stay bit-identical.
         self._eff_bytes_per_ns = self._bytes_per_ns
-        #: Reciprocal, precomputed for the vectorized burst path (NumPy
-        #: multiplies beat divides, and the scalar memo below keeps the
-        #: K=1 path untouched).
+        #: Reciprocal, precomputed for the burst path (which multiplies
+        #: where the per-packet path divides, so the memo below keeps
+        #: the K=1 path untouched).
         self._ns_per_byte = 1.0 / self._eff_bytes_per_ns
         self._queue: deque[Packet] = deque()
         self._queued_bytes = 0
@@ -288,13 +286,13 @@ class Link:
         The caller (``Flow.pump`` with ``burst_segments >= 2``) vouches
         that the packets are admitted back-to-back under the current
         rate.  The whole burst serializes as a single event at the end
-        of its vectorized per-packet span (NumPy cumsum of per-packet
-        times at the effective rate) and is delivered in one event — the
-        LSO/GSO-style approximation that buys the dual-fidelity
-        event-count reduction.  Any state that would make per-packet interleaving
-        observable (busy wire, queued packets, PFC pause, link down, a
-        degenerate burst of < 2) falls back to per-packet :meth:`send`,
-        which preserves exact semantics.
+        of its span (the sum of per-packet times at the effective rate)
+        and is delivered in one event — the LSO/GSO-style approximation
+        that buys the dual-fidelity event-count reduction.  Any state
+        that would make per-packet interleaving observable (busy wire,
+        queued packets, PFC pause, link down, a degenerate burst of < 2)
+        falls back to per-packet :meth:`send`, which preserves exact
+        semantics.
         """
         if (
             len(packets) < 2
@@ -307,14 +305,10 @@ class Link:
             for packet in packets:
                 send(packet)
             return
-        sizes = np.fromiter(
-            (p.size_bytes for p in packets), dtype=np.int64, count=len(packets)
-        )
-        per_packet_ns = np.maximum(
-            1, (sizes * self._ns_per_byte + 0.5).astype(np.int64)
-        )
-        offsets_ns = np.cumsum(per_packet_ns)
-        total_ns = int(offsets_ns[-1])
+        ns_per_byte = self._ns_per_byte
+        total_ns = 0
+        for packet in packets:
+            total_ns += max(1, int(packet.size_bytes * ns_per_byte + 0.5))
         self._busy = True
         self.sim.schedule_anon(total_ns, self._finish_burst_cb, packets)
 

@@ -4,17 +4,14 @@ One checkpoint file captures everything a continuation needs to replay
 the uninterrupted run byte-for-byte:
 
 * the event heap — tuple entries whose callbacks are bound methods of
-  live components.  Bound methods do not pickle stably (name-mangled
-  privates fail outright, and the default machinery resolves through
-  *instance* getattr, which the sanitizer's instance-attribute wrappers
-  shadow), so a custom pickler re-binds each method through its owner's
-  **class**: at save time the attribute name is found by searching the
-  owner's MRO class dicts for the exact function object; at load time
-  ``getattr(type(owner), name).__get__(owner, ...)`` rebuilds the bound
-  method without touching instance state.  The pickle memo preserves
-  object identity, so cached callback slots (``Link._finish_cb``)
-  restore as the *same* object the heap entries alias, exactly as in
-  the saved world;
+  live components or slotted module-level callables.  Both pickle with
+  the standard reducers: a bound method as its owner plus its name,
+  re-resolved on the owner at load time.  That holds as long as no
+  scheduled method is name-mangled or shadowed by an instance
+  attribute (DESIGN §11.2).  The pickle memo preserves object
+  identity, so cached callback slots (``Link._finish_cb``) restore as
+  the *same* object the heap entries alias, exactly as in the saved
+  world;
 * every component's state vectors (queues, DCQCN rate state,
   reliability windows, FTL/CMT/write-cache/GC state, inflight maps,
   fault-injector arms) — reached through the ``world`` object pickled
@@ -24,9 +21,9 @@ the uninterrupted run byte-for-byte:
   fresh process continues id allocation where the saver stopped.
 
 The file layout is one JSON header line (magic, schema version, code
-version, scenario fingerprint, payload SHA-256, component census,
-simulated time) followed by the raw pickle payload.  Restores validate
-the header **before** unpickling anything and fail loudly with a
+version, scenario fingerprint, payload SHA-256, simulated time, events
+dispatched) followed by the raw pickle payload.  Restores validate the
+header **before** unpickling anything and fail loudly with a
 structured :class:`CheckpointError`.
 
 :func:`run_with_checkpoints` drives a run in ``max_events`` legs,
@@ -40,21 +37,19 @@ violations deep into long runs.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pickle
-import types
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro import __version__ as _CODE_VERSION
 from repro.sim.engine import MaxEventsExceeded, SanitizerError, Simulator
 from repro.sim.serial import restore_counters, snapshot_counters
 
 CKPT_MAGIC = "repro-ckpt"
-CKPT_SCHEMA = 1
+CKPT_SCHEMA = 2
 CKPT_SUFFIX = ".ckpt"
 #: Default checkpoint cadence (events per leg) — the cadence the
 #: ``incast_observed`` workload of ``benchmarks/perf`` measures.
@@ -81,9 +76,10 @@ class CheckpointError(RuntimeError):
     ``reason`` is a stable machine-readable code:
 
     * ``"unpicklable-callback"`` — the object graph holds a callback
-      (closure, lambda, or unbound-able method) the pickler cannot
-      re-bind; the detail names it;
-    * ``"bad-magic"`` — the file is not a repro checkpoint;
+      (closure, lambda, local class) that cannot be pickled; the detail
+      names it;
+    * ``"bad-magic"`` — the file is not a repro checkpoint, or its
+      header lacks a field;
     * ``"schema-mismatch"`` — written by an incompatible format version;
     * ``"code-version-mismatch"`` — written by a different release of
       this library (state vectors may have drifted);
@@ -112,7 +108,6 @@ class CheckpointMeta:
     code_version: str
     scenario: str | None
     payload_sha256: str
-    census: dict[str, int]
     time_ns: int
     events_dispatched: int
 
@@ -126,81 +121,6 @@ def scenario_fingerprint(scenario: Any) -> str:
     """
     canonical = json.dumps(scenario, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-# -- save-side pickler ----------------------------------------------------
-
-
-def _qualname(cls: type) -> str:
-    return f"{cls.__module__}.{cls.__qualname__}"
-
-
-def _rebind_method(owner: Any, name: str) -> Any:
-    """Re-bind ``owner``'s method ``name`` through its **class**.
-
-    Never resolved via instance getattr: sanitizer wrappers are
-    instance attributes shadowing the class method, and resolving
-    through them here would alias the wrapper where the heap held the
-    real method (or recurse after a restore).
-    """
-    if isinstance(owner, type):
-        return getattr(owner, name)
-    func = getattr(type(owner), name)
-    return func.__get__(owner, type(owner))
-
-
-def _find_method_name(owner: Any, func: Any) -> str | None:
-    """Attribute name of ``func`` searched over the owner's MRO.
-
-    ``__func__.__name__`` is wrong for name-mangled privates (the class
-    dict key is ``_Cls__name`` while the function keeps ``__name``), so
-    the search compares function object identity instead.
-    """
-    if isinstance(owner, type):
-        mro = owner.__mro__
-    else:
-        mro = type(owner).__mro__
-    for klass in mro:
-        for name, member in sorted(klass.__dict__.items()):
-            if member is func:
-                return name
-            if isinstance(member, classmethod) and member.__func__ is func:
-                return name
-    return None
-
-
-class _CheckpointPickler(pickle.Pickler):
-    """Pickler with class-based method re-binding and a component census."""
-
-    def __init__(self, file: io.BytesIO) -> None:
-        super().__init__(file, protocol=4)
-        #: qualname -> set of instance ids seen as method owners.
-        self._owners: dict[str, set[int]] = {}
-
-    def count(self, owner: Any) -> None:
-        """Record ``owner`` (an instance or a class) in the census."""
-        cls = owner if isinstance(owner, type) else type(owner)
-        self._owners.setdefault(_qualname(cls), set()).add(id(owner))
-
-    def census(self) -> dict[str, int]:
-        return {name: len(ids) for name, ids in sorted(self._owners.items())}
-
-    def reducer_override(
-        self, obj: Any
-    ) -> tuple[Callable[..., Any], tuple[Any, ...], Any] | Any:
-        if isinstance(obj, types.MethodType):
-            owner = obj.__self__
-            name = _find_method_name(owner, obj.__func__)
-            if name is None:
-                raise CheckpointError(
-                    "unpicklable-callback",
-                    f"bound method {obj.__func__.__qualname__!r} of "
-                    f"{type(owner).__name__} instance is not reachable "
-                    "through its class",
-                )
-            self.count(owner)
-            return (_rebind_method, (owner, name), None)
-        return NotImplemented
 
 
 # -- file format ----------------------------------------------------------
@@ -222,28 +142,17 @@ def save(
     shared objects into two copies.
     """
     path = Path(path)
-    buffer = io.BytesIO()
-    pickler = _CheckpointPickler(buffer)
-    pickler.count(sim)
-    payload_obj = {
-        "sim": sim,
-        "world": world,
-        "counters": snapshot_counters(),
-    }
+    payload_obj = {"sim": sim, "world": world, "counters": snapshot_counters()}
     try:
-        pickler.dump(payload_obj)
-    except CheckpointError:
-        raise
+        payload = pickle.dumps(payload_obj, protocol=4)
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         raise CheckpointError("unpicklable-callback", str(exc)) from exc
-    payload = buffer.getvalue()
     header = {
         "magic": CKPT_MAGIC,
         "schema": CKPT_SCHEMA,
         "code_version": _CODE_VERSION,
         "scenario": None if scenario is None else scenario_fingerprint(scenario),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        "census": pickler.census(),
         "time_ns": sim.now,
         "events_dispatched": sim.events_dispatched,
     }
@@ -262,7 +171,6 @@ def _meta_from_header(path: Path, header: dict[str, Any]) -> CheckpointMeta:
         code_version=header["code_version"],
         scenario=header["scenario"],
         payload_sha256=header["payload_sha256"],
-        census=header["census"],
         time_ns=header["time_ns"],
         events_dispatched=header["events_dispatched"],
     )
@@ -285,15 +193,13 @@ def read_meta(path: str | Path) -> CheckpointMeta:
             f"{path}: written with schema {header.get('schema')}, "
             f"this code reads schema {CKPT_SCHEMA}",
         )
-    return _meta_from_header(path, header)
+    try:
+        return _meta_from_header(path, header)
+    except KeyError as exc:
+        raise CheckpointError("bad-magic", f"{path}: header lacks {exc}") from exc
 
 
-def load(
-    path: str | Path,
-    *,
-    scenario: Any = None,
-    verify_payload: bool = True,
-) -> tuple[Simulator, Any]:
+def load(path: str | Path, *, scenario: Any = None) -> tuple[Simulator, Any]:
     """Restore ``(sim, world)`` from a checkpoint file.
 
     Header validation happens before any unpickling: magic, schema,
@@ -320,14 +226,13 @@ def load(
     with open(path, "rb") as fh:
         fh.readline()  # header, already validated
         payload = fh.read()
-    if verify_payload:
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != meta.payload_sha256:
-            raise CheckpointError(
-                "payload-corrupt",
-                f"{path}: payload sha256 {digest[:16]}... != recorded "
-                f"{meta.payload_sha256[:16]}...",
-            )
+    digest = hashlib.sha256(payload).hexdigest()
+    if digest != meta.payload_sha256:
+        raise CheckpointError(
+            "payload-corrupt",
+            f"{path}: payload sha256 {digest[:16]}... != recorded "
+            f"{meta.payload_sha256[:16]}...",
+        )
     payload_obj = pickle.loads(payload)
     restore_counters(payload_obj["counters"])
     return payload_obj["sim"], payload_obj["world"]
@@ -426,7 +331,7 @@ def _dump_failure(
     }
     path = directory / "failure.json"
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(recipe, indent=1, sort_keys=True) + "\n")
+    tmp.write_text(json.dumps(recipe, indent=1, sort_keys=True, default=str) + "\n")
     os.replace(tmp, path)
     return path
 
@@ -443,9 +348,9 @@ def replay_failure(
     and deterministically re-run to the violating event.
 
     When the checkpointed simulator carries a sanitizer its stride is
-    forced to 1 (full fidelity — every event checked, the same
-    escalation ``escalate()`` applies from time zero, but starting at
-    the checkpoint instead).  Returns a report dict; the
+    forced to 1 (full fidelity — every event checked, as a
+    ``sanitize=True`` re-run from time zero would, but starting at the
+    checkpoint instead).  Returns a report dict; the
     violation is *expected* — ``reproduced`` is False when the re-run
     completes cleanly (e.g. the bug was since fixed).
     """

@@ -56,11 +56,12 @@ class CompletionEntry:
 class _GCJob:
     """One block's GC compaction: reads, relocations, the final erase.
 
-    Replaces the former ``copy_done``/``after_read`` closures (and their
-    shared ``state`` dict) with a slotted object so in-flight GC work
-    survives checkpoint pickling.  ``finish_gc`` is looked up on the FTL
-    *instance* at call time, preserving the sanitizer's mapping-check
-    wrapper when one is installed.
+    A slotted object rather than closures so in-flight GC work survives
+    checkpoint pickling.  ``finish_gc`` is looked up on the FTL
+    *instance* at call time, so the sanitizer's mapping-check wrapper
+    runs when one is installed; a stored bound ``finish_gc`` would skip
+    the wrapper before a checkpoint and resolve to it after a restore
+    (DESIGN §11.2).
     """
 
     __slots__ = ("ctrl", "chip_index", "block_id", "remaining")

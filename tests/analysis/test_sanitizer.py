@@ -15,7 +15,6 @@ from repro.analysis.sanitizer import (
     Sanitizer,
     SanitizerError,
     env_sanitize_mode,
-    escalate,
     ftl_mapping_violation,
     parse_stride,
 )
@@ -258,8 +257,8 @@ def test_stride_kwarg_and_env_promote_construction(monkeypatch):
 def _corrupting_cell(corrupt_at_tick, depth):
     """Scenario factory: a tick chain that corrupts a tracked WRR.
 
-    Returns ``scenario(sanitize)`` for :func:`escalate`: builds a fresh
-    simulator, runs ``depth`` self-rescheduling ticks, and at tick index
+    Returns ``scenario(sanitize)``: builds a fresh simulator, runs
+    ``depth`` self-rescheduling ticks, and at tick index
     ``corrupt_at_tick`` (a specific simulated instant, deterministic
     across re-runs) pushes a tracked TokenWRR's balance out of bounds —
     a *sticky* corruption, exactly the class stride sampling is allowed
@@ -311,11 +310,11 @@ def test_stride_larger_than_run_caught_by_end_sweep():
 
 
 def test_strided_detection_is_coarse_then_escalation_is_exact():
-    """Stride localises late; ``escalate`` replays full and pinpoints.
+    """Stride localises late; a ``sanitize=True`` re-run pinpoints.
 
     The corruption lands at tick 64 (t=631); stride:48's next sampled
     sweep is event 96 — the coarse error must carry the *later* instant,
-    and the full-fidelity replay must stop at exactly t=631.
+    and the full-fidelity re-run must stop at exactly t=631.
     """
     scenario = _corrupting_cell(corrupt_at_tick=64, depth=200)
     corrupt_time = 1 + 63 * 10  # tick 1 fires at t=1, then +10 each
@@ -323,17 +322,10 @@ def test_strided_detection_is_coarse_then_escalation_is_exact():
         scenario("stride:48")
     assert coarse.value.time_ns > corrupt_time
     with pytest.raises(SanitizerError) as exact:
-        escalate(scenario, stride=48)
+        scenario(True)
+    assert exact.value.invariant == coarse.value.invariant
     assert exact.value.time_ns == corrupt_time
     assert exact.value.site and "tick" in exact.value.site
-    # The exact error chains back to the coarse strided one.
-    assert isinstance(exact.value.__context__, SanitizerError)
-
-
-def test_escalate_returns_result_when_clean():
-    scenario = _corrupting_cell(corrupt_at_tick=10**9, depth=50)
-    sim = escalate(scenario, stride=8)
-    assert sim.events_dispatched == 50
 
 
 def test_strided_incast_is_bit_identical_to_unsanitized():

@@ -47,8 +47,8 @@ def test_send_burst_total_time_matches_scalar_serialization():
     sim_b, sink_b, link_b = make_link()
     link_b.send_burst([data(s) for s in sizes])
     sim_b.run()
-    # The burst's vectorised cumsum reproduces the scalar rounding per
-    # packet, so the last-packet delivery instants coincide exactly.
+    # The burst's sum reproduces the scalar rounding per packet, so the
+    # last-packet delivery instants coincide exactly.
     assert sink_b.received[-1][0] == sink_a.received[-1][0]
     assert len(sink_b.received) == len(sizes)
     assert link_b.bytes_sent == link_a.bytes_sent == sum(sizes)

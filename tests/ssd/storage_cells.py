@@ -49,8 +49,8 @@ class StorageWorld:
     host consumes completions as they post (``SSD.auto_drain``).
     """
 
-    def __init__(self, config, driver, trace) -> None:
-        self.sim = Simulator()
+    def __init__(self, config, driver, trace, *, sanitize=None) -> None:
+        self.sim = Simulator(sanitize=sanitize)
         self.ssd = SSD(self.sim, config)
         self.driver = driver
         driver.connect(self.ssd)
