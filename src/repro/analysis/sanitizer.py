@@ -18,14 +18,9 @@ Checked invariants, per checked event:
   and NIC TXQ usage never go negative (and TXQ never exceeds capacity);
 * **byte-conservation** — every DATA byte a NIC receives is either
   delivered in a reassembled message, still pending reassembly, or
-  explicitly discarded (CRC failure, go-back-N dedup, partial-message
-  eviction): ``bytes_received == reassembly_bytes_delivered + Σ partial
+  explicitly discarded (partial-message eviction):
+  ``bytes_received == reassembly_bytes_delivered + Σ partial
   + reassembly_bytes_discarded``;
-* **reliability-bounds** — per-flow go-back-N state stays sane: never
-  more unacked segments than the window, ``base_seq <= next_seq``, the
-  current RTO inside ``[rto_ns, rto_max_ns]`` (backoff can neither
-  undershoot the base nor escape the ceiling), and the retransmit queue
-  never larger than the unacked window it was copied from;
 * **wrr-tokens** — TokenWRR balances stay within ``[0, weight]``
   (the PR 1 clamp-at-zero semantics);
 * **ftl-mapping** — after every GC erase, the forward map and the
@@ -265,37 +260,6 @@ class Sanitizer:
                         "queue-depth",
                         f"flow {nic.name}->{flow.dst} queued_bytes went "
                         f"negative ({flow.queued_bytes})",
-                    )
-                rel = flow._rel
-                if rel is None:
-                    continue
-                rcfg = rel.config
-                if len(rel.unacked) > rcfg.window_packets:
-                    return (
-                        "reliability-bounds",
-                        f"flow {nic.name}->{flow.dst} holds "
-                        f"{len(rel.unacked)} unacked segments, window is "
-                        f"{rcfg.window_packets}",
-                    )
-                if rel.base_seq > rel.next_seq:
-                    return (
-                        "reliability-bounds",
-                        f"flow {nic.name}->{flow.dst} base_seq "
-                        f"{rel.base_seq} beyond next_seq {rel.next_seq}",
-                    )
-                if not rcfg.rto_ns <= rel.rto_current_ns <= rcfg.rto_max_ns:
-                    return (
-                        "reliability-bounds",
-                        f"flow {nic.name}->{flow.dst} RTO "
-                        f"{rel.rto_current_ns} outside "
-                        f"[{rcfg.rto_ns}, {rcfg.rto_max_ns}]",
-                    )
-                if len(rel.retransmit_queue) > len(rel.unacked):
-                    return (
-                        "reliability-bounds",
-                        f"flow {nic.name}->{flow.dst} retransmit queue "
-                        f"({len(rel.retransmit_queue)}) larger than the "
-                        f"unacked window ({len(rel.unacked)})",
                     )
         return None
 

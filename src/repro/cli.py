@@ -6,7 +6,6 @@
     python -m repro sweep [--ssd A|B|C]   # a small Fig. 5-style sweep
     python -m repro synthesize --profile vdi -o trace.csv
     python -m repro replay trace.csv [--ssd A] [--weight 4]
-    python -m repro faults [--cell chaos] [--seed 7]   # chaos matrix
     python -m repro replay-failure ckpts/ [--until NS]  # time-travel replay
 
 The full-scale reproductions live in ``benchmarks/`` (pytest-benchmark);
@@ -124,6 +123,9 @@ def cmd_replay(args) -> int:
         # A missing, unreadable or foreign file is a usage error.
         print(f"replay: {err}", file=sys.stderr)
         return 2
+    if not trace:
+        print(f"replay: {args.trace}: no requests", file=sys.stderr)
+        return 2
     config = SSDS[args.ssd]
     driver = SSQDriver(read_weight=1, write_weight=args.weight)
     result = replay_on_device(
@@ -138,68 +140,6 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def cmd_faults(args) -> int:
-    """Run the deterministic chaos matrix (see repro.experiments.faults).
-
-    Each cell injects one fault class (or all of them) against both
-    contention policies with the full recovery path armed; a wedged
-    cell is reported as a failure, not silently dropped.  Exit status
-    is 1 when any cell failed or left wedged I/Os.
-    """
-    from repro.experiments.faults import POLICIES, fault_matrix, run_chaos_matrix
-    from repro.sim.units import MS
-
-    duration_ns = args.duration_ms * MS
-    cells = (
-        tuple(fault_matrix(duration_ns, seed=args.seed))
-        if args.cell == "all"
-        else (args.cell,)
-    )
-    outcomes, report = run_chaos_matrix(
-        cells, POLICIES, seed=args.seed, duration_ns=duration_ns,
-        workers=args.workers,
-    )
-    if args.json:
-        payload = {
-            "outcomes": [o.as_dict() for o in outcomes if o is not None],
-            "failures": [
-                {"index": f.index, "error": f.error} for f in report.failures
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        rows = [
-            [
-                o.cell, o.policy, o.completed, o.failed, o.wedged,
-                f"{o.goodput_gbps:.2f}",
-                f"{o.p99_read_us:.0f}", f"{o.p99_write_us:.0f}",
-                f"{o.recovery_us:.0f}",
-                o.retries_sent, o.retransmits,
-                o.packets_lost + o.packets_corrupted + o.packets_dropped_down,
-            ]
-            for o in outcomes
-            if o is not None
-        ]
-        print(format_table(
-            ["cell", "policy", "ok", "fail", "wedged", "goodput",
-             "p99r us", "p99w us", "recov us", "retries", "rtx", "pkt faults"],
-            rows,
-            title=f"chaos matrix (seed {args.seed}, {args.duration_ms} ms/cell)",
-        ))
-        for failure in report.failures:
-            cell_name, policy = outcomes_grid_label(cells, POLICIES, failure.index)
-            print(f"FAILED cell {cell_name}/{policy}: {failure.error}")
-    bad = bool(report.failures) or any(o and o.wedged for o in outcomes)
-    return 1 if bad else 0
-
-
-def outcomes_grid_label(
-    cells: tuple[str, ...], policies: tuple[str, ...], index: int
-) -> tuple[str, str]:
-    """Map a flat sweep index back to its (cell, policy) grid label."""
-    return cells[index // len(policies)], policies[index % len(policies)]
-
-
 def cmd_replay_failure(args) -> int:
     """Time-travel replay of a dumped sanitizer failure.
 
@@ -208,8 +148,6 @@ def cmd_replay_failure(args) -> int:
     sanitizing (stride forced to 1, as a ``sanitize=True`` re-run from
     time zero would check, but starting at the checkpoint instead).
     """
-    import json as _json
-
     from repro.sim.checkpoint import CheckpointError, replay_failure
 
     try:
@@ -217,7 +155,7 @@ def cmd_replay_failure(args) -> int:
     except CheckpointError as err:
         if args.json:
             print(
-                _json.dumps(
+                json.dumps(
                     {
                         "error": {
                             "kind": "checkpoint",
@@ -234,7 +172,7 @@ def cmd_replay_failure(args) -> int:
     except FileNotFoundError as err:
         if args.json:
             print(
-                _json.dumps(
+                json.dumps(
                     {
                         "error": {
                             "kind": "missing-recipe",
@@ -249,7 +187,7 @@ def cmd_replay_failure(args) -> int:
         print(f"replay-failure: {err}", file=sys.stderr)
         return 2
     if args.json:
-        print(_json.dumps(report, indent=1, sort_keys=True))
+        print(json.dumps(report, indent=1, sort_keys=True))
     elif report["reproduced"]:
         print(
             f"reproduced {report['invariant']} at t={report['time_ns']}ns "
@@ -307,29 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ssd", choices=sorted(SSDS), default="A")
     p.add_argument("--weight", type=_at_least(1), default=1)
     p.set_defaults(fn=cmd_replay)
-
-    p = sub.add_parser(
-        "faults", help="run the deterministic chaos matrix (SRC vs static)"
-    )
-    p.add_argument(
-        "--cell", default="all",
-        choices=("all", "baseline", "loss", "flap", "die", "chaos"),
-        help="which fault cell to run (default: the whole matrix)",
-    )
-    p.add_argument(
-        "--seed", type=_at_least(0), default=0, help="fault-plan seed"
-    )
-    p.add_argument(
-        "--duration-ms", type=_at_least(10), default=20,
-        help="simulated ms per cell (>= 10: fault windows scale with it)",
-    )
-    p.add_argument(
-        "--workers", type=_at_least(0), default=1,
-        help="worker processes (0 = all cores); results are identical "
-        "for any value",
-    )
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.set_defaults(fn=cmd_faults)
 
     p = sub.add_parser(
         "replay-failure",

@@ -16,8 +16,10 @@ from repro.experiments.replay import DeviceReplayResult, replay_on_device
 from repro.experiments.metrics import ThroughputSeries, trim_series
 from repro.experiments.runner import (
     BackgroundTraffic,
+    PacketDropError,
     RunMeasurement,
     RunResult,
+    StuckIOError,
     TestbedConfig,
     run_testbed,
 )
@@ -50,7 +52,7 @@ from repro.experiments.clos_scale import (
     run_clos_scale_cell,
 )
 from repro.experiments.latency import LatencyReport, LatencySummary, latency_report
-from repro.experiments.tables import format_gbps, format_percent, format_table
+from repro.experiments.tables import format_percent, format_table
 
 __all__ = [
     "replay_on_device",
@@ -62,6 +64,8 @@ __all__ = [
     "RunMeasurement",
     "RunResult",
     "run_testbed",
+    "StuckIOError",
+    "PacketDropError",
     "WeightSweepCell",
     "run_weight_sweep",
     "MotivationScenario",
@@ -81,7 +85,6 @@ __all__ = [
     "incast_analysis",
     "intensity_analysis",
     "format_table",
-    "format_gbps",
     "format_percent",
     "LatencyReport",
     "LatencySummary",

@@ -74,10 +74,3 @@ def trim_series(series: ThroughputSeries, fraction: float = 0.1) -> ThroughputSe
         return series
     sl = slice(cut, n - cut)
     return ThroughputSeries(series.times_ns[sl], series.gbps[sl])
-
-
-def trimmed_mean_gbps(
-    events: list[tuple[int, int]], end_ns: int, *, bin_ns: int, fraction: float = 0.1
-) -> float:
-    """Trimmed-average throughput of a completion event stream."""
-    return trim_series(ThroughputSeries.from_events(events, bin_ns, end_ns), fraction).mean()

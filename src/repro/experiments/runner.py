@@ -10,6 +10,14 @@ Congestion comes from the workload itself (in-cast of read data toward
 initiators) and, when configured, from a background traffic episode
 aimed at an initiator — the knob used to reproduce the Fig. 7
 congestion-then-relief timeline.
+
+The paper's fabric is lossless RoCEv2 under PFC, and nothing here
+recovers a lost packet, so :func:`run_testbed` checks that the run
+stayed lossless (DESIGN §7).  At quiescence — the event heap drained
+inside ``run()`` — no command may still be in flight
+(:class:`StuckIOError`); after the run, no switch may have dropped a
+packet (:class:`PacketDropError`).  Neither check costs anything per
+event.
 """
 
 from __future__ import annotations
@@ -25,9 +33,8 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.core.controller import BlockRateController, SRCController
     from repro.core.tpm import ThroughputPredictionModel
     from repro.nvme.block_sched import BlockLayerThrottle
-from repro.fabric.initiator import Initiator, RetryPolicy
+from repro.fabric.initiator import Initiator
 from repro.fabric.target import Target
-from repro.faults import FaultInjector, FaultPlan, StuckIOWatchdog
 from repro.net.nic import NICConfig
 from repro.net.switch import SwitchConfig
 from repro.net.topology import Network, build_star
@@ -87,15 +94,6 @@ class TestbedConfig:
     background: BackgroundTraffic | None = None
     src_window_ns: int = 10 * MS
     src_min_interval_ns: int = 1 * MS
-    #: Fault schedule armed against the assembled testbed.  SSD specs
-    #: address backends as ``"<target>/ssd<k>"`` (e.g. ``"tgt0/ssd1"``).
-    faults: FaultPlan | None = None
-    #: NVMe-oF command timeout + bounded retry at every initiator.
-    retry_policy: RetryPolicy | None = None
-    #: Install a stuck-I/O watchdog: a run that goes quiescent with
-    #: commands still in flight raises ``StuckIOError`` instead of
-    #: returning quietly-wrong measurements.
-    watchdog: bool = False
 
     def __post_init__(self) -> None:
         if self.n_initiators < 1 or self.n_targets < 1 or self.ssds_per_target < 1:
@@ -152,8 +150,6 @@ class RunResult:
     network: Network
     sim: Simulator
     bin_ns: int = MS
-    injector: FaultInjector | None = None
-    watchdog: StuckIOWatchdog | None = None
 
     @property
     def aggregated_series(self) -> ThroughputSeries:
@@ -190,6 +186,50 @@ class RunResult:
             if 0 <= t < self.duration_ns:
                 counts[t // MS] += 1
         return np.arange(n_bins, dtype=np.int64) * MS, counts
+
+
+class StuckIOError(RuntimeError):
+    """The simulation went quiescent with I/O still in flight.
+
+    ``wedged`` holds ``(initiator name, request id, op, target)`` per
+    stuck command.
+    """
+
+    def __init__(self, wedged: list[tuple[str, int, str, str]]) -> None:
+        lines = [f"simulation quiescent with {len(wedged)} I/O(s) still in flight:"]
+        for name, req_id, op, target in wedged[:20]:
+            lines.append(f"  - {name}: req {req_id} ({op} -> {target}) never completed")
+        if len(wedged) > 20:
+            lines.append(f"  ... and {len(wedged) - 20} more")
+        super().__init__("\n".join(lines))
+        self.wedged = wedged
+
+
+class StuckIOWatchdog:
+    """Quiescence check that every issued command completed.
+
+    ``run_testbed`` installs :meth:`check_now` as ``sim.watchdog``,
+    which the engine calls only when the event heap drains: nothing
+    can complete the pending work any more.  A bound method of this
+    module-level class pickles with a checkpointed world (DESIGN §11.2).
+    """
+
+    def __init__(self, initiators: list[Initiator]) -> None:
+        self.initiators = initiators
+
+    def check_now(self, _sim: Simulator | None = None) -> None:
+        """Raise :class:`StuckIOError` if any tracked command is unfinished."""
+        wedged = [
+            (ini.name, req.req_id, "read" if req.is_read else "write", req.target)
+            for ini in self.initiators
+            for req in ini.wedged_requests()
+        ]
+        if wedged:
+            raise StuckIOError(wedged)
+
+
+class PacketDropError(RuntimeError):
+    """A switch dropped packets in a run that assumes a lossless fabric."""
 
 
 class _BackgroundFeeder:
@@ -233,7 +273,6 @@ def run_testbed(
     duration_ns: int | None = None,
     drain_margin_ns: int = 20 * MS,
     bin_ns: int = MS,
-    drain_outstanding_ns: int = 0,
 ) -> RunResult:
     """Assemble the testbed, replay ``trace``, and collect measurements.
 
@@ -241,11 +280,9 @@ def run_testbed(
     round-robin to targets (every initiator talks to every target —
     the in-cast pattern).
 
-    ``drain_outstanding_ns`` grants a fault run extra simulated time
-    past the nominal end while any initiator still has commands in
-    flight — retry/retransmit recovery needs it, and a bounded grace
-    (instead of run-to-empty) keeps a genuinely wedged run terminating
-    so the watchdog can describe it.
+    Raises :class:`StuckIOError` if the event heap drains with commands
+    still in flight, and :class:`PacketDropError` if any switch dropped
+    a packet (see the module docstring).
     """
     if len(trace) == 0:
         raise ValueError("cannot run an empty trace")
@@ -302,24 +339,8 @@ def run_testbed(
             block_controller.attach(target, sim)
             controllers.append(block_controller)
 
-    initiators = [
-        Initiator(sim, net.hosts[name], retry_policy=config.retry_policy)
-        for name in init_names
-    ]
-
-    injector: FaultInjector | None = None
-    if config.faults is not None:
-        injector = FaultInjector(sim, config.faults).attach_network(net)
-        for tgt_name, target in zip(tgt_names, targets):
-            for k, ssd in enumerate(target.ssds):
-                injector.attach_ssd(f"{tgt_name}/ssd{k}", ssd.backend)
-        injector.arm()
-
-    watchdog: StuckIOWatchdog | None = None
-    if config.watchdog:
-        watchdog = StuckIOWatchdog().install(sim)
-        for initiator in initiators:
-            watchdog.track_initiator(initiator)
+    initiators = [Initiator(sim, net.hosts[name]) for name in init_names]
+    sim.watchdog = StuckIOWatchdog(initiators).check_now
 
     # Round-robin request assignment; the whole trace is one series.
     arrivals = []
@@ -344,11 +365,13 @@ def run_testbed(
 
     end = duration_ns if duration_ns is not None else trace[-1].arrival_ns + drain_margin_ns
     sim.run(until=end)
-    if drain_outstanding_ns > 0:
-        cap = end + drain_outstanding_ns
-        while sim.now < cap and any(i.outstanding() for i in initiators):
-            sim.run(until=min(cap, sim.now + MS))
-        end = max(end, sim.now)
+    dropped = [
+        f"{name} dropped {switch.packets_dropped}"
+        for name, switch in net.switches.items()
+        if switch.packets_dropped
+    ]
+    if dropped:
+        raise PacketDropError("lossless fabric lost packets: " + ", ".join(dropped))
 
     read_events = [ev for ini in initiators for ev in ini.read_deliveries]
     write_events = [ev for tgt in targets for ev in tgt.write_completions]
@@ -365,6 +388,4 @@ def run_testbed(
         network=net,
         sim=sim,
         bin_ns=bin_ns,
-        injector=injector,
-        watchdog=watchdog,
     )

@@ -30,9 +30,5 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_gbps(value: float) -> str:
-    return f"{value:.2f} Gbps"
-
-
 def format_percent(value: float) -> str:
     return f"{value * 100.0:.0f}%"

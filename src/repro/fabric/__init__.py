@@ -13,7 +13,7 @@ degrades storage throughput (§II-B), and the chain SRC breaks.
 """
 
 from repro.fabric.capsule import Capsule, CapsuleKind
-from repro.fabric.initiator import Initiator, RetryPolicy
+from repro.fabric.initiator import Initiator
 from repro.fabric.target import Target
 
-__all__ = ["Capsule", "CapsuleKind", "Initiator", "RetryPolicy", "Target"]
+__all__ = ["Capsule", "CapsuleKind", "Initiator", "Target"]

@@ -15,7 +15,6 @@ class CapsuleKind(enum.Enum):
     COMMAND = "command"  # initiator -> target: read cmd, or write cmd (+ data)
     READ_DATA = "read_data"  # target -> initiator: read response with data
     WRITE_ACK = "write_ack"  # target -> initiator: write completion
-    ERROR = "error"  # target -> initiator: command failed (see request.error)
 
 
 def wire_bytes(kind: CapsuleKind, request: IORequest) -> int:
@@ -23,7 +22,7 @@ def wire_bytes(kind: CapsuleKind, request: IORequest) -> int:
 
     Write commands carry their data in-capsule (outbound flow); read
     commands are bare; read responses carry the retrieved data (inbound
-    flow); write acks and error completions are bare.
+    flow); write acks are bare.
     """
     if kind is CapsuleKind.COMMAND:
         if request.is_read:

@@ -57,9 +57,6 @@ class Target:
         #: ``listener(req, now_ns)`` per arriving command, before it is
         #: submitted to a driver (the SRC workload monitor's tap).
         self.arrival_listeners: list[Callable[[IORequest, int], None]] = []
-        #: Commands completed with a device error (surfaced to the
-        #: initiator as ERROR capsules instead of data/acks).
-        self.error_completions = 0
 
     # -- command arrival -------------------------------------------------------
     def _on_message(self, payload, src: str, size_bytes: int) -> None:
@@ -113,17 +110,6 @@ class Target:
         while cq:
             head = cq[0]
             req: IORequest = head.request
-            if req.error:
-                # Device fault (e.g. die failure): a bare error capsule
-                # goes back instead of data — small enough to ride the
-                # control class, so a congested TXQ cannot delay the
-                # bad news behind the data it replaces.
-                ssd.pop_completion()
-                self.error_completions += 1
-                self.nic.send_ack(
-                    req.initiator, payload=Capsule(kind=CapsuleKind.ERROR, request=req)
-                )
-                continue
             if req.is_read:
                 size = wire_bytes(CapsuleKind.READ_DATA, req)
                 if size > self.nic.txq_free_bytes or not self.nic.send_message(

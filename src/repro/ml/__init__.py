@@ -15,7 +15,7 @@ and write throughput jointly.
 """
 
 from repro.ml.base import Regressor, check_Xy
-from repro.ml.metrics import mean_squared_error, r2_score
+from repro.ml.metrics import r2_score
 from repro.ml.model_selection import KFold, cross_val_score, train_test_split
 from repro.ml.linear import LinearRegression
 from repro.ml.polynomial import PolynomialRegression, polynomial_features
@@ -27,7 +27,6 @@ __all__ = [
     "Regressor",
     "check_Xy",
     "r2_score",
-    "mean_squared_error",
     "train_test_split",
     "KFold",
     "cross_val_score",

@@ -36,13 +36,3 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
         else:
             scores[j] = 1.0 - ss_res[j] / ss_tot[j]
     return float(scores.mean())
-
-
-def mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean squared error over all outputs."""
-    yt, yp = _as_2d(y_true), _as_2d(y_pred)
-    if yt.shape != yp.shape:
-        raise ValueError(f"shape mismatch: {yt.shape} vs {yp.shape}")
-    if yt.shape[0] == 0:
-        raise ValueError("cannot score empty arrays")
-    return float(np.mean((yt - yp) ** 2))

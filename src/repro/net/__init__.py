@@ -24,7 +24,6 @@ from repro.net.dcqcn import DCQCNConfig, DCQCNRateControl, RateChange, fluid_rat
 from repro.net.fluid import FluidConfig, FluidDomain, FluidFlow
 from repro.net.switch import Switch, SwitchConfig
 from repro.net.nic import NIC, Flow, NICConfig
-from repro.net.reliability import ReliabilityConfig
 from repro.net.topology import Network, build_clos, build_dumbbell, build_star
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "NIC",
     "Flow",
     "NICConfig",
-    "ReliabilityConfig",
     "Network",
     "build_clos",
     "build_dumbbell",

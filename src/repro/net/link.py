@@ -18,8 +18,7 @@ dispatch logs name the arrival ``Switch.receive`` or ``NIC.receive``.
 queued; most finishes find the queue empty.  Serialization times are
 memoised per packet size (MTU-dominated traffic hits a single dict
 entry).  Nothing ever cancels an in-flight serialization or
-propagation (see :meth:`Link.set_down`: a packet on the wire always
-finishes), so neither step needs an ``Event`` handle; every step,
+propagation, so neither step needs an ``Event`` handle; every step,
 bursts included, goes through that one call, and the heap entry format
 stays private to :mod:`repro.sim`.  One link has at most one
 serialization in flight and each lasts at least 1 ns, so its
@@ -36,12 +35,6 @@ from typing import Callable, Protocol
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.units import Bytes, Gbps, Nanoseconds, gbps_to_bytes_per_ns
-
-#: Fault-filter verdicts (see :attr:`Link.fault_filter`).
-FAULT_PASS = 0
-FAULT_DROP = 1
-FAULT_CORRUPT = 2
-
 
 class Device(Protocol):
     """Anything that can terminate a link."""
@@ -66,14 +59,9 @@ class Link:
         "_queued_bytes",
         "_busy",
         "paused",
-        "down",
-        "fault_filter",
         "on_depart",
         "bytes_sent",
         "packets_sent",
-        "packets_lost",
-        "packets_corrupted",
-        "packets_dropped_down",
         "_ser_cache",
         "_finish_cb",
         "_fluid_load_bytes_per_ns",
@@ -121,25 +109,11 @@ class Link:
         self._queued_bytes = 0
         self._busy = False
         self.paused = False
-        #: Administratively down (fault injection): new data sends are
-        #: dropped, the queue (control included) is frozen until link-up.
-        self.down = False
-        #: Fault-injection hook: called with each *data* packet whose
-        #: serialization just finished; returns ``FAULT_PASS`` /
-        #: ``FAULT_DROP`` / ``FAULT_CORRUPT``.  ``None`` (default) costs
-        #: one ``is None`` check per departure.
-        self.fault_filter: Callable[[Packet], int] | None = None
         #: Called with each packet when its serialization finishes (used
         #: by switches for ingress-buffer accounting).
         self.on_depart: Callable[[Packet], None] | None = None
         self.bytes_sent = 0
         self.packets_sent = 0
-        #: Data packets eaten by the fault filter after serialization.
-        self.packets_lost = 0
-        #: Data packets delivered with the corrupted flag set.
-        self.packets_corrupted = 0
-        #: Data packets refused at :meth:`send` while the link was down.
-        self.packets_dropped_down = 0
         #: size -> serialization ns memo (one entry for MTU traffic).
         self._ser_cache: dict[int, int] = {}
         # Bound method cached once: scheduling it with the packet as an
@@ -162,7 +136,7 @@ class Link:
     # -- transmission ------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Enqueue a packet for transmission."""
-        if not self._busy and not self.paused and not self.down and not self._queue:
+        if not self._busy and not self.paused and not self._queue:
             # Idle link, empty queue (the common case on paced sender
             # uplinks): serialization starts immediately, so the FIFO
             # round-trip and its byte accounting would net to zero —
@@ -174,12 +148,6 @@ class Link:
                 ns = max(1, int(size / self._eff_bytes_per_ns + 0.5))
                 self._ser_cache[size] = ns
             self.sim.schedule_anon(ns, self._finish_cb, packet)
-            return
-        if self.down and not packet.is_control:
-            # A dead cable eats data on contact.  Control packets are
-            # queued instead (frozen until link-up): losing a PFC RESUME
-            # or a reliability RESET would wedge the peer permanently.
-            self.packets_dropped_down += 1
             return
         if packet.is_control:
             self._queue.appendleft(packet)
@@ -199,7 +167,7 @@ class Link:
         return ns
 
     def _try_start(self) -> None:
-        if self._busy or self.down or not self._queue:
+        if self._busy or not self._queue:
             return
         if self.paused and not self._queue[0].is_control:
             return
@@ -221,18 +189,6 @@ class Link:
         on_depart = self.on_depart
         if on_depart is not None:
             on_depart(packet)
-        fault_filter = self.fault_filter
-        if fault_filter is not None and not packet.is_control:
-            # After on_depart: the bytes left the upstream buffer either
-            # way; only delivery is in question.
-            verdict = fault_filter(packet)
-            if verdict == FAULT_DROP:
-                self.packets_lost += 1
-                self._try_start()
-                return
-            if verdict == FAULT_CORRUPT:
-                packet.corrupted = True
-                self.packets_corrupted += 1
         # The arrival event is the receiver's own ``receive`` call,
         # looked up per packet so a wrapper installed on the device
         # instance still sees every arrival.
@@ -290,7 +246,7 @@ class Link:
         and is delivered in one event — the LSO/GSO-style approximation
         that buys the dual-fidelity event-count reduction.  Any state
         that would make per-packet interleaving observable (busy wire,
-        queued packets, PFC pause, link down, a degenerate burst of < 2)
+        queued packets, PFC pause, a degenerate burst of < 2)
         falls back to per-packet :meth:`send`, which preserves exact
         semantics.
         """
@@ -298,7 +254,6 @@ class Link:
             len(packets) < 2
             or self._busy
             or self.paused
-            or self.down
             or self._queue
         ):
             send = self.send
@@ -313,7 +268,7 @@ class Link:
         self.sim.schedule_anon(total_ns, self._finish_burst_cb, packets)
 
     def _finish_burst(self, packets: list[Packet]) -> None:
-        """Burst serialization done: account, filter, propagate as one."""
+        """Burst serialization done: account and propagate as one."""
         self._busy = False
         total = 0
         for packet in packets:
@@ -324,22 +279,7 @@ class Link:
         if on_depart is not None:
             for packet in packets:
                 on_depart(packet)
-        filt = self.fault_filter
-        if filt is not None:
-            kept: list[Packet] = []
-            for packet in packets:
-                if not packet.is_control:
-                    verdict = filt(packet)
-                    if verdict == FAULT_DROP:
-                        self.packets_lost += 1
-                        continue
-                    if verdict == FAULT_CORRUPT:
-                        packet.corrupted = True
-                        self.packets_corrupted += 1
-                kept.append(packet)
-            packets = kept
-        if packets:
-            self.sim.schedule_anon(self.delay_ns, self._deliver_burst_cb, packets)
+        self.sim.schedule_anon(self.delay_ns, self._deliver_burst_cb, packets)
         self._try_start()
 
     def _deliver_burst(self, packets: list[Packet]) -> None:
@@ -355,19 +295,3 @@ class Link:
     def resume(self) -> None:
         self.paused = False
         self._try_start()
-
-    # -- fault injection -------------------------------------------------
-    def set_fault_filter(self, filt: Callable[[Packet], int] | None) -> None:
-        """Install (or clear) the per-packet fault verdict filter."""
-        self.fault_filter = filt
-
-    def set_down(self, down: bool) -> None:
-        """Flap the link.  Down: new data sends are dropped and nothing
-        (control included) leaves the queue; a packet already
-        serializing finishes — it was on the wire.  Up: transmission
-        resumes from the frozen queue."""
-        if self.down == down:
-            return
-        self.down = down
-        if not down:
-            self._try_start()

@@ -22,7 +22,6 @@ bit-identical.
 
 from __future__ import annotations
 
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -30,9 +29,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.net.dcqcn import DCQCNConfig, DCQCNRateControl, RateChange
 from repro.net.link import Link
 from repro.net.packet import CONTROL_PACKET_BYTES, Packet, PacketKind
-from repro.net.reliability import FlowReliability, ReliabilityConfig
 from repro.sim.engine import Simulator
-from repro.sim.rng import make_rng
 from repro.sim.serial import SerialCounter
 
 if TYPE_CHECKING:
@@ -48,11 +45,6 @@ class NICConfig:
     cnp_interval_ns: Nanoseconds = 50_000
     max_link_backlog_packets: int = 4
     dcqcn: DCQCNConfig = field(default_factory=DCQCNConfig)
-    #: Go-back-N retransmission (``None`` = lossless-fabric assumption,
-    #: the pre-fault default).  Must be set fleet-wide: the receiver
-    #: side of a flow only runs sequence tracking when its own NIC has
-    #: this enabled.
-    reliability: ReliabilityConfig | None = None
     #: Most partially-reassembled messages held at once; beyond this the
     #: oldest partial is evicted (accounted in
     #: ``reassembly_bytes_discarded``) so switch drops cannot grow
@@ -63,8 +55,6 @@ class NICConfig:
     #: segments as *one* ``Link.send_burst`` serialization event instead
     #: of one event pair per packet.  The default of 1 keeps the exact
     #: per-packet pump — and the v2 golden dispatch trace — untouched.
-    #: Ignored in reliability mode (go-back-N needs per-segment
-    #: sequencing through the scalar path).
     burst_segments: int = 1
 
     def __post_init__(self) -> None:
@@ -128,7 +118,6 @@ class Flow:
         "_pump_due_ns",
         "_pump_cb",
         "bytes_sent",
-        "_rel",
         "_plain",
     )
 
@@ -147,16 +136,9 @@ class Flow:
         self._pump_due_ns = 0
         self._pump_cb = self.pump  # cached bound method for rescheduling
         self.bytes_sent = 0
-        rel_cfg = nic.config.reliability
-        self._rel: FlowReliability | None
-        if rel_cfg is None:
-            self._rel = None
-        else:
-            assert nic._rel_rng is not None
-            self._rel = FlowReliability(self, rel_cfg, nic._rel_rng)
-        #: Reliability off and one segment per send: ``pump`` takes its
-        #: lean path, else ``_pump_full``.
-        self._plain = rel_cfg is None and nic.config.burst_segments == 1
+        #: One segment per send: ``pump`` takes its lean path, else
+        #: ``_pump_full``.
+        self._plain = nic.config.burst_segments == 1
 
     def enqueue(self, size_bytes: Bytes, payload: Any) -> None:
         self._messages.append(
@@ -172,18 +154,14 @@ class Flow:
         self.nic.mark_backlogged(self)
         self.pump()
 
-    def refund_queued(self, size_bytes: Bytes) -> None:
-        """Drop queued-but-unsent byte accounting (reliability abort)."""
-        self.queued_bytes -= size_bytes
-
     # -- pacing ---------------------------------------------------------
     def pump(self) -> None:
         """Send segments while allowed; reschedules itself as needed.
 
-        The paper path's flows (reliability off, ``burst_segments=1``)
-        take the lean loop below, which reads only what sending one
-        segment needs; the common pacing wake-up sends one segment and
-        reschedules.  Other flows go through :meth:`_pump_full`.
+        The paper path's flows (``burst_segments=1``) take the lean loop
+        below, which reads only what sending one segment needs; the
+        common pacing wake-up sends one segment and reschedules.  Burst
+        flows go through :meth:`_pump_full`.
         """
         nic = self.nic
         now = nic.sim.now  # constant for the whole call: pumping never dispatches
@@ -194,8 +172,6 @@ class Flow:
             # cancel-and-reschedule on every uplink departure) removes
             # ~2 heap pushes + 1 lazy cancel per data packet.
             return
-        if nic.stalled:
-            return  # re-pumped when the stall window ends
         if not self._plain:
             self._pump_full(now)
             return
@@ -228,14 +204,11 @@ class Flow:
                     message_id=msg.id,
                     message_bytes=size,
                     last_of_message=last,
-                    seq=-1,
                     payload=msg.payload if last else None,
                 )
             )
             self.bytes_sent += seg
             self.queued_bytes -= seg
-            # Hot path: the per-segment TXQ refund stays inlined here;
-            # cold paths go through NIC.txq_refund instead.
             nic._txq_used -= seg
             rate_control = self.rate_control
             rate_control.on_bytes_sent(seg)
@@ -248,13 +221,11 @@ class Flow:
         nic._backlogged.pop(self.id, None)
 
     def _pump_full(self, now: Nanoseconds) -> None:
-        """:meth:`pump` for reliability or burst flows.
+        """:meth:`pump` for burst flows (``burst_segments >= 2``).
 
-        In reliability mode retransmissions (queued by the flow's RTO)
-        take priority over fresh segments and go out through this same
-        loop — a recovery burst is paced at the DCQCN rate and respects
-        the link backlog cap like any other traffic — and fresh
-        segments stop while the go-back-N window is closed.
+        While the uplink is idle, up to ``burst_segments`` MTU segments
+        go out back-to-back as one serialization event; otherwise one
+        segment at a time, as in :meth:`pump`.
         """
         nic = self.nic
         sim = nic.sim
@@ -265,14 +236,7 @@ class Flow:
         max_backlog = config.max_link_backlog_packets
         burst_k = config.burst_segments
         rate_control = self.rate_control
-        rel = self._rel
-        while True:
-            retx = rel is not None and bool(rel.retransmit_queue)
-            if not retx:
-                if not messages:
-                    break
-                if rel is not None and not rel.window_free():
-                    return  # window closed; the next ack re-pumps
+        while messages:
             if now < self._next_send_ns:
                 due = self._next_send_ns
                 self._pump_due_ns = due
@@ -280,19 +244,11 @@ class Flow:
                 return
             if len(link._queue) >= max_backlog:
                 return  # re-pumped when the link drains
-            if (
-                burst_k >= 2
-                and rel is None
-                and not link._busy
-                and not link._queue
-                and not link.paused
-                and not link.down
-            ):
+            if not link._busy and not link._queue and not link.paused:
                 # Burst batching (dual-fidelity mode): the uplink is idle
                 # and pacing allows sending *now*, so up to burst_k MTU
                 # segments go out back-to-back as one serialization
-                # event.  rel is None here, so retx cannot be set and
-                # fresh segments are the only traffic.
+                # event.
                 burst: list[Packet] = []
                 total = 0
                 while len(burst) < burst_k and messages:
@@ -310,7 +266,6 @@ class Flow:
                             message_id=msg.id,
                             message_bytes=msg.size_bytes,
                             last_of_message=last,
-                            seq=-1,
                             payload=msg.payload if last else None,
                         )
                     )
@@ -323,8 +278,6 @@ class Flow:
                     link.send(burst[0])
                 self.bytes_sent += total
                 self.queued_bytes -= total
-                # Hot path: the per-burst TXQ refund stays inlined here;
-                # cold paths go through NIC.txq_refund instead.
                 nic._txq_used -= total
                 # One rate-control charge for the whole burst: bursts are
                 # <= burst_k * MTU, far below the 10 MiB DCQCN byte
@@ -335,59 +288,31 @@ class Flow:
                 if nic.txq_drain_listeners:
                     nic._notify_txq_drain()
                 continue
-            if retx:
-                assert rel is not None
-                seg_obj = rel.pop_retransmit()
-                seg = seg_obj.seg_bytes
-                link.send(
-                    Packet(
-                        kind=PacketKind.DATA,
-                        src=nic.name,
-                        dst=self.dst,
-                        size_bytes=seg,
-                        flow_id=self.id,
-                        message_id=seg_obj.message_id,
-                        message_bytes=seg_obj.message_bytes,
-                        last_of_message=seg_obj.last,
-                        seq=seg_obj.seq,
-                        payload=seg_obj.payload,
-                    )
-                )
-                rate_control.on_bytes_sent(seg)
-                gap = seg / rate_control.current_bytes_per_ns
-                self._next_send_ns = now + max(1, int(gap + 0.5))
-                rel.on_sent()
-                continue
             msg = messages[0]
             seg = min(mtu, msg.size_bytes - msg.sent_bytes)
             msg.sent_bytes += seg
             last = msg.sent_bytes >= msg.size_bytes
-            seq = -1 if rel is None else rel.register(msg, seg, last).seq
-            packet = Packet(
-                kind=PacketKind.DATA,
-                src=nic.name,
-                dst=self.dst,
-                size_bytes=seg,
-                flow_id=self.id,
-                message_id=msg.id,
-                message_bytes=msg.size_bytes,
-                last_of_message=last,
-                seq=seq,
-                payload=msg.payload if last else None,
+            link.send(
+                Packet(
+                    kind=PacketKind.DATA,
+                    src=nic.name,
+                    dst=self.dst,
+                    size_bytes=seg,
+                    flow_id=self.id,
+                    message_id=msg.id,
+                    message_bytes=msg.size_bytes,
+                    last_of_message=last,
+                    payload=msg.payload if last else None,
+                )
             )
-            link.send(packet)
             self.bytes_sent += seg
             self.queued_bytes -= seg
-            # Hot path: the per-segment TXQ refund stays inlined here;
-            # cold paths go through NIC.txq_refund instead.
             nic._txq_used -= seg
             rate_control.on_bytes_sent(seg)
             gap = seg / rate_control.current_bytes_per_ns
             self._next_send_ns = now + max(1, int(gap + 0.5))
             if last:
                 messages.popleft()
-            if rel is not None:
-                rel.on_sent()
             if nic.txq_drain_listeners:
                 nic._notify_txq_drain()
         nic._backlogged.pop(self.id, None)
@@ -424,26 +349,11 @@ class NIC:
         #: DATA bytes accounted to delivered messages (reassembly byte-
         #: conservation: received == delivered + pending + discarded).
         self.reassembly_bytes_delivered = 0
-        #: DATA bytes received but never delivered: corrupted/out-of-order
-        #: discards, evicted partials, reset-dropped partials.
+        #: DATA bytes received but never delivered: partials evicted by
+        #: the ``reassembly_max_pending`` cap.
         self.reassembly_bytes_discarded = 0
-        #: Whole received packets discarded (CRC failure / go-back-N dedup).
-        self.rx_packets_discarded = 0
         #: Partial messages evicted by the ``reassembly_max_pending`` cap.
         self.reassembly_evictions = 0
-        #: Fault injection: TX pipeline stalled (flows stop pumping;
-        #: receive still works, like a firmware hiccup).
-        self.stalled = False
-        rel = self.config.reliability
-        #: Per-NIC jitter rng for reliability RTO timers.  The NIC name
-        #: is folded in via crc32 (stable across runs/processes, unlike
-        #: ``hash``) so hosts sharing one config get decorrelated jitter.
-        self._rel_rng = (
-            make_rng(rel.seed + zlib.crc32(name.encode())) if rel is not None else None
-        )
-        #: flow id -> next expected go-back-N seq (receiver side);
-        #: ``None`` when reliability is off.
-        self._rx_expected: dict[int, int] | None = {} if rel is not None else None
         if sim.sanitizer is not None:
             sim.sanitizer.track_nic(self)
 
@@ -512,22 +422,8 @@ class NIC:
         for listener in self.txq_drain_listeners:
             listener()
 
-    def txq_refund(self, size_bytes: Bytes) -> None:
-        """Return reserved TXQ bytes (aborted / never-sent data).
-
-        The documented cross-component entry point for the reliability
-        layer; the per-segment refund inside :meth:`Flow.pump` stays
-        inlined for speed.
-        """
-        self._txq_used -= size_bytes
-        self._notify_txq_drain()
-
     def mark_backlogged(self, flow: Flow) -> None:
-        """Register ``flow`` for pump service (insertion-ordered, idempotent).
-
-        Flows and their reliability layer call this instead of touching
-        the backlog index directly.
-        """
+        """Register ``flow`` for pump service (insertion-ordered, idempotent)."""
         self._backlogged[flow.id] = flow
 
     def send_ack(self, dst: str, payload: Any = None) -> None:
@@ -544,47 +440,6 @@ class NIC:
             )
         )
 
-    # -- fault injection -------------------------------------------------
-    def set_stalled(self, stalled: bool) -> None:
-        """Freeze/unfreeze the TX pipeline (flows stop pumping)."""
-        if self.stalled == stalled:
-            return
-        self.stalled = stalled
-        if not stalled:
-            self._pump_backlogged()
-
-    # -- reliability control traffic -------------------------------------
-    def _send_rel_ack(self, dst: str, flow_id: int, ack_next: int) -> None:
-        if self.link is None:
-            return
-        self.link.send(
-            Packet(
-                kind=PacketKind.RDMA_ACK,
-                src=self.name,
-                dst=dst,
-                size_bytes=CONTROL_PACKET_BYTES,
-                flow_id=flow_id,
-                seq=ack_next,
-            )
-        )
-
-    def _send_rel_reset(
-        self, dst: str, flow_id: int, new_base: int, message_id: int
-    ) -> None:
-        if self.link is None:
-            return
-        self.link.send(
-            Packet(
-                kind=PacketKind.RDMA_RESET,
-                src=self.name,
-                dst=dst,
-                size_bytes=CONTROL_PACKET_BYTES,
-                flow_id=flow_id,
-                message_id=message_id,
-                seq=new_base,
-            )
-        )
-
     # -- receive ---------------------------------------------------------------
     @property
     def reassembly_pending(self) -> int:
@@ -596,25 +451,6 @@ class NIC:
             self.bytes_received += packet.size_bytes
             if packet.ecn_marked:
                 self._maybe_send_cnp(packet)
-            rx_expected = self._rx_expected
-            if rx_expected is not None:
-                # Reliability mode: accept only the in-order segment;
-                # everything else (corruption, loss-induced gaps,
-                # retransmission duplicates) is discarded and re-acked
-                # at the cumulative point.
-                expected = rx_expected.get(packet.flow_id, 0)
-                if packet.corrupted or packet.seq != expected:
-                    self.rx_packets_discarded += 1
-                    self.reassembly_bytes_discarded += packet.size_bytes
-                    self._send_rel_ack(packet.src, packet.flow_id, expected)
-                    return
-                rx_expected[packet.flow_id] = expected + 1
-                self._send_rel_ack(packet.src, packet.flow_id, expected + 1)
-            elif packet.corrupted:
-                # No reliability: a CRC failure is just lost payload.
-                self.rx_packets_discarded += 1
-                self.reassembly_bytes_discarded += packet.size_bytes
-                return
             reassembly = self._reassembly
             got = reassembly.pop(packet.message_id, 0) + packet.size_bytes
             if packet.last_of_message or got >= packet.message_bytes:
@@ -657,22 +493,6 @@ class NIC:
         if kind is PacketKind.ACK:
             if self.endpoint is not None:
                 self.endpoint(packet.payload, packet.src, packet.size_bytes)
-            return
-        if kind is PacketKind.RDMA_ACK:
-            flow = self._flows_by_id.get(packet.flow_id)
-            if flow is not None and flow._rel is not None:
-                flow._rel.on_ack(packet.seq)
-            return
-        if kind is PacketKind.RDMA_RESET:
-            # The sender aborted a message: jump the expected sequence
-            # past it and drop the partial reassembly, if any.
-            rx_expected = self._rx_expected
-            if rx_expected is not None:
-                if packet.seq > rx_expected.get(packet.flow_id, 0):
-                    rx_expected[packet.flow_id] = packet.seq
-                dropped = self._reassembly.pop(packet.message_id, 0)
-                if dropped:
-                    self.reassembly_bytes_discarded += dropped
             return
 
     def _maybe_send_cnp(self, packet: Packet) -> None:

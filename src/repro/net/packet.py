@@ -14,8 +14,6 @@ class PacketKind(enum.Enum):
     PAUSE = "pause"  # PFC XOFF
     RESUME = "resume"  # PFC XON
     ACK = "ack"  # message-level acknowledgment (fabric completions)
-    RDMA_ACK = "rdma_ack"  # go-back-N cumulative ack (reliability mode)
-    RDMA_RESET = "rdma_reset"  # go-back-N sender abort notification
 
 
 #: Wire sizes of control packets (bytes).
@@ -28,12 +26,6 @@ class Packet:
     ``message_id`` / ``message_bytes`` / ``last_of_message`` let the
     receiving NIC reassemble multi-packet messages; ``payload`` carries
     an opaque fabric-level object on the message's last packet.
-
-    ``seq`` is the per-flow go-back-N sequence number (reliability
-    mode); on ``RDMA_ACK`` / ``RDMA_RESET`` control packets it carries
-    the cumulative next-expected sequence instead.  ``corrupted`` is set
-    by the fault injector: the packet still occupies wire time but the
-    receiver discards it as a CRC failure.
 
     A plain ``__slots__`` class, not a dataclass: simulations allocate
     one of these per MTU segment, and the hand-written ``__init__``
@@ -54,8 +46,6 @@ class Packet:
         "message_id",
         "message_bytes",
         "last_of_message",
-        "seq",
-        "corrupted",
         "payload",
         "_ingress_port",
         "is_control",
@@ -73,8 +63,6 @@ class Packet:
         message_id: int = -1,
         message_bytes: int = 0,
         last_of_message: bool = False,
-        seq: int = -1,
-        corrupted: bool = False,
         payload: Any = None,
     ) -> None:
         if size_bytes <= 0:
@@ -88,8 +76,6 @@ class Packet:
         self.message_id = message_id
         self.message_bytes = message_bytes
         self.last_of_message = last_of_message
-        self.seq = seq
-        self.corrupted = corrupted
         self.payload = payload
         self._ingress_port: int | None = None
         self.is_control = kind is not PacketKind.DATA
@@ -97,5 +83,5 @@ class Packet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Packet({self.kind.name} {self.src}->{self.dst} "
-            f"{self.size_bytes}B flow={self.flow_id} seq={self.seq})"
+            f"{self.size_bytes}B flow={self.flow_id})"
         )

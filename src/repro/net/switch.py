@@ -18,7 +18,6 @@ Pause frames ride the control class and preempt data on links.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.net.link import Link
 from repro.net.packet import CONTROL_PACKET_BYTES, Packet, PacketKind
@@ -76,16 +75,10 @@ class Switch:
         self._ingress_bytes: dict[int, int] = {}
         self._paused_upstream: set[int] = set()
         self.packets_forwarded = 0
+        #: Data packets dropped on buffer overflow.  The fabric is meant
+        #: to be lossless (PFC pauses upstream first); ``run_testbed``
+        #: fails a run in which this is non-zero.
         self.packets_dropped = 0
-        #: out port -> buffer-overflow drops toward that port.
-        self.drops_by_port: dict[int, int] = {}
-        #: traffic class ("data" / "control") -> drops.  Control packets
-        #: ride the lossless class and are never dropped today; the key
-        #: exists so fault reports always have both columns.
-        self.drops_by_class: dict[str, int] = {"data": 0, "control": 0}
-        #: Observer called with (packet, out_port) on every drop — lets
-        #: fault tooling attribute losses without polling counters.
-        self.on_drop: Callable[[Packet, int], None] | None = None
         self.ecn_marks = 0
         self.pauses_sent = 0
         self._buffered_bytes = 0
@@ -145,10 +138,6 @@ class Switch:
             size = packet.size_bytes
             if self._buffered_bytes + size > self._buffer_bytes:
                 self.packets_dropped += 1
-                self.drops_by_port[out_port] = self.drops_by_port.get(out_port, 0) + 1
-                self.drops_by_class["data"] += 1
-                if self.on_drop is not None:
-                    self.on_drop(packet, out_port)
                 return
             # ECN pre-check hoisted: below Kmin no mark is possible and no
             # RNG draw happens, so skipping the call is bit-identical.

@@ -190,8 +190,8 @@ class Network:
         """Yield every directed link, in deterministic creation order.
 
         Host uplinks first (insertion order), then each switch's out
-        links by port index — fault planners rely on this order (and on
-        the link ``name``) being stable across runs.
+        links by port index, so per-link totals sum in the same order
+        on every run.
         """
         for host in self.hosts.values():
             if host.link is not None:

@@ -6,7 +6,6 @@ the pool cannot start or breaks.
 """
 
 from repro.parallel.pool import (
-    CellFailure,
     SweepCellError,
     SweepReport,
     resolve_workers,
@@ -14,7 +13,6 @@ from repro.parallel.pool import (
 )
 
 __all__ = [
-    "CellFailure",
     "SweepCellError",
     "SweepReport",
     "resolve_workers",

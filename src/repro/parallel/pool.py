@@ -17,12 +17,8 @@ put any seed a cell needs into its arguments.
 Failure handling
 ----------------
 A cell is deterministic, so a cell that raises runs once and is never
-rerun: a second run would raise again.  What follows is the
-``on_error`` knob: ``"raise"`` aborts the sweep with
-:class:`SweepCellError` (the default), ``"record"`` stores a
-:class:`CellFailure` (cell index, exception repr) in
-``SweepReport.failures`` and keeps going — a chaos matrix should
-report its broken cells, not die on the first.
+rerun: a second run would raise again.  The sweep aborts with
+:class:`SweepCellError`, naming the cell.
 
 The pool itself may fail where a cell cannot:
 
@@ -41,11 +37,10 @@ import multiprocessing
 import os
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 __all__ = [
-    "CellFailure",
     "SweepCellError",
     "SweepReport",
     "resolve_workers",
@@ -63,23 +58,12 @@ def resolve_workers(workers: int | None) -> int:
 
 
 class SweepCellError(RuntimeError):
-    """A sweep cell raised (``on_error="raise"``)."""
+    """A sweep cell raised."""
 
     def __init__(self, index: int, cause: BaseException) -> None:
         super().__init__(f"sweep cell {index} failed: {cause!r}")
         self.index = index
         self.cause = cause
-
-
-@dataclass(frozen=True)
-class CellFailure:
-    """One cell that raised (``on_error="record"``).
-
-    The failing cell's slot in ``SweepReport.results`` holds ``None``.
-    """
-
-    index: int
-    error: str  # repr() of the exception — picklable, log-friendly
 
 
 @dataclass
@@ -88,9 +72,6 @@ class SweepReport:
 
     results: list[Any]
     mode: str  # "serial" | "pool" | "pool+serial-fallback"
-    #: Cells that raised (``on_error="record"`` only); each failed
-    #: cell's ``results`` slot is ``None``.
-    failures: list[CellFailure] = field(default_factory=list)
     #: Simulator events summed over the cells, for sweeps that count
     #: them (the TPM training sweep); 0 otherwise.
     sim_events: int = 0
@@ -109,7 +90,6 @@ def run_cells(
     cells: Iterable[Sequence[Any]],
     *,
     workers: int | None = 1,
-    on_error: str = "raise",
     progress: Callable[[int, int], None] | None = None,
 ) -> SweepReport:
     """Run ``fn(*cell)`` for every cell, fanning across processes.
@@ -125,21 +105,15 @@ def run_cells(
     workers:
         Process count; ``None``/``0`` uses every core, ``1`` runs
         serially in-process (no pool, no pickling).
-    on_error:
-        ``"raise"`` aborts the sweep with :class:`SweepCellError` when a
-        cell raises; ``"record"`` logs a :class:`CellFailure` in the
-        report, leaves ``None`` in that cell's result slot, and
-        finishes the rest of the sweep.
     progress:
         Optional ``(done, total)`` callback, invoked in cell order.
+
+    A cell that raises aborts the sweep with :class:`SweepCellError`.
     """
-    if on_error not in ("raise", "record"):
-        raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
     cell_list = [tuple(c) for c in cells]
     n = len(cell_list)
     n_workers = resolve_workers(workers)
     results: list[Any] = [None] * n
-    failures: list[CellFailure] = []
 
     mode = "serial"
     executor: ProcessPoolExecutor | None = None
@@ -166,13 +140,11 @@ def run_cells(
                 if not futures:
                     results[i] = fn(*cell)
             except Exception as exc:  # noqa: BLE001 — cell code is arbitrary
-                if on_error == "raise":
-                    raise SweepCellError(i, exc) from exc
-                failures.append(CellFailure(index=i, error=repr(exc)))
+                raise SweepCellError(i, exc) from exc
             if progress:
                 progress(i + 1, n)
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
 
-    return SweepReport(results=results, mode=mode, failures=failures)
+    return SweepReport(results=results, mode=mode)

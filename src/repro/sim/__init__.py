@@ -24,11 +24,8 @@ from repro.sim.units import (
     NS,
     US,
     SEC,
-    bits_to_bytes,
     bytes_per_ns,
-    bytes_to_bits,
     gbps_to_bytes_per_ns,
-    rate_to_duration_ns,
     throughput_gbps,
 )
 
@@ -47,10 +44,7 @@ __all__ = [
     "US",
     "MS",
     "SEC",
-    "bits_to_bytes",
-    "bytes_to_bits",
     "bytes_per_ns",
     "gbps_to_bytes_per_ns",
-    "rate_to_duration_ns",
     "throughput_gbps",
 ]

@@ -13,9 +13,8 @@ the uninterrupted run byte-for-byte:
   the *same* object the heap entries alias, exactly as in the saved
   world;
 * every component's state vectors (queues, DCQCN rate state,
-  reliability windows, FTL/CMT/write-cache/GC state, inflight maps,
-  fault-injector arms) — reached through the ``world`` object pickled
-  together with the simulator in one pickle;
+  FTL/CMT/write-cache/GC state, inflight maps) — reached through the
+  ``world`` object pickled together with the simulator in one pickle;
 * all RNG stream states (``numpy.random.Generator`` pickles exactly);
 * the positions of every :class:`repro.sim.serial.SerialCounter`, so a
   fresh process continues id allocation where the saver stopped.

@@ -215,12 +215,12 @@ class Simulator:
             from repro.analysis.sanitizer import Sanitizer
 
             self.sanitizer = Sanitizer(sanitize)
-        #: Quiescence hook (e.g. the stuck-I/O watchdog from
-        #: :mod:`repro.faults.watchdog`): called with the simulator once
-        #: per :meth:`run` call, only when the event heap fully drained —
-        #: i.e. the model has nothing left to do.  Zero per-event cost.
-        #: The hook may raise (``StuckIOError``) to turn a silent wedge
-        #: into a diagnostic failure.
+        #: Quiescence hook (``run_testbed`` installs the stuck-I/O check
+        #: of :mod:`repro.experiments.runner`): called with the simulator
+        #: once per :meth:`run` call, only when the event heap fully
+        #: drained — i.e. the model has nothing left to do.  Zero
+        #: per-event cost.  The hook may raise (``StuckIOError``) to turn
+        #: a silent wedge into a diagnostic failure.
         self.watchdog: "Callable[[Simulator], None] | None" = None
 
     # -- scheduling -----------------------------------------------------

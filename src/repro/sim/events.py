@@ -13,7 +13,7 @@ kinds:
 * ``(time, seq, HANDLED_MARK, Event)`` — a *handled* event: the
   :class:`Event` object (``__slots__``, no ordering protocol) exists so
   callers can cancel or inspect the scheduled callback (the DCQCN
-  increase timer, the reliability RTO, initiator command timeouts).
+  increase timer, the block-layer throttle's release timer).
 * ``(time, seq, callback, args)`` — an *anonymous* event pushed by
   :meth:`repro.sim.engine.Simulator.schedule_anon` /
   ``schedule_at_anon``: no handle, no cancellation, no per-event

@@ -54,16 +54,6 @@ GIB: int = 1024 * 1024 * 1024
 GBPS: float = 1e9 / 8 / SEC  # == 0.125 bytes/ns
 
 
-def bytes_to_bits(nbytes: Bytes) -> int:
-    """Convert a byte count to bits."""
-    return nbytes * 8
-
-
-def bits_to_bytes(nbits: int) -> Bytes:
-    """Convert a bit count to bytes, rounding up partial bytes."""
-    return -(-nbits // 8)
-
-
 def gbps_to_bytes_per_ns(gbps: Gbps) -> BytesPerNs:
     """Convert a Gbps link/flow rate to bytes per nanosecond."""
     return gbps * GBPS
@@ -74,18 +64,6 @@ def bytes_per_ns(nbytes: Bytes, duration_ns: Nanoseconds) -> BytesPerNs:
     if duration_ns <= 0:
         raise ValueError(f"duration must be positive, got {duration_ns}")
     return nbytes / duration_ns
-
-
-def rate_to_duration_ns(nbytes: Bytes, gbps: Gbps) -> Nanoseconds:
-    """Serialization time in ns for ``nbytes`` at ``gbps``, rounded up.
-
-    A zero-byte payload still costs 1 ns so that event ordering around
-    control packets stays strict.
-    """
-    if gbps <= 0:
-        raise ValueError(f"rate must be positive, got {gbps}")
-    ns = nbytes / gbps_to_bytes_per_ns(gbps)
-    return max(1, int(ns + 0.5))
 
 
 def throughput_gbps(nbytes: Bytes, duration_ns: Nanoseconds) -> Gbps:

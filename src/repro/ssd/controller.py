@@ -139,8 +139,6 @@ class SSDController:
         self.completion_log: list[tuple[int, IORequest]] = []
         self.commands_fetched = 0
         self.commands_completed = 0
-        #: Write-back programs that failed after the host was acked.
-        self.background_write_failures = 0
 
     # -- wiring -----------------------------------------------------------
     def attach_driver(self, driver: SubmissionSource | None) -> None:
@@ -262,18 +260,10 @@ class SSDController:
             submit(txn)
             self._maybe_gc(chip)
 
-    def _write_page_done(self, cmd: _Inflight, txn: PageTransaction | None = None) -> None:
+    def _write_page_done(self, cmd: _Inflight, _txn: PageTransaction | None = None) -> None:
         self.cache.release(self.config.page_bytes)
         cmd.cache_reserved -= self.config.page_bytes
         self._retry_stalled_writes()
-        if txn is not None and txn.failed:
-            if cmd.completed:
-                # write_back already acked the host at staging time; the
-                # background program failed silently (counted, like a
-                # real drive's deferred-error log).
-                self.background_write_failures += 1
-            else:
-                cmd.request.error = "media"
         if self.config.write_cache_policy == "write_through":
             self._page_done(cmd)
         # write_back: command already completed at staging time; the
@@ -286,21 +276,13 @@ class SSDController:
             self._admit_write(self._stalled_writes.popleft())
 
     def _mapping_done(
-        self, data_txn: PageTransaction, cmd: _Inflight, txn: PageTransaction
+        self, data_txn: PageTransaction, cmd: _Inflight, _txn: PageTransaction
     ) -> None:
-        """A mapping read finished; chain the data read unless it errored."""
-        if txn.failed:
-            cmd.request.error = "media"
-            self._page_done(cmd)
-        else:
-            self.backend.submit(data_txn)
+        """A mapping read finished; chain the data read."""
+        self.backend.submit(data_txn)
 
     # -- completion ------------------------------------------------------
-    def _page_done(self, cmd: _Inflight, txn: PageTransaction | None = None) -> None:
-        if txn is not None and txn.failed:
-            # The command still waits for its other pages; it completes
-            # once all of them resolve, carrying the error status.
-            cmd.request.error = "media"
+    def _page_done(self, cmd: _Inflight, _txn: PageTransaction | None = None) -> None:
         cmd.pages_outstanding -= 1
         if cmd.pages_outstanding == 0 and not cmd.completed:
             self._complete_command(cmd)
@@ -340,8 +322,6 @@ class SSDController:
 
     # -- garbage collection ------------------------------------------------
     def _maybe_gc(self, chip_index: int) -> None:
-        if self.backend.is_chip_failed(chip_index):
-            return  # no point compacting a dead die
         if not self.ftl.gc_needed(chip_index):
             return
         victim = self.ftl.begin_gc(chip_index)

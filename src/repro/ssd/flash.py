@@ -73,16 +73,6 @@ class FlashBackend:
         self._erase_latency_ns: Nanoseconds = config.erase_latency_ns
         self._page_transfer_ns: Nanoseconds = config.page_transfer_ns
         self._chips_per_channel = config.chips_per_channel
-        # -- fault-injection state (all empty by default; the hot path
-        # pays one truthiness check per stage when nothing is injected).
-        #: Dead dies: submissions fail fast with an error status.
-        self._failed_chips: set[int] = set()
-        #: chip index -> latency multiplier (slow/worn die).
-        self._chip_latency_mult: dict[int, float] = {}
-        #: channel index -> latency multiplier (brownout).
-        self._channel_latency_mult: dict[int, float] = {}
-        #: Transactions failed fast against dead dies.
-        self.failed_fast: int = 0
 
     # -- topology helpers --------------------------------------------------
     def channel_of(self, chip_index: int) -> int:
@@ -90,66 +80,10 @@ class FlashBackend:
             raise ValueError(f"chip index {chip_index} out of range")
         return chip_index // self.config.chips_per_channel
 
-    # -- fault injection ---------------------------------------------------
-    def is_chip_failed(self, chip_index: int) -> bool:
-        return chip_index in self._failed_chips
-
-    def fail_chip(self, chip_index: int) -> None:
-        """Kill a die: future submissions to it fail fast with an error.
-
-        Transactions already queued on the chip finish normally — they
-        were in flight when the die died; only the submit-time check is
-        affected, which keeps the failure point deterministic.
-        """
-        if not 0 <= chip_index < self.config.n_chips:
-            raise ValueError(f"chip index {chip_index} out of range")
-        self._failed_chips.add(chip_index)
-
-    def set_chip_slowdown(self, chip_index: int, multiplier: float) -> None:
-        """Scale a die's chip-stage latency (``1.0`` clears the fault)."""
-        if not 0 <= chip_index < self.config.n_chips:
-            raise ValueError(f"chip index {chip_index} out of range")
-        if multiplier <= 0:
-            raise ValueError(f"multiplier must be positive, got {multiplier}")
-        if multiplier == 1.0:
-            self._chip_latency_mult.pop(chip_index, None)
-        else:
-            self._chip_latency_mult[chip_index] = multiplier
-
-    def set_channel_slowdown(self, ch_index: int, multiplier: float) -> None:
-        """Scale a channel's transfer latency (brownout; ``1.0`` clears)."""
-        if not 0 <= ch_index < self.config.n_channels:
-            raise ValueError(f"channel index {ch_index} out of range")
-        if multiplier <= 0:
-            raise ValueError(f"multiplier must be positive, got {multiplier}")
-        if multiplier == 1.0:
-            self._channel_latency_mult.pop(ch_index, None)
-        else:
-            self._channel_latency_mult[ch_index] = multiplier
-
-    # -- latencies ----------------------------------------------------------
-    def _channel_latency(self, ch_index: int) -> Nanoseconds:
-        # Partial last pages still occupy a full page slot on the bus
-        # (MQSim transfers whole pages).
-        latency = self._page_transfer_ns
-        if self._channel_latency_mult:
-            mult = self._channel_latency_mult.get(ch_index)
-            if mult is not None:
-                latency = max(1, int(latency * mult))
-        return latency
-
     # -- dispatch -------------------------------------------------------------
     def submit(self, txn: PageTransaction) -> None:
         """Enter a transaction into the backend pipeline."""
         txn.issued_ns = self.sim.now
-        if self._failed_chips and txn.chip_index in self._failed_chips:
-            # Dead die: the command engine learns after one status-poll
-            # round trip (modelled as a read-latency wait) that the
-            # operation errored out; no chip or channel time is consumed.
-            txn.failed = True
-            self.failed_fast += 1
-            self.sim.schedule_anon(self.config.read_latency_ns, self._finish, txn)
-            return
         kind = txn.kind
         if kind in READ_LIKE_KINDS:
             self._enqueue_chip(txn, self._after_read_chip, True)
@@ -192,10 +126,6 @@ class FlashBackend:
             else:
                 latency = self._write_latency_ns
         chip.busy = True
-        if self._chip_latency_mult:
-            mult = self._chip_latency_mult.get(chip_index)
-            if mult is not None:
-                latency = max(1, int(latency * mult))
         chip.busy_ns_total += latency
         self.sim.schedule_anon(latency, self._chip_done, chip_index, txn, next_stage)
 
@@ -221,10 +151,9 @@ class FlashBackend:
             return
         txn, next_stage = channel.queue.popleft()
         channel.busy = True
-        if self._channel_latency_mult:
-            latency = self._channel_latency(ch_index)
-        else:
-            latency = self._page_transfer_ns
+        # Partial last pages still occupy a full page slot on the bus
+        # (MQSim transfers whole pages).
+        latency = self._page_transfer_ns
         channel.busy_ns_total += latency
         self.sim.schedule_anon(latency, self._channel_done, ch_index, txn, next_stage)
 

@@ -59,9 +59,6 @@ class PageTransaction:
     txn_id: int = field(default_factory=_txn_ids.__next__)
     issued_ns: int = -1
     done_ns: int = -1
-    #: Set by the backend when the target die has failed: the
-    #: transaction completed with an error status instead of data.
-    failed: bool = False
 
     def __post_init__(self) -> None:
         if self.chip_index < 0:

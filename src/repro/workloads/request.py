@@ -63,11 +63,6 @@ class IORequest:
     fetch_ns: int = -1
     device_done_ns: int = -1
     complete_ns: int = -1
-    #: Failure taxonomy: empty = success; ``"media"`` = SSD die failure;
-    #: ``"timeout"`` = the initiator exhausted its command retries.
-    error: str = ""
-    #: Initiator-side resubmissions of this request (fault recovery).
-    retries: int = 0
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:

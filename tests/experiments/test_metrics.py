@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.experiments.metrics import (
-    ThroughputSeries,
-    trim_series,
-    trimmed_mean_gbps,
-)
+from repro.experiments.metrics import ThroughputSeries, trim_series
 from repro.sim.units import GBPS
 
 
@@ -105,14 +101,6 @@ def test_trim_validation():
         trim_series(s, 0.5)
     with pytest.raises(ValueError):
         trim_series(s, -0.1)
-
-
-def test_trimmed_mean_excludes_warmup_spike():
-    # Huge spike in the first bin; steady 1000 B/bin afterwards.
-    events = [(0, 10**9)] + [(i * 1000 + 1, 1000) for i in range(1, 10)]
-    full = ThroughputSeries.from_events(events, 1000, 10_000).mean()
-    trimmed = trimmed_mean_gbps(events, 10_000, bin_ns=1000)
-    assert trimmed < full / 10
 
 
 def test_mean_empty_series():

@@ -11,8 +11,9 @@ from repro.experiments.runner import (
     run_testbed,
 )
 from repro.fabric.initiator import Initiator
+from repro.net.nic import NICConfig
 from repro.sim.engine import Simulator
-from repro.sim.units import MS
+from repro.sim.units import KIB, MS
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
 from repro.workloads.request import IORequest, OpType
 from repro.workloads.traces import Trace
@@ -51,6 +52,25 @@ def test_all_requests_complete_with_drain_margin():
     res = run_testbed(trace, base_config(), drain_margin_ns=50 * MS)
     done = sum(i.reads_completed + i.writes_completed for i in res.initiators)
     assert done == n
+
+
+def test_parked_commands_are_each_sent_once():
+    # A 256 KiB initiator TXQ parks commands.  Sending a parked command
+    # drains a segment, whose TXQ-drain listener re-enters the pending
+    # queue: it must not send that command again and drop the next one.
+    trace = generate_micro_trace(
+        MicroWorkloadConfig(2_000, 4 * KIB),
+        MicroWorkloadConfig(2_000, 16 * KIB),
+        n_reads=200,
+        n_writes=200,
+        seed=0,
+    )
+    config = TestbedConfig(
+        ssd_config=FAST_SSD, nic_config=NICConfig(txq_capacity_bytes=256 * KIB)
+    )
+    ini = run_testbed(trace, config).initiators[0]
+    assert ini.requests_sent == 400
+    assert ini.reads_completed + ini.writes_completed == 400
 
 
 def test_requests_split_across_targets():

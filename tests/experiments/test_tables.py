@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.tables import format_gbps, format_percent, format_table
+from repro.experiments.tables import format_percent, format_table
 
 
 def test_basic_table():
@@ -41,5 +41,4 @@ def test_validation():
 
 
 def test_format_helpers():
-    assert format_gbps(3.14159) == "3.14 Gbps"
     assert format_percent(0.331) == "33%"

@@ -3,10 +3,8 @@ whose hash seed, clock and global RNGs all differ.
 
 One world per :func:`~repro.experiments.runner.run_testbed` driver mode
 (FIFO, SSQ with the SRC controller, block layer with its rate
-controller) plus the chaos configuration of
-:func:`~repro.experiments.faults.run_chaos_cell` (faults, go-back-N
-reliability, command retry, stuck-I/O watchdog) with both of its
-policies.  Each runs to ``T1`` under a background congestion episode,
+controller), each carrying the stuck-I/O watchdog that ``run_testbed``
+installs.  Each runs to ``T1`` under a background congestion episode,
 is saved with :func:`repro.sim.checkpoint.save`, and is continued
 in-process to ``T2`` as the reference, which must match ``GOLDEN``.
 
@@ -46,11 +44,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.experiments.faults import fault_matrix
 from repro.experiments.runner import BackgroundTraffic, TestbedConfig, run_testbed
-from repro.fabric.initiator import RetryPolicy
-from repro.net.nic import NICConfig
-from repro.net.reliability import ReliabilityConfig
 from repro.sim import checkpoint as ck
 from repro.sim.serial import snapshot_counters
 from repro.sim.units import KIB, MS, US
@@ -65,24 +59,6 @@ T2 = 6 * MS
 BACKGROUND = BackgroundTraffic(
     start_ns=1 * MS, end_ns=5 * MS, rate_gbps=40.0, n_hosts=12
 )
-
-
-def _chaos(policy: str) -> TestbedConfig:
-    """``run_chaos_cell``'s configuration, with ``chaos``'s faults
-    spread over a 10 ms plan so they straddle the checkpoint."""
-    return TestbedConfig(
-        n_initiators=1,
-        n_targets=2,
-        ssds_per_target=2,
-        ssd_config=FAST_SSD,
-        driver="block" if policy == "src" else "ssq",
-        src_enabled=policy == "src",
-        nic_config=NICConfig(reliability=ReliabilityConfig(seed=0)),
-        retry_policy=RetryPolicy(timeout_ns=4 * MS, max_retries=4),
-        faults=fault_matrix(10 * MS, seed=0)["chaos"],
-        watchdog=True,
-        background=BACKGROUND,
-    )
 
 
 WORLDS: dict[str, TestbedConfig] = {
@@ -104,8 +80,6 @@ WORLDS: dict[str, TestbedConfig] = {
         src_min_interval_ns=500 * US,
         background=BACKGROUND,
     ),
-    "chaos/static": _chaos("static"),
-    "chaos/src": _chaos("src"),
 }
 
 
@@ -129,9 +103,6 @@ GOLDEN: dict[str, dict[str, object]] = {
         "adjustments": (
             "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
         ),
-        "failures": (
-            "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05"
-        ),
     },
     "ssq+src": {
         "now": 6000000,
@@ -148,9 +119,6 @@ GOLDEN: dict[str, dict[str, object]] = {
         "adjustments": (
             "a108ef6c675aeb40c0f6f37744f379a8a1346fe345a75ca24302c214d84194cd"
         ),
-        "failures": (
-            "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05"
-        ),
     },
     "block+src": {
         "now": 6000000,
@@ -166,47 +134,6 @@ GOLDEN: dict[str, dict[str, object]] = {
         ),
         "adjustments": (
             "636c5bd61b366a4c75901715703d0318fd0b9673e22d6ed77adbbc68a9597887"
-        ),
-        "failures": (
-            "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05"
-        ),
-    },
-    "chaos/static": {
-        "now": 6000000,
-        "events_dispatched": 128202,
-        "read_deliveries": (
-            "7393190e72daeef1e4d9a232c7b6bb67f46c811f3ed9ebbf0e819cd3aead09cf"
-        ),
-        "write_completions": (
-            "e7e74fff8d9084766bd4b07cecc6da11f2f3787c541f5c733a70a053b800af49"
-        ),
-        "cnp_log": (
-            "2770627bfb5d78b09999628856b08fcb5d1348a8a2da33a5eb32f4e49a457ccf"
-        ),
-        "adjustments": (
-            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
-        ),
-        "failures": (
-            "f62e977221d51ea37b6056236db72036e84ef9aaf5dbc4942682074e3e22505a"
-        ),
-    },
-    "chaos/src": {
-        "now": 6000000,
-        "events_dispatched": 128815,
-        "read_deliveries": (
-            "71a38f98abdb2f115d1d6a93a973ec6a5f4d86bd285c5cb9a9cf7afee2faa143"
-        ),
-        "write_completions": (
-            "67585338126d5b3ad52a82fa0f10c2526f83d31b682ff3859ee0388f07dbef32"
-        ),
-        "cnp_log": (
-            "e64dc38592479bbe084ad51a45081ce6a13b8fd01a7cb599fd637ee5c5fcdd10"
-        ),
-        "adjustments": (
-            "f35be08a6d3e090547278400f0354f54bdf4c96c703fca268ca8f92e3168d4c0"
-        ),
-        "failures": (
-            "06a2800d63f6a2fc8c76c03c58919c5cddaaaf2c41a77271f451f4e06982a09e"
         ),
     },
 }
@@ -226,11 +153,6 @@ def world_digest(result) -> dict[str, object]:
         "adjustments": [
             [(a.time_ns, a.weight_ratio, a.demanded_rate_gbps) for a in c.adjustments]
             for c in result.controllers
-        ],
-        "failures": [
-            [(t, r.arrival_ns, r.lba, r.size_bytes, int(r.op), r.error)
-             for t, r in i.failures]
-            for i in result.initiators
         ],
     }
     digest: dict[str, object] = {
@@ -319,7 +241,7 @@ def test_every_world_continues_identically_in_a_fresh_process(tmp_path, tiny_tpm
     expected: dict[str, dict[str, object]] = {}
     for name, config in WORLDS.items():
         result = run_testbed(_trace(), config, tpm=tiny_tpm, duration_ns=T1)
-        path = tmp_path / f"{name.replace('/', '-')}.ckpt"
+        path = tmp_path / f"{name}.ckpt"
         ck.save(path, result.sim, result)
         at_save = result.sim.events_dispatched
         result.sim.run(until=T2)

@@ -9,11 +9,8 @@ sanitizer observes the run.
 
 from __future__ import annotations
 
-from repro.fabric.initiator import Initiator, RetryPolicy
+from repro.fabric.initiator import Initiator
 from repro.fabric.target import Target
-from repro.faults import FaultInjector, FaultPlan, LossBurst
-from repro.net.nic import NICConfig
-from repro.net.reliability import ReliabilityConfig
 from repro.net.topology import build_star
 from repro.nvme.ssq import SSQDriver
 from repro.sim.engine import Simulator
@@ -23,23 +20,13 @@ from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
 from tests.conftest import FAST_SSD
 
 
-def run_cell(
-    seed: int, *, sanitize: bool = False, lossy: bool = False
-) -> list[tuple[int, str]]:
+def run_cell(seed: int, *, sanitize: bool = False) -> list[tuple[int, str]]:
     sim = Simulator(trace=True, sanitize=sanitize)
-    nic_config = (
-        NICConfig(reliability=ReliabilityConfig(seed=seed, rto_ns=100_000))
-        if lossy
-        else None
-    )
-    net = build_star(
-        sim, ["init0", "tgt0"], rate_gbps=40.0, delay_ns=US, nic_config=nic_config
-    )
+    net = build_star(sim, ["init0", "tgt0"], rate_gbps=40.0, delay_ns=US)
     ssd = SSD(sim, FAST_SSD)
     driver = SSQDriver(read_weight=1, write_weight=2)
     Target(sim, net.hosts["tgt0"], [ssd], [driver])
-    retry = RetryPolicy(timeout_ns=500_000, max_retries=3) if lossy else None
-    initiator = Initiator(sim, net.hosts["init0"], retry_policy=retry)
+    initiator = Initiator(sim, net.hosts["init0"])
     trace = generate_micro_trace(
         MicroWorkloadConfig(mean_interarrival_ns=3_000, mean_size_bytes=8 * KIB),
         n_reads=60,
@@ -47,17 +34,6 @@ def run_cell(
         seed=seed,
     )
     initiator.load_trace(trace, lambda _req: "tgt0")
-    if lossy:
-        plan = FaultPlan(
-            seed=seed,
-            specs=(
-                LossBurst("tgt0->sw0", 100_000, 700_000, loss_prob=0.05),
-                LossBurst(
-                    "sw0->init0", 200_000, 600_000, loss_prob=0.03, corrupt_prob=0.01
-                ),
-            ),
-        )
-        FaultInjector(sim, plan).attach_network(net).arm()
     sim.run(until=1 * MS)
     assert initiator.reads_completed > 0 and initiator.writes_completed > 0
     return sim.dispatch_log
@@ -79,22 +55,3 @@ def test_different_seeds_give_different_traces():
 def test_sanitizer_does_not_perturb_the_trace():
     assert as_bytes(run_cell(seed=42)) == as_bytes(run_cell(seed=42, sanitize=True))
 
-
-def test_lossy_seed_gives_byte_identical_trace():
-    # Fault injection + go-back-N recovery must replay exactly: the
-    # loss draws, retransmit timers, and command retries are all seeded.
-    a, b = run_cell(seed=42, lossy=True), run_cell(seed=42, lossy=True)
-    assert as_bytes(a) == as_bytes(b)
-
-
-def test_lossy_trace_differs_from_clean_trace():
-    # Sanity: the loss bursts actually perturbed the event order.
-    assert as_bytes(run_cell(seed=42, lossy=True)) != as_bytes(run_cell(seed=42))
-
-
-def test_sanitizer_does_not_perturb_the_lossy_trace():
-    # Retransmit windows, backoff state, and retry bookkeeping are all
-    # observed by the sanitizer; observation must not shift one event.
-    plain = run_cell(seed=42, lossy=True)
-    sanitized = run_cell(seed=42, lossy=True, sanitize=True)
-    assert as_bytes(plain) == as_bytes(sanitized)

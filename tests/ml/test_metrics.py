@@ -1,4 +1,4 @@
-"""R² and MSE tests."""
+"""R² tests."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.ml.metrics import mean_squared_error, r2_score
+from repro.ml.metrics import r2_score
 
 
 def test_perfect_prediction_is_one():
@@ -50,15 +50,6 @@ def test_shape_mismatch_rejected():
         r2_score(np.zeros(3), np.zeros(4))
     with pytest.raises(ValueError):
         r2_score(np.zeros((0,)), np.zeros((0,)))
-
-
-def test_mse_known_value():
-    assert mean_squared_error(np.array([1.0, 2.0]), np.array([2.0, 4.0])) == pytest.approx(2.5)
-
-
-def test_mse_zero_for_perfect():
-    y = np.arange(10.0)
-    assert mean_squared_error(y, y) == 0.0
 
 
 @given(

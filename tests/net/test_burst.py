@@ -5,7 +5,6 @@ import pytest
 from repro.net.link import Link
 from repro.net.nic import NICConfig
 from repro.net.packet import Packet, PacketKind
-from repro.net.topology import build_star
 from repro.profiling.bench import incast_outputs, run_incast_cell
 from repro.sim.engine import Simulator
 
@@ -98,20 +97,3 @@ def test_burst_pump_delivers_every_message():
     assert burst_out["bytes_received"] == scalar_out["bytes_received"]
     assert sim_burst.events_dispatched < sim_scalar.events_dispatched
 
-
-def test_burst_respects_reliability_mode():
-    """Reliability flows never take the burst path (seq numbering)."""
-    from repro.net.reliability import ReliabilityConfig
-
-    sim = Simulator()
-    net = build_star(
-        sim,
-        ["s0", "r0"],
-        nic_config=NICConfig(
-            burst_segments=8, reliability=ReliabilityConfig()
-        ),
-    )
-    net.hosts["s0"].send_message("r0", 64 * 1024)
-    sim.run()
-    assert net.hosts["r0"].messages_delivered == 1
-    assert net.hosts["r0"].bytes_received == 64 * 1024

@@ -19,12 +19,6 @@ def failing_cell(x):
     raise ValueError(f"cell {x} always fails")
 
 
-def odd_failing_cell(x):
-    if x % 2:
-        raise ValueError(f"cell {x} fails")
-    return {"v": x * x}
-
-
 def pool_killer_cell(x, parent_pid):
     # Cell 3 SIGKILLs its pool worker (the OOM-killer case) but runs
     # cleanly in the parent process, i.e. on the serial fallback.
@@ -79,9 +73,12 @@ class TestSerial:
         with pytest.raises(SweepCellError):
             run_cells(counted_failing_cell, [(0,)], workers=1)
         assert _CALLS["n"] == 1
-        report = run_cells(counted_failing_cell, [(0,)], workers=1, on_error="record")
-        assert _CALLS["n"] == 2
-        assert [f.index for f in report.failures] == [0]
+
+    def test_cell_failure_raises(self):
+        with pytest.raises(SweepCellError) as excinfo:
+            run_cells(failing_cell, [(0,), (1,)], workers=1)
+        assert excinfo.value.index == 0
+        assert isinstance(excinfo.value.cause, ValueError)
 
     def test_empty_sweep(self):
         report = run_cells(square_cell, [], workers=4)
@@ -104,16 +101,15 @@ class TestPool:
 
     def test_broken_pool_charges_no_cell(self):
         # A dead worker fails every uncollected future with the same
-        # BrokenProcessPool; no cell may be blamed for it.  Every
-        # uncollected cell reruns serially, so record mode loses no
-        # result.
+        # BrokenProcessPool; no cell may be blamed for it (none raises
+        # SweepCellError).  Every uncollected cell reruns serially, so
+        # the sweep loses no result.
         cells = [(i, os.getpid()) for i in range(6)]
         serial = run_cells(pool_killer_cell, cells, workers=1)
-        report = run_cells(pool_killer_cell, cells, workers=3, on_error="record")
+        report = run_cells(pool_killer_cell, cells, workers=3)
         if report.mode == "serial":
             pytest.skip("process pool unavailable on this platform")
         assert report.results == serial.results
-        assert report.failures == []
         assert report.mode == "pool+serial-fallback"
 
     def test_broken_pool_leaves_no_live_worker(self):
@@ -126,35 +122,3 @@ class TestPool:
         assert report.mode == "pool+serial-fallback"
         assert multiprocessing.active_children() == []
 
-
-class TestRecordMode:
-    def test_failures_recorded_not_raised(self):
-        report = run_cells(
-            odd_failing_cell, [(i,) for i in range(6)], workers=1, on_error="record"
-        )
-        assert [f.index for f in report.failures] == [1, 3, 5]
-        for f in report.failures:
-            assert "ValueError" in f.error and "fails" in f.error
-        # Healthy cells still produced results; failed slots hold None.
-        assert [r["v"] if r else None for r in report.results] == [
-            0, None, 4, None, 16, None,
-        ]
-
-    def test_record_mode_on_pool_path(self):
-        report = run_cells(
-            odd_failing_cell, [(i,) for i in range(6)], workers=2, on_error="record"
-        )
-        assert [f.index for f in report.failures] == [1, 3, 5]
-        assert [r["v"] if r else None for r in report.results] == [
-            0, None, 4, None, 16, None,
-        ]
-
-    def test_default_still_raises(self):
-        with pytest.raises(SweepCellError) as excinfo:
-            run_cells(failing_cell, [(0,), (1,)], workers=1)
-        assert excinfo.value.index == 0
-        assert isinstance(excinfo.value.cause, ValueError)
-
-    def test_invalid_on_error_rejected(self):
-        with pytest.raises(ValueError, match="on_error"):
-            run_cells(square_cell, [(1,)], on_error="ignore")

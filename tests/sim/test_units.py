@@ -1,8 +1,6 @@
 """Unit-conversion tests."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.sim import units
 
@@ -25,32 +23,6 @@ def test_gbps_constant_is_bytes_per_ns():
     assert units.GBPS == pytest.approx(0.125)
 
 
-def test_bytes_bits_round_trip():
-    assert units.bytes_to_bits(10) == 80
-    assert units.bits_to_bytes(80) == 10
-
-
-def test_bits_to_bytes_rounds_up():
-    assert units.bits_to_bytes(1) == 1
-    assert units.bits_to_bytes(9) == 2
-
-
-def test_rate_to_duration_40gbps():
-    # 4 KiB at 40 Gbps = 4096 / 5 bytes-per-ns = 819.2 -> 819 ns.
-    assert units.rate_to_duration_ns(4096, 40.0) == 819
-
-
-def test_rate_to_duration_zero_bytes_still_positive():
-    assert units.rate_to_duration_ns(0, 40.0) == 1
-
-
-def test_rate_to_duration_rejects_nonpositive_rate():
-    with pytest.raises(ValueError):
-        units.rate_to_duration_ns(100, 0.0)
-    with pytest.raises(ValueError):
-        units.rate_to_duration_ns(100, -1.0)
-
-
 def test_throughput_gbps_inverse_of_rate():
     # Moving 5 GB in one second is 40 Gbps.
     assert units.throughput_gbps(5_000_000_000, units.SEC) == pytest.approx(40.0)
@@ -60,15 +32,3 @@ def test_bytes_per_ns_rejects_bad_duration():
     with pytest.raises(ValueError):
         units.bytes_per_ns(10, 0)
 
-
-@given(st.integers(min_value=1, max_value=10**12), st.floats(min_value=0.1, max_value=400))
-def test_duration_roundtrip_property(nbytes, gbps):
-    """Serialization time × rate recovers the byte count within rounding."""
-    dur = units.rate_to_duration_ns(nbytes, gbps)
-    recovered = dur * units.gbps_to_bytes_per_ns(gbps)
-    assert recovered == pytest.approx(nbytes, rel=0.01, abs=units.gbps_to_bytes_per_ns(gbps))
-
-
-@given(st.integers(min_value=0, max_value=10**15))
-def test_bits_bytes_inverse_property(nbytes):
-    assert units.bits_to_bytes(units.bytes_to_bits(nbytes)) == nbytes

@@ -2,9 +2,10 @@
 
 Each cell replays a micro trace on one SSD with no network and reduces
 its completion log to plain tuples ``(t, arrival_ns, op, lba,
-size_bytes, error)``.  ``req_id`` is left out: it comes from a
-process-global counter, so it depends on what ran earlier in the
-process, not on the model.
+size_bytes, "")``.  The trailing empty string stands where a per-request
+error status used to be, so the pinned digests stay the same bytes.
+``req_id`` is left out: it comes from a process-global counter, so it
+depends on what ran earlier in the process, not on the model.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def micro(inter_ns, size_bytes, n_reads, n_writes, seed, *, sectors=None):
 def completion_tuples(ssd: SSD) -> list[tuple]:
     """The controller's completion log as plain, id-free tuples."""
     return [
-        (t, r.arrival_ns, int(r.op), r.lba, r.size_bytes, r.error)
+        (t, r.arrival_ns, int(r.op), r.lba, r.size_bytes, "")
         for t, r in ssd.controller.completion_log
     ]
 

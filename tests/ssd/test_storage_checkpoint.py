@@ -16,8 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sanitizer import _CheckedFinishGC
-from repro.faults.inject import FaultInjector
-from repro.faults.plan import DieFailure, FaultPlan, SlowDie
 from repro.nvme.driver import DefaultNvmeDriver
 from repro.nvme.ssq import SSQDriver
 from repro.sim import checkpoint as ck
@@ -48,22 +46,9 @@ def world_write_back():
     return StorageWorld(config, DefaultNvmeDriver(), trace)
 
 
-def world_faulted():
-    world = StorageWorld(FAST_SSD, SSQDriver(1, 2), micro(3000, 8192, 300, 300, 14))
-    plan = FaultPlan(
-        specs=(
-            DieFailure(ssd="ssd0", chip=2, at_ns=150_000),
-            SlowDie(ssd="ssd0", chip=0, start_ns=300_000, end_ns=700_000),
-        )
-    )
-    FaultInjector(world.sim, plan).attach_ssd("ssd0", world.ssd.backend).arm()
-    return world
-
-
 WORLDS = {
     "write_through_gc": world_write_through_gc,
     "write_back": world_write_back,
-    "faulted": world_faulted,
 }
 
 

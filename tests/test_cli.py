@@ -1,7 +1,5 @@
 """CLI smoke tests."""
 
-import json
-
 import pytest
 
 from repro.cli import main
@@ -43,18 +41,11 @@ def test_sweep_output_is_pinned(capsys):
     assert capsys.readouterr().out == "\n".join(SWEEP_4MS) + "\n"
 
 
-def test_faults_json_carries_outcomes_and_failures_only(capsys):
-    argv = ["faults", "--cell", "baseline", "--duration-ms", "10", "--json"]
-    assert main(argv) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert set(payload) == {"outcomes", "failures"}
-    assert payload["failures"] == []
-
-
 def test_unknown_command_rejected(capsys):
     # ``profile`` is no subcommand: README "Engine performance" says
-    # where a run's time is measured instead.
-    for argv in (["frobnicate"], ["profile"]):
+    # where a run's time is measured instead.  ``faults`` is gone with
+    # the fault-injection stack: the fabric is lossless.
+    for argv in (["frobnicate"], ["profile"], ["faults"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -69,18 +60,16 @@ def test_requires_command():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["faults", "--cell", "chaos", "--duration-ms", "5"],
         ["sweep", "--duration-ms", "0"],
         ["replay", "t.csv", "--weight", "0"],
         ["synthesize", "--reads", "-3", "-o", "t.csv"],
         ["synthesize", "--writes", "-3", "-o", "t.csv"],
         ["synthesize", "--seed", "-1", "-o", "t.csv"],
-        ["faults", "--cell", "baseline", "--duration-ms", "10", "--seed", "-1"],
         ["replay-failure", "failure.json", "--until", "-1"],
     ],
-    ids=["faults-duration-ms", "sweep-duration-ms", "replay-weight",
+    ids=["sweep-duration-ms", "replay-weight",
          "synthesize-reads", "synthesize-writes", "synthesize-seed",
-         "faults-seed", "replay-failure-until"],
+         "replay-failure-until"],
 )
 def test_out_of_range_number_is_a_usage_error(argv, capsys):
     """Each bound is checked by argparse: exit 2 with a usage message,
@@ -101,8 +90,9 @@ def test_out_of_range_number_is_a_usage_error(argv, capsys):
         ("time,lba\n1,2\n", "not a trace file"),
         ("arrival_ns,op,lba,size_bytes\n100,READ,0,4096\n7,FROB,0,4096\n",
          ":3: bad trace row"),
+        ("arrival_ns,op,lba,size_bytes\n", "no requests"),
     ],
-    ids=["missing", "empty", "foreign-header", "bad-row"],
+    ids=["missing", "empty", "foreign-header", "bad-row", "header-only"],
 )
 def test_replay_of_a_bad_trace_is_a_usage_error(tmp_path, capsys, content, reason):
     """A trace that cannot be read exits 2 with its one-line reason."""

@@ -18,7 +18,6 @@ HOT_PATH_CLASSES: dict[str, tuple[str, ...]] = {
     "repro.net.packet": ("Packet",),
     "repro.net.fluid": ("FluidFlow",),
     "repro.net.nic": ("Flow", "_Message", "_FlowRateFan"),
-    "repro.net.reliability": ("FlowReliability", "_Segment"),
     "repro.ssd.transactions": ("PageTransaction",),
     "repro.ssd.controller": ("CompletionEntry", "_Inflight", "_GCJob"),
     "repro.workloads.request": ("IORequest",),

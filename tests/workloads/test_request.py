@@ -26,7 +26,6 @@ def test_stamped_request_pickles():
     r = req(lba=8, size=8192, op=OpType.WRITE, arrival=5)
     r.initiator, r.target = "h0", "t1"
     r.submit_ns, r.fetch_ns, r.device_done_ns, r.complete_ns = 6, 7, 9, 12
-    r.error, r.retries = "timeout", 2
     back = pickle.loads(pickle.dumps(r))
     assert back == r
     assert back.req_id == r.req_id
