@@ -16,10 +16,8 @@ from repro.experiments.replay import DeviceReplayResult, replay_on_device
 from repro.experiments.metrics import ThroughputSeries, trim_series
 from repro.experiments.runner import (
     BackgroundTraffic,
-    PacketDropError,
     RunMeasurement,
     RunResult,
-    StuckIOError,
     TestbedConfig,
     run_testbed,
 )
@@ -64,8 +62,6 @@ __all__ = [
     "RunMeasurement",
     "RunResult",
     "run_testbed",
-    "StuckIOError",
-    "PacketDropError",
     "WeightSweepCell",
     "run_weight_sweep",
     "MotivationScenario",

@@ -13,11 +13,7 @@ congestion-then-relief timeline.
 
 The paper's fabric is lossless RoCEv2 under PFC, and nothing here
 recovers a lost packet, so :func:`run_testbed` checks that the run
-stayed lossless (DESIGN §7).  At quiescence — the event heap drained
-inside ``run()`` — no command may still be in flight
-(:class:`StuckIOError`); after the run, no switch may have dropped a
-packet (:class:`PacketDropError`).  Neither check costs anything per
-event.
+stayed lossless with :mod:`repro.faults` (DESIGN §7).
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.nvme.block_sched import BlockLayerThrottle
 from repro.fabric.initiator import Initiator
 from repro.fabric.target import Target
+from repro.faults import StuckIOWatchdog, check_no_drops
 from repro.net.nic import NICConfig
 from repro.net.switch import SwitchConfig
 from repro.net.topology import Network, build_star
@@ -188,50 +185,6 @@ class RunResult:
         return np.arange(n_bins, dtype=np.int64) * MS, counts
 
 
-class StuckIOError(RuntimeError):
-    """The simulation went quiescent with I/O still in flight.
-
-    ``wedged`` holds ``(initiator name, request id, op, target)`` per
-    stuck command.
-    """
-
-    def __init__(self, wedged: list[tuple[str, int, str, str]]) -> None:
-        lines = [f"simulation quiescent with {len(wedged)} I/O(s) still in flight:"]
-        for name, req_id, op, target in wedged[:20]:
-            lines.append(f"  - {name}: req {req_id} ({op} -> {target}) never completed")
-        if len(wedged) > 20:
-            lines.append(f"  ... and {len(wedged) - 20} more")
-        super().__init__("\n".join(lines))
-        self.wedged = wedged
-
-
-class StuckIOWatchdog:
-    """Quiescence check that every issued command completed.
-
-    ``run_testbed`` installs :meth:`check_now` as ``sim.watchdog``,
-    which the engine calls only when the event heap drains: nothing
-    can complete the pending work any more.  A bound method of this
-    module-level class pickles with a checkpointed world (DESIGN §11.2).
-    """
-
-    def __init__(self, initiators: list[Initiator]) -> None:
-        self.initiators = initiators
-
-    def check_now(self, _sim: Simulator | None = None) -> None:
-        """Raise :class:`StuckIOError` if any tracked command is unfinished."""
-        wedged = [
-            (ini.name, req.req_id, "read" if req.is_read else "write", req.target)
-            for ini in self.initiators
-            for req in ini.wedged_requests()
-        ]
-        if wedged:
-            raise StuckIOError(wedged)
-
-
-class PacketDropError(RuntimeError):
-    """A switch dropped packets in a run that assumes a lossless fabric."""
-
-
 class _BackgroundFeeder:
     """Self-rescheduling background-traffic source (slotted so a mid-
     episode checkpoint can pickle the pending feed event)."""
@@ -280,9 +233,10 @@ def run_testbed(
     round-robin to targets (every initiator talks to every target —
     the in-cast pattern).
 
-    Raises :class:`StuckIOError` if the event heap drains with commands
-    still in flight, and :class:`PacketDropError` if any switch dropped
-    a packet (see the module docstring).
+    Raises :class:`~repro.faults.StuckIOError` if the event heap drains
+    with commands still in flight, and
+    :class:`~repro.faults.PacketDropError` if any switch dropped a
+    packet (see :mod:`repro.faults`).
     """
     if len(trace) == 0:
         raise ValueError("cannot run an empty trace")
@@ -340,7 +294,7 @@ def run_testbed(
             controllers.append(block_controller)
 
     initiators = [Initiator(sim, net.hosts[name]) for name in init_names]
-    sim.watchdog = StuckIOWatchdog(initiators).check_now
+    sim.watchdog = StuckIOWatchdog(initiators, net.switches).check_now
 
     # Round-robin request assignment; the whole trace is one series.
     arrivals = []
@@ -365,13 +319,7 @@ def run_testbed(
 
     end = duration_ns if duration_ns is not None else trace[-1].arrival_ns + drain_margin_ns
     sim.run(until=end)
-    dropped = [
-        f"{name} dropped {switch.packets_dropped}"
-        for name, switch in net.switches.items()
-        if switch.packets_dropped
-    ]
-    if dropped:
-        raise PacketDropError("lossless fabric lost packets: " + ", ".join(dropped))
+    check_no_drops(net.switches)
 
     read_events = [ev for ini in initiators for ev in ini.read_deliveries]
     write_events = [ev for tgt in targets for ev in tgt.write_completions]

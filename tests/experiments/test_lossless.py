@@ -1,4 +1,4 @@
-"""The lossless-fabric checks of :mod:`repro.experiments.runner`.
+"""The lossless-fabric checks of :mod:`repro.faults`, as run_testbed makes them.
 
 Nothing in the model recovers a lost packet or command, so a run that
 loses one must fail loudly instead of returning quietly wrong
@@ -12,16 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import (
-    BackgroundTraffic,
-    PacketDropError,
-    StuckIOError,
-    StuckIOWatchdog,
-    TestbedConfig,
-    run_testbed,
-)
+from repro.experiments.runner import BackgroundTraffic, TestbedConfig, run_testbed
 from repro.fabric.initiator import Initiator
 from repro.fabric.target import Target
+from repro.faults import PacketDropError, StuckIOError, StuckIOWatchdog
 from repro.net.switch import SwitchConfig
 from repro.net.topology import build_star
 from repro.nvme.ssq import SSQDriver
@@ -45,7 +39,7 @@ def build_cell(*, swallow: bool):
     if swallow:
         net.hosts["tgt0"].endpoint = _swallow
     ini = Initiator(sim, net.hosts["init0"])
-    watchdog = StuckIOWatchdog([ini])
+    watchdog = StuckIOWatchdog([ini], net.switches)
     sim.watchdog = watchdog.check_now
     for i in range(3):
         req = IORequest(arrival_ns=0, op=OpType.READ, lba=i * 64, size_bytes=4 * KIB)
@@ -95,19 +89,32 @@ def test_run_testbed_raises_when_commands_wedge(monkeypatch):
     assert len(excinfo.value.wedged) == 100
 
 
-def test_run_testbed_raises_on_a_switch_drop():
+def _overflowing_config() -> TestbedConfig:
     # A shared buffer just above the PFC threshold: four senders each
     # stay under XOFF at their own ingress port, but together they
     # overflow the buffer before any PAUSE can hold them back.
     switch = SwitchConfig(
         pfc_xoff_bytes=64 * KIB, pfc_xon_bytes=32 * KIB, buffer_bytes=64 * KIB + 1
     )
-    config = TestbedConfig(
+    return TestbedConfig(
         ssd_config=FAST_SSD,
         switch_config=switch,
         background=BackgroundTraffic(
-            start_ns=0, end_ns=10 * MS, rate_gbps=40.0, n_hosts=4
+            start_ns=0, end_ns=2 * MS, rate_gbps=40.0, n_hosts=4
         ),
     )
+
+
+def test_run_testbed_raises_on_a_switch_drop():
+    # Stopped at a horizon, before quiescence: the drop check reports.
     with pytest.raises(PacketDropError, match=r"sw0 dropped \d+"):
-        run_testbed(_trace(), config, duration_ns=2 * MS)
+        run_testbed(_trace(), _overflowing_config(), duration_ns=2 * MS)
+
+
+def test_wedge_after_a_switch_drop_names_the_drop():
+    # Run to quiescence: the lost packets wedge their commands, and the
+    # stuck-I/O error names the switch drops that explain the wedge.
+    with pytest.raises(StuckIOError, match=r"lost packets: sw0 dropped \d+") as excinfo:
+        run_testbed(_trace(), _overflowing_config())
+    assert excinfo.value.wedged
+    assert excinfo.value.drops["sw0"] > 0
