@@ -7,8 +7,9 @@ Enable it with ``Simulator(sanitize=True)`` or ``REPRO_SANITIZE=1``
 (which sanitizes every :class:`~repro.sim.engine.Simulator` constructed
 without an explicit ``sanitize`` in the process, so whole existing
 scenarios run sanitized unchanged).  A simulator carrying a
-:class:`Sanitizer` runs the engine's observed dispatch loop, which calls
-it around every event (see :mod:`repro.sim.engine`).
+:class:`Sanitizer` checks the clock on every event and calls the
+component sweep after every event (the engine's observed loop) or
+every K-th (the lean loop, strided; see :mod:`repro.sim.engine`).
 
 Checked invariants, per checked event:
 
@@ -35,9 +36,11 @@ runs the component sweep every K-th dispatched event instead of every
 event, plus one final full sweep when each ``run()`` call returns —
 so a *sticky* violation (negative queue depth, broken conservation sum)
 is always caught, at most K-1 events late, for ~1/K of the checking
-cost.  Clock monotonicity is still verified on every event (two int
-compares).  A strided run is bit-identical to a plain or fully-checked
-run — the sanitizer only observes.
+cost.  Clock monotonicity is still verified on every event (one int
+compare in the engine's loop).  A strided run is bit-identical to a
+plain or fully-checked run — the sanitizer only observes.  It runs in
+the engine's lean loop, which dispatches the K events between two
+sweeps as one chunk, so its cost over a plain run is the sweeps alone.
 
 When a strided run does trip, the violation site is coarse (the event
 *at the sampling point*, not the event that corrupted state).  To
@@ -146,11 +149,10 @@ class Sanitizer:
     a checked event costs a handful of Python calls, each a tight loop
     over a homogeneous list.
 
-    Called by the engine's observed loop (see :mod:`repro.sim.engine`),
-    it checks clock monotonicity before every event, runs the component
-    sweep after every :attr:`stride`-th event — the countdown carries
-    across ``run()`` calls — and, when strided, sweeps once more as each
-    ``run()`` call returns.
+    The engine checks clock monotonicity before every event, runs the
+    component sweep (:meth:`sample`) after every :attr:`stride`-th event
+    — the countdown carries across ``run()`` calls — and, when strided,
+    sweeps once more as each ``run()`` call returns (:meth:`finish`).
     """
 
     __slots__ = (
@@ -163,7 +165,6 @@ class Sanitizer:
         "events_checked",
         "stride",
         "countdown",
-        "_last_ns",
     )
 
     def __init__(self, sanitize: bool | str = True) -> None:
@@ -177,8 +178,6 @@ class Sanitizer:
         #: Component sweeps run every this-many dispatched events.
         self.stride = parse_stride(sanitize)
         self.countdown = self.stride
-        #: Time of the last dispatched event (the monotonicity reference).
-        self._last_ns = 0
 
     # -- registration ---------------------------------------------------
     def track_link(self, link: "Link") -> None:
@@ -313,18 +312,6 @@ class Sanitizer:
             raise SanitizerError(invariant, detail, time_ns=now)
 
     # -- run hooks (called by Simulator.run) ----------------------------
-    def dispatch(self, time: int, callback: Callable[..., Any]) -> None:
-        """Before each event: the clock must never move backwards."""
-        if time < self._last_ns:
-            raise SanitizerError(
-                "event-time-monotonic",
-                f"event scheduled at t={time} dispatched after "
-                f"t={self._last_ns} — the clock moved backwards",
-                time_ns=time,
-                site=site_label(callback),
-            )
-        self._last_ns = time
-
     def sample(self, time: int, callback: Callable[..., Any]) -> None:
         """After every ``stride``-th event: the component sweep."""
         failure = self.check()

@@ -80,7 +80,8 @@ def replay_on_device(
         backlog drain distort averages).
 
     The returned ``ssd`` keeps every counter, log and statistic for
-    inspection, but its driver and CQ listener are detached, so the
+    inspection, but its driver and CQ listener are detached and its
+    pending events and queued flash transactions are dropped, so the
     world cannot be continued.
     """
     if len(trace) == 0:
@@ -121,11 +122,13 @@ def replay_on_device(
             write_bytes += req.size_bytes
             writes += 1
 
-    # Unwire the driver and CQ listener: both close reference cycles
-    # through the device, which would leave a drained world to the
-    # cyclic garbage collector instead of reference counting.
+    # Unwire the driver and CQ listener and drop any pending work: each
+    # closes reference cycles through the device, which would leave the
+    # world to the cyclic garbage collector instead of reference counting.
     ssd.attach_driver(None)
     ssd.set_cq_listener(None)
+    sim.discard_pending()
+    ssd.backend.discard_pending()
     return DeviceReplayResult(
         read_tput_gbps=read_bytes / span / GBPS,
         write_tput_gbps=write_bytes / span / GBPS,

@@ -24,6 +24,21 @@ from repro.workloads.traces import Trace
 class Initiator:
     """One compute node issuing remote I/O."""
 
+    __slots__ = (
+        "sim",
+        "nic",
+        "name",
+        "_pending",
+        "_inflight",
+        "read_deliveries",
+        "write_acks",
+        "requests_sent",
+        "reads_completed",
+        "writes_completed",
+        "failed_requests",
+        "retries_sent",
+    )
+
     def __init__(self, sim: Simulator, nic: NIC) -> None:
         self.sim = sim
         self.nic = nic

@@ -31,6 +31,21 @@ from repro.workloads.request import IORequest
 class Target:
     """One storage node with a flash array behind an NVMe-oF port."""
 
+    __slots__ = (
+        "sim",
+        "nic",
+        "name",
+        "ssds",
+        "drivers",
+        "_rr",
+        "_draining",
+        "_drain_again",
+        "write_completions",
+        "read_device_completions",
+        "commands_received",
+        "arrival_listeners",
+    )
+
     def __init__(self, sim: Simulator, nic: NIC, ssds: list[SSD], drivers: list) -> None:
         if not ssds:
             raise ValueError("a target needs at least one SSD")
@@ -106,20 +121,23 @@ class Target:
             self._draining = False
 
     def _drain_cq(self, ssd: SSD) -> None:
+        nic = self.nic
         cq = ssd.controller.cq
         while cq:
             head = cq[0]
             req: IORequest = head.request
             if req.is_read:
                 size = wire_bytes(CapsuleKind.READ_DATA, req)
-                if size > self.nic.txq_free_bytes or not self.nic.send_message(
-                    req.initiator, size, payload=Capsule(kind=CapsuleKind.READ_DATA, request=req)
-                ):
+                if nic.txq_free_bytes < size <= nic.config.txq_capacity_bytes:
                     return  # TXQ full: leave the CQ head in place
+                # It fits now, or never will (send_message raises).
+                nic.send_message(
+                    req.initiator, size, payload=Capsule(kind=CapsuleKind.READ_DATA, request=req)
+                )
                 ssd.pop_completion()
             else:
                 ssd.pop_completion()
-                self.nic.send_ack(
+                nic.send_ack(
                     req.initiator, payload=Capsule(kind=CapsuleKind.WRITE_ACK, request=req)
                 )
 

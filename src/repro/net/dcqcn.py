@@ -48,7 +48,7 @@ from repro.sim.units import gbps_to_bytes_per_ns
 FloatArray = npt.NDArray[np.float64]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DCQCNConfig:
     """RP parameters (SIGCOMM'15 defaults, scaled to 40 Gbps links)."""
 

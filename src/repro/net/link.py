@@ -11,9 +11,12 @@ Hot-path notes: a packet hop is two anonymous events
 (``schedule_anon``).  The serialization finish is the cached bound
 method :meth:`Link._finish` with the packet as its event argument, so
 no closure is allocated per packet.  The arrival is the receiver's own
-``receive(packet, dst_port)``, scheduled by ``_finish`` directly: no
-link-side trampoline sits between the wire and the receiver, and
-dispatch logs name the arrival ``Switch.receive`` or ``NIC.receive``.
+``receive(packet, dst_port)``, bound once when the link is built and
+scheduled by ``_finish`` directly: no link-side trampoline sits between
+the wire and the receiver, and dispatch logs name the arrival
+``Switch.receive`` or ``NIC.receive``.  A test that counts arrivals
+patches the receiver's class before the world is built (the devices
+are slotted, so an instance cannot carry a wrapper).
 ``_finish`` calls :meth:`Link._try_start` only when packets are
 queued; most finishes find the queue empty.  Serialization times are
 memoised per packet size (MTU-dominated traffic hits a single dict
@@ -69,6 +72,7 @@ class Link:
         "_ns_per_byte",
         "_finish_burst_cb",
         "_deliver_burst_cb",
+        "_receive",
     )
 
     def __init__(
@@ -121,6 +125,8 @@ class Link:
         self._finish_cb = self._finish
         self._finish_burst_cb = self._finish_burst
         self._deliver_burst_cb = self._deliver_burst
+        #: The receiver's arrival handler, bound once.
+        self._receive = dst.receive
         if sim.sanitizer is not None:
             sim.sanitizer.track_link(self)
 
@@ -189,12 +195,8 @@ class Link:
         on_depart = self.on_depart
         if on_depart is not None:
             on_depart(packet)
-        # The arrival event is the receiver's own ``receive`` call,
-        # looked up per packet so a wrapper installed on the device
-        # instance still sees every arrival.
-        self.sim.schedule_anon(
-            self.delay_ns, self.dst.receive, packet, self.dst_port
-        )
+        # The arrival event is the receiver's own ``receive`` call.
+        self.sim.schedule_anon(self.delay_ns, self._receive, packet, self.dst_port)
         # _try_start is a no-op on an empty queue, which most finishes
         # find: skip the call.
         if self._queue:
@@ -283,7 +285,7 @@ class Link:
         self._try_start()
 
     def _deliver_burst(self, packets: list[Packet]) -> None:
-        receive = self.dst.receive
+        receive = self._receive
         port = self.dst_port
         for packet in packets:
             receive(packet, port)

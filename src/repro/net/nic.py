@@ -36,7 +36,7 @@ if TYPE_CHECKING:
     from repro.sim.units import Bytes, Nanoseconds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NICConfig:
     """Host NIC parameters."""
 
@@ -71,6 +71,8 @@ class NICConfig:
         if self.burst_segments < 1:
             raise ValueError("burst_segments must be >= 1")
 
+
+_DATA = PacketKind.DATA
 
 _flow_ids = SerialCounter("net.flow")
 _message_ids = SerialCounter("net.message")
@@ -196,15 +198,16 @@ class Flow:
             last = sent >= size
             link.send(
                 Packet(
-                    kind=PacketKind.DATA,
-                    src=nic.name,
-                    dst=self.dst,
-                    size_bytes=seg,
-                    flow_id=self.id,
-                    message_id=msg.id,
-                    message_bytes=size,
-                    last_of_message=last,
-                    payload=msg.payload if last else None,
+                    _DATA,
+                    nic.name,
+                    self.dst,
+                    seg,
+                    self.id,
+                    False,
+                    msg.id,
+                    size,
+                    last,
+                    msg.payload if last else None,
                 )
             )
             self.bytes_sent += seg
@@ -321,6 +324,30 @@ class Flow:
 class NIC:
     """Host network interface."""
 
+    __slots__ = (
+        "sim",
+        "name",
+        "config",
+        "link",
+        "flows",
+        "_flows_by_id",
+        "_backlogged",
+        "_txq_used",
+        "_reassembly",
+        "_last_cnp_ns",
+        "endpoint",
+        "rate_listeners",
+        "txq_drain_listeners",
+        "cnp_log",
+        "pfc_pause_log",
+        "bytes_received",
+        "messages_delivered",
+        "reassembly_high_water",
+        "reassembly_bytes_delivered",
+        "reassembly_bytes_discarded",
+        "reassembly_evictions",
+    )
+
     def __init__(self, sim: Simulator, name: str, config: NICConfig | None = None) -> None:
         self.sim = sim
         self.name = name
@@ -407,12 +434,22 @@ class NIC:
     def send_message(
         self, dst: str, size_bytes: Bytes, payload: Any = None
     ) -> bool:
-        """Queue a message; returns False when the TXQ lacks space."""
+        """Queue a message; returns False when the TXQ lacks space.
+
+        A message larger than the whole TXQ could never be queued, and
+        its sender would wait for it forever: that raises ``ValueError``.
+        """
         if size_bytes <= 0:
             raise ValueError(f"message size must be positive, got {size_bytes}")
         if self.link is None:
             raise RuntimeError(f"NIC {self.name} has no uplink")
         if size_bytes > self.txq_free_bytes:
+            capacity = self.config.txq_capacity_bytes
+            if size_bytes > capacity:
+                raise ValueError(
+                    f"NIC {self.name}: a {size_bytes} B message exceeds the "
+                    f"{capacity} B TXQ capacity and can never be sent"
+                )
             return False
         self._txq_used += size_bytes
         self.flow_to(dst).enqueue(size_bytes, payload)

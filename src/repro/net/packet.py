@@ -30,8 +30,10 @@ class Packet:
     A plain ``__slots__`` class, not a dataclass: simulations allocate
     one of these per MTU segment, and the hand-written ``__init__``
     (no ``__post_init__`` indirection, no generated ``__eq__``) is the
-    cheapest construction CPython offers.  ``is_control`` precomputes
-    ``kind is not DATA`` — read on every link hop.  ``_ingress_port`` is
+    cheapest construction CPython offers; the per-segment caller
+    (``Flow.pump``) passes its arguments positionally, in field order.
+    ``is_control`` precomputes ``kind is not DATA`` — read on every
+    link hop.  ``_ingress_port`` is
     switch-internal scratch space (the ingress port a buffered packet
     entered through, for PFC byte accounting).
     """
@@ -53,7 +55,6 @@ class Packet:
 
     def __init__(
         self,
-        *,
         kind: PacketKind,
         src: str,
         dst: str,

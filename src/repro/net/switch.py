@@ -25,7 +25,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import make_rng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwitchConfig:
     """Buffer and marking parameters (defaults sized for 40 Gbps)."""
 
@@ -49,6 +49,27 @@ class SwitchConfig:
 
 class Switch:
     """One switch; ports are added by the topology builder."""
+
+    __slots__ = (
+        "sim",
+        "name",
+        "config",
+        "_buffer_bytes",
+        "_ecn_kmin_bytes",
+        "_pfc_xoff_bytes",
+        "_pfc_xon_bytes",
+        "_rng",
+        "_out_links",
+        "_neighbor_of_port",
+        "routes",
+        "_ingress_bytes",
+        "_paused_upstream",
+        "packets_forwarded",
+        "packets_dropped",
+        "ecn_marks",
+        "pauses_sent",
+        "_buffered_bytes",
+    )
 
     def __init__(
         self,

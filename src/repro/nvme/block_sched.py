@@ -31,6 +31,17 @@ class BlockLayerThrottle:
     fetching from the *inner* driver; only submission is shaped.
     """
 
+    __slots__ = (
+        "sim",
+        "inner",
+        "_rate",
+        "_pending",
+        "_next_release_ns",
+        "_release_event",
+        "reads_throttled",
+        "rate_log",
+    )
+
     def __init__(self, sim: Simulator, inner, read_rate_gbps: float | None = None) -> None:
         self.sim = sim
         self.inner = inner

@@ -17,6 +17,16 @@ from repro.workloads.request import IORequest
 class DefaultNvmeDriver:
     """FIFO multi-SQ driver implementing ``SubmissionSource``."""
 
+    __slots__ = (
+        "n_queues",
+        "_queues",
+        "_submit_rr",
+        "_fetch_rr",
+        "_doorbell",
+        "submitted",
+        "fetched",
+    )
+
     def __init__(self, n_queues: int = 1) -> None:
         if n_queues < 1:
             raise ValueError(f"n_queues must be >= 1, got {n_queues}")

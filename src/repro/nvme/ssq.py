@@ -25,6 +25,21 @@ from repro.workloads.request import IORequest, OpType
 class SSQDriver:
     """Separate read/write submission queues with weighted fetch."""
 
+    __slots__ = (
+        "wrr",
+        "consistency_check",
+        "rsq",
+        "wsq",
+        "_doorbell",
+        "submitted",
+        "fetched",
+        "consistency_redirects",
+        "weight_log",
+        "_pending_buckets",
+        "_stalled",
+        "_slots",
+    )
+
     #: Dependency-detection granularity in bytes.  Requests are indexed
     #: by the 4 KiB buckets they touch; bucket collision is a
     #: conservative superset of sector overlap.

@@ -22,6 +22,13 @@ class TokenWRR:
     read weight, the paper's control variable ``w`` (reads fixed at 1).
     """
 
+    __slots__ = (
+        "read_weight",
+        "write_weight",
+        "read_tokens",
+        "write_tokens",
+    )
+
     def __init__(self, read_weight: int = 1, write_weight: int = 1) -> None:
         self._validate(read_weight, write_weight)
         self.read_weight = read_weight

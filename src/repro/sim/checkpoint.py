@@ -264,12 +264,11 @@ def run_with_checkpoints(
     """Run to ``until`` in ``every``-event legs, checkpointing each leg.
 
     No checkpoint code runs per event: each leg is a
-    ``sim.run(until=..., max_events=every)`` call (the engine's
-    observed loop) and the
+    ``sim.run(until=..., max_events=every)`` call, served by the
+    engine's lean loop as a plain run is, and the
     :class:`MaxEventsExceeded` it raises at a leg boundary is the
     resume point (``run`` leaves the heap and clock mid-run but
-    consistent — satellite guarantee tested by
-    ``tests/sim/test_resume.py``).
+    consistent, as ``tests/sim/test_resume.py`` checks).
 
     A checkpoint is also written on entry, so failure replay always
     has a floor to restore from.  Only the newest checkpoint is kept:

@@ -19,16 +19,24 @@ entries (:meth:`Simulator.schedule_anon`) for fire-and-forget hot
 paths; one sentinel identity check per dispatch tells them apart.  A
 pre-scheduled series (:meth:`Simulator.schedule_series_at`, a whole
 arrival trace) is one anonymous entry whose callback is the
-:class:`_Series` itself; the observed loop unwraps it to the entry's
-real callback, as it does a handled :class:`Event`.
+:class:`_Series` itself; the lean loop calls it, the observed loop
+unwraps it to the entry's real callback, as it does a handled
+:class:`Event`.
 
-:meth:`Simulator.run` holds exactly two loops.  The lean loop serves
-plain runs.  Everything else — a dispatch log, a ``max_events``
-limit, or the runtime sanitizer
-(:class:`repro.analysis.sanitizer.Sanitizer`) — runs the observed
-loop, which defines ``until``, ``max_events``, tracing, the sanitizer's
-calls, the watchdog and :class:`SanitizerError` stamping once.  Both
-dispatch exactly one event per iteration.
+:meth:`Simulator.run` holds exactly two loops, and both dispatch
+exactly one event per iteration.  The lean loop serves plain runs,
+``max_events`` legs (and so
+:func:`repro.sim.checkpoint.run_with_checkpoints`) and strided
+sanitizing (``"stride:K"``, K > 1).  It dispatches in chunks: a plain
+run is one chunk, a ``max_events`` limit ends the last one, and a
+strided sanitizer's component sweep
+(:class:`repro.analysis.sanitizer.Sanitizer`) runs between chunks of K
+events.  Per event it adds two comparisons to the dispatch: the
+chunk's end, and a clock check that raises ``event-time-monotonic``
+only under a sanitizer.  The observed loop serves a dispatch log and
+full-fidelity sanitizing, which need every event's unwrapped callback.
+Both loops stamp a :class:`SanitizerError` raised inside a callback
+with the event's time and site.
 """
 
 from __future__ import annotations
@@ -156,7 +164,34 @@ class _Series:
 
     def __call__(self) -> None:
         callback, args = self.step()
-        callback(*args)
+        try:
+            callback(*args)
+        except SanitizerError as err:
+            # The lean loop sees only the series; name the entry's site.
+            if err.site is None:
+                err.site = site_label(callback)
+            raise
+
+
+def _clock_moved_back(time: int, now: int, callback: Any, tail: Any) -> None:
+    """Raise ``event-time-monotonic`` unless the entry is a cancelled event.
+
+    ``callback``/``tail`` are a heap entry's, unwrapped or not: the
+    error names the callback the entry would have called.
+    """
+    if callback is HANDLED_MARK:
+        if tail.cancelled:
+            return
+        callback = tail.callback
+    elif callback.__class__ is _Series:
+        callback = callback._rest[-1][1]
+    raise SanitizerError(
+        "event-time-monotonic",
+        f"event scheduled at t={time} dispatched after t={now} — the clock "
+        f"moved backwards",
+        time_ns=time,
+        site=site_label(callback),
+    )
 
 
 class Simulator:
@@ -172,13 +207,14 @@ class Simulator:
     sanitize:
         When true (or when the ``REPRO_SANITIZE`` environment variable
         is set and ``sanitize`` is left as ``None``), a
-        :class:`repro.analysis.sanitizer.Sanitizer` is attached and the
-        run takes the observed loop: it checks runtime invariants (clock
-        monotonicity, queue depths, byte conservation, ...) and raises
-        :class:`SanitizerError` on violation.  The string form
-        ``"stride:K"`` (e.g. ``"stride:64"``, also accepted in
-        ``REPRO_SANITIZE``) samples the invariant sweep every K-th event
-        instead of every event — see DESIGN.md §6.  The sanitized run is
+        :class:`repro.analysis.sanitizer.Sanitizer` is attached: the
+        run checks runtime invariants (clock monotonicity, queue depths,
+        byte conservation, ...) on every event, in the observed loop,
+        and raises :class:`SanitizerError` on violation.  The string
+        form ``"stride:K"`` (e.g. ``"stride:64"``, also accepted in
+        ``REPRO_SANITIZE``) runs the invariant sweep every K-th event
+        instead, between the lean loop's chunks, and still checks the
+        clock on every event — see DESIGN.md §6.  The sanitized run is
         bit-identical to a plain one, just slower.
     """
 
@@ -204,8 +240,8 @@ class Simulator:
         self.dispatch_log: list[tuple[int, str]] = []
         self.events_dispatched: int = 0
         #: The runtime sanitizer under ``sanitize``, else ``None``;
-        #: components register themselves on it when it is set, and the
-        #: observed loop calls it around every event.
+        #: components register themselves on it when it is set, and
+        #: :meth:`run` calls its sweep (see the module docstring).
         self.sanitizer: "Sanitizer | None" = None
         if sanitize is None:
             from repro.analysis.sanitizer import env_sanitize_mode
@@ -358,6 +394,12 @@ class Simulator:
     ) -> int:
         """Dispatch events in time order.
 
+        Plain runs, ``max_events`` legs and strided sanitizing
+        (``"stride:K"``, K > 1) take the lean loop; a dispatch log or
+        full-fidelity sanitizing takes the observed loop (see the
+        module docstring).  Both dispatch the same events in the same
+        order.
+
         Parameters
         ----------
         until:
@@ -377,24 +419,56 @@ class Simulator:
         int
             The number of events dispatched during this call.
         """
+        deadline = _NO_DEADLINE if until is None else until
+        limit = _NO_DEADLINE if max_events is None else max_events
+        sanitizer = self.sanitizer
+        if self._trace or (sanitizer is not None and sanitizer.stride == 1):
+            dispatched = self._run_observed(deadline, limit)
+        else:
+            dispatched = self._run_lean(deadline, limit)
+        if sanitizer is not None:
+            sanitizer.finish(self, dispatched)
+        if until is not None and until > self.now:
+            self.now = until
+        if self.watchdog is not None and not self._queue._heap:
+            self.watchdog(self)
+        return dispatched
+
+    def _run_lean(self, deadline: int, limit: int) -> int:
+        """The lean loop: events in chunks that end at a sweep or the limit.
+
+        A plain run is one chunk.  Under a strided sanitizer each chunk
+        ends at the sanitizer's countdown and its component sweep runs
+        between chunks; a ``max_events`` limit ends the last chunk.  The
+        per-event work is the dispatch plus a clock check that only a
+        sanitizer turns into an error.
+        """
         queue = self._queue
         heap = queue._heap  # the queue compacts in place; alias stays valid
         heappop = heapq.heappop
-        trace = self._trace
         sanitizer = self.sanitizer
-        deadline = _NO_DEADLINE if until is None else until
-        dispatched = 0
-        if not trace and max_events is None and sanitizer is None:
-            # Lean loop for the overwhelmingly common configuration: no
-            # dispatch log, no event limit, no sanitizer.  Identical
-            # semantics to the observed loop below minus its per-event
-            # checks, which measurably add up at millions of events.
-            try:
+        checking = sanitizer is not None
+        if sanitizer is None:
+            stride = countdown = _NO_DEADLINE
+        else:
+            stride = sanitizer.stride
+            countdown = sanitizer.countdown
+        dispatched = start = 0
+        time = 0
+        callback: Any = None
+        tail: Any = None
+        try:
+            while True:
+                # The chunk ends at the next sweep or at the limit (a
+                # limit below 1 still dispatches one event, as observed).
+                stop = start + min(countdown, max(limit - start, 1))
                 while heap:
                     time, _seq, callback, tail = heap[0]
                     if time > deadline:
                         break
                     heappop(heap)
+                    if checking and time < self.now:
+                        _clock_moved_back(time, self.now, callback, tail)
                     if callback is not HANDLED_MARK:
                         self.now = time
                         callback(*tail)
@@ -411,21 +485,56 @@ class Simulator:
                         else:
                             ev.callback()
                     dispatched += 1
-            finally:
-                self.events_dispatched += dispatched
-            if until is not None and until > self.now:
-                self.now = until
-            if self.watchdog is not None and not heap:
-                self.watchdog(self)
-            return dispatched
-        # Observed loop: the lean loop plus per-event checks.
+                    if dispatched == stop:
+                        break
+                countdown -= dispatched - start
+                start = dispatched
+                if dispatched != stop:
+                    break  # drained, or the next event is past the deadline
+                if not countdown:
+                    countdown = stride
+                    # The sweep blames the chunk's last event (a series
+                    # step is named by the series).
+                    sanitizer.sample(  # type: ignore[union-attr]
+                        time, tail.callback if callback is HANDLED_MARK else callback
+                    )
+                if dispatched >= limit:
+                    raise MaxEventsExceeded(limit, dispatched, len(queue), self.now)
+        except SanitizerError as err:
+            # A violation raised inside a callback (e.g. the FTL GC hook)
+            # gets the dispatch context stamped on the way out; a series
+            # step stamps its own entry's site (``_Series.__call__``).
+            if err.site is None:
+                err.site = site_label(
+                    tail.callback if callback is HANDLED_MARK else callback
+                )
+            if err.time_ns is None:
+                err.time_ns = time
+            raise
+        finally:
+            self.events_dispatched += dispatched
+            if sanitizer is not None:
+                sanitizer.countdown = countdown - (dispatched - start)
+        return dispatched
+
+    def _run_observed(self, deadline: int, limit: int) -> int:
+        """The observed loop: the lean loop plus a dispatch log and a
+        sanitizer sweep countdown checked on every event."""
+        queue = self._queue
+        heap = queue._heap
+        heappop = heapq.heappop
+        trace = self._trace
         log = self.dispatch_log
-        limit = _NO_DEADLINE if max_events is None else max_events
+        sanitizer = self.sanitizer
+        checking = sanitizer is not None
         if sanitizer is None:
             stride = countdown = _NO_DEADLINE
         else:
             stride = sanitizer.stride
             countdown = sanitizer.countdown
+        dispatched = 0
+        time = 0
+        callback: Any = None
         try:
             while heap:
                 time, _seq, callback, args = heap[0]
@@ -442,8 +551,8 @@ class Simulator:
                     args = ev.args
                 elif callback.__class__ is _Series:
                     callback, args = callback.step()
-                if sanitizer is not None:
-                    sanitizer.dispatch(time, callback)
+                if checking and time < self.now:
+                    _clock_moved_back(time, self.now, callback, args)
                 self.now = time
                 if trace:
                     log.append((time, site_label(callback)))
@@ -454,12 +563,8 @@ class Simulator:
                     countdown = stride
                     sanitizer.sample(time, callback)  # type: ignore[union-attr]
                 if dispatched >= limit:
-                    raise MaxEventsExceeded(
-                        limit, dispatched, len(queue), self.now
-                    )
+                    raise MaxEventsExceeded(limit, dispatched, len(queue), self.now)
         except SanitizerError as err:
-            # A violation raised inside a callback (e.g. the FTL GC hook)
-            # gets the dispatch context stamped on the way out.
             if err.site is None:
                 err.site = site_label(callback)
             if err.time_ns is None:
@@ -469,13 +574,18 @@ class Simulator:
             if sanitizer is not None:
                 sanitizer.countdown = countdown
             self.events_dispatched += dispatched
-        if sanitizer is not None:
-            sanitizer.finish(self, dispatched)
-        if until is not None and until > self.now:
-            self.now = until
-        if self.watchdog is not None and not heap:
-            self.watchdog(self)
         return dispatched
+
+    def discard_pending(self) -> None:
+        """Drop every scheduled event; the world cannot be continued.
+
+        For a caller that stops a run early and keeps only what it
+        measured: pending entries hold bound methods of the world's
+        components, so dropping them lets reference counting, not the
+        cyclic garbage collector, free the world.
+        """
+        self._queue._heap.clear()
+        self._queue._dead = 0
 
     def pending(self) -> int:
         """Number of live events still scheduled (O(1))."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from repro.sim.units import KIB, MIB, US
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SSDConfig:
     """Parameters of one simulated SSD.
 

@@ -113,6 +113,25 @@ class _Inflight:
 class SSDController:
     """Device-side command engine (see module docstring)."""
 
+    __slots__ = (
+        "sim",
+        "config",
+        "backend",
+        "ftl",
+        "cache",
+        "driver",
+        "_page_transfer_ns",
+        "inflight_reads",
+        "inflight_writes",
+        "cq",
+        "_pending_cq",
+        "_stalled_writes",
+        "cq_listener",
+        "completion_log",
+        "commands_fetched",
+        "commands_completed",
+    )
+
     def __init__(
         self,
         sim: Simulator,

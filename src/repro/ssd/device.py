@@ -23,6 +23,15 @@ from repro.ssd.write_cache import WriteCache
 class SSD:
     """One simulated NVMe SSD."""
 
+    __slots__ = (
+        "sim",
+        "config",
+        "backend",
+        "ftl",
+        "cache",
+        "controller",
+    )
+
     def __init__(self, sim: Simulator, config: SSDConfig) -> None:
         self.sim = sim
         self.config = config

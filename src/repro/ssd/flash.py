@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from repro.sim.units import Nanoseconds
 
 
-@dataclass
+@dataclass(slots=True)
 class _Server:
     """A FIFO resource (one channel)."""
 
@@ -36,7 +36,7 @@ class _Server:
     busy_ns_total: Nanoseconds = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Chip:
     """A chip with separate read/write service queues.
 
@@ -60,6 +60,19 @@ class _Chip:
 
 class FlashBackend:
     """Event-driven channels × chips flash array."""
+
+    __slots__ = (
+        "sim",
+        "config",
+        "_chips",
+        "_channels",
+        "completed",
+        "_read_latency_ns",
+        "_write_latency_ns",
+        "_erase_latency_ns",
+        "_page_transfer_ns",
+        "_chips_per_channel",
+    )
 
     def __init__(self, sim: Simulator, config: SSDConfig) -> None:
         self.sim = sim
@@ -174,6 +187,19 @@ class FlashBackend:
         self.completed += 1
         if txn.on_done is not None:
             txn.on_done(txn)
+
+    def discard_pending(self) -> None:
+        """Drop every queued transaction; the device cannot be continued.
+
+        Queue entries hold bound methods of this backend, so a stopped
+        world that keeps them is freed only by the cyclic garbage
+        collector (see :meth:`repro.sim.engine.Simulator.discard_pending`).
+        """
+        for chip in self._chips:
+            chip.read_queue.clear()
+            chip.write_queue.clear()
+        for channel in self._channels:
+            channel.queue.clear()
 
     # -- introspection ----------------------------------------------------
     def chip_utilisation(self, horizon_ns: Nanoseconds) -> list[float]:

@@ -18,6 +18,16 @@ from collections import OrderedDict
 class WriteCache:
     """Byte-bounded staging buffer with LPN residency tracking."""
 
+    __slots__ = (
+        "capacity",
+        "page_bytes",
+        "occupied",
+        "_max_resident",
+        "_resident",
+        "read_hits",
+        "read_misses",
+    )
+
     def __init__(self, capacity_bytes: int, page_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_bytes}")

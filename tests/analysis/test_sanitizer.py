@@ -90,6 +90,22 @@ def test_monotonicity_violation_is_caught():
     assert "[event-time-monotonic]" in str(ei.value)
 
 
+def test_monotonicity_violation_is_caught_strided():
+    """A strided run checks the clock on every event too."""
+    sim = Simulator(sanitize="stride:64")
+    _tick(sim)
+
+    def corrupt() -> None:
+        sim._queue.push(3, lambda: None)
+
+    sim.schedule(100, corrupt)
+    with pytest.raises(SanitizerError) as ei:
+        sim.run()
+    assert ei.value.invariant == "event-time-monotonic"
+    assert "[event-time-monotonic]" in str(ei.value)
+    assert ei.value.time_ns == 3
+
+
 def test_negative_link_queue_is_caught():
     sim = Simulator(sanitize=True)
     net = build_star(sim, ["a", "b"], rate_gbps=40.0, delay_ns=US)
@@ -349,6 +365,62 @@ def test_strided_incast_is_bit_identical_to_unsanitized():
     checked = strided_sim.sanitizer.events_checked
     assert checked < events // 32
     assert checked >= events // 64
+
+
+def _raise_inside(sim) -> None:
+    raise SanitizerError("test-invariant", "raised inside a callback")
+
+
+@pytest.mark.parametrize("kind", ["handled", "anonymous", "series"])
+def test_strided_run_stamps_an_error_raised_inside_a_callback(kind):
+    """Like the FTL GC hook's: the event's time and unwrapped site."""
+    sim = Simulator(sanitize="stride:64")
+    _tick(sim)
+    if kind == "handled":
+        sim.schedule(55, _raise_inside, sim)
+    elif kind == "anonymous":
+        sim.schedule_anon(55, _raise_inside, sim)
+    else:
+        sim.schedule_series_at([(55, _raise_inside, (sim,))])
+    with pytest.raises(SanitizerError) as ei:
+        sim.run()
+    assert ei.value.time_ns == 55
+    assert ei.value.site == "_raise_inside"
+
+
+def _fail() -> None:
+    raise ZeroDivisionError
+
+
+@pytest.mark.parametrize("stride", [3, 7, 64])
+@pytest.mark.parametrize("until", [None, 333])
+def test_lean_and_observed_loops_sweep_alike(stride, until):
+    """``max_events`` legs under a strided sanitizer: the lean loop
+    (untraced) sweeps after the same events as the observed loop
+    (traced), carries the same countdown across legs (also out of a
+    callback that raised) and stops at the same events and clock."""
+
+    def legs(trace):
+        sim = Simulator(trace=trace, sanitize=f"stride:{stride}")
+        _tick(sim, depth=100)
+        sim.schedule(145, _fail)
+        seen = []
+        while True:
+            try:
+                sim.run(until=until, max_events=10)
+            except MaxEventsExceeded as exc:
+                seen.append((exc.dispatched, exc.pending, exc.now))
+            except ZeroDivisionError:
+                seen.append(("raised", sim.events_dispatched, sim.now))
+            else:
+                seen.append(("end", sim.pending(), sim.now))
+                break
+            finally:
+                sanitizer = sim.sanitizer
+                seen.append((sanitizer.events_checked, sanitizer.countdown))
+        return seen, sim.events_dispatched
+
+    assert legs(False) == legs(True)
 
 
 def test_stride_countdown_survives_run_boundaries():

@@ -15,7 +15,9 @@ import pytest
 from repro.experiments.runner import BackgroundTraffic, TestbedConfig, run_testbed
 from repro.fabric.initiator import Initiator
 from repro.fabric.target import Target
+from repro.fabric.capsule import CapsuleKind, wire_bytes
 from repro.faults import PacketDropError, StuckIOError, StuckIOWatchdog
+from repro.net.nic import NICConfig
 from repro.net.switch import SwitchConfig
 from repro.net.topology import build_star
 from repro.nvme.ssq import SSQDriver
@@ -118,3 +120,38 @@ def test_wedge_after_a_switch_drop_names_the_drop():
         run_testbed(_trace(), _overflowing_config())
     assert excinfo.value.wedged
     assert excinfo.value.drops["sw0"] > 0
+
+
+def test_a_capsule_larger_than_the_txq_raises():
+    # Two 64 KiB writes: with the command header their capsules can
+    # never fit a 64 KiB TXQ, and a sender waiting for the space would
+    # wedge every command queued behind them.
+    reads = MicroWorkloadConfig(mean_interarrival_ns=2_000, mean_size_bytes=4 * KIB)
+    writes = MicroWorkloadConfig(mean_interarrival_ns=2_000, mean_size_bytes=16 * KIB)
+    trace = generate_micro_trace(reads, writes, n_reads=400, n_writes=400, seed=1)
+    oversized = [
+        r for r in trace if wire_bytes(CapsuleKind.COMMAND, r) > 64 * KIB
+    ]
+    assert len(oversized) == 2
+    config = TestbedConfig(
+        ssd_config=FAST_SSD, nic_config=NICConfig(txq_capacity_bytes=64 * KIB)
+    )
+    with pytest.raises(ValueError, match=r"exceeds the 65536 B TXQ capacity"):
+        run_testbed(trace, config)
+
+
+def test_a_read_completion_larger_than_the_txq_raises():
+    # The target's drain path reaches the same check: a read whose data
+    # capsule can never fit the target's TXQ is not left at the CQ head.
+    sim = Simulator()
+    net = build_star(
+        sim, ["init0", "tgt0"], nic_config=NICConfig(txq_capacity_bytes=16 * KIB)
+    )
+    ssd = SSD(sim, FAST_SSD)
+    Target(sim, net.hosts["tgt0"], [ssd], [SSQDriver(1, 1)])
+    ini = Initiator(sim, net.hosts["init0"])
+    req = IORequest(arrival_ns=0, op=OpType.READ, lba=0, size_bytes=32 * KIB)
+    req.target = "tgt0"
+    ini.issue(req)
+    with pytest.raises(ValueError, match=r"NIC tgt0: a \d+ B message exceeds"):
+        sim.run()

@@ -77,5 +77,12 @@ def test_drained_world_is_freed_by_reference_counting(monkeypatch):
         assert result.ssd.controller.commands_completed == len(t)
         del result
         assert gc.collect() == 0
+        # Stopped at the last arrival, with events and flash
+        # transactions still pending: those are dropped, not left in
+        # reference cycles.
+        result = replay_on_device(t, FAST_SSD, SSQDriver(1, 2), drain=False)
+        assert result.ssd.controller.commands_completed < len(t)
+        del result
+        assert gc.collect() == 0
     finally:
         gc.enable()

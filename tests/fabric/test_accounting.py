@@ -1,5 +1,6 @@
 """Target completion accounting: device-service time, not drain time."""
 
+from repro.fabric.capsule import CapsuleKind, wire_bytes
 from repro.fabric.initiator import Initiator
 from repro.fabric.target import Target
 from repro.net.nic import NICConfig
@@ -28,13 +29,19 @@ def req(op, lba, size=4096):
 def test_write_counted_even_behind_blocked_read():
     """A read stuck at the CQ head must not hide later write service.
 
-    The TXQ is sized below one read response, so the read completion can
-    never ship; the write behind it still counts at its device-post time
-    (§IV-B measures write throughput at the target device).
+    The target's TXQ holds one read response, but its uplink is paused
+    behind a filler message, so the read completion never finds room
+    and never ships; the write behind it still counts at its
+    device-post time (§IV-B measures write throughput at the target
+    device).  Its ack is a control packet, which a pause lets through.
     """
-    tiny_txq = NICConfig(txq_capacity_bytes=2048)  # < read response size
-    sim, ini, tgt = build(tiny_txq)
-    ini.issue(req(OpType.READ, lba=0, size=16 * 4096))
+    read = req(OpType.READ, lba=0, size=16 * 4096)
+    txq = NICConfig(txq_capacity_bytes=wire_bytes(CapsuleKind.READ_DATA, read))
+    sim, ini, tgt = build(txq)
+    tgt.nic.link.pause()
+    # Four MTU segments fill the paused link's backlog; one stays queued.
+    assert tgt.nic.send_message("ini", 5 * txq.mtu_bytes)
+    ini.issue(read)
     # Small enough that its command capsule fits the initiator's TXQ too.
     ini.issue(req(OpType.WRITE, lba=10**6, size=1024))
     sim.run()

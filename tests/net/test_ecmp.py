@@ -1,27 +1,27 @@
 """ECMP path selection: per-flow stability (the in-order guarantee)."""
 
 from repro.net.packet import Packet, PacketKind
+from repro.net.switch import Switch
 from repro.net.topology import build_clos
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
 
 
-def test_flow_packets_stay_on_one_path():
+def test_flow_packets_stay_on_one_path(monkeypatch):
     """All packets of one flow cross the same leaf (no reordering)."""
+    src, dst = "h0_0_0", "h1_1_0"
+    leaf_counts: dict[str, int] = {}
+    receive = Switch.receive
+
+    def counting(sw, packet, in_port):
+        if sw.name.startswith("leaf") and packet.kind is PacketKind.DATA and packet.dst == dst:
+            leaf_counts[sw.name] = leaf_counts.get(sw.name, 0) + 1
+        receive(sw, packet, in_port)
+
+    # Links bind their receiver's ``receive`` when the world is built.
+    monkeypatch.setattr(Switch, "receive", counting)
     sim = Simulator()
     net = build_clos(sim, n_pods=2, leaves_per_pod=2, tors_per_pod=2, hosts_per_tor=2)
-    src, dst = "h0_0_0", "h1_1_0"
-    leaf_counts = {name: 0 for name in net.switches if name.startswith("leaf")}
-    for name in leaf_counts:
-        sw = net.switches[name]
-        original = sw.receive
-
-        def counting(packet, in_port, sw_name=name, original=original):
-            if packet.kind is PacketKind.DATA and packet.dst == dst:
-                leaf_counts[sw_name] += 1
-            original(packet, in_port)
-
-        sw.receive = counting
 
     for _ in range(20):
         net.hosts[src].send_message(dst, 4096)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.nvme.ssq import SSQDriver
 from repro.sim.engine import Simulator
+from repro.ssd.controller import SSDController
 from repro.ssd.device import SSD
 from repro.workloads.request import IORequest, OpType
 from tests.conftest import FAST_SSD
@@ -39,14 +40,6 @@ def run(driver_cls, config, rows, weights, new_weights, switch_ns, until=None):
     driver.connect(ssd)
     ssd.set_cq_listener(ssd.auto_drain)
     controller = ssd.controller
-    kicks = [0]
-    kick = controller.kick
-
-    def counting_kick() -> None:
-        kicks[0] += 1
-        kick()
-
-    controller.kick = counting_kick
     for arrival, is_read, lba, size in rows:
         request = IORequest(arrival, OpType.READ if is_read else OpType.WRITE, lba, size)
         sim.schedule_at_anon(arrival, _submit, driver, sim, request)
@@ -56,7 +49,7 @@ def run(driver_cls, config, rows, weights, new_weights, switch_ns, until=None):
         (t, r.arrival_ns, r.op, r.lba, r.size_bytes, r.fetch_ns)
         for t, r in controller.completion_log
     ]
-    return log, driver, kicks[0], sim.events_dispatched
+    return log, driver, controller, sim.events_dispatched
 
 
 def _submit(driver, sim, request) -> None:
@@ -108,18 +101,26 @@ def test_skipped_doorbells_change_no_completion(
     assert events == want_events
 
 
-def test_saturated_device_kicks_less_than_it_submits():
+def test_saturated_device_kicks_less_than_it_submits(monkeypatch):
     # Up to the last arrival, as the training sweep measures: the device
     # falls ever further behind, so most submits find fetch stalled.
+    kicks: dict[SSDController, int] = {}
+    kick = SSDController.kick
+
+    def counting_kick(controller: SSDController) -> None:
+        kicks[controller] = kicks.get(controller, 0) + 1
+        kick(controller)
+
+    monkeypatch.setattr(SSDController, "kick", counting_kick)
     config = dataclasses.replace(FAST_SSD, queue_depth=4)
     n = 400
     rows = trace_rows(
         [200] * n, [i % 3 != 0 for i in range(n)], [64 * i for i in range(n)], [16] * n
     )
     args = (config, rows, (1, 4), (1, 2), rows[n // 2][0], rows[-1][0])
-    got, driver, kicks, _ = run(SSQDriver, *args)
-    want, _, reference_kicks, _ = run(AlwaysRings, *args)
+    got, driver, controller, _ = run(SSQDriver, *args)
+    want, _, reference, _ = run(AlwaysRings, *args)
     assert got == want
     assert driver.submitted == n
-    assert reference_kicks >= n
-    assert kicks < n
+    assert kicks[reference] >= n
+    assert kicks[controller] < n

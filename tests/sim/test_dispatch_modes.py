@@ -1,10 +1,12 @@
 """Every dispatch mode of the engine replays the v2 golden incast cell.
 
-``Simulator.run`` has two loops: the lean loop (plain runs) and the
-observed loop (a trace, ``max_events`` legs, or the sanitizer).  Each
-mode below runs the golden cell to its horizon and must reproduce the
-golden outputs and event count, and traced modes the golden dispatch
-log.
+``Simulator.run`` has two loops: the lean loop (plain runs,
+``max_events`` legs, checkpointed legs and strided sanitizing) and the
+observed loop (a trace or full sanitizing).  A trace forces the
+observed loop, so each untraced mode below is the lean-loop twin of a
+traced one.  Each mode runs the golden cell to its horizon and must
+reproduce the golden outputs and event count, and traced modes the
+golden dispatch log.
 Each run is then drained: the watchdog must fire exactly once, on the
 ``run()`` call that empties the heap, whichever loop served it.
 """
@@ -27,6 +29,9 @@ MODES = {
     "sanitized": dict(trace=True, sanitize=True),
     "strided": dict(trace=True, sanitize="stride:64"),
     "checkpointed": dict(trace=True, sanitize=False),
+    "untraced-max_events": dict(trace=False, sanitize=False),
+    "untraced-strided": dict(trace=False, sanitize="stride:64"),
+    "untraced-checkpointed": dict(trace=False, sanitize=False),
 }
 
 
@@ -57,9 +62,9 @@ def test_every_dispatch_mode_replays_the_golden_cell(mode, tmp_path):
     sim, net = build_incast_cell(sim=sim, **CELL)
     sim.watchdog = watchdog = _Watchdog()
 
-    if mode == "max_events":
+    if mode.endswith("max_events"):
         _run_in_legs(sim, UNTIL)
-    elif mode == "checkpointed":
+    elif mode.endswith("checkpointed"):
         ck.run_with_checkpoints(
             sim, net, until=UNTIL, directory=tmp_path, every=700, scenario=CELL
         )
@@ -72,7 +77,7 @@ def test_every_dispatch_mode_replays_the_golden_cell(mode, tmp_path):
         assert _trace_sha(sim.dispatch_log) == golden["sha256"]
     assert watchdog.fired == []  # stopped at the horizon with events still queued
 
-    if mode == "max_events":
+    if mode.endswith("max_events"):
         _run_in_legs(sim, None)
     else:
         sim.run()
