@@ -14,6 +14,7 @@ through an SSQ driver and records
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,39 +116,13 @@ class TrainingSet:
 TraceColumns = tuple[tuple[int, ...], tuple[OpType, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def sample_trace(
-    trace: Trace,
-    config: SSDConfig,
-    weight_ratio: int,
-    *,
-    window_ns: int | None = None,
-    measure_start_fraction: float = 0.4,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One training sample: replay ``trace`` at ``weight_ratio``.
-
-    Returns (x_row, y_row) with x in FEATURE_NAMES order and y =
-    (read Gbps, write Gbps).  Like the sweep, it replays fresh copies
-    of the requests, so ``trace`` is left unstamped.
-    """
-    if weight_ratio < 1:
-        raise ValueError(f"weight ratio must be >= 1, got {weight_ratio}")
-    sample = _sample_cell(
-        config,
-        _trace_columns(trace),
-        extract_features(trace, window_ns=window_ns),
-        weight_ratio,
-        measure_start_fraction,
-    )
-    return sample["x"], sample["y"]
-
-
 def _trace_columns(trace: Trace) -> TraceColumns:
     requests = trace.requests
     return (
-        tuple(r.arrival_ns for r in requests),
-        tuple(r.op for r in requests),
-        tuple(r.lba for r in requests),
-        tuple(r.size_bytes for r in requests),
+        tuple(map(attrgetter("arrival_ns"), requests)),
+        tuple(map(attrgetter("op"), requests)),
+        tuple(map(attrgetter("lba"), requests)),
+        tuple(map(attrgetter("size_bytes"), requests)),
     )
 
 
@@ -162,18 +137,20 @@ def _sample_cell(
     pool can pickle it).
 
     The trace arrives as columns, built once per sweep for all of its
-    weight ratios, and is replayed as fresh requests in trace order:
-    ``req_id`` only breaks arrival ties, so the order is the source's,
-    and no replay stamps requests another cell (or the caller) holds.
+    weight ratios, and is replayed as fresh requests in trace order,
+    so no replay stamps requests another cell (or the caller) holds.
+    The columns come from a :class:`Trace`, so they are arrival-ordered
+    already, and fresh ``req_id``s (which only break arrival ties)
+    follow the same order: the rebuilt list is replayed as it is,
+    without a re-sort.
     """
     # Imported here rather than at module level: repro.experiments depends
     # on repro.core (the runner wires SRC controllers), so the reverse
     # edge must stay lazy.
     from repro.experiments.replay import replay_on_device
 
-    trace = Trace(IORequest(*row) for row in zip(*columns))
     result = replay_on_device(
-        trace,
+        list(map(IORequest, *columns)),
         config,
         SSQDriver(read_weight=1, write_weight=weight_ratio),
         drain=False,
@@ -288,6 +265,8 @@ def collect_training_set_with_report(
     if plan is None and traces is None:
         plan = SamplingPlan()
     ratios = list(weight_ratios or (plan.weight_ratios if plan else (1, 2, 4, 8)))
+    if any(w < 1 for w in ratios):
+        raise ValueError(f"weight ratios must be >= 1 (SRC only slows reads), got {ratios}")
     mf = plan.measure_start_fraction if plan else 0.4
 
     report = run_cells(

@@ -6,32 +6,25 @@ This is the harness behind the Fig. 5 weight-ratio sweeps and the
 training-sample collection for the throughput-prediction model: both
 need the relationship between (workload, weight ratio) and device
 throughput in isolation from congestion effects.
+
+The whole trace is one pre-scheduled series
+(:meth:`repro.sim.engine.Simulator.schedule_series_at`) whose entries
+call the driver's own ``submit(request, arrival_ns)``: each arrival is
+one engine step and one driver call, with no feeder object between
+them.  The training sweep replays 48 such cells per repetition, so
+this path is its whole host cost (DESIGN §5b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.sim.engine import Simulator
 from repro.sim.units import GBPS
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
-from repro.workloads.traces import Trace
-
-
-class _DriverFeed:
-    """Arrival-time submission callback (slotted, checkpoint-picklable):
-    stamps ``now_ns`` at dispatch, which a ``functools.partial`` over the
-    schedule-time clock could not."""
-
-    __slots__ = ("driver", "sim")
-
-    def __init__(self, driver, sim: Simulator) -> None:
-        self.driver = driver
-        self.sim = sim
-
-    def __call__(self, req) -> None:
-        self.driver.submit(req, now_ns=self.sim.now)
+from repro.workloads.request import IORequest
 
 
 @dataclass
@@ -53,7 +46,7 @@ class DeviceReplayResult:
 
 
 def replay_on_device(
-    trace: Trace,
+    trace: Sequence[IORequest],
     config: SSDConfig,
     driver,
     *,
@@ -66,8 +59,10 @@ def replay_on_device(
     Parameters
     ----------
     trace:
-        Arrival-stamped requests; each is submitted to the driver at its
-        arrival time.
+        Arrival-stamped requests in arrival order (a
+        :class:`~repro.workloads.traces.Trace`, or a list already in
+        that order); each is submitted to the driver at its arrival
+        time.
     config / driver:
         The SSD configuration and an *unattached* driver instance
         (``DefaultNvmeDriver`` or ``SSQDriver``).
@@ -95,8 +90,10 @@ def replay_on_device(
     # Host consumes completions immediately (no fabric backpressure).
     ssd.set_cq_listener(ssd.auto_drain)
 
-    feed = _DriverFeed(driver, sim)
-    sim.schedule_series_at([(req.arrival_ns, feed, (req,)) for req in trace])
+    # Each arrival calls the driver's own ``submit(req, now_ns)``: at
+    # dispatch the clock reads the arrival time, so it is bound up front.
+    submit = driver.submit
+    sim.schedule_series_at([(req.arrival_ns, submit, (req, req.arrival_ns)) for req in trace])
 
     last_arrival = trace[-1].arrival_ns
     if drain:

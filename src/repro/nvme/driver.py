@@ -44,7 +44,7 @@ class DefaultNvmeDriver:
         device.attach_driver(self)
 
     # -- host side -------------------------------------------------------
-    def submit(self, request: IORequest, *, now_ns: int | None = None) -> None:
+    def submit(self, request: IORequest, now_ns: int | None = None) -> None:
         """Enqueue a command and ring the doorbell."""
         if now_ns is not None:
             request.submit_ns = now_ns

@@ -21,6 +21,12 @@ from typing import Callable
 from repro.nvme.wrr import TokenWRR
 from repro.workloads.request import IORequest, OpType
 
+#: See :attr:`SSQDriver.DEPENDENCY_BUCKET_BYTES`.
+_BUCKET = 4096
+#: Hot-path Enum members as globals: a member load costs ~10x a global
+#: load on CPython 3.11 (DESIGN §5b).
+_READ = OpType.READ
+
 
 class SSQDriver:
     """Separate read/write submission queues with weighted fetch."""
@@ -43,7 +49,7 @@ class SSQDriver:
     #: Dependency-detection granularity in bytes.  Requests are indexed
     #: by the 4 KiB buckets they touch; bucket collision is a
     #: conservative superset of sector overlap.
-    DEPENDENCY_BUCKET_BYTES = 4096
+    DEPENDENCY_BUCKET_BYTES = _BUCKET
 
     def __init__(
         self,
@@ -98,7 +104,7 @@ class SSQDriver:
         return self.wrr.weight_ratio
 
     # -- host side -----------------------------------------------------------
-    def submit(self, request: IORequest, *, now_ns: int | None = None) -> None:
+    def submit(self, request: IORequest, now_ns: int | None = None) -> None:
         """Enqueue with the consistency check, then ring the doorbell.
 
         The doorbell is skipped when it cannot fetch: the last fetch
@@ -114,39 +120,38 @@ class SSQDriver:
             request.submit_ns = now_ns
         queue = self.rsq if request.is_read else self.wsq
         if self.consistency_check:
-            queue = self._check_and_index(request, queue)
+            # Index the request's buckets.  Nearly every request touches
+            # no indexed bucket: one C-level test and one update, inline.
+            first = request.lba * 512
+            buckets = range(first // _BUCKET, (first + request.size_bytes - 1) // _BUCKET + 1)
+            pending = self._pending_buckets
+            if pending.keys().isdisjoint(buckets):
+                pending.update(dict.fromkeys(buckets, 1 if queue is self.rsq else -1))
+            else:
+                queue = self._follow_dependency(buckets, queue)
         ring = not (self._stalled and queue)
         queue.append(request)
         self.submitted += 1
         if ring and self._doorbell is not None:
             self._doorbell()
 
-    def _buckets_of(self, request: IORequest) -> range:
-        start = (request.lba * 512) // self.DEPENDENCY_BUCKET_BYTES
-        end = (request.lba * 512 + request.size_bytes - 1) // self.DEPENDENCY_BUCKET_BYTES
-        return range(start, end + 1)
-
-    def _check_and_index(
-        self, request: IORequest, natural: deque[IORequest]
+    def _follow_dependency(
+        self, buckets: range, natural: deque[IORequest]
     ) -> deque[IORequest]:
-        """Pick ``request``'s SQ and index its buckets, in one walk.
+        """Pick the SQ of a request that touches an indexed bucket, and
+        index its ``buckets``, in one walk.
 
         The request joins the SQ of the first touched bucket that still
         has a waiting request (counting a redirect when that is not its
-        ``natural`` queue), else ``natural``.  Overlap is tracked at
+        ``natural`` queue).  Overlap is tracked at
         :data:`DEPENDENCY_BUCKET_BYTES` granularity through an index
         updated on submit/fetch, so the check is O(pages touched)
         instead of a queue scan.  Buckets already indexed keep their
         queue (later requests to a bucket follow the same SQ, so
         repointing is unnecessary) and gain a reference; fresh buckets
-        take the chosen SQ's sign.  Most requests touch no indexed
-        bucket and take the one-call fast path.
+        take the chosen SQ's sign.
         """
         pending = self._pending_buckets
-        buckets = self._buckets_of(request)
-        if pending.keys().isdisjoint(buckets):
-            pending.update(dict.fromkeys(buckets, 1 if natural is self.rsq else -1))
-            return natural
         sign = 0
         fresh = []
         for bucket in buckets:
@@ -163,19 +168,6 @@ class SSQDriver:
         if target is not natural:
             self.consistency_redirects += 1
         return target
-
-    def _unindex_buckets(self, request: IORequest) -> None:
-        pending = self._pending_buckets
-        for bucket in self._buckets_of(request):
-            count = pending.get(bucket)
-            if count is None:
-                continue
-            if count > 1:
-                pending[bucket] = count - 1
-            elif count < -1:
-                pending[bucket] = count + 1
-            else:
-                del pending[bucket]
 
     # -- device side (SubmissionSource) -----------------------------------------
     def has_pending(self) -> bool:
@@ -207,7 +199,7 @@ class SSQDriver:
         choice = self.wrr.choose(bool(rsq), bool(wsq))
         if choice is None:
             return None
-        queue = rsq if choice is OpType.READ else wsq
+        queue = rsq if choice is _READ else wsq
         head = queue[0]
         read_slots, write_slots = self._partition(queue_depth)
         if head.is_read:
@@ -222,7 +214,19 @@ class SSQDriver:
         if rsq and wsq:
             self.wrr.consume(head.op)
         queue.popleft()
-        self._unindex_buckets(head)
+        pending = self._pending_buckets
+        if pending:  # empty without the consistency check
+            first = head.lba * 512
+            for bucket in range(first // _BUCKET, (first + head.size_bytes - 1) // _BUCKET + 1):
+                count = pending.get(bucket)
+                if count is None:
+                    continue
+                if count > 1:
+                    pending[bucket] = count - 1
+                elif count < -1:
+                    pending[bucket] = count + 1
+                else:
+                    del pending[bucket]
         self.fetched += 1
         return head
 

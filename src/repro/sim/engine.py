@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import heapq
 import os
+from itertools import islice
+from operator import itemgetter, le
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.sim.events import HANDLED_MARK, Event, EventQueue
@@ -163,7 +165,14 @@ class _Series:
         return callback, args
 
     def __call__(self) -> None:
-        callback, args = self.step()
+        # The lean loop's step: :meth:`step` inlined, one frame less per
+        # arrival.
+        rest = self._rest
+        _time, callback, args = rest.pop()
+        if rest:
+            seq = self._seq
+            self._seq = seq + 1
+            heapq.heappush(self._heap, (rest[-1][0], seq, self, ()))
         try:
             callback(*args)
         except SanitizerError as err:
@@ -317,8 +326,8 @@ class Simulator:
         """Schedule ``callback(*args)`` at ``time`` for each entry, handle-free.
 
         ``entries`` is a list of ``(time, callback, args)`` in
-        non-decreasing time order, none before ``now`` (checked in one
-        pass; the list is not sorted).  The dispatch order, event count
+        non-decreasing time order, none before ``now`` (checked, not
+        sorted).  The dispatch order, event count
         and every output are exactly those of one
         :meth:`schedule_at_anon` per entry, in list order, made at this
         call: the series reserves one sequence number per entry now.
@@ -327,20 +336,23 @@ class Simulator:
         leaves every other push and pop at the depth of the model's
         working set.
         """
-        prev = self.now
-        for entry in entries:
-            time = entry[0]
-            if time < prev:
-                if prev == self.now:
-                    raise ValueError(
-                        f"cannot schedule in the past: {time} < {self.now}"
-                    )
-                raise ValueError(
-                    f"series times must be non-decreasing: {time} after {prev}"
-                )
-            prev = time
         if not entries:
             return
+        # The check runs in C (``map`` over ``operator.le``); only a
+        # failing series pays for the Python walk that names the entry.
+        times = list(map(itemgetter(0), entries))
+        if times[0] < self.now or not all(map(le, times, islice(times, 1, None))):
+            prev = self.now
+            for time in times:
+                if time < prev:
+                    if prev == self.now:
+                        raise ValueError(
+                            f"cannot schedule in the past: {time} < {self.now}"
+                        )
+                    raise ValueError(
+                        f"series times must be non-decreasing: {time} after {prev}"
+                    )
+                prev = time
         queue = self._queue
         seq = queue._seq
         queue._seq = seq + len(entries)

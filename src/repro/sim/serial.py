@@ -1,7 +1,7 @@
 """Checkpointable serial-id counters.
 
 Several modules hand out monotonically increasing ids (flow ids,
-message ids, request ids, page-transaction ids) from process-global
+message ids, request ids) from process-global
 ``itertools.count()`` objects.  Those counters are invisible to
 checkpoint/restore: a C ``count`` can neither report its position nor
 be rewound, so a simulator restored in a fresh process would restart

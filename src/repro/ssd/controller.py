@@ -32,6 +32,11 @@ from repro.workloads.request import IORequest
 if TYPE_CHECKING:
     from repro.sim.units import Nanoseconds, PageCount
 
+#: Hot-path Enum members as globals: a member load costs ~10x a global
+#: load on CPython 3.11 (DESIGN §5b).
+_READ = TxnKind.READ
+_PROGRAM = TxnKind.PROGRAM
+
 
 class SubmissionSource(Protocol):
     """What the controller needs from an NVMe driver."""
@@ -78,10 +83,7 @@ class _GCJob:
         ctrl = self.ctrl
         if ctrl.ftl.gc_relocate(lpn, self.chip_index, self.block_id):
             program = PageTransaction(
-                kind=TxnKind.GC_PROGRAM,
-                chip_index=self.chip_index,
-                page_bytes=ctrl.config.page_bytes,
-                on_done=self.copy_done,
+                TxnKind.GC_PROGRAM, self.chip_index, ctrl.config.page_bytes, self.copy_done
             )
             ctrl.backend.submit(program)
         else:
@@ -90,12 +92,7 @@ class _GCJob:
     def copy_done(self, _txn: PageTransaction | None = None) -> None:
         self.remaining -= 1
         if self.remaining == 0:
-            erase = PageTransaction(
-                kind=TxnKind.ERASE,
-                chip_index=self.chip_index,
-                page_bytes=0,
-                on_done=self._erased,
-            )
+            erase = PageTransaction(TxnKind.ERASE, self.chip_index, 0, self._erased)
             self.ctrl.backend.submit(erase)
 
     def _erased(self, _txn: PageTransaction) -> None:
@@ -121,6 +118,8 @@ class SSDController:
         "cache",
         "driver",
         "_page_transfer_ns",
+        "_page_bytes",
+        "_write_back",
         "inflight_reads",
         "inflight_writes",
         "cq",
@@ -148,12 +147,17 @@ class SSDController:
         self.driver: SubmissionSource | None = None
         #: Cache copy-out / staging time per page (fixed per device).
         self._page_transfer_ns: Nanoseconds = config.page_transfer_ns
+        self._page_bytes = config.page_bytes
+        #: Write-back completes a write at staging; write-through at its
+        #: last page program.
+        self._write_back = config.write_cache_policy == "write_back"
 
         self.inflight_reads = 0
         self.inflight_writes = 0
         self.cq: deque[CompletionEntry] = deque()
         self._pending_cq: deque[_Inflight] = deque()
-        self._stalled_writes: deque[_Inflight] = deque()
+        #: Fetched writes waiting for staging space, with their LPNs.
+        self._stalled_writes: deque[tuple[_Inflight, range]] = deque()
         self.cq_listener: Callable[[CompletionEntry], None] | None = None
         self.completion_log: list[tuple[int, IORequest]] = []
         self.commands_fetched = 0
@@ -168,12 +172,8 @@ class SSDController:
         return self.inflight_reads + self.inflight_writes
 
     # -- fetch loop -------------------------------------------------------
-    def doorbell(self) -> None:
-        """Driver notification that new commands were submitted."""
-        self.kick()
-
     def kick(self) -> None:
-        """Fetch commands while slots are free and the driver has work."""
+        """Fetch and start commands while slots are free and the driver has work."""
         driver = self.driver
         if driver is None:
             return
@@ -183,17 +183,14 @@ class SSDController:
             req = fetch(self.inflight_reads, self.inflight_writes, queue_depth)
             if req is None:
                 break
-            self._start_command(req)
-
-    def _start_command(self, req: IORequest) -> None:
-        req.fetch_ns = self.sim.now
-        self.commands_fetched += 1
-        if req.is_read:
-            self.inflight_reads += 1
-            self._start_read(req)
-        else:
-            self.inflight_writes += 1
-            self._start_write(req)
+            req.fetch_ns = self.sim.now
+            self.commands_fetched += 1
+            if req.is_read:
+                self.inflight_reads += 1
+                self._start_read(req)
+            else:
+                self.inflight_writes += 1
+                self._start_write(req)
 
     # -- reads ----------------------------------------------------------
     def _start_read(self, req: IORequest) -> None:
@@ -205,7 +202,7 @@ class SSDController:
         chip_for_read = self.ftl.chip_for_read
         cmt_lookup = self.ftl.cmt.lookup
         submit = self.backend.submit
-        page_bytes = self.config.page_bytes
+        page_bytes = self._page_bytes
         mapping_read_penalty = self.config.mapping_read_penalty
         for lpn in lpns:
             if read_hit(lpn):
@@ -215,44 +212,36 @@ class SSDController:
                 continue
             chip = chip_for_read(lpn)
             hit = cmt_lookup(lpn)
-            data_txn = PageTransaction(
-                kind=TxnKind.READ,
-                chip_index=chip,
-                page_bytes=page_bytes,
-                owner=cmd,
-                on_done=page_done,
-            )
+            data_txn = PageTransaction(_READ, chip, page_bytes, page_done)
             if not hit and mapping_read_penalty:
                 # The translation itself must be read from flash first.
-                mapping_txn = PageTransaction(
-                    kind=TxnKind.MAPPING_READ,
-                    chip_index=chip,
-                    page_bytes=page_bytes,
-                    owner=cmd,
-                    on_done=partial(self._mapping_done, data_txn, cmd),
+                submit(
+                    PageTransaction(
+                        TxnKind.MAPPING_READ,
+                        chip,
+                        page_bytes,
+                        partial(self._mapping_done, data_txn),
+                    )
                 )
-                submit(mapping_txn)
             else:
                 submit(data_txn)
 
     # -- writes ----------------------------------------------------------
     def _start_write(self, req: IORequest) -> None:
-        n_pages = len(self.ftl.lpn_range(req.lba, req.size_bytes))
-        stage_bytes = n_pages * self.config.page_bytes
+        lpns = self.ftl.lpn_range(req.lba, req.size_bytes)
+        n_pages = len(lpns)
+        stage_bytes = n_pages * self._page_bytes
         cmd = _Inflight(request=req, pages_outstanding=n_pages, cache_reserved=stage_bytes)
         if not self.cache.can_reserve(stage_bytes):
             # Fetched but unadmittable: the command holds its slot until
             # flushes free staging space (realistic full-cache stall).
-            self._stalled_writes.append(cmd)
+            self._stalled_writes.append((cmd, lpns))
             return
-        self._admit_write(cmd)
+        self._admit_write(cmd, lpns)
 
-    def _admit_write(self, cmd: _Inflight) -> None:
+    def _admit_write(self, cmd: _Inflight, lpns: range) -> None:
         self.cache.reserve(cmd.cache_reserved)
-        req = cmd.request
-        lpns = self.ftl.lpn_range(req.lba, req.size_bytes)
-        write_back = self.config.write_cache_policy == "write_back"
-        if write_back:
+        if self._write_back:
             # Completion at cache speed: data is staged (one page-transfer
             # per page, pipelined => dominated by the last page), flash
             # programs drain in the background.
@@ -260,43 +249,38 @@ class SSDController:
             self.sim.schedule_anon(staging, self._complete_command, cmd)
         # One completion callback per command, shared by its pages.
         page_done = partial(self._write_page_done, cmd)
+        ftl = self.ftl
         note_write = self.cache.note_write
-        allocate_write = self.ftl.allocate_write
-        cmt_lookup = self.ftl.cmt.lookup
+        allocate_write = ftl.allocate_write
+        cmt_lookup = ftl.cmt.lookup
+        gc_needed = ftl.gc_needed
         submit = self.backend.submit
-        page_bytes = self.config.page_bytes
+        page_bytes = self._page_bytes
         for lpn in lpns:
             note_write(lpn)
             chip = allocate_write(lpn)
             cmt_lookup(lpn)  # writes touch the mapping too
-            txn = PageTransaction(
-                kind=TxnKind.PROGRAM,
-                chip_index=chip,
-                page_bytes=page_bytes,
-                owner=cmd,
-                on_done=page_done,
-            )
-            submit(txn)
-            self._maybe_gc(chip)
+            submit(PageTransaction(_PROGRAM, chip, page_bytes, page_done))
+            if gc_needed(chip):
+                self._start_gc(chip)
 
     def _write_page_done(self, cmd: _Inflight, _txn: PageTransaction | None = None) -> None:
-        self.cache.release(self.config.page_bytes)
-        cmd.cache_reserved -= self.config.page_bytes
-        self._retry_stalled_writes()
-        if self.config.write_cache_policy == "write_through":
+        page_bytes = self._page_bytes
+        self.cache.release(page_bytes)
+        cmd.cache_reserved -= page_bytes
+        if self._stalled_writes:
+            self._retry_stalled_writes()
+        if not self._write_back:
             self._page_done(cmd)
         # write_back: command already completed at staging time; the
         # program only frees cache space.
 
     def _retry_stalled_writes(self) -> None:
-        while self._stalled_writes and self.cache.can_reserve(
-            self._stalled_writes[0].cache_reserved
-        ):
-            self._admit_write(self._stalled_writes.popleft())
+        stalled = self._stalled_writes
+        while stalled and self.cache.can_reserve(stalled[0][0].cache_reserved):
+            self._admit_write(*stalled.popleft())
 
-    def _mapping_done(
-        self, data_txn: PageTransaction, cmd: _Inflight, _txn: PageTransaction
-    ) -> None:
+    def _mapping_done(self, data_txn: PageTransaction, _txn: PageTransaction) -> None:
         """A mapping read finished; chain the data read."""
         self.backend.submit(data_txn)
 
@@ -340,9 +324,8 @@ class SSDController:
         return entry
 
     # -- garbage collection ------------------------------------------------
-    def _maybe_gc(self, chip_index: int) -> None:
-        if not self.ftl.gc_needed(chip_index):
-            return
+    def _start_gc(self, chip_index: int) -> None:
+        """Compact a victim block of a chip the FTL says needs GC."""
         victim = self.ftl.begin_gc(chip_index)
         if victim is None:
             return
@@ -357,9 +340,6 @@ class SSDController:
         for lpn in valid_lpns:
             self.backend.submit(
                 PageTransaction(
-                    kind=TxnKind.GC_READ,
-                    chip_index=chip_index,
-                    page_bytes=self.config.page_bytes,
-                    on_done=partial(job.after_read, lpn),
+                    TxnKind.GC_READ, chip_index, self._page_bytes, partial(job.after_read, lpn)
                 )
             )

@@ -30,6 +30,7 @@ class SSD:
         "ftl",
         "cache",
         "controller",
+        "doorbell",
     )
 
     def __init__(self, sim: Simulator, config: SSDConfig) -> None:
@@ -39,15 +40,15 @@ class SSD:
         self.ftl = FTL(config)
         self.cache = WriteCache(config.write_cache_bytes, config.page_bytes)
         self.controller = SSDController(sim, config, self.backend, self.ftl, self.cache)
+        #: Driver notification that new commands were submitted: the
+        #: controller's fetch loop, bound once so a ring is one call.
+        self.doorbell: Callable[[], None] = self.controller.kick
         if sim.sanitizer is not None:
             sim.sanitizer.track_ftl(self.ftl)
 
     # -- host-facing surface ------------------------------------------------
     def attach_driver(self, driver: SubmissionSource | None) -> None:
         self.controller.attach_driver(driver)
-
-    def doorbell(self) -> None:
-        self.controller.doorbell()
 
     def pop_completion(self) -> CompletionEntry | None:
         return self.controller.pop_completion()

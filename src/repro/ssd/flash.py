@@ -6,7 +6,13 @@ Service model (per MQSim):
   latency, then the channel for one page-transfer time;
 * **program-like** transactions first occupy the channel (data in), then
   the chip for the program latency;
-* **erase** occupies only the chip.
+* **erase** occupies only the chip, and so does any transaction that
+  moves no data (``page_bytes == 0``) in place of its channel stage.
+
+The stage after each one follows from the queue a transaction left
+and its kind, so the queues hold bare transactions and no per-entry
+next-stage callback exists.  Nothing on a transaction is stamped: the
+controller learns of completion through ``on_done``.
 
 Chips and channels are independent FIFO servers; this captures both
 chip-level parallelism (many chips busy at once) and channel contention
@@ -26,6 +32,10 @@ from repro.ssd.transactions import READ_LIKE_KINDS, PageTransaction, TxnKind
 if TYPE_CHECKING:
     from repro.sim.units import Nanoseconds
 
+#: Hot-path Enum members as globals: a member load costs ~10x a global
+#: load on CPython 3.11 (DESIGN §5b).
+_ERASE = TxnKind.ERASE
+
 
 @dataclass(slots=True)
 class _Server:
@@ -33,7 +43,6 @@ class _Server:
 
     busy: bool = False
     queue: deque = field(default_factory=deque)
-    busy_ns_total: Nanoseconds = 0
 
 
 @dataclass(slots=True)
@@ -52,7 +61,6 @@ class _Chip:
     read_queue: deque = field(default_factory=deque)
     write_queue: deque = field(default_factory=deque)
     last_was_read: bool = False
-    busy_ns_total: Nanoseconds = 0
 
     def pending(self) -> int:
         return len(self.read_queue) + len(self.write_queue)
@@ -87,29 +95,22 @@ class FlashBackend:
         self._page_transfer_ns: Nanoseconds = config.page_transfer_ns
         self._chips_per_channel = config.chips_per_channel
 
-    # -- topology helpers --------------------------------------------------
-    def channel_of(self, chip_index: int) -> int:
-        if not 0 <= chip_index < self.config.n_chips:
-            raise ValueError(f"chip index {chip_index} out of range")
-        return chip_index // self.config.chips_per_channel
-
     # -- dispatch -------------------------------------------------------------
     def submit(self, txn: PageTransaction) -> None:
         """Enter a transaction into the backend pipeline."""
-        txn.issued_ns = self.sim.now
         kind = txn.kind
         if kind in READ_LIKE_KINDS:
-            self._enqueue_chip(txn, self._after_read_chip, True)
-        elif kind is TxnKind.ERASE:
-            self._enqueue_chip(txn, self._finish, False)
+            self._enqueue_chip(txn, True)
+        elif kind is _ERASE or not txn.page_bytes:
+            self._enqueue_chip(txn, False)  # no data to move in
         else:  # PROGRAM, GC_PROGRAM
-            self._enqueue_channel(txn, self._after_write_channel)
+            self._enqueue_channel(txn)
 
     # -- chip stage -------------------------------------------------------
-    def _enqueue_chip(self, txn: PageTransaction, next_stage, read_like: bool) -> None:
+    def _enqueue_chip(self, txn: PageTransaction, read_like: bool) -> None:
         chip = self._chips[txn.chip_index]
         queue = chip.read_queue if read_like else chip.write_queue
-        queue.append((txn, next_stage))
+        queue.append(txn)
         if not chip.busy:
             self._start_chip(txn.chip_index)
 
@@ -130,31 +131,32 @@ class FlashBackend:
         # kinds, the write queue programs and erases.  Identity tests
         # keep the Python-level Enum.__hash__ off this path.
         if use_read:
-            txn, next_stage = read_queue.popleft()
+            txn = read_queue.popleft()
             latency = self._read_latency_ns
         else:
-            txn, next_stage = write_queue.popleft()
-            if txn.kind is TxnKind.ERASE:
+            txn = write_queue.popleft()
+            if txn.kind is _ERASE:
                 latency = self._erase_latency_ns
             else:
                 latency = self._write_latency_ns
         chip.busy = True
-        chip.busy_ns_total += latency
-        self.sim.schedule_anon(latency, self._chip_done, chip_index, txn, next_stage)
+        self.sim.schedule_anon(latency, self._chip_done, chip_index, txn, use_read)
 
-    def _chip_done(self, chip_index: int, txn: PageTransaction, next_stage) -> None:
+    def _chip_done(self, chip_index: int, txn: PageTransaction, was_read: bool) -> None:
         self._chips[chip_index].busy = False
-        next_stage(txn)
+        if was_read and txn.page_bytes:
+            self._enqueue_channel(txn)  # sensed data moves out
+        else:
+            self.completed += 1
+            if txn.on_done is not None:
+                txn.on_done(txn)
         self._start_chip(chip_index)
 
     # -- channel stage -------------------------------------------------------
-    def _enqueue_channel(self, txn: PageTransaction, next_stage) -> None:
-        if txn.page_bytes == 0:
-            next_stage(txn)
-            return
+    def _enqueue_channel(self, txn: PageTransaction) -> None:
         ch_index = txn.chip_index // self._chips_per_channel
         channel = self._channels[ch_index]
-        channel.queue.append((txn, next_stage))
+        channel.queue.append(txn)
         if not channel.busy:
             self._start_channel(ch_index)
 
@@ -162,38 +164,31 @@ class FlashBackend:
         channel = self._channels[ch_index]
         if channel.busy or not channel.queue:
             return
-        txn, next_stage = channel.queue.popleft()
+        txn = channel.queue.popleft()
         channel.busy = True
         # Partial last pages still occupy a full page slot on the bus
         # (MQSim transfers whole pages).
-        latency = self._page_transfer_ns
-        channel.busy_ns_total += latency
-        self.sim.schedule_anon(latency, self._channel_done, ch_index, txn, next_stage)
+        self.sim.schedule_anon(self._page_transfer_ns, self._channel_done, ch_index, txn)
 
-    def _channel_done(self, ch_index: int, txn: PageTransaction, next_stage) -> None:
-        self._channels[ch_index].busy = False
-        next_stage(txn)
-        self._start_channel(ch_index)
-
-    # -- stage transitions ---------------------------------------------------
-    def _after_read_chip(self, txn: PageTransaction) -> None:
-        self._enqueue_channel(txn, self._finish)
-
-    def _after_write_channel(self, txn: PageTransaction) -> None:
-        self._enqueue_chip(txn, self._finish, False)
-
-    def _finish(self, txn: PageTransaction) -> None:
-        txn.done_ns = self.sim.now
-        self.completed += 1
-        if txn.on_done is not None:
-            txn.on_done(txn)
+    def _channel_done(self, ch_index: int, txn: PageTransaction) -> None:
+        channel = self._channels[ch_index]
+        channel.busy = False
+        if txn.kind in READ_LIKE_KINDS:
+            self.completed += 1  # read data is out: done
+            if txn.on_done is not None:
+                txn.on_done(txn)
+        else:
+            self._enqueue_chip(txn, False)  # program data is in
+        if channel.queue:
+            self._start_channel(ch_index)
 
     def discard_pending(self) -> None:
         """Drop every queued transaction; the device cannot be continued.
 
-        Queue entries hold bound methods of this backend, so a stopped
-        world that keeps them is freed only by the cyclic garbage
-        collector (see :meth:`repro.sim.engine.Simulator.discard_pending`).
+        Queued transactions hold their completion callbacks, which are
+        bound to the controller, so a stopped world that keeps them is
+        freed only by the cyclic garbage collector (see
+        :meth:`repro.sim.engine.Simulator.discard_pending`).
         """
         for chip in self._chips:
             chip.read_queue.clear()
@@ -202,12 +197,6 @@ class FlashBackend:
             channel.queue.clear()
 
     # -- introspection ----------------------------------------------------
-    def chip_utilisation(self, horizon_ns: Nanoseconds) -> list[float]:
-        """Fraction of ``horizon_ns`` each chip spent busy."""
-        if horizon_ns <= 0:
-            raise ValueError("horizon must be positive")
-        return [min(1.0, c.busy_ns_total / horizon_ns) for c in self._chips]
-
     def pending(self) -> int:
         """Transactions queued or in service in the backend."""
         chip_q = sum(c.pending() for c in self._chips)

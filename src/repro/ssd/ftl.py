@@ -42,12 +42,13 @@ class CachedMappingTable:
     def __len__(self) -> int:
         return len(self._pages)
 
-    def translation_page_of(self, lpn: int) -> int:
-        return lpn // self.entries_per_translation_page
-
     def lookup(self, lpn: int) -> bool:
-        """True on hit.  A miss inserts the translation page (fetch-on-miss)."""
-        key = self.translation_page_of(lpn)
+        """True on hit.  A miss inserts the translation page (fetch-on-miss).
+
+        ``lpn`` lives in translation page ``lpn //
+        entries_per_translation_page``.
+        """
+        key = lpn // self.entries_per_translation_page
         if key in self._pages:
             self._pages.move_to_end(key)
             self.hits += 1
@@ -100,6 +101,8 @@ class FTL:
         )
         self._map: dict[int, tuple[int, int, int]] = {}  # lpn -> (chip, block, page)
         self._chips = [_ChipState(i, config.blocks_per_chip) for i in range(config.n_chips)]
+        #: ``config.n_chips`` is a computed property: read it once.
+        self._n_chips = config.n_chips
         self._next_chip = 0
         self.gc_invocations = 0
         self.gc_pages_moved = 0
@@ -122,7 +125,7 @@ class FTL:
         entry = self._map.get(lpn)
         if entry is not None:
             return entry[0]
-        return hash(lpn) % self.config.n_chips
+        return hash(lpn) % self._n_chips
 
     # -- allocation -----------------------------------------------------
     def allocate_write(self, lpn: int) -> int:
@@ -137,7 +140,7 @@ class FTL:
             if block is not None:
                 block.page_lpn.pop(page, None)
         chip_index = self._next_chip
-        self._next_chip = (self._next_chip + 1) % self.config.n_chips
+        self._next_chip = (self._next_chip + 1) % self._n_chips
         self._place(lpn, chip_index)
         return chip_index
 
@@ -182,7 +185,7 @@ class FTL:
         chip = self._chips[chip_index]
         return (
             not chip.gc_active
-            and chip.free_block_count() < self.config.gc_threshold_free_blocks
+            and len(chip.free_blocks) < self.config.gc_threshold_free_blocks
         )
 
     def begin_gc(self, chip_index: int) -> tuple[int, list[int]] | None:

@@ -2,16 +2,15 @@
 
 The controller splits every fetched NVMe command into page-sized
 transactions (MQSim's "transaction" layer); the FTL may add mapping
-reads, and the GC adds copy/erase transactions.
+reads, and the GC adds copy/erase transactions.  A transaction is what
+the flash backend needs to serve it (kind, chip, bytes) plus the
+callback that learns it finished.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable
-
-from repro.sim.serial import SerialCounter
+from typing import Callable
 
 
 class TxnKind(enum.Enum):
@@ -30,12 +29,15 @@ class TxnKind(enum.Enum):
 #: the Python-level ``Enum.__hash__``.
 READ_LIKE_KINDS = (TxnKind.READ, TxnKind.MAPPING_READ, TxnKind.GC_READ)
 
-_txn_ids = SerialCounter("ssd.txn")
 
-
-@dataclass(slots=True)
 class PageTransaction:
     """One page-granularity flash operation.
+
+    A plain ``__slots__`` class, not a dataclass, for the reason
+    :class:`repro.net.packet.Packet` is one: the SSD builds one per
+    page, and the hand-written ``__init__`` is the cheapest construction
+    CPython offers.  It carries only what the backend and the
+    completion callback use.
 
     Attributes
     ----------
@@ -45,28 +47,25 @@ class PageTransaction:
         Flat chip index ``channel * chips_per_channel + chip``.
     page_bytes:
         Payload moved over the channel (0 for erase).
-    owner:
-        Opaque back-reference (the in-flight command, or the GC job).
     on_done:
-        Callback invoked when the backend finishes the transaction.
+        Callback invoked with the transaction when the backend finishes
+        it.
     """
 
-    kind: TxnKind
-    chip_index: int
-    page_bytes: int
-    owner: Any = None
-    on_done: Callable[["PageTransaction"], None] | None = None
-    txn_id: int = field(default_factory=_txn_ids.__next__)
-    issued_ns: int = -1
-    done_ns: int = -1
+    __slots__ = ("kind", "chip_index", "page_bytes", "on_done")
 
-    def __post_init__(self) -> None:
-        if self.chip_index < 0:
-            raise ValueError(f"chip index must be non-negative, got {self.chip_index}")
-        if self.page_bytes < 0:
-            raise ValueError(f"page bytes must be non-negative, got {self.page_bytes}")
-
-    @property
-    def is_read_like(self) -> bool:
-        """Chip-op-first transactions (data flows chip → channel)."""
-        return self.kind in READ_LIKE_KINDS
+    def __init__(
+        self,
+        kind: TxnKind,
+        chip_index: int,
+        page_bytes: int,
+        on_done: Callable[[PageTransaction], None] | None = None,
+    ) -> None:
+        if chip_index < 0:
+            raise ValueError(f"chip index must be non-negative, got {chip_index}")
+        if page_bytes < 0:
+            raise ValueError(f"page bytes must be non-negative, got {page_bytes}")
+        self.kind = kind
+        self.chip_index = chip_index
+        self.page_bytes = page_bytes
+        self.on_done = on_done

@@ -1,6 +1,7 @@
 """Training-sample collection tests."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from repro.core.sampling import (
     _sample_cell,
     _sweep_cells,
     collect_training_set,
-    sample_trace,
+    collect_training_set_with_report,
 )
 from repro.experiments.replay import replay_on_device
 from repro.nvme.ssq import SSQDriver
@@ -106,19 +107,11 @@ class TestCollection:
         )
         assert calls == [(1, 2), (2, 2)]
 
-    def test_sample_trace_returns_feature_row(self):
-        wl = MicroWorkloadConfig(3_000, 8 * 1024)
-        trace = generate_micro_trace(wl, n_reads=200, n_writes=200, seed=3)
-        x, y = sample_trace(trace, FAST_SSD, 2)
-        assert x.shape == (len(FEATURE_NAMES),)
-        assert x[-1] == 2.0
-        assert y.shape == (2,)
-
-    def test_sample_trace_validation(self):
+    def test_ratio_below_one_is_rejected(self):
         wl = MicroWorkloadConfig(3_000, 8 * 1024)
         trace = generate_micro_trace(wl, n_reads=50, n_writes=50, seed=4)
         with pytest.raises(ValueError):
-            sample_trace(trace, FAST_SSD, 0)
+            collect_training_set(FAST_SSD, None, traces=[trace], weight_ratios=(0,))
 
     def test_serial_sweep_leaves_caller_trace_untouched(self):
         wl = MicroWorkloadConfig(3_000, 8 * 1024)
@@ -127,7 +120,6 @@ class TestCollection:
         collect_training_set(
             FAST_SSD, None, traces=[trace], weight_ratios=(1, 2), workers=1
         )
-        sample_trace(trace, FAST_SSD, 2)
         assert [dataclasses.astuple(r) for r in trace] == before
         assert all(r.submit_ns == r.fetch_ns == r.device_done_ns == -1 for r in trace)
 
@@ -172,3 +164,31 @@ class TestCollection:
         assert np.array_equal(serial.y, pooled.y)
         assert len(serial_report.results) == TINY_PLAN.n_cells()
         assert serial_report.sim_events == pool_report.sim_events > 0
+
+
+#: A small plan that still covers both mixes and a saturated and a
+#: light inter-arrival: 8 cells of 4 ms on FAST_SSD.
+PIN_PLAN = SamplingPlan(
+    interarrival_ns=(20_000, 60_000),
+    size_bytes=(16 * 1024,),
+    weight_ratios=(1, 4),
+    read_write_mixes=(1.0, 2.0),
+    duration_ns=4_000_000,
+    min_requests=10,
+)
+
+
+def test_sweep_output_is_pinned():
+    """The sweep's samples and event count, bit for bit.
+
+    A change to the device replay path (driver, controller, flash,
+    engine) that adds or drops an event, or moves one measured float,
+    fails here.  Floats are hashed by ``repr``, which round-trips them
+    exactly.
+    """
+    ts, report = collect_training_set_with_report(FAST_SSD, PIN_PLAN)
+    assert len(ts) == PIN_PLAN.n_cells() == 8
+    digest = lambda a: hashlib.sha256(repr(a.tolist()).encode()).hexdigest()
+    assert digest(ts.X) == "8fefe5cc7c58af96334f7d16b5072a37190dadf962bc1d8b9acd7c19ac103586"
+    assert digest(ts.y) == "1be75cb15737fd9745762bb00704b62abfad4a7f346d46006212f72ebdf72b73"
+    assert report.sim_events == 19537

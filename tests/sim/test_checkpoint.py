@@ -23,7 +23,8 @@ from repro.analysis.sanitizer import SanitizerError
 from repro.profiling.bench import build_incast_cell, incast_outputs
 from repro.sim import checkpoint as ck
 from repro.sim.engine import MaxEventsExceeded, Simulator
-from repro.sim.serial import restore_counters, snapshot_counters
+from repro.sim import serial
+from repro.sim.serial import SerialCounter, restore_counters, snapshot_counters
 
 from tests.net.test_golden_trace import CELL, GOLDEN_PATH, normalized_log
 
@@ -92,6 +93,27 @@ class TestRoundTrip:
         restore_counters({name: v + 1000 for name, v in before.items()})
         ck.load(path)
         assert snapshot_counters() == before
+
+    def test_checkpoint_naming_a_retired_counter_loads(self, tmp_path):
+        # Checkpoints written before page transactions lost their ids
+        # carry an ``ssd.txn`` counter no module registers any more.
+        # Loading one parks it and restores every live counter.
+        sim, net = _run_to(1500)
+        before = snapshot_counters()
+        assert "ssd.txn" not in before
+        retired = SerialCounter("ssd.txn", start=85_582)
+        try:
+            path = tmp_path / "c.ckpt"
+            ck.save(path, sim, net)
+        finally:
+            serial._REGISTRY.pop("ssd.txn")
+        try:
+            restore_counters({name: v + 1000 for name, v in before.items()})
+            ck.load(path)
+            assert snapshot_counters() == before
+            assert serial._PENDING["ssd.txn"] == retired.value
+        finally:
+            serial._PENDING.pop("ssd.txn", None)
 
     @settings(max_examples=8, deadline=None)
     @given(split=st.integers(min_value=1, max_value=2900))

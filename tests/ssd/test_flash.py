@@ -94,20 +94,30 @@ def test_alternation_prevents_read_starvation():
 
 
 def test_mapping_and_gc_reads_use_read_queue():
+    """Mapping and GC reads are served like host reads (chip, then
+    channel, from the read queue); GC programs like host programs."""
+    read = FAST_SSD.read_latency_ns + FAST_SSD.page_transfer_ns
+    program = FAST_SSD.page_transfer_ns + FAST_SSD.write_latency_ns
+    for kind, expected in [
+        (TxnKind.READ, read),
+        (TxnKind.MAPPING_READ, read),
+        (TxnKind.GC_READ, read),
+        (TxnKind.PROGRAM, program),
+        (TxnKind.GC_PROGRAM, program),
+    ]:
+        sim, backend = make_backend()
+        done = []
+        backend.submit(txn(kind, done=lambda t: done.append(sim.now)))
+        sim.run()
+        assert done == [expected], kind
+    # Behind a program backlog, a mapping read alternates in as a read.
     sim, backend = make_backend()
-    assert txn(TxnKind.READ).is_read_like
-    assert txn(TxnKind.MAPPING_READ).is_read_like
-    assert txn(TxnKind.GC_READ).is_read_like
-    assert not txn(TxnKind.GC_PROGRAM).is_read_like
-    assert not txn(TxnKind.PROGRAM).is_read_like
-
-
-def test_channel_of_mapping():
-    _, backend = make_backend()
-    assert backend.channel_of(0) == 0
-    assert backend.channel_of(FAST_SSD.chips_per_channel) == 1
-    with pytest.raises(ValueError):
-        backend.channel_of(FAST_SSD.n_chips)
+    order = []
+    for i in range(4):
+        backend.submit(txn(TxnKind.PROGRAM, done=lambda t, i=i: order.append(("w", i))))
+    backend.submit(txn(TxnKind.MAPPING_READ, done=lambda t: order.append(("r", 0))))
+    sim.run()
+    assert order.index(("r", 0)) <= 2
 
 
 def test_completed_counter_and_pending():
@@ -118,17 +128,6 @@ def test_completed_counter_and_pending():
     sim.run()
     assert backend.completed == 5
     assert backend.pending() == 0
-
-
-def test_chip_utilisation():
-    sim, backend = make_backend()
-    backend.submit(txn(TxnKind.READ, chip=0))
-    sim.run()
-    util = backend.chip_utilisation(sim.now)
-    assert util[0] > 0
-    assert all(u == 0 for u in util[1:])
-    with pytest.raises(ValueError):
-        backend.chip_utilisation(0)
 
 
 def test_transaction_validation():

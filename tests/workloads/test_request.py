@@ -1,4 +1,4 @@
-"""IORequest semantics: validation, overlap, latency accessors."""
+"""IORequest semantics: validation, the read flag, latency accessors."""
 
 import pickle
 
@@ -16,6 +16,8 @@ def req(lba=0, size=4096, op=OpType.READ, arrival=0):
 def test_optype_read_flag():
     assert OpType.READ.is_read
     assert not OpType.WRITE.is_read
+    assert req(op=OpType.READ).is_read
+    assert not req(op=OpType.WRITE).is_read
 
 
 def test_request_ids_are_unique():
@@ -47,21 +49,6 @@ def test_lba_end_rounds_up_to_sectors():
     assert req(lba=10, size=513).lba_end == 12
 
 
-def test_overlap_detection():
-    a = req(lba=0, size=4096)  # sectors [0, 8)
-    b = req(lba=7, size=512)  # sector 7
-    c = req(lba=8, size=512)  # sector 8
-    assert a.overlaps(b)
-    assert b.overlaps(a)
-    assert not a.overlaps(c)
-    assert not c.overlaps(a)
-
-
-def test_overlap_is_reflexive():
-    a = req(lba=100, size=1024)
-    assert a.overlaps(a)
-
-
 def test_latency_accessors_require_completion():
     r = req()
     with pytest.raises(ValueError):
@@ -71,17 +58,6 @@ def test_latency_accessors_require_completion():
     r.fetch_ns, r.device_done_ns, r.complete_ns = 10, 30, 50
     assert r.device_latency_ns == 20
     assert r.total_latency_ns == 50
-
-
-@given(
-    st.integers(min_value=0, max_value=10**6),
-    st.integers(min_value=1, max_value=10**6),
-    st.integers(min_value=0, max_value=10**6),
-    st.integers(min_value=1, max_value=10**6),
-)
-def test_overlap_symmetry_property(lba_a, size_a, lba_b, size_b):
-    a, b = req(lba=lba_a, size=size_a), req(lba=lba_b, size=size_b)
-    assert a.overlaps(b) == b.overlaps(a)
 
 
 @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=10**7))
