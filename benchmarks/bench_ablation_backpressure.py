@@ -7,14 +7,15 @@
    and returns weight ratios at least as large.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from benchmarks.common import save_result, trained_tpm, vdi_like_trace
+from benchmarks.common import fig7_run, save_result, trained_tpm
 from repro.core.controller import predict_weight_ratio
-from repro.experiments.runner import BackgroundTraffic, TestbedConfig, run_testbed
+from repro.experiments.comparison import FIG7_CELL
 from repro.experiments.tables import format_table
 from repro.net.nic import NICConfig
-from repro.sim.units import MS
 from repro.ssd.config import SSD_A
 from repro.workloads.features import extract_features
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
@@ -23,19 +24,16 @@ TXQ_SIZES = (512 * 1024, 2 * 1024 * 1024, 8 * 1024 * 1024)
 
 
 def run_txq_ablation():
-    bg = BackgroundTraffic(start_ns=8 * MS, end_ns=45 * MS, rate_gbps=10.0, n_hosts=14)
+    """The Fig. 7 cell's DCQCN-only arm at each TXQ size (the 2 MiB
+    default is the shared Fig. 7 run itself)."""
+    dcqcn = FIG7_CELL.config("dcqcn")
     out = {}
     for txq in TXQ_SIZES:
-        res = run_testbed(
-            vdi_like_trace(n_reads=4500, n_writes=1500),
-            TestbedConfig(
-                driver="default",
-                background=bg,
-                ssd_config=SSD_A,
-                nic_config=NICConfig(txq_capacity_bytes=txq),
-            ),
-            duration_ns=55 * MS,
-        )
+        if txq == NICConfig().txq_capacity_bytes:
+            res = fig7_run(dcqcn)
+        else:
+            nic = NICConfig(txq_capacity_bytes=txq)
+            res = FIG7_CELL.run(replace(dcqcn, nic_config=nic))
         # Write throughput late in the congestion episode.
         late_write = float(res.write_series.gbps[30:45].mean())
         early_write = float(res.write_series.gbps[2:8].mean())

@@ -1,8 +1,9 @@
 """§V extension: block-layer rate control vs SSQ/WRR (active-model SRC).
 
 The paper's conclusion proposes re-implementing the control as a
-block-layer I/O scheduler.  This benchmark runs the Fig. 7 congestion
-scenario under three target designs:
+block-layer I/O scheduler.  This benchmark runs the shared Fig. 7 cell
+(the DCQCN-only and SRC rows are the Fig. 7 runs) under three target
+designs:
 
 * DCQCN-only (stock FIFO driver) — the degraded baseline;
 * DCQCN-SRC with SSQ/WRR (the paper's design);
@@ -17,52 +18,21 @@ device.
 
 import pytest
 
-from benchmarks.common import save_result, trained_tpm, vdi_like_trace
-from repro.experiments.runner import BackgroundTraffic, TestbedConfig, run_testbed
+from benchmarks.common import fig7_run, save_result
+from repro.experiments.comparison import FIG7_CELL
 from repro.experiments.tables import format_table
-from repro.sim.units import MS
-from repro.ssd.config import SSD_A
 
-BG = BackgroundTraffic(start_ns=8 * MS, end_ns=45 * MS, rate_gbps=10.0, n_hosts=14)
-DURATION = 55 * MS
+DESIGNS = {"DCQCN-only": "dcqcn", "SSQ/WRR SRC": "src", "block-layer SRC": "block"}
 
 
 def run_comparison():
-    tpm = trained_tpm(SSD_A)
-    runs = {}
-    runs["DCQCN-only"] = run_testbed(
-        vdi_like_trace(n_reads=5000, n_writes=1700),
-        TestbedConfig(driver="default", background=BG, ssd_config=SSD_A),
-        duration_ns=DURATION,
-    )
-    runs["SSQ/WRR SRC"] = run_testbed(
-        vdi_like_trace(n_reads=5000, n_writes=1700),
-        TestbedConfig(driver="ssq", src_enabled=True, background=BG, ssd_config=SSD_A),
-        tpm=tpm,
-        duration_ns=DURATION,
-    )
-    runs["block-layer SRC"] = run_testbed(
-        vdi_like_trace(n_reads=5000, n_writes=1700),
-        TestbedConfig(driver="block", src_enabled=True, background=BG, ssd_config=SSD_A),
-        duration_ns=DURATION,
-    )
-    return runs
-
-
-def congestion_mean(series):
-    return float(series.gbps[18:45].mean())
+    return {name: fig7_run(FIG7_CELL.config(arm)) for name, arm in DESIGNS.items()}
 
 
 @pytest.mark.benchmark(group="extension")
 def test_extension_block_layer(benchmark):
     runs = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
-    stats = {
-        name: (
-            congestion_mean(r.read_series),
-            congestion_mean(r.write_series),
-        )
-        for name, r in runs.items()
-    }
+    stats = {name: FIG7_CELL.window_means(r) for name, r in runs.items()}
     rows = [
         [name, f"{rd:.2f}", f"{wr:.2f}", f"{rd + wr:.2f}"]
         for name, (rd, wr) in stats.items()

@@ -19,16 +19,7 @@ from repro.ssd.config import SSD_A
 
 
 def run_fig10():
-    from repro.sim.units import MS
-
-    tpm = trained_tpm(SSD_A)
-    return intensity_analysis(
-        tpm,
-        ssd_config=SSD_A,
-        span_ms=45.0,
-        duration_ns=50 * MS,
-        workers=bench_workers(),
-    )
+    return intensity_analysis(trained_tpm(SSD_A), workers=bench_workers())
 
 
 @pytest.mark.benchmark(group="fig10")

@@ -15,61 +15,27 @@ The §IV-D experiment: a VDI-like read-intensive workload on 1 initiator
 import numpy as np
 import pytest
 
-from benchmarks.common import save_result, trained_tpm, vdi_like_trace
-from repro.experiments.runner import BackgroundTraffic, TestbedConfig, run_testbed
+from benchmarks.common import fig7_run, save_result
+from repro.experiments.comparison import FIG7_CELL
 from repro.experiments.tables import format_table
 from repro.sim.units import MS
-from repro.ssd.config import SSD_A
 
-CONGESTION_START = 10 * MS
-CONGESTION_END = 45 * MS
-DURATION = 70 * MS
-
-_cache = {}
+CONGESTION_START = FIG7_CELL.background.start_ns
+CONGESTION_END = FIG7_CELL.background.end_ns
 
 
 def run_fig7_pair():
-    """Both schemes on identical workloads; cached so Fig. 8 reuses it."""
-    if "pair" in _cache:
-        return _cache["pair"]
-    tpm = trained_tpm(SSD_A)
-    bg = BackgroundTraffic(
-        start_ns=CONGESTION_START, end_ns=CONGESTION_END, rate_gbps=10.0, n_hosts=14
-    )
-    only = run_testbed(
-        vdi_like_trace(),
-        TestbedConfig(driver="default", background=bg, ssd_config=SSD_A),
-        duration_ns=DURATION,
-    )
-    src = run_testbed(
-        vdi_like_trace(),
-        TestbedConfig(driver="ssq", src_enabled=True, background=bg, ssd_config=SSD_A),
-        tpm=tpm,
-        duration_ns=DURATION,
-    )
-    _cache["pair"] = (only, src)
-    return only, src
-
-
-def window_mean(series, start_ns, end_ns, bin_ns=MS):
-    return float(series.gbps[start_ns // bin_ns : end_ns // bin_ns].mean())
+    """Both schemes on identical workloads (session-cached for Fig. 8)."""
+    return fig7_run(FIG7_CELL.config("dcqcn")), fig7_run(FIG7_CELL.config("src"))
 
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_runtime_throughput(benchmark):
     only, src = benchmark.pedantic(run_fig7_pair, rounds=1, iterations=1)
 
-    # Steady congestion window (skip the episode's onset transient).
-    win = (20 * MS, CONGESTION_END)
     stats = {
-        "DCQCN-only": (
-            window_mean(only.read_series, *win),
-            window_mean(only.write_series, *win),
-        ),
-        "DCQCN-SRC": (
-            window_mean(src.read_series, *win),
-            window_mean(src.write_series, *win),
-        ),
+        "DCQCN-only": FIG7_CELL.window_means(only),
+        "DCQCN-SRC": FIG7_CELL.window_means(src),
     }
     rows = [
         [name, f"{r:.2f}", f"{w:.2f}", f"{r + w:.2f}"]

@@ -10,8 +10,8 @@ neighbor models beat the linear family.
 
 import pytest
 
-from benchmarks.common import DEFAULT_PLAN, bench_workers, save_result
-from repro.core.sampling import TrainingSet, collect_training_set
+from benchmarks.common import bench_workers, save_result
+from repro.core.sampling import SamplingPlan, TrainingSet, collect_training_set
 from repro.experiments.tables import format_table
 from repro.ml import (
     DecisionTreeRegressor,
@@ -34,7 +34,7 @@ MODELS = [
 
 
 def run_table1():
-    training = collect_training_set(SSD_A, DEFAULT_PLAN, workers=bench_workers())
+    training = collect_training_set(SSD_A, SamplingPlan(), workers=bench_workers())
     Xtr, Xva, ytr, yva = train_test_split(
         training.X, training.y, train_fraction=0.6, seed=42
     )

@@ -20,17 +20,7 @@ PAPER = {"2:1": 0.33, "3:1": 0.17, "4:1": 0.05, "4:4": 0.03}
 
 
 def run_table4():
-    from repro.sim.units import MS
-
-    tpm = trained_tpm(SSD_A)
-    return incast_analysis(
-        tpm,
-        ssd_config=SSD_A,
-        total_read_gbps=38.0,
-        n_requests=4500,
-        duration_ns=50 * MS,
-        workers=bench_workers(),
-    )
+    return incast_analysis(trained_tpm(SSD_A), workers=bench_workers())
 
 
 @pytest.mark.benchmark(group="table4")

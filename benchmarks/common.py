@@ -5,8 +5,7 @@
 * :func:`bench_workers` — the worker count for the figure sweeps;
 * :func:`trained_tpm` — session-cached TPM training per SSD model (the
   expensive sweep runs once even when several figure benches need it);
-* workload factories matching the §IV descriptions (VDI-like trace, the
-  Fig. 10 intensity levels).
+* :func:`fig7_run` — session-cached runs of the shared Fig. 7 cell.
 """
 
 from __future__ import annotations
@@ -16,10 +15,9 @@ from pathlib import Path
 
 from repro.core.sampling import SamplingPlan, collect_training_set
 from repro.core.tpm import ThroughputPredictionModel
-from repro.sim.units import MS
+from repro.experiments.comparison import FIG7_CELL
+from repro.experiments.runner import RunResult, TestbedConfig
 from repro.ssd.config import SSDConfig
-from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
-from repro.workloads.traces import Trace
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -44,39 +42,33 @@ def save_result(name: str, text: str) -> None:
     SESSION_RESULTS.append((name, text))
 
 
-#: Training sweep used for every TPM in the benchmark suite: the Fig. 5
-#: axes (10–25 µs, 10–44 KB) extended with two lighter inter-arrival
-#: points (40/60 µs) so the model sees both saturated and unsaturated
-#: cells — without the latter, arrival flow speed carries no signal and
-#: the model cannot predict light workloads (Fig. 10's light level).
-DEFAULT_PLAN = SamplingPlan(
-    interarrival_ns=(10_000, 16_000, 25_000, 40_000, 60_000),
-    size_bytes=(16 * 1024, 32 * 1024, 44 * 1024),
-    weight_ratios=(1, 2, 3, 4, 6, 8, 12),
-    read_write_mixes=(1.0, 2.0),
-    duration_ns=50 * MS,
-)
-
 _TPM_CACHE: dict[str, ThroughputPredictionModel] = {}
 
 
-def trained_tpm(config: SSDConfig, plan: SamplingPlan | None = None) -> ThroughputPredictionModel:
-    """A Random-Forest TPM for ``config``, trained once per session.
+def trained_tpm(config: SSDConfig) -> ThroughputPredictionModel:
+    """A Random-Forest TPM for ``config``, trained once per session on
+    the default :class:`SamplingPlan` grid.
 
     The training sweep fans across :func:`bench_workers` processes.
     """
     key = config.name
     if key not in _TPM_CACHE:
-        training = collect_training_set(
-            config, plan or DEFAULT_PLAN, workers=bench_workers()
-        )
+        training = collect_training_set(config, SamplingPlan(), workers=bench_workers())
         _TPM_CACHE[key] = ThroughputPredictionModel().fit(training)
     return _TPM_CACHE[key]
 
 
-def vdi_like_trace(*, n_reads: int = 6000, n_writes: int = 2000, seed: int = 11) -> Trace:
-    """The §IV-D workload: read-intensive, 44 KB reads / 23 KB writes,
-    ~10 µs read inter-arrivals (≈35 Gbps offered read traffic)."""
-    reads = MicroWorkloadConfig(10_000, 44 * 1024)
-    writes = MicroWorkloadConfig(30_000, 23 * 1024)
-    return generate_micro_trace(reads, writes, n_reads=n_reads, n_writes=n_writes, seed=seed)
+_FIG7_RUNS: dict[TestbedConfig, RunResult] = {}
+
+
+def fig7_run(config: TestbedConfig) -> RunResult:
+    """The Fig. 7 cell (:data:`FIG7_CELL`) on ``config``, run once per
+    session: Figs. 7/8, §V and the TXQ ablation share its arms."""
+    if config not in _FIG7_RUNS:
+        tpm = (
+            trained_tpm(FIG7_CELL.ssd_config)
+            if config.driver == "ssq" and config.src_enabled
+            else None
+        )
+        _FIG7_RUNS[config] = FIG7_CELL.run(config, tpm=tpm)
+    return _FIG7_RUNS[config]

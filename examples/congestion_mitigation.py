@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """End-to-end congestion mitigation: DCQCN-only vs DCQCN-SRC.
 
-Builds the full disaggregated-storage testbed — one initiator, two
-targets with simulated SSD-A devices, a switched 40 Gbps fabric with
-DCQCN congestion control — replays a VDI-like read-intensive workload,
-and injects an in-cast congestion episode.  Runs the workload twice:
+Runs the paper's Fig. 7 cell (``repro.experiments.comparison.FIG7_CELL``,
+the same cell the benchmark suite reports): the full
+disaggregated-storage testbed — one initiator, two targets with
+simulated SSD-A devices, a switched 40 Gbps fabric with DCQCN
+congestion control — replays a VDI-like read-intensive workload while
+an in-cast congestion episode hits the initiator.  Runs the workload
+twice:
 
 * **DCQCN-only** — the stock FIFO NVMe driver; during congestion, read
   data stalls in the target TXQ, completions back up into the CQ, the
@@ -15,78 +18,39 @@ and injects an in-cast congestion episode.  Runs the workload twice:
 
 Prints per-ms throughput for both schemes side by side (Fig. 7's view).
 
-Run:  python examples/congestion_mitigation.py   (~2-4 minutes)
+Run:  python examples/congestion_mitigation.py   (about 17 s on a 2-vCPU container)
 """
 
-import numpy as np
-
 from repro.core import SamplingPlan, ThroughputPredictionModel, collect_training_set
-from repro.experiments import BackgroundTraffic, TestbedConfig, run_testbed
+from repro.experiments.comparison import FIG7_CELL
 from repro.sim.units import MS
-from repro.ssd import SSD_A
-from repro.workloads import MicroWorkloadConfig, generate_micro_trace
-
-CONGESTION = (10 * MS, 45 * MS)
-DURATION = 65 * MS
-
-
-def vdi_like_trace(seed=11):
-    """Read-intensive, 44 KB reads / 23 KB writes (§IV-D)."""
-    reads = MicroWorkloadConfig(10_000, 44 * 1024)
-    writes = MicroWorkloadConfig(30_000, 23 * 1024)
-    return generate_micro_trace(reads, writes, n_reads=5500, n_writes=1800, seed=seed)
-
-
-def train_tpm():
-    print("training the throughput-prediction model on SSD-A "
-          "(one-time sweep over workloads × weight ratios)...")
-    plan = SamplingPlan(
-        interarrival_ns=(10_000, 16_000, 25_000),
-        size_bytes=(16 * 1024, 32 * 1024, 44 * 1024),
-        weight_ratios=(1, 2, 3, 4, 6, 8, 12),
-        read_write_mixes=(1.0, 2.0),
-        duration_ns=50 * MS,
-    )
-    return ThroughputPredictionModel().fit(collect_training_set(SSD_A, plan))
 
 
 def main() -> None:
-    tpm = train_tpm()
-    background = BackgroundTraffic(
-        start_ns=CONGESTION[0], end_ns=CONGESTION[1], rate_gbps=10.0, n_hosts=14
-    )
+    print("training the throughput-prediction model on SSD-A "
+          "(one-time sweep over workloads × weight ratios)...")
+    training = collect_training_set(FIG7_CELL.ssd_config, SamplingPlan())
+    tpm = ThroughputPredictionModel().fit(training)
 
     print("running DCQCN-only (default FIFO NVMe driver)...")
-    only = run_testbed(
-        vdi_like_trace(),
-        TestbedConfig(driver="default", background=background, ssd_config=SSD_A),
-        duration_ns=DURATION,
-    )
+    only = FIG7_CELL.run(FIG7_CELL.config("dcqcn"))
     print("running DCQCN-SRC (SSQ driver + SRC controller)...")
-    src = run_testbed(
-        vdi_like_trace(),
-        TestbedConfig(
-            driver="ssq", src_enabled=True, background=background, ssd_config=SSD_A
-        ),
-        tpm=tpm,
-        duration_ns=DURATION,
-    )
+    src = FIG7_CELL.run(FIG7_CELL.config("src"), tpm=tpm)
 
     print()
     header = (f"{'ms':>4} | {'only rd':>7} {'only wr':>7} {'only agg':>8} | "
               f"{'src rd':>7} {'src wr':>7} {'src agg':>8}")
     print(header)
     print("-" * len(header))
-    for ms in range(0, DURATION // MS, 2):
+    episode = FIG7_CELL.background
+    for ms in range(0, FIG7_CELL.duration_ns // MS, 2):
         o_r, o_w = only.read_series.gbps[ms], only.write_series.gbps[ms]
         s_r, s_w = src.read_series.gbps[ms], src.write_series.gbps[ms]
-        marker = "  <- congestion" if CONGESTION[0] <= ms * MS < CONGESTION[1] else ""
+        marker = "  <- congestion" if episode.start_ns <= ms * MS < episode.end_ns else ""
         print(f"{ms:>4} | {o_r:>7.2f} {o_w:>7.2f} {o_r + o_w:>8.2f} | "
               f"{s_r:>7.2f} {s_w:>7.2f} {s_r + s_w:>8.2f}{marker}")
 
-    window = slice(20, 45)  # steady congestion, ms bins
-    o_agg = (only.read_series.gbps[window] + only.write_series.gbps[window]).mean()
-    s_agg = (src.read_series.gbps[window] + src.write_series.gbps[window]).mean()
+    o_agg, s_agg = (sum(FIG7_CELL.window_means(run)) for run in (only, src))
     ratios = [a.weight_ratio for c in src.controllers for a in c.adjustments]
     print()
     print(f"aggregated throughput during congestion: "

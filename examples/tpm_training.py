@@ -6,7 +6,7 @@ a black-box simulated SSD, compares the five regression families of
 Table I on a shuffled 60/40 split, inspects the winning model's Breiman
 feature importances, and demonstrates Algorithm 1's PredictWeightRatio.
 
-Run:  python examples/tpm_training.py   (~1-2 minutes)
+Run:  python examples/tpm_training.py   (about 12 s on a 2-vCPU container)
 """
 
 from repro.core import (
@@ -25,19 +25,12 @@ from repro.ml import (
     r2_score,
     train_test_split,
 )
-from repro.sim.units import MS
 from repro.ssd import SSD_A
 from repro.workloads import MicroWorkloadConfig, extract_features, generate_micro_trace
 
 
 def main() -> None:
-    plan = SamplingPlan(
-        interarrival_ns=(10_000, 16_000, 25_000),
-        size_bytes=(16 * 1024, 32 * 1024, 44 * 1024),
-        weight_ratios=(1, 2, 3, 4, 6, 8, 12),
-        read_write_mixes=(1.0, 2.0),
-        duration_ns=50 * MS,
-    )
+    plan = SamplingPlan()  # the grid the benchmark suite trains on
     print(f"collecting {plan.n_cells()} training samples on {SSD_A.name}...")
     training = collect_training_set(
         SSD_A, plan, progress=lambda d, t: print(f"  {d}/{t}", end="\r")

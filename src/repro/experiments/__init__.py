@@ -34,12 +34,15 @@ from repro.experiments.motivation import (
 )
 from repro.experiments.dynamic import DynamicControlResult, run_dynamic_control
 from repro.experiments.comparison import (
+    FIG7_CELL,
     INTENSITY_LEVELS,
     TABLE4_POINTS,
+    CongestionCell,
     IncastPoint,
     IntensityLevel,
     MicroTraceSpec,
     SchemeComparison,
+    arm_config,
     compare_schemes,
     incast_analysis,
     intensity_analysis,
@@ -72,7 +75,10 @@ __all__ = [
     "DynamicControlResult",
     "run_dynamic_control",
     "SchemeComparison",
+    "arm_config",
     "compare_schemes",
+    "CongestionCell",
+    "FIG7_CELL",
     "IncastPoint",
     "IntensityLevel",
     "TABLE4_POINTS",

@@ -1,9 +1,11 @@
-"""DCQCN-only vs DCQCN-SRC comparisons: Table IV and Fig. 10 drivers.
+"""DCQCN-only vs DCQCN-SRC comparisons: the Fig. 7/8, Table IV and
+Fig. 10 cells and their drivers.
 
 The §IV-B method: run the same workload once with the default driver
 (DCQCN-only) and once with SSQ + the SRC controller (DCQCN-SRC),
 measure trimmed aggregated throughput (reads at initiators + writes at
-targets), and report the improvement.
+targets), and report the improvement.  §V adds a third arm, the
+block-layer throttle.
 
 Congestion in these experiments is endogenous in-cast: each target runs
 a flash array whose combined read capacity exceeds the victim
@@ -13,14 +15,14 @@ paper's Clos runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.core.tpm import ThroughputPredictionModel
-from repro.experiments.runner import RunResult, TestbedConfig, run_testbed
+from repro.experiments.runner import BackgroundTraffic, RunResult, TestbedConfig, run_testbed
 from repro.parallel import run_cells
-from repro.sim.units import MS, US, gbps_to_bytes_per_ns
-from repro.ssd.config import SSDConfig
+from repro.sim.units import MS, gbps_to_bytes_per_ns
+from repro.ssd.config import SSD_A, SSDConfig
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
 from repro.workloads.traces import Trace
 
@@ -48,6 +50,77 @@ class MicroTraceSpec:
             n_writes=self.n_writes,
             seed=self.seed,
         )
+
+
+def arm_config(base: TestbedConfig, arm: str) -> TestbedConfig:
+    """``base`` with the target design of ``arm``.
+
+    ``"dcqcn"`` is DCQCN-only (the stock FIFO driver), ``"src"`` is
+    DCQCN-SRC (SSQ/WRR re-weighted by the SRC controller) and
+    ``"block"`` is the §V block-layer throttle above a FIFO driver.
+    """
+    driver, src_enabled = {
+        "dcqcn": ("default", False),
+        "src": ("ssq", True),
+        "block": ("block", True),
+    }[arm]
+    return replace(base, driver=driver, src_enabled=src_enabled)
+
+
+@dataclass(frozen=True)
+class CongestionCell:
+    """One congestion cell: workload, episode, device, run and window.
+
+    The trace's seed is the one EXPERIMENTS.md reports; another seed is
+    ``replace(cell, trace=replace(cell.trace, seed=s))``.
+    """
+
+    trace: MicroTraceSpec
+    background: BackgroundTraffic
+    ssd_config: SSDConfig
+    duration_ns: int
+    #: The steady-congestion measurement window (skips the onset).
+    window_ns: tuple[int, int]
+
+    def config(self, arm: str) -> TestbedConfig:
+        """The 1 initiator + 2 targets testbed under ``arm``."""
+        return arm_config(
+            TestbedConfig(background=self.background, ssd_config=self.ssd_config), arm
+        )
+
+    def run(
+        self, config: TestbedConfig, *, tpm: ThroughputPredictionModel | None = None
+    ) -> RunResult:
+        """Run the cell's trace on ``config`` (an arm's config, possibly
+        ``dataclasses.replace``-d)."""
+        return run_testbed(self.trace.build(), config, tpm=tpm, duration_ns=self.duration_ns)
+
+    def window_means(self, result: RunResult) -> tuple[float, float]:
+        """Mean (read, write) Gbps over the measurement window."""
+        lo, hi = (t // result.bin_ns for t in self.window_ns)
+        return (
+            float(result.read_series.gbps[lo:hi].mean()),
+            float(result.write_series.gbps[lo:hi].mean()),
+        )
+
+
+#: The §IV-D cell (Figs. 7/8, and §V's comparison): a VDI-like,
+#: read-intensive workload (44 KiB reads every 10 µs, ≈35 Gbps offered,
+#: and 23 KiB writes every 30 µs) on SSD-A targets, while 14 hosts at
+#: 10 Gbps each congest the initiator's downlink from 10 to 45 ms.
+FIG7_CELL = CongestionCell(
+    trace=MicroTraceSpec(
+        read=MicroWorkloadConfig(10_000, 44 * 1024),
+        write=MicroWorkloadConfig(30_000, 23 * 1024),
+        n_reads=6000,
+        n_writes=2000,
+        seed=11,
+    ),
+    background=BackgroundTraffic(start_ns=10 * MS, end_ns=45 * MS, rate_gbps=10.0, n_hosts=14),
+    ssd_config=SSD_A,
+    duration_ns=70 * MS,
+    window_ns=(20 * MS, 45 * MS),
+)
 
 
 @dataclass
@@ -90,12 +163,12 @@ def compare_schemes(
     duration_ns: int | None = None,
 ) -> SchemeComparison:
     """Run DCQCN-only and DCQCN-SRC on identical workloads."""
-    from dataclasses import replace
-
-    only_cfg = replace(base_config, driver="default", src_enabled=False)
-    src_cfg = replace(base_config, driver="ssq", src_enabled=True)
-    only = run_testbed(trace_factory(), only_cfg, duration_ns=duration_ns)
-    src = run_testbed(trace_factory(), src_cfg, tpm=tpm, duration_ns=duration_ns)
+    only = run_testbed(
+        trace_factory(), arm_config(base_config, "dcqcn"), duration_ns=duration_ns
+    )
+    src = run_testbed(
+        trace_factory(), arm_config(base_config, "src"), tpm=tpm, duration_ns=duration_ns
+    )
     return SchemeComparison(label=label, dcqcn_only=only, dcqcn_src=src)
 
 
@@ -150,57 +223,43 @@ def incast_analysis(
     tpm: ThroughputPredictionModel,
     *,
     points: tuple[IncastPoint, ...] = TABLE4_POINTS,
-    ssd_config: SSDConfig | None = None,
-    ssds_per_target: int = 1,
-    total_read_gbps: float = 38.0,
-    mean_read_bytes: float = 44 * 1024,
-    mean_write_bytes: float = 23 * 1024,
-    write_fraction_of_read_rate: float = 0.5,
-    n_requests: int = 6000,
+    ssd_config: SSDConfig = SSD_A,
+    n_requests: int = 4500,
     seed: int = 23,
-    link_rate_gbps: float = 40.0,
-    congestion: "BackgroundTraffic | None | str" = "default",
-    duration_ns: int | None = None,
+    duration_ns: int | None = 50 * MS,
     workers: int | None = 1,
 ) -> list[SchemeComparison]:
     """Reproduce Table IV: fixed total traffic, varying in-cast ratio.
 
-    The total offered read traffic stays at ``total_read_gbps``
-    regardless of the node counts; requests spread round-robin over
-    targets and initiators, so per-target intensity falls as targets are
-    added (the paper's WRR-degenerates-to-RR effect) and per-initiator
-    inbound load falls as initiators are added (congestion relief — with
-    several initiators only the episode's victim is squeezed, so most of
-    the workload never sees congestion, as in the paper's 4:4 row).
+    The offered reads (44 KiB) total 38 Gbps regardless of the node
+    counts, with 23 KiB writes at half the read rate; a 14-host episode
+    congests the first initiator from 8 to 40 ms.  Requests spread
+    round-robin over targets and initiators, so per-target intensity
+    falls as targets are added (the paper's WRR-degenerates-to-RR
+    effect) and per-initiator inbound load falls as initiators are added
+    (congestion relief — with several initiators only the episode's
+    victim is squeezed, so most of the workload never sees congestion,
+    as in the paper's 4:4 row).
 
     Each row is an independent paired run submitted through
     :mod:`repro.parallel`; ``workers`` fans them across processes with
     results identical to the serial order.
     """
-    from repro.experiments.runner import BackgroundTraffic
-
-    if congestion == "default":
-        congestion = BackgroundTraffic(
-            start_ns=8 * MS, end_ns=40 * MS, rate_gbps=10.0, n_hosts=14
-        )
-    read_inter_ns = mean_read_bytes / gbps_to_bytes_per_ns(total_read_gbps)
-    write_inter_ns = read_inter_ns / write_fraction_of_read_rate
+    read_inter_ns = 44 * 1024 / gbps_to_bytes_per_ns(38.0)
     spec = MicroTraceSpec(
-        read=MicroWorkloadConfig(read_inter_ns, mean_read_bytes),
-        write=MicroWorkloadConfig(write_inter_ns, mean_write_bytes),
+        read=MicroWorkloadConfig(read_inter_ns, 44 * 1024),
+        write=MicroWorkloadConfig(read_inter_ns / 0.5, 23 * 1024),
         n_reads=n_requests,
-        n_writes=int(n_requests * write_fraction_of_read_rate),
+        n_writes=int(n_requests * 0.5),
         seed=seed,
     )
+    congestion = BackgroundTraffic(start_ns=8 * MS, end_ns=40 * MS, rate_gbps=10.0, n_hosts=14)
     cells = []
     for point in points:
         cfg = TestbedConfig(
             n_initiators=point.n_initiators,
             n_targets=point.n_targets,
-            ssds_per_target=ssds_per_target,
             ssd_config=ssd_config,
-            link_rate_gbps=link_rate_gbps,
-            link_delay_ns=US,
             background=congestion,
         )
         cells.append((spec, cfg, tpm, point.label, duration_ns))
@@ -234,33 +293,24 @@ INTENSITY_LEVELS = (
 def intensity_analysis(
     tpm: ThroughputPredictionModel,
     *,
-    levels: tuple[IntensityLevel, ...] = INTENSITY_LEVELS,
-    ssd_config: SSDConfig | None = None,
-    ssds_per_target: int = 1,
-    span_ms: float = 45.0,
+    ssd_config: SSDConfig = SSD_A,
     seed: int = 31,
-    congestion: "BackgroundTraffic | None | str" = "default",
-    duration_ns: int | None = None,
+    duration_ns: int | None = 50 * MS,
     workers: int | None = 1,
 ) -> list[SchemeComparison]:
     """Reproduce Fig. 10: both schemes at light/moderate/heavy intensity.
 
     Each level runs under the same congestion episode (Fig. 10's runs all
-    contain congestion events); what distinguishes the levels is whether
-    the device queues are deep enough for SRC's WRR to act.  Pass
-    ``congestion=None`` for congestion-free runs.  Request counts scale
-    with each level's arrival rate so every level spans ``span_ms``.
-    Levels fan across processes via ``workers`` (``None`` = all cores).
+    contain congestion events: 14 hosts from 8 to 36 ms); what
+    distinguishes the levels is whether the device queues are deep
+    enough for SRC's WRR to act.  Request counts scale with each level's
+    arrival rate so every level spans 45 ms.  Levels fan across
+    processes via ``workers`` (``None`` = all cores).
     """
-    from repro.experiments.runner import BackgroundTraffic
-
-    if congestion == "default":
-        congestion = BackgroundTraffic(
-            start_ns=8 * MS, end_ns=36 * MS, rate_gbps=10.0, n_hosts=14
-        )
+    congestion = BackgroundTraffic(start_ns=8 * MS, end_ns=36 * MS, rate_gbps=10.0, n_hosts=14)
     cells = []
-    for level in levels:
-        n_requests = max(100, int(level.arrivals_per_ms * span_ms))
+    for level in INTENSITY_LEVELS:
+        n_requests = max(100, int(level.arrivals_per_ms * 45.0))
         spec = MicroTraceSpec(
             read=MicroWorkloadConfig(level.interarrival_ns, level.mean_size_bytes),
             write=None,
@@ -268,12 +318,6 @@ def intensity_analysis(
             n_writes=n_requests,
             seed=seed,
         )
-        cfg = TestbedConfig(
-            n_initiators=1,
-            n_targets=2,
-            ssds_per_target=ssds_per_target,
-            ssd_config=ssd_config,
-            background=congestion,
-        )
+        cfg = TestbedConfig(ssd_config=ssd_config, background=congestion)
         cells.append((spec, cfg, tpm, level.label, duration_ns))
     return run_cells(_comparison_cell, cells, workers=workers).results

@@ -43,7 +43,6 @@ class SSQDriver:
         "weight_log",
         "_pending_buckets",
         "_stalled",
-        "_slots",
     )
 
     #: Dependency-detection granularity in bytes.  Requests are indexed
@@ -77,8 +76,6 @@ class SSQDriver:
         #: True while the last fetch stalled on a slot-blocked head (see
         #: :meth:`submit`); cleared by a fetch that returns a command.
         self._stalled = False
-        #: (read weight, write weight, queue depth) -> (read, write slots).
-        self._slots: dict[tuple[int, int, int], tuple[int, int]] = {}
 
     def connect(self, device) -> None:
         """Bind to a device; submissions will ring its doorbell."""
@@ -173,17 +170,6 @@ class SSQDriver:
     def has_pending(self) -> bool:
         return bool(self.rsq or self.wsq)
 
-    def _partition(self, queue_depth: int) -> tuple[int, int]:
-        """(read slots, write slots) split of QD by the weight ratio."""
-        wrr = self.wrr
-        key = (wrr.read_weight, wrr.write_weight, queue_depth)
-        slots = self._slots.get(key)
-        if slots is None:
-            total = wrr.read_weight + wrr.write_weight
-            write_slots = max(1, (queue_depth * wrr.write_weight) // total)
-            slots = self._slots[key] = (max(1, queue_depth - write_slots), write_slots)
-        return slots
-
     def fetch(
         self, inflight_reads: int, inflight_writes: int, queue_depth: int
     ) -> IORequest | None:
@@ -195,15 +181,16 @@ class SSQDriver:
         # partition guarantees each class its own slots so a class whose
         # completions are back-pressured (reads under congestion) can
         # never occupy the whole device.
-        rsq, wsq = self.rsq, self.wsq
-        choice = self.wrr.choose(bool(rsq), bool(wsq))
+        rsq, wsq, wrr = self.rsq, self.wsq, self.wrr
+        choice = wrr.choose(bool(rsq), bool(wsq))
         if choice is None:
             return None
         queue = rsq if choice is _READ else wsq
         head = queue[0]
-        read_slots, write_slots = self._partition(queue_depth)
+        # The QD partition: split by the weight ratio, a slot kept per class.
+        write_slots = max(1, queue_depth * wrr.write_weight // (wrr.read_weight + wrr.write_weight))
         if head.is_read:
-            if inflight_reads >= read_slots:
+            if inflight_reads >= max(1, queue_depth - write_slots):
                 self._stalled = True
                 return None
         elif inflight_writes >= write_slots:
@@ -212,7 +199,7 @@ class SSQDriver:
         self._stalled = False
         # Tokens move only when both queues competed for the turn.
         if rsq and wsq:
-            self.wrr.consume(head.op)
+            wrr.consume(head.op)
         queue.popleft()
         pending = self._pending_buckets
         if pending:  # empty without the consistency check

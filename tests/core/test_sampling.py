@@ -34,7 +34,7 @@ TINY_PLAN = SamplingPlan(
 class TestPlan:
     def test_n_cells(self):
         assert TINY_PLAN.n_cells() == 2
-        assert SamplingPlan().n_cells() == 4 * 4 * 5 * 3
+        assert SamplingPlan().n_cells() == 5 * 3 * 7 * 2
 
     def test_requests_for_duration(self):
         plan = SamplingPlan(duration_ns=10_000_000)

@@ -3,13 +3,16 @@
 import pytest
 
 from repro.experiments.comparison import (
+    FIG7_CELL,
     INTENSITY_LEVELS,
     TABLE4_POINTS,
     IncastPoint,
     IntensityLevel,
     SchemeComparison,
+    arm_config,
     compare_schemes,
     incast_analysis,
+    intensity_analysis,
 )
 from repro.experiments.runner import TestbedConfig
 from repro.workloads.micro import MicroWorkloadConfig, generate_micro_trace
@@ -66,9 +69,9 @@ def test_improvement_handles_zero_baseline():
 
 
 def test_incast_row_is_pinned(tiny_tpm):
-    """One Table IV row, exactly.  Its read inter-arrival is derived
-    from ``total_read_gbps`` (a Gbps -> bytes/ns boundary), so a
-    dropped conversion there moves both throughputs."""
+    """One Table IV row, exactly.  Its read inter-arrival comes from
+    the 38 Gbps -> bytes/ns conversion inside ``incast_analysis``, so
+    a dropped conversion there moves both throughputs."""
     from repro.sim.units import MS
 
     (row,) = incast_analysis(
@@ -81,3 +84,63 @@ def test_incast_row_is_pinned(tiny_tpm):
     assert row.label == "2:1"
     assert row.only_gbps == 20.982442666666667
     assert row.src_gbps == 21.386581333333336
+
+
+def test_intensity_levels_are_pinned(tiny_tpm):
+    """The three Fig. 10 levels, exactly.  10 ms runs reach past the
+    8 ms episode start, so SRC acts and the episode's timing, each
+    level's request count and inter-arrival all reach the numbers."""
+    from repro.sim.units import MS
+
+    rows = intensity_analysis(tiny_tpm, ssd_config=FAST_SSD, duration_ns=10 * MS)
+    assert [(r.label, r.only_gbps, r.src_gbps) for r in rows] == [
+        ("light", 19.27168, 19.296256),
+        ("moderate", 20.688896, 20.549632),
+        ("heavy", 21.745664, 21.684224),
+    ]
+
+
+def test_arms_map_to_target_designs():
+    base = TestbedConfig(n_targets=3)
+    assert [
+        (c.driver, c.src_enabled, c.n_targets)
+        for c in (arm_config(base, arm) for arm in ("dcqcn", "src", "block"))
+    ] == [("default", False, 3), ("ssq", True, 3), ("block", True, 3)]
+
+
+def test_benchmark_fig7_pair_runs_the_shared_cell(monkeypatch):
+    """``benchmarks/perf``'s full-size ``Fig7Pair`` is :data:`FIG7_CELL`
+    at the benchmark's seed: episode, SSD and arms (the testbed
+    configs), run length, window, request counts and trace.  Its TPM
+    comes from the benchmark's own, smaller training grid; training is
+    stubbed here."""
+    import importlib.util
+    import sys
+    from dataclasses import replace
+    from pathlib import Path
+
+    from repro.core.tpm import ThroughputPredictionModel
+
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "perf" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perf_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    monkeypatch.setattr("repro.core.sampling.collect_training_set", lambda *a, **k: None)
+    monkeypatch.setattr(ThroughputPredictionModel, "fit", lambda self, training: self)
+
+    pair = workloads.Fig7Pair(seed=5, quick=False)
+    pair.setup()
+    cell = FIG7_CELL
+    assert pair.duration_ns == cell.duration_ns
+    assert pair.window == cell.window_ns
+    assert (pair.n_reads, pair.n_writes) == (cell.trace.n_reads, cell.trace.n_writes)
+    assert {leg: config for leg, (config, _) in pair.legs.items()} == {
+        "dcqcn": cell.config("dcqcn"),
+        "src": cell.config("src"),
+    }
+
+    def columns(trace):
+        return [(r.arrival_ns, r.op, r.lba, r.size_bytes) for r in trace.requests]
+
+    assert columns(pair._trace()) == columns(replace(cell.trace, seed=5).build())

@@ -140,14 +140,19 @@ class TestWeights:
         assert d.weight_log == [(777, 1, 5)]
 
     def test_partition_split(self):
+        # 1:3 at QD 64: 16 read slots, 48 write slots.
         d = SSQDriver(1, 3)
-        read_slots, write_slots = d._partition(64)
-        assert write_slots == 48
-        assert read_slots == 16
+        d.submit(req(OpType.READ, lba=distinct_lba(1)))
+        assert d.fetch(16, 0, 64) is None
+        assert d.fetch(15, 0, 64).is_read
+        d.submit(req(OpType.WRITE, lba=distinct_lba(2)))
+        assert d.fetch(0, 48, 64) is None
+        assert d.fetch(0, 47, 64).op is OpType.WRITE
         # Both classes always keep at least one slot.
-        d2 = SSQDriver(1, 63)
-        r, w = d2._partition(4)
-        assert r >= 1 and w >= 1
+        for weights, op in (((1, 63), OpType.READ), ((63, 1), OpType.WRITE)):
+            d2 = SSQDriver(*weights)
+            d2.submit(req(op, lba=distinct_lba(3)))
+            assert d2.fetch(0, 0, 1).op is op
 
     def test_weight_change_rings_doorbell(self):
         class FakeDevice:
