@@ -10,8 +10,7 @@ neighbor models beat the linear family.
 
 import pytest
 
-from benchmarks.common import bench_workers, save_result
-from repro.core.sampling import SamplingPlan, TrainingSet, collect_training_set
+from benchmarks.common import save_result, training_set
 from repro.experiments.tables import format_table
 from repro.ml import (
     DecisionTreeRegressor,
@@ -34,7 +33,7 @@ MODELS = [
 
 
 def run_table1():
-    training = collect_training_set(SSD_A, SamplingPlan(), workers=bench_workers())
+    training = training_set(SSD_A)
     Xtr, Xva, ytr, yva = train_test_split(
         training.X, training.y, train_fraction=0.6, seed=42
     )

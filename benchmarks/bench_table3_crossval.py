@@ -12,8 +12,8 @@ import zlib
 import numpy as np
 import pytest
 
-from benchmarks.common import bench_workers, save_result
-from repro.core.sampling import SamplingPlan, TrainingSet, collect_training_set
+from benchmarks.common import bench_workers, save_result, training_set
+from repro.core.sampling import collect_training_set
 from repro.core.tpm import ThroughputPredictionModel
 from repro.experiments.tables import format_table
 from repro.ssd.config import SSD_A
@@ -54,7 +54,7 @@ def synthetic_class_traces(size_scv, inter_scv, *, n_traces=3, seed=0):
 
 
 def run_table3():
-    micro = collect_training_set(SSD_A, SamplingPlan(), workers=bench_workers())
+    micro = training_set(SSD_A)
     class_sets = {}
     for label, size_scv, inter_scv in CLASSES:
         # zlib.crc32, not hash(): str hashes are PYTHONHASHSEED-randomised,

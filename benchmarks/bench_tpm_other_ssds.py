@@ -8,8 +8,8 @@ in the reliable band.
 
 import pytest
 
-from benchmarks.common import bench_workers, save_result
-from repro.core.sampling import SamplingPlan, TrainingSet, collect_training_set
+from benchmarks.common import save_result, training_set
+from repro.core.sampling import TrainingSet
 from repro.core.tpm import ThroughputPredictionModel
 from repro.experiments.tables import format_table
 from repro.ml import train_test_split
@@ -19,7 +19,7 @@ from repro.ssd.config import SSD_B, SSD_C
 def run_other_ssds():
     scores = {}
     for config in (SSD_B, SSD_C):
-        ts = collect_training_set(config, SamplingPlan(), workers=bench_workers())
+        ts = training_set(config)
         Xtr, Xva, ytr, yva = train_test_split(
             ts.X, ts.y, train_fraction=0.6, seed=42
         )

@@ -3,8 +3,10 @@
 * :func:`save_result` — persist a reproduced table under
   ``benchmarks/results/`` and queue it for the terminal summary;
 * :func:`bench_workers` — the worker count for the figure sweeps;
-* :func:`trained_tpm` — session-cached TPM training per SSD model (the
-  expensive sweep runs once even when several figure benches need it);
+* :func:`training_set` — the session-cached TPM training set per SSD
+  model (the expensive sweep runs once even when several benches need
+  it);
+* :func:`trained_tpm` — a TPM fitted once per session on that set;
 * :func:`fig7_run` — session-cached runs of the shared Fig. 7 cell.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro.core.sampling import SamplingPlan, collect_training_set
+from repro.core.sampling import SamplingPlan, TrainingSet, collect_training_set
 from repro.core.tpm import ThroughputPredictionModel
 from repro.experiments.comparison import FIG7_CELL
 from repro.experiments.runner import RunResult, TestbedConfig
@@ -42,19 +44,34 @@ def save_result(name: str, text: str) -> None:
     SESSION_RESULTS.append((name, text))
 
 
+_TRAINING_SETS: dict[str, TrainingSet] = {}
+
+
+def training_set(config: SSDConfig) -> TrainingSet:
+    """The training set for ``config`` on the default
+    :class:`SamplingPlan` grid, collected once per session.
+
+    The sweep fans across :func:`bench_workers` processes.  Callers
+    must not modify the arrays: every bench that trains on ``config``
+    shares them.
+    """
+    key = config.name
+    if key not in _TRAINING_SETS:
+        _TRAINING_SETS[key] = collect_training_set(
+            config, SamplingPlan(), workers=bench_workers()
+        )
+    return _TRAINING_SETS[key]
+
+
 _TPM_CACHE: dict[str, ThroughputPredictionModel] = {}
 
 
 def trained_tpm(config: SSDConfig) -> ThroughputPredictionModel:
-    """A Random-Forest TPM for ``config``, trained once per session on
-    the default :class:`SamplingPlan` grid.
-
-    The training sweep fans across :func:`bench_workers` processes.
-    """
+    """A Random-Forest TPM for ``config``, fitted once per session on
+    :func:`training_set`."""
     key = config.name
     if key not in _TPM_CACHE:
-        training = collect_training_set(config, SamplingPlan(), workers=bench_workers())
-        _TPM_CACHE[key] = ThroughputPredictionModel().fit(training)
+        _TPM_CACHE[key] = ThroughputPredictionModel().fit(training_set(config))
     return _TPM_CACHE[key]
 
 

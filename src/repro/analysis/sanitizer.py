@@ -8,8 +8,8 @@ Enable it with ``Simulator(sanitize=True)`` or ``REPRO_SANITIZE=1``
 without an explicit ``sanitize`` in the process, so whole existing
 scenarios run sanitized unchanged).  A simulator carrying a
 :class:`Sanitizer` checks the clock on every event and calls the
-component sweep after every event (the engine's observed loop) or
-every K-th (the lean loop, strided; see :mod:`repro.sim.engine`).
+component sweep after every event or, strided, every K-th, from the
+engine's one dispatch loop (see :mod:`repro.sim.engine`).
 
 Checked invariants, per checked event:
 
@@ -38,9 +38,9 @@ so a *sticky* violation (negative queue depth, broken conservation sum)
 is always caught, at most K-1 events late, for ~1/K of the checking
 cost.  Clock monotonicity is still verified on every event (one int
 compare in the engine's loop).  A strided run is bit-identical to a
-plain or fully-checked run — the sanitizer only observes.  It runs in
-the engine's lean loop, which dispatches the K events between two
-sweeps as one chunk, so its cost over a plain run is the sweeps alone.
+plain or fully-checked run — the sanitizer only observes.  The
+engine's loop dispatches the K events between two sweeps as one chunk,
+so its cost over a plain run is the sweeps alone.
 
 When a strided run does trip, the violation site is coarse (the event
 *at the sampling point*, not the event that corrupted state).  To
@@ -56,10 +56,10 @@ uses), so a failure reads like
 ``[queue-depth] at t=1840ns during Link._finish: ...``.
 
 The sanitizer never schedules events or draws randomness, so a
-sanitized run is bit-identical to a plain one.  Both engine loops
-dispatch one event at a time in the same order (see
-``repro.sim.engine``), so full-fidelity checks run after every event
-and localization stays exact.  The cost of strided checking is
+sanitized run is bit-identical to a plain one.  The engine's one loop
+dispatches one event at a time (see ``repro.sim.engine``), so
+full-fidelity checks run after every event, blame that event's own
+callback, and localization stays exact.  The cost of strided checking is
 measured by the ``incast_observed`` workload of ``benchmarks/perf``.
 """
 

@@ -16,7 +16,6 @@ from repro.experiments.replay import DeviceReplayResult, replay_on_device
 from repro.experiments.metrics import ThroughputSeries, trim_series
 from repro.experiments.runner import (
     BackgroundTraffic,
-    RunMeasurement,
     RunResult,
     TestbedConfig,
     run_testbed,
@@ -62,7 +61,6 @@ __all__ = [
     "trim_series",
     "BackgroundTraffic",
     "TestbedConfig",
-    "RunMeasurement",
     "RunResult",
     "run_testbed",
     "WeightSweepCell",

@@ -123,29 +123,14 @@ FIG7_CELL = CongestionCell(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeComparison:
-    """Paired measurement of the two schemes on one workload.
-
-    ``dcqcn_only`` / ``dcqcn_src`` are full :class:`RunResult` objects
-    when produced in-process and picklable
-    :class:`repro.experiments.runner.RunMeasurement` objects when a
-    sweep worker produced them; both expose the trimmed accessors the
-    properties below need.
-    """
+    """Trimmed aggregated throughput (Gbps) of the two schemes on one
+    workload: what a sweep worker hands back instead of its worlds."""
 
     label: str
-    dcqcn_only: RunResult
-    dcqcn_src: RunResult
-    trim_fraction: float = 0.1
-
-    @property
-    def only_gbps(self) -> float:
-        return self.dcqcn_only.trimmed_aggregated_gbps(self.trim_fraction)
-
-    @property
-    def src_gbps(self) -> float:
-        return self.dcqcn_src.trimmed_aggregated_gbps(self.trim_fraction)
+    only_gbps: float
+    src_gbps: float
 
     @property
     def improvement(self) -> float:
@@ -159,9 +144,8 @@ def compare_schemes(
     base_config: TestbedConfig,
     tpm: ThroughputPredictionModel,
     *,
-    label: str = "",
     duration_ns: int | None = None,
-) -> SchemeComparison:
+) -> tuple[RunResult, RunResult]:
     """Run DCQCN-only and DCQCN-SRC on identical workloads."""
     only = run_testbed(
         trace_factory(), arm_config(base_config, "dcqcn"), duration_ns=duration_ns
@@ -169,7 +153,7 @@ def compare_schemes(
     src = run_testbed(
         trace_factory(), arm_config(base_config, "src"), tpm=tpm, duration_ns=duration_ns
     )
-    return SchemeComparison(label=label, dcqcn_only=only, dcqcn_src=src)
+    return only, src
 
 
 def _comparison_cell(
@@ -179,19 +163,10 @@ def _comparison_cell(
     label: str,
     duration_ns: int | None,
 ) -> SchemeComparison:
-    """One paired-scheme run — a sweep worker cell.
-
-    Returns a :class:`SchemeComparison` whose members are stripped to
-    picklable :class:`~repro.experiments.runner.RunMeasurement` objects.
-    """
-    cmp = compare_schemes(
-        spec.build, base_config, tpm, label=label, duration_ns=duration_ns
-    )
+    """One paired-scheme run — a sweep worker cell."""
+    only, src = compare_schemes(spec.build, base_config, tpm, duration_ns=duration_ns)
     return SchemeComparison(
-        label=cmp.label,
-        dcqcn_only=cmp.dcqcn_only.measurement(),
-        dcqcn_src=cmp.dcqcn_src.measurement(),
-        trim_fraction=cmp.trim_fraction,
+        label, only.trimmed_aggregated_gbps(), src.trimmed_aggregated_gbps()
     )
 
 

@@ -102,38 +102,6 @@ class TestbedConfig:
 
 
 @dataclass
-class RunMeasurement:
-    """Picklable measurement subset of a :class:`RunResult`.
-
-    Sweep workers return this instead of the full result: a finished
-    ``RunResult`` drags the live object graph (simulator queue, NICs,
-    SSDs) across the process boundary for no benefit — workers report
-    measurements, not worlds.  (Live graphs *can* now be pickled via
-    :mod:`repro.sim.checkpoint`, but that is for state snapshots, not
-    per-cell result plumbing.)
-    """
-
-    duration_ns: int
-    read_series: ThroughputSeries
-    write_series: ThroughputSeries
-    n_pauses: int
-    bin_ns: int = MS
-
-    @property
-    def aggregated_series(self) -> ThroughputSeries:
-        return self.read_series + self.write_series
-
-    def trimmed_read_gbps(self, fraction: float = 0.1) -> float:
-        return trim_series(self.read_series, fraction).mean()
-
-    def trimmed_write_gbps(self, fraction: float = 0.1) -> float:
-        return trim_series(self.write_series, fraction).mean()
-
-    def trimmed_aggregated_gbps(self, fraction: float = 0.1) -> float:
-        return trim_series(self.aggregated_series, fraction).mean()
-
-
-@dataclass
 class RunResult:
     """Measurements from one testbed run."""
 
@@ -155,16 +123,6 @@ class RunResult:
     @property
     def sim_events(self) -> int:
         return self.sim.events_dispatched
-
-    def measurement(self) -> RunMeasurement:
-        """Strip to the picklable measurements (for sweep workers)."""
-        return RunMeasurement(
-            duration_ns=self.duration_ns,
-            read_series=self.read_series,
-            write_series=self.write_series,
-            n_pauses=len(self.pause_times_ns),
-            bin_ns=self.bin_ns,
-        )
 
     def trimmed_read_gbps(self, fraction: float = 0.1) -> float:
         return trim_series(self.read_series, fraction).mean()

@@ -265,7 +265,7 @@ def run_with_checkpoints(
 
     No checkpoint code runs per event: each leg is a
     ``sim.run(until=..., max_events=every)`` call, served by the
-    engine's lean loop as a plain run is, and the
+    engine's one loop as a plain run is, and the
     :class:`MaxEventsExceeded` it raises at a leg boundary is the
     resume point (``run`` leaves the heap and clock mid-run but
     consistent, as ``tests/sim/test_resume.py`` checks).

@@ -19,24 +19,24 @@ entries (:meth:`Simulator.schedule_anon`) for fire-and-forget hot
 paths; one sentinel identity check per dispatch tells them apart.  A
 pre-scheduled series (:meth:`Simulator.schedule_series_at`, a whole
 arrival trace) is one anonymous entry whose callback is the
-:class:`_Series` itself; the lean loop calls it, the observed loop
-unwraps it to the entry's real callback, as it does a handled
-:class:`Event`.
+:class:`_Series` itself; the loop calls it, and wherever an entry is
+named (a dispatch log, a sanitizer's blame) it is named by the
+callback it calls, unwrapped from a handled :class:`Event` or a series.
 
-:meth:`Simulator.run` holds exactly two loops, and both dispatch
-exactly one event per iteration.  The lean loop serves plain runs,
+:meth:`Simulator.run` holds exactly one loop, and it dispatches exactly
+one event per iteration.  It serves every run: plain runs,
 ``max_events`` legs (and so
-:func:`repro.sim.checkpoint.run_with_checkpoints`) and strided
-sanitizing (``"stride:K"``, K > 1).  It dispatches in chunks: a plain
-run is one chunk, a ``max_events`` limit ends the last one, and a
-strided sanitizer's component sweep
+:func:`repro.sim.checkpoint.run_with_checkpoints`), dispatch logs and
+sanitizing, strided (``"stride:K"``) or at full fidelity (K = 1).  It
+dispatches in chunks: a plain run is one chunk, a ``max_events`` limit
+ends the last one, and a sanitizer's component sweep
 (:class:`repro.analysis.sanitizer.Sanitizer`) runs between chunks of K
-events.  Per event it adds two comparisons to the dispatch: the
-chunk's end, and a clock check that raises ``event-time-monotonic``
-only under a sanitizer.  The observed loop serves a dispatch log and
-full-fidelity sanitizing, which need every event's unwrapped callback.
-Both loops stamp a :class:`SanitizerError` raised inside a callback
-with the event's time and site.
+events.  Per event it adds two comparisons to the dispatch: the chunk's
+end, and one guard that is true only under a sanitizer or a dispatch
+log; behind it sit the clock check that raises
+``event-time-monotonic`` and the log line, written before the callback
+runs.  The loop stamps a :class:`SanitizerError` raised inside a
+callback with the event's time and site.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class SanitizerError(RuntimeError):
         Human-readable description of the violated state.
     time_ns / site:
         Simulated time and callback site label of the offending event;
-        the observed dispatch loop fills them in when the violation is
-        raised from inside a callback (e.g. the FTL GC hook).
+        the dispatch loop fills them in when the violation is raised
+        from inside a callback (e.g. the FTL GC hook).
     """
 
     def __init__(
@@ -142,10 +142,12 @@ class _Series:
     front and dispatch order is unchanged.  ``_rest`` holds the
     remaining ``(time, callback, args)`` entries reversed, the one in
     the heap last, so each step is a ``list.pop()`` and a checkpoint
-    pickles only what is still to come.
+    pickles only what is still to come.  ``_last`` keeps the callback
+    of the entry that fired last, which the loop names when a sweep or
+    an error raised by that entry needs a site.
     """
 
-    __slots__ = ("_heap", "_rest", "_seq")
+    __slots__ = ("_heap", "_rest", "_seq", "_last")
 
     def __init__(self, heap: list, rest: list, seq: int) -> None:
         self._heap = heap
@@ -154,46 +156,47 @@ class _Series:
         #: the heap.
         self._seq = seq
 
-    def step(self) -> tuple[Callable[..., Any], tuple]:
-        """Take the due entry, queue its successor, return its call."""
-        rest = self._rest
-        _time, callback, args = rest.pop()
-        if rest:
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(self._heap, (rest[-1][0], seq, self, ()))
-        return callback, args
-
     def __call__(self) -> None:
-        # The lean loop's step: :meth:`step` inlined, one frame less per
-        # arrival.
+        """Take the due entry, queue its successor and call it."""
         rest = self._rest
         _time, callback, args = rest.pop()
         if rest:
             seq = self._seq
             self._seq = seq + 1
             heapq.heappush(self._heap, (rest[-1][0], seq, self, ()))
-        try:
-            callback(*args)
-        except SanitizerError as err:
-            # The lean loop sees only the series; name the entry's site.
-            if err.site is None:
-                err.site = site_label(callback)
-            raise
+        self._last = callback
+        callback(*args)
+
+
+def _entry_callback(callback: Any, tail: Any) -> Any:
+    """The callback a heap entry calls, unwrapped from a handled event
+    or a series; ``None`` for a cancelled event."""
+    if callback is HANDLED_MARK:
+        return None if tail.cancelled else tail.callback
+    if callback.__class__ is _Series:
+        return callback._rest[-1][1]
+    return callback
+
+
+def _fired_callback(callback: Any, tail: Any) -> Any:
+    """The callback a dispatched heap entry called, unwrapped from a
+    handled event or a series."""
+    if callback is HANDLED_MARK:
+        return tail.callback
+    if callback.__class__ is _Series:
+        return callback._last
+    return callback
 
 
 def _clock_moved_back(time: int, now: int, callback: Any, tail: Any) -> None:
     """Raise ``event-time-monotonic`` unless the entry is a cancelled event.
 
-    ``callback``/``tail`` are a heap entry's, unwrapped or not: the
-    error names the callback the entry would have called.
+    ``callback``/``tail`` are a heap entry's: the error names the
+    callback the entry would have called.
     """
-    if callback is HANDLED_MARK:
-        if tail.cancelled:
-            return
-        callback = tail.callback
-    elif callback.__class__ is _Series:
-        callback = callback._rest[-1][1]
+    callback = _entry_callback(callback, tail)
+    if callback is None:
+        return
     raise SanitizerError(
         "event-time-monotonic",
         f"event scheduled at t={time} dispatched after t={now} — the clock "
@@ -210,20 +213,20 @@ class Simulator:
     ----------
     trace:
         When true, every dispatched event is appended to
-        :attr:`dispatch_log` as ``(time, callback_qualname)`` — useful in
-        tests, far too slow for real runs.  The log has one line per
-        dispatched event.
+        :attr:`dispatch_log` as ``(time, callback_qualname)`` before its
+        callback runs — useful in tests, far too slow for real runs.
+        The log has one line per dispatched event.
     sanitize:
         When true (or when the ``REPRO_SANITIZE`` environment variable
         is set and ``sanitize`` is left as ``None``), a
         :class:`repro.analysis.sanitizer.Sanitizer` is attached: the
         run checks runtime invariants (clock monotonicity, queue depths,
-        byte conservation, ...) on every event, in the observed loop,
-        and raises :class:`SanitizerError` on violation.  The string
-        form ``"stride:K"`` (e.g. ``"stride:64"``, also accepted in
+        byte conservation, ...) on every event and raises
+        :class:`SanitizerError` on violation.  The string form
+        ``"stride:K"`` (e.g. ``"stride:64"``, also accepted in
         ``REPRO_SANITIZE``) runs the invariant sweep every K-th event
-        instead, between the lean loop's chunks, and still checks the
-        clock on every event — see DESIGN.md §6.  The sanitized run is
+        instead, between the loop's chunks, and still checks the clock
+        on every event — see DESIGN.md §6.  The sanitized run is
         bit-identical to a plain one, just slower.
     """
 
@@ -406,11 +409,8 @@ class Simulator:
     ) -> int:
         """Dispatch events in time order.
 
-        Plain runs, ``max_events`` legs and strided sanitizing
-        (``"stride:K"``, K > 1) take the lean loop; a dispatch log or
-        full-fidelity sanitizing takes the observed loop (see the
-        module docstring).  Both dispatch the same events in the same
-        order.
+        Every run takes the one dispatch loop (see the module
+        docstring); a dispatch log or a sanitizer only observes it.
 
         Parameters
         ----------
@@ -434,10 +434,7 @@ class Simulator:
         deadline = _NO_DEADLINE if until is None else until
         limit = _NO_DEADLINE if max_events is None else max_events
         sanitizer = self.sanitizer
-        if self._trace or (sanitizer is not None and sanitizer.stride == 1):
-            dispatched = self._run_observed(deadline, limit)
-        else:
-            dispatched = self._run_lean(deadline, limit)
+        dispatched = self._run_lean(deadline, limit)
         if sanitizer is not None:
             sanitizer.finish(self, dispatched)
         if until is not None and until > self.now:
@@ -447,19 +444,22 @@ class Simulator:
         return dispatched
 
     def _run_lean(self, deadline: int, limit: int) -> int:
-        """The lean loop: events in chunks that end at a sweep or the limit.
+        """The loop: events in chunks that end at a sweep or the limit.
 
-        A plain run is one chunk.  Under a strided sanitizer each chunk
-        ends at the sanitizer's countdown and its component sweep runs
-        between chunks; a ``max_events`` limit ends the last chunk.  The
-        per-event work is the dispatch plus a clock check that only a
-        sanitizer turns into an error.
+        A plain run is one chunk.  Under a sanitizer each chunk ends at
+        its countdown (one event at full fidelity) and its component
+        sweep runs between chunks; a ``max_events`` limit ends the last
+        chunk.  The per-event work is the dispatch plus one guard that
+        only a sanitizer or a dispatch log gets past.
         """
         queue = self._queue
         heap = queue._heap  # the queue compacts in place; alias stays valid
         heappop = heapq.heappop
         sanitizer = self.sanitizer
         checking = sanitizer is not None
+        trace = self._trace
+        log = self.dispatch_log
+        observing = checking or trace
         if sanitizer is None:
             stride = countdown = _NO_DEADLINE
         else:
@@ -472,15 +472,22 @@ class Simulator:
         try:
             while True:
                 # The chunk ends at the next sweep or at the limit (a
-                # limit below 1 still dispatches one event, as observed).
-                stop = start + min(countdown, max(limit - start, 1))
+                # limit below 1 still dispatches one event).
+                stop = start + countdown
+                if stop > limit:
+                    stop = limit if limit > start else start + 1
                 while heap:
                     time, _seq, callback, tail = heap[0]
                     if time > deadline:
                         break
                     heappop(heap)
-                    if checking and time < self.now:
-                        _clock_moved_back(time, self.now, callback, tail)
+                    if observing:
+                        if checking and time < self.now:
+                            _clock_moved_back(time, self.now, callback, tail)
+                        if trace:
+                            site = _entry_callback(callback, tail)
+                            if site is not None:
+                                log.append((time, site_label(site)))
                     if callback is not HANDLED_MARK:
                         self.now = time
                         callback(*tail)
@@ -505,21 +512,16 @@ class Simulator:
                     break  # drained, or the next event is past the deadline
                 if not countdown:
                     countdown = stride
-                    # The sweep blames the chunk's last event (a series
-                    # step is named by the series).
                     sanitizer.sample(  # type: ignore[union-attr]
-                        time, tail.callback if callback is HANDLED_MARK else callback
+                        time, _fired_callback(callback, tail)
                     )
                 if dispatched >= limit:
                     raise MaxEventsExceeded(limit, dispatched, len(queue), self.now)
         except SanitizerError as err:
             # A violation raised inside a callback (e.g. the FTL GC hook)
-            # gets the dispatch context stamped on the way out; a series
-            # step stamps its own entry's site (``_Series.__call__``).
+            # gets the dispatch context stamped on the way out.
             if err.site is None:
-                err.site = site_label(
-                    tail.callback if callback is HANDLED_MARK else callback
-                )
+                err.site = site_label(_fired_callback(callback, tail))
             if err.time_ns is None:
                 err.time_ns = time
             raise
@@ -527,65 +529,6 @@ class Simulator:
             self.events_dispatched += dispatched
             if sanitizer is not None:
                 sanitizer.countdown = countdown - (dispatched - start)
-        return dispatched
-
-    def _run_observed(self, deadline: int, limit: int) -> int:
-        """The observed loop: the lean loop plus a dispatch log and a
-        sanitizer sweep countdown checked on every event."""
-        queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        trace = self._trace
-        log = self.dispatch_log
-        sanitizer = self.sanitizer
-        checking = sanitizer is not None
-        if sanitizer is None:
-            stride = countdown = _NO_DEADLINE
-        else:
-            stride = sanitizer.stride
-            countdown = sanitizer.countdown
-        dispatched = 0
-        time = 0
-        callback: Any = None
-        try:
-            while heap:
-                time, _seq, callback, args = heap[0]
-                if time > deadline:
-                    break
-                heappop(heap)
-                if callback is HANDLED_MARK:
-                    ev = args
-                    if ev.cancelled:
-                        queue._dead -= 1
-                        continue
-                    ev._queue = None
-                    callback = ev.callback
-                    args = ev.args
-                elif callback.__class__ is _Series:
-                    callback, args = callback.step()
-                if checking and time < self.now:
-                    _clock_moved_back(time, self.now, callback, args)
-                self.now = time
-                if trace:
-                    log.append((time, site_label(callback)))
-                callback(*args)
-                dispatched += 1
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = stride
-                    sanitizer.sample(time, callback)  # type: ignore[union-attr]
-                if dispatched >= limit:
-                    raise MaxEventsExceeded(limit, dispatched, len(queue), self.now)
-        except SanitizerError as err:
-            if err.site is None:
-                err.site = site_label(callback)
-            if err.time_ns is None:
-                err.time_ns = time
-            raise
-        finally:
-            if sanitizer is not None:
-                sanitizer.countdown = countdown
-            self.events_dispatched += dispatched
         return dispatched
 
     def discard_pending(self) -> None:

@@ -388,17 +388,42 @@ def test_strided_run_stamps_an_error_raised_inside_a_callback(kind):
     assert ei.value.site == "_raise_inside"
 
 
+def _overdraw(wrr: TokenWRR) -> None:
+    wrr.read_tokens = 99
+
+
+def _noop() -> None:
+    pass
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_sweep_after_a_series_step_blames_the_entrys_site(stride):
+    """A sweep that trips right after a series step names the entry's
+    callback, not the series that holds it (nor the entry after it)."""
+    sim = Simulator(sanitize=f"stride:{stride}")
+    wrr = TokenWRR(2, 4)
+    sim.sanitizer.track_wrr(wrr, name="series.wrr")
+    entries = [(t, _noop, ()) for t in range(1, stride)]
+    entries += [(stride, _overdraw, (wrr,)), (stride + 1, _noop, ())]
+    sim.schedule_series_at(entries)
+    with pytest.raises(SanitizerError) as ei:
+        sim.run()
+    assert ei.value.invariant == "wrr-tokens"
+    assert ei.value.time_ns == stride
+    assert ei.value.site == "_overdraw"
+
+
 def _fail() -> None:
     raise ZeroDivisionError
 
 
 @pytest.mark.parametrize("stride", [3, 7, 64])
 @pytest.mark.parametrize("until", [None, 333])
-def test_lean_and_observed_loops_sweep_alike(stride, until):
-    """``max_events`` legs under a strided sanitizer: the lean loop
-    (untraced) sweeps after the same events as the observed loop
-    (traced), carries the same countdown across legs (also out of a
-    callback that raised) and stops at the same events and clock."""
+def test_tracing_does_not_move_sweeps(stride, until):
+    """``max_events`` legs under a strided sanitizer: a traced run
+    sweeps after the same events as an untraced one, carries the same
+    countdown across legs (also out of a callback that raised) and
+    stops at the same events and clock."""
 
     def legs(trace):
         sim = Simulator(trace=trace, sanitize=f"stride:{stride}")

@@ -43,14 +43,15 @@ def test_compare_schemes_runs_both(tiny_tpm):
         n_initiators=1, n_targets=2, ssd_config=FAST_SSD, driver="ssq"
     )
     # Bound the run so trimming does not discard the whole active span.
-    cmp = compare_schemes(make_trace, cfg, tiny_tpm, label="t", duration_ns=7 * MS)
+    only, src = compare_schemes(make_trace, cfg, tiny_tpm, duration_ns=7 * MS)
     # The only driver swap is default vs ssq+SRC.
     from repro.nvme.driver import DefaultNvmeDriver
     from repro.nvme.ssq import SSQDriver
 
-    assert isinstance(cmp.dcqcn_only.targets[0].drivers[0], DefaultNvmeDriver)
-    assert isinstance(cmp.dcqcn_src.targets[0].drivers[0], SSQDriver)
-    assert cmp.dcqcn_src.controllers
+    assert isinstance(only.targets[0].drivers[0], DefaultNvmeDriver)
+    assert isinstance(src.targets[0].drivers[0], SSQDriver)
+    assert src.controllers
+    cmp = SchemeComparison("t", only.trimmed_aggregated_gbps(), src.trimmed_aggregated_gbps())
     assert cmp.only_gbps > 0
     assert cmp.src_gbps > 0
     # The improvement accessor is consistent.
@@ -60,11 +61,7 @@ def test_compare_schemes_runs_both(tiny_tpm):
 
 
 def test_improvement_handles_zero_baseline():
-    class FakeRun:
-        def trimmed_aggregated_gbps(self, f):
-            return 0.0
-
-    cmp = SchemeComparison(label="z", dcqcn_only=FakeRun(), dcqcn_src=FakeRun())
+    cmp = SchemeComparison(label="z", only_gbps=0.0, src_gbps=0.0)
     assert cmp.improvement == 0.0
 
 

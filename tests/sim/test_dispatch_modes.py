@@ -1,14 +1,14 @@
 """Every dispatch mode of the engine replays the v2 golden incast cell.
 
-``Simulator.run`` has two loops: the lean loop (plain runs,
-``max_events`` legs, checkpointed legs and strided sanitizing) and the
-observed loop (a trace or full sanitizing).  A trace forces the
-observed loop, so each untraced mode below is the lean-loop twin of a
-traced one.  Each mode runs the golden cell to its horizon and must
-reproduce the golden outputs and event count, and traced modes the
-golden dispatch log.
+``Simulator.run`` has one loop for every mode: plain runs,
+``max_events`` legs, checkpointed legs, sanitizing (full or strided)
+and dispatch logs.  Each traced mode below has an untraced twin, so
+the loop is covered with and without its per-event observation, under
+a ``max_events`` limit, a strided sweep and checkpointing alike.  Each
+mode runs the golden cell to its horizon and must reproduce the golden
+outputs and event count, and traced modes the golden dispatch log.
 Each run is then drained: the watchdog must fire exactly once, on the
-``run()`` call that empties the heap, whichever loop served it.
+``run()`` call that empties the heap.
 """
 
 from __future__ import annotations

@@ -118,6 +118,27 @@ def test_trace_mode_records_dispatches():
     assert sim.dispatch_log == [(5, named.__qualname__)]
 
 
+def _boom() -> None:
+    raise ZeroDivisionError
+
+
+@pytest.mark.parametrize("kind", ["handled", "anonymous", "series"])
+def test_trace_logs_an_event_whose_callback_raised(kind):
+    """The line is written before the callback runs, so a failing
+    event is the log's last line."""
+    sim = Simulator(trace=True)
+    if kind == "handled":
+        sim.schedule(5, _boom)
+    elif kind == "anonymous":
+        sim.schedule_anon(5, _boom)
+    else:
+        sim.schedule_series_at([(5, _boom, ()), (6, _boom, ())])
+    with pytest.raises(ZeroDivisionError):
+        sim.run()
+    assert sim.dispatch_log == [(5, "_boom")]
+    assert sim.events_dispatched == 0
+
+
 def test_pending_counts_live_events():
     sim = Simulator()
     sim.schedule(1, lambda: None)
