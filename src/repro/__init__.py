@@ -7,7 +7,7 @@ builds on:
 
 * :mod:`repro.sim` — shared discrete-event engine;
 * :mod:`repro.ssd` — MQSim-style multi-queue SSD simulator (Table II);
-* :mod:`repro.nvme` — NVMe driver layer: default FIFO SQs and the
+* :mod:`repro.nvme` — NVMe driver layer: the default FIFO SQ and the
   paper's separate submission queues with token WRR (§III-A);
 * :mod:`repro.net` — packet-level RDMA fabric with DCQCN, ECN, PFC,
   and a Clos topology builder (NS3-RDMA substitute);

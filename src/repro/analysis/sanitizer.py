@@ -18,10 +18,8 @@ Checked invariants, per checked event:
 * **queue-depth** — link queued bytes, switch buffered/ingress bytes,
   and NIC TXQ usage never go negative (and TXQ never exceeds capacity);
 * **byte-conservation** — every DATA byte a NIC receives is either
-  delivered in a reassembled message, still pending reassembly, or
-  explicitly discarded (partial-message eviction):
-  ``bytes_received == reassembly_bytes_delivered + Σ partial
-  + reassembly_bytes_discarded``;
+  delivered in a reassembled message or still pending reassembly:
+  ``bytes_received == reassembly_bytes_delivered + Σ partial``;
 * **wrr-tokens** — TokenWRR balances stay within ``[0, weight]``
   (the PR 1 clamp-at-zero semantics);
 * **ftl-mapping** — after every GC erase, the forward map and the
@@ -239,18 +237,13 @@ class Sanitizer:
                 )
             reassembly = nic._reassembly
             pending = sum(reassembly.values()) if reassembly else 0
-            expected = (
-                nic.reassembly_bytes_delivered
-                + pending
-                + nic.reassembly_bytes_discarded
-            )
+            expected = nic.reassembly_bytes_delivered + pending
             if nic.bytes_received != expected:
                 return (
                     "byte-conservation",
                     f"NIC {nic.name} received {nic.bytes_received} B but "
                     f"delivered {nic.reassembly_bytes_delivered} B with "
-                    f"{pending} B pending and "
-                    f"{nic.reassembly_bytes_discarded} B discarded "
+                    f"{pending} B pending "
                     f"({nic.bytes_received - expected:+d} B unaccounted)",
                 )
             for flow in nic.flows.values():

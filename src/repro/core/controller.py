@@ -14,7 +14,7 @@ whose predicted read throughput is closest to the demanded rate.
 * **online** (:meth:`attach`) — subscribe to a target's DCQCN rate
   changes; each notification becomes a pause/retrieval event, the
   workload monitor supplies Ch for the trailing window, and the chosen
-  weights are applied to the target's SSQ drivers.  Adjustments are
+  weights are applied to the target's SSQ driver.  Adjustments are
   debounced to one per ``min_adjust_interval_ns``.
 """
 
@@ -33,31 +33,34 @@ from repro.workloads.traces import Trace
 #: normally stops the walk long before this.
 MAX_WEIGHT_RATIO = 64
 
+#: :class:`BlockRateController` lifts the read cap once the demanded
+#: rate is back within this fraction of the target's line rate.
+RELEASE_FRACTION = 0.95
+
+
+def demanded_rate_gbps(nic) -> float:
+    """The demanded data sending rate of a target NIC: the sum of its
+    flows' DCQCN rates, capped at its uplink's line rate (the line rate
+    while it has no flows)."""
+    line_rate = nic.link.rate_gbps
+    total = sum(f.rate_control.current_rate_gbps for f in nic.flows.values())
+    return min(line_rate, total) if total > 0 else line_rate
+
 
 class BlockRateController:
     """§V extension: direct block-layer read-rate control.
 
     Subscribes to a target's DCQCN rate changes like
     :class:`SRCController`, but instead of predicting a weight ratio it
-    applies the demanded sending rate directly to each device's
-    :class:`~repro.nvme.block_sched.BlockLayerThrottle` (split evenly
-    over the flash array).  No TPM required.
+    applies the demanded sending rate directly to the device's
+    :class:`~repro.nvme.block_sched.BlockLayerThrottle`.  No TPM
+    required.
     """
 
-    def __init__(
-        self,
-        *,
-        min_adjust_interval_ns: int = 1_000_000,
-        line_rate_gbps: float = 40.0,
-        release_fraction: float = 0.95,
-    ) -> None:
+    def __init__(self, *, min_adjust_interval_ns: int = 1_000_000) -> None:
         if min_adjust_interval_ns < 0:
             raise ValueError("adjust interval must be non-negative")
-        if not 0.0 < release_fraction <= 1.0:
-            raise ValueError("release fraction must be in (0, 1]")
         self.min_adjust_interval_ns = min_adjust_interval_ns
-        self.line_rate_gbps = line_rate_gbps
-        self.release_fraction = release_fraction
         self.adjustments: list[AdjustmentRecord] = []
         self._last_adjust_ns = -(10**18)
         self._target = None
@@ -68,29 +71,19 @@ class BlockRateController:
         self._sim = sim
         target.add_rate_listener(self._on_rate_change)
 
-    def _aggregate_rate_gbps(self) -> float:
-        total = sum(
-            f.rate_control.current_rate_gbps for f in self._target.nic.flows.values()
-        )
-        return min(self.line_rate_gbps, total) if total > 0 else self.line_rate_gbps
-
     def _on_rate_change(self, flow, change) -> None:
         now = self._sim.now
         if now - self._last_adjust_ns < self.min_adjust_interval_ns:
             return
         self._last_adjust_ns = now
-        demanded = self._aggregate_rate_gbps()
+        nic = self._target.nic
+        demanded = demanded_rate_gbps(nic)
         kind = EventKind.PAUSE if change.decreased else EventKind.RETRIEVAL
-        n = max(1, len(self._target.drivers))
-        per_device = demanded / n
-        for driver in self._target.drivers:
-            setter = getattr(driver, "set_read_rate", None)
-            if setter is None:
-                continue
-            if demanded >= self.line_rate_gbps * self.release_fraction:
-                setter(None)  # congestion cleared: lift the cap
-            else:
-                setter(per_device)
+        throttle = self._target.driver
+        if demanded >= nic.link.rate_gbps * RELEASE_FRACTION:
+            throttle.set_read_rate(None)  # congestion cleared: lift the cap
+        else:
+            throttle.set_read_rate(demanded)
         self.adjustments.append(
             AdjustmentRecord(
                 time_ns=now, demanded_rate_gbps=demanded, weight_ratio=1, kind=kind
@@ -160,7 +153,6 @@ class SRCController:
         window_ns: int = 10 * MS,
         tau: float = 0.1,
         min_adjust_interval_ns: int = 1 * MS,
-        line_rate_gbps: float = 40.0,
     ) -> None:
         if min_adjust_interval_ns < 0:
             raise ValueError("adjust interval must be non-negative")
@@ -168,7 +160,6 @@ class SRCController:
         self.monitor = WorkloadMonitor(window_ns)
         self.tau = tau
         self.min_adjust_interval_ns = min_adjust_interval_ns
-        self.line_rate_gbps = line_rate_gbps
         self.adjustments: list[AdjustmentRecord] = []
         self.current_ratio = 1
         self._last_adjust_ns = -(10**18)
@@ -207,43 +198,25 @@ class SRCController:
         target.arrival_listeners.append(self.monitor.observe)
         target.add_rate_listener(self._on_rate_change)
 
-    def _aggregate_rate_gbps(self) -> float:
-        """The demanded data sending rate: sum of flow rates, capped."""
-        total = sum(
-            f.rate_control.current_rate_gbps for f in self._target.nic.flows.values()
-        )
-        return min(self.line_rate_gbps, total) if total > 0 else self.line_rate_gbps
-
     def _on_rate_change(self, flow, change) -> None:
         now = self._sim.now
         if now - self._last_adjust_ns < self.min_adjust_interval_ns:
             return
         self._last_adjust_ns = now
-        demanded = self._aggregate_rate_gbps()
+        demanded = demanded_rate_gbps(self._target.nic)
         kind = EventKind.PAUSE if change.decreased else EventKind.RETRIEVAL
         self.handle_event(CongestionEvent(max(0, now), demanded, kind))
 
     def handle_event(self, event: CongestionEvent) -> int:
-        """Process one congestion event: predict and apply a new ratio.
-
-        The demanded sending rate arrives per *target*; the TPM predicts
-        per *device*.  With a flash array behind the target, both the
-        rate and the observed workload are scaled down to one device's
-        share before the prediction.
-        """
+        """Process one congestion event: predict and apply a new ratio."""
         if self._sim is None or self._target is None:
             raise RuntimeError("controller is not attached to a target")
         now = self._sim.now
-        n_devices = max(1, len(getattr(self._target, "drivers", [])) or 1)
         if self.monitor.in_window(now) < 2:
             w = 1  # nothing to profile yet; neutral weights
         else:
-            features = self.monitor.features(now).per_device(n_devices)
             w = predict_weight_ratio(
-                self.tpm,
-                event.demanded_rate_gbps / n_devices,
-                features,
-                tau=self.tau,
+                self.tpm, event.demanded_rate_gbps, self.monitor.features(now), tau=self.tau
             )
         if w != self.current_ratio:
             self.current_ratio = w

@@ -7,10 +7,9 @@ measure trimmed aggregated throughput (reads at initiators + writes at
 targets), and report the improvement.  §V adds a third arm, the
 block-layer throttle.
 
-Congestion in these experiments is endogenous in-cast: each target runs
-a flash array whose combined read capacity exceeds the victim
-initiator's downlink, so inbound read data congests exactly as in the
-paper's Clos runs.
+Congestion in these experiments is endogenous in-cast: the targets'
+SSDs together read faster than the victim initiator's downlink, so
+inbound read data congests exactly as in the paper's Clos runs.
 """
 
 from __future__ import annotations

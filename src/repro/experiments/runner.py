@@ -1,14 +1,14 @@
 """Integrated NVMe-oF testbed: network + fabric + drivers + SSDs + SRC.
 
 Builds the paper's evaluation shape (§IV-A/IV-D): N initiators and M
-targets on a switched fabric, each target running one or more simulated
-SSDs behind an NVMe driver, DCQCN as the network congestion control, and
+targets on a switched fabric, each target running one simulated SSD
+behind an NVMe driver, DCQCN as the network congestion control, and
 optionally the SRC controller adjusting SSQ weights from DCQCN rate
 notifications.
 
 Congestion comes from the workload itself (in-cast of read data toward
 initiators) and, when configured, from a background traffic episode
-aimed at an initiator — the knob used to reproduce the Fig. 7
+aimed at the first initiator — the knob used to reproduce the Fig. 7
 congestion-then-relief timeline.
 
 The paper's fabric is lossless RoCEv2 under PFC, and nothing here
@@ -38,15 +38,18 @@ from repro.net.topology import Network, build_star
 from repro.nvme.driver import DefaultNvmeDriver
 from repro.nvme.ssq import SSQDriver
 from repro.sim.engine import Simulator
-from repro.sim.units import MS, US, gbps_to_bytes_per_ns
+from repro.sim.units import MS, gbps_to_bytes_per_ns
 from repro.ssd.config import SSDConfig
 from repro.ssd.device import SSD
 from repro.workloads.traces import Trace
 
+#: Size of each background message.
+BACKGROUND_MESSAGE_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class BackgroundTraffic:
-    """An in-cast episode toward an initiator (congestion inducer).
+    """An in-cast episode toward initiator 0 (congestion inducer).
 
     ``n_hosts`` senders each offer ``rate_gbps`` at the victim's downlink
     during the window.  Because DCQCN converges toward per-flow fairness,
@@ -58,8 +61,6 @@ class BackgroundTraffic:
     end_ns: int
     rate_gbps: float
     n_hosts: int = 1
-    message_bytes: int = 64 * 1024
-    victim_index: int = 0  # which initiator's downlink to congest
 
     def __post_init__(self) -> None:
         if self.end_ns <= self.start_ns:
@@ -78,14 +79,11 @@ class TestbedConfig:
 
     n_initiators: int = 1
     n_targets: int = 2
-    ssds_per_target: int = 1
     ssd_config: SSDConfig | None = None
     #: "default" (FIFO), "ssq" (§III-A separate queues), or "block"
     #: (§V block-layer throttle above a FIFO driver).
     driver: str = "ssq"
     src_enabled: bool = False
-    link_rate_gbps: float = 40.0
-    link_delay_ns: int = US
     nic_config: NICConfig | None = None
     switch_config: SwitchConfig | None = None
     background: BackgroundTraffic | None = None
@@ -93,7 +91,7 @@ class TestbedConfig:
     src_min_interval_ns: int = 1 * MS
 
     def __post_init__(self) -> None:
-        if self.n_initiators < 1 or self.n_targets < 1 or self.ssds_per_target < 1:
+        if self.n_initiators < 1 or self.n_targets < 1:
             raise ValueError("node counts must be >= 1")
         if self.driver not in ("ssq", "default", "block"):
             raise ValueError(f"unknown driver {self.driver!r}")
@@ -147,20 +145,19 @@ class _BackgroundFeeder:
     """Self-rescheduling background-traffic source (slotted so a mid-
     episode checkpoint can pickle the pending feed event)."""
 
-    __slots__ = ("sim", "nic", "victim", "message_bytes", "end_ns", "gap_ns")
+    __slots__ = ("sim", "nic", "victim", "end_ns", "gap_ns")
 
-    def __init__(self, sim, nic, victim, message_bytes, end_ns, gap_ns):
+    def __init__(self, sim, nic, victim, end_ns, gap_ns):
         self.sim = sim
         self.nic = nic
         self.victim = victim
-        self.message_bytes = message_bytes
         self.end_ns = end_ns
         self.gap_ns = gap_ns
 
     def __call__(self) -> None:
         if self.sim.now >= self.end_ns:
             return
-        self.nic.send_message(self.victim, self.message_bytes)
+        self.nic.send_message(self.victim, BACKGROUND_MESSAGE_BYTES)
         self.sim.schedule_anon(self.gap_ns, self)
 
 
@@ -210,8 +207,6 @@ def run_testbed(
     net = build_star(
         sim,
         init_names + tgt_names + bg_names,
-        rate_gbps=config.link_rate_gbps,
-        delay_ns=config.link_delay_ns,
         nic_config=config.nic_config,
         switch_config=config.switch_config,
     )
@@ -225,9 +220,7 @@ def run_testbed(
     targets: list[Target] = []
     controllers: list[SRCController | BlockRateController] = []
     for name in tgt_names:
-        ssds = [SSD(sim, ssd_config) for _ in range(config.ssds_per_target)]
-        drivers = [_make_driver(config, sim) for _ in range(config.ssds_per_target)]
-        target = Target(sim, net.hosts[name], ssds, drivers)
+        target = Target(sim, net.hosts[name], SSD(sim, ssd_config), _make_driver(config, sim))
         targets.append(target)
         if config.src_enabled and config.driver == "ssq":
             from repro.core.controller import SRCController
@@ -237,7 +230,6 @@ def run_testbed(
                 tpm,
                 window_ns=config.src_window_ns,
                 min_adjust_interval_ns=config.src_min_interval_ns,
-                line_rate_gbps=config.link_rate_gbps,
             )
             src_controller.attach(target, sim)
             controllers.append(src_controller)
@@ -245,8 +237,7 @@ def run_testbed(
             from repro.core.controller import BlockRateController
 
             block_controller = BlockRateController(
-                min_adjust_interval_ns=config.src_min_interval_ns,
-                line_rate_gbps=config.link_rate_gbps,
+                min_adjust_interval_ns=config.src_min_interval_ns
             )
             block_controller.attach(target, sim)
             controllers.append(block_controller)
@@ -266,13 +257,9 @@ def run_testbed(
     # Background congestion episode.
     if config.background:
         bg = config.background
-        victim = init_names[bg.victim_index % len(init_names)]
-        gap_ns = max(1, int(bg.message_bytes / gbps_to_bytes_per_ns(bg.rate_gbps)))
-
+        gap_ns = max(1, int(BACKGROUND_MESSAGE_BYTES / gbps_to_bytes_per_ns(bg.rate_gbps)))
         for name in bg_names:
-            feeder = _BackgroundFeeder(
-                sim, net.hosts[name], victim, bg.message_bytes, bg.end_ns, gap_ns
-            )
+            feeder = _BackgroundFeeder(sim, net.hosts[name], init_names[0], bg.end_ns, gap_ns)
             sim.schedule_at_anon(bg.start_ns, feeder)
 
     end = duration_ns if duration_ns is not None else trace[-1].arrival_ns + drain_margin_ns

@@ -1,8 +1,8 @@
-"""NVMe-oF target: storage node bridging network and NVMe driver(s).
+"""NVMe-oF target: storage node bridging network and NVMe driver.
 
-Arriving command capsules are submitted into the NVMe driver of one of
-the target's SSDs (round-robin across the flash array).  Completions are
-drained from each device CQ in order:
+Each target holds one SSD behind one NVMe driver, as in the paper's
+testbed (§IV-A).  Arriving command capsules are submitted into the
+driver; completions are drained from the device CQ in order:
 
 * **write** completions always pop — a small ack capsule returns to the
   initiator, and the completion time is the "write throughput obtained
@@ -29,15 +29,16 @@ from repro.workloads.request import IORequest
 
 
 class Target:
-    """One storage node with a flash array behind an NVMe-oF port."""
+    """One storage node with an SSD behind an NVMe-oF port."""
 
     __slots__ = (
         "sim",
         "nic",
         "name",
+        "ssd",
+        "driver",
         "ssds",
         "drivers",
-        "_rr",
         "_draining",
         "_drain_again",
         "write_completions",
@@ -46,22 +47,20 @@ class Target:
         "arrival_listeners",
     )
 
-    def __init__(self, sim: Simulator, nic: NIC, ssds: list[SSD], drivers: list) -> None:
-        if not ssds:
-            raise ValueError("a target needs at least one SSD")
-        if len(ssds) != len(drivers):
-            raise ValueError("need exactly one driver per SSD")
+    def __init__(self, sim: Simulator, nic: NIC, ssd: SSD, driver) -> None:
         self.sim = sim
         self.nic = nic
         self.name = nic.name
-        self.ssds = ssds
-        self.drivers = drivers
-        for ssd, driver in zip(ssds, drivers):
-            driver.connect(ssd)
-            ssd.set_cq_listener(self._on_completion_posted)
+        self.ssd = ssd
+        self.driver = driver
+        # One-element views for readers that sum over a run's devices
+        # (benchmarks/perf/workloads.py).
+        self.ssds = (ssd,)
+        self.drivers = (driver,)
+        driver.connect(ssd)
+        ssd.set_cq_listener(self._on_completion_posted)
         nic.endpoint = self._on_message
-        nic.txq_drain_listeners.append(self._drain_all)
-        self._rr = 0
+        nic.txq_drain_listeners.append(self._drain)
         self._draining = False
         self._drain_again = False
         #: (time_ns, nbytes) of write completions at the device — the
@@ -82,9 +81,7 @@ class Target:
         self.commands_received += 1
         for listener in self.arrival_listeners:
             listener(req, self.sim.now)
-        driver = self.drivers[self._rr]
-        self._rr = (self._rr + 1) % len(self.drivers)
-        driver.submit(req, now_ns=self.sim.now)
+        self.driver.submit(req, now_ns=self.sim.now)
 
     # -- completion drain ---------------------------------------------------------
     def _on_completion_posted(self, entry) -> None:
@@ -96,10 +93,10 @@ class Target:
             self.read_device_completions.append((entry.posted_ns, req.size_bytes))
         else:
             self.write_completions.append((entry.posted_ns, req.size_bytes))
-        self._drain_all()
+        self._drain()
 
-    def _drain_all(self) -> None:
-        """Drain every SSD's CQ, safely against re-entrancy.
+    def _drain(self) -> None:
+        """Drain the SSD's CQ, safely against re-entrancy.
 
         ``send_message`` can synchronously fire the TXQ-drain listener,
         which calls back into this method while a CQ head is mid-send;
@@ -114,14 +111,14 @@ class Target:
             again = True
             while again:
                 self._drain_again = False
-                for ssd in self.ssds:
-                    self._drain_cq(ssd)
+                self._drain_cq()
                 again = self._drain_again
         finally:
             self._draining = False
 
-    def _drain_cq(self, ssd: SSD) -> None:
+    def _drain_cq(self) -> None:
         nic = self.nic
+        ssd = self.ssd
         cq = ssd.controller.cq
         while cq:
             head = cq[0]
@@ -147,13 +144,7 @@ class Target:
         self.nic.rate_listeners.append(listener)
 
     def set_ssq_weights(self, read_weight: int, write_weight: int) -> None:
-        """Apply SSQ weights on every driver that supports them."""
-        for driver in self.drivers:
-            setter = getattr(driver, "set_weights", None)
-            if setter is not None:
-                setter(read_weight, write_weight, now_ns=self.sim.now)
-
-    # -- metrics ---------------------------------------------------------------
-    def pause_count(self) -> int:
-        """Congestion signals received (CNPs at this target's NIC)."""
-        return len(self.nic.cnp_log)
+        """Apply SSQ weights if the driver supports them."""
+        setter = getattr(self.driver, "set_weights", None)
+        if setter is not None:
+            setter(read_weight, write_weight, now_ns=self.sim.now)

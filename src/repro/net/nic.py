@@ -45,11 +45,6 @@ class NICConfig:
     cnp_interval_ns: Nanoseconds = 50_000
     max_link_backlog_packets: int = 4
     dcqcn: DCQCNConfig = field(default_factory=DCQCNConfig)
-    #: Most partially-reassembled messages held at once; beyond this the
-    #: oldest partial is evicted (accounted in
-    #: ``reassembly_bytes_discarded``) so switch drops cannot grow
-    #: ``_reassembly`` without bound.
-    reassembly_max_pending: int = 4096
     #: Burst batching (dual-fidelity mode): when >= 2 and the uplink is
     #: idle, ``Flow.pump`` admits up to this many back-to-back MTU
     #: segments as *one* ``Link.send_burst`` serialization event instead
@@ -66,8 +61,6 @@ class NICConfig:
             raise ValueError("CNP interval must be positive")
         if self.max_link_backlog_packets < 1:
             raise ValueError("link backlog must be >= 1")
-        if self.reassembly_max_pending < 1:
-            raise ValueError("reassembly cap must be >= 1")
         if self.burst_segments < 1:
             raise ValueError("burst_segments must be >= 1")
 
@@ -342,10 +335,7 @@ class NIC:
         "pfc_pause_log",
         "bytes_received",
         "messages_delivered",
-        "reassembly_high_water",
         "reassembly_bytes_delivered",
-        "reassembly_bytes_discarded",
-        "reassembly_evictions",
     )
 
     def __init__(self, sim: Simulator, name: str, config: NICConfig | None = None) -> None:
@@ -371,16 +361,9 @@ class NIC:
         self.pfc_pause_log: list[int] = []
         self.bytes_received = 0
         self.messages_delivered = 0
-        #: Most partially-reassembled messages ever held at once.
-        self.reassembly_high_water = 0
         #: DATA bytes accounted to delivered messages (reassembly byte-
-        #: conservation: received == delivered + pending + discarded).
+        #: conservation: received == delivered + pending).
         self.reassembly_bytes_delivered = 0
-        #: DATA bytes received but never delivered: partials evicted by
-        #: the ``reassembly_max_pending`` cap.
-        self.reassembly_bytes_discarded = 0
-        #: Partial messages evicted by the ``reassembly_max_pending`` cap.
-        self.reassembly_evictions = 0
         if sim.sanitizer is not None:
             sim.sanitizer.track_nic(self)
 
@@ -502,15 +485,6 @@ class NIC:
                     self.endpoint(packet.payload, packet.src, packet.message_bytes)
             else:
                 reassembly[packet.message_id] = got
-                pending = len(reassembly)
-                if pending > self.reassembly_high_water:
-                    self.reassembly_high_water = pending
-                if pending > self.config.reassembly_max_pending:
-                    # Bound reassembly state under silent loss: evict the
-                    # oldest partial (insertion order = arrival order).
-                    oldest = next(iter(reassembly))
-                    self.reassembly_bytes_discarded += reassembly.pop(oldest)
-                    self.reassembly_evictions += 1
             return
         kind = packet.kind
         if kind in (PacketKind.PAUSE, PacketKind.RESUME):

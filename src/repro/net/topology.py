@@ -199,19 +199,6 @@ class Network:
         for switch in self.switches.values():
             yield from switch._out_links
 
-    def find_link(self, name: str) -> Link:
-        for link in self.iter_links():
-            if link.name == name:
-                return link
-        raise KeyError(f"no link named {name!r}")
-
-    # -- aggregate metrics -----------------------------------------------------
-    def total_cnps(self) -> int:
-        return sum(len(h.cnp_log) for h in self.hosts.values())
-
-    def total_pfc_pauses(self) -> int:
-        return sum(s.pauses_sent for s in self.switches.values())
-
 
 def build_star(
     sim: Simulator,

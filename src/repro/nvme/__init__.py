@@ -4,7 +4,7 @@ Two drivers implement the controller's
 :class:`~repro.ssd.controller.SubmissionSource` protocol:
 
 * :class:`~repro.nvme.driver.DefaultNvmeDriver` — the stock design of
-  Fig. 4-a: per-CPU FIFO submission queues, no I/O-type awareness;
+  Fig. 4-a: one FIFO submission queue, no I/O-type awareness;
 * :class:`~repro.nvme.ssq.SSQDriver` — the paper's separate submission
   queue mechanism (Fig. 4-b, §III-A): one read SQ and one write SQ,
   fetched by token-based weighted round-robin, with QD partitioned by

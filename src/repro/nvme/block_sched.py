@@ -38,7 +38,6 @@ class BlockLayerThrottle:
         "_pending",
         "_next_release_ns",
         "_release_event",
-        "reads_throttled",
         "rate_log",
     )
 
@@ -49,7 +48,6 @@ class BlockLayerThrottle:
         self._pending: deque[IORequest] = deque()
         self._next_release_ns = 0
         self._release_event = None
-        self.reads_throttled = 0
         #: (time_ns, rate or None) history of rate changes.
         self.rate_log: list[tuple[int, float | None]] = []
         if read_rate_gbps is not None:
@@ -91,7 +89,6 @@ class BlockLayerThrottle:
             self.inner.submit(request, now_ns=now_ns)
             return
         self._pending.append(request)
-        self.reads_throttled += 1
         self._pump()
 
     def _pump(self) -> None:

@@ -127,7 +127,6 @@ class SSDController:
         "_stalled_writes",
         "cq_listener",
         "completion_log",
-        "commands_fetched",
         "commands_completed",
     )
 
@@ -160,7 +159,6 @@ class SSDController:
         self._stalled_writes: deque[tuple[_Inflight, range]] = deque()
         self.cq_listener: Callable[[CompletionEntry], None] | None = None
         self.completion_log: list[tuple[int, IORequest]] = []
-        self.commands_fetched = 0
         self.commands_completed = 0
 
     # -- wiring -----------------------------------------------------------
@@ -184,7 +182,6 @@ class SSDController:
             if req is None:
                 break
             req.fetch_ns = self.sim.now
-            self.commands_fetched += 1
             if req.is_read:
                 self.inflight_reads += 1
                 self._start_read(req)

@@ -68,28 +68,6 @@ class WorkloadFeatures:
             raise ValueError(f"weight ratio must be >= 1, got {weight_ratio}")
         return np.append(self.to_array(), float(weight_ratio))
 
-    def per_device(self, n_devices: int) -> "WorkloadFeatures":
-        """The workload one device of an ``n_devices`` array sees.
-
-        A target round-robins requests over its flash array, thinning
-        each stream ``n``-fold: inter-arrivals stretch by ``n``, flow
-        speeds shrink by ``n``; sizes, SCVs and the read/write ratio are
-        (approximately) preserved by uniform thinning.
-        """
-        if n_devices < 1:
-            raise ValueError(f"n_devices must be >= 1, got {n_devices}")
-        if n_devices == 1:
-            return self
-        from dataclasses import replace
-
-        return replace(
-            self,
-            read_mean_interarrival_ns=self.read_mean_interarrival_ns * n_devices,
-            write_mean_interarrival_ns=self.write_mean_interarrival_ns * n_devices,
-            read_flow_speed=self.read_flow_speed / n_devices,
-            write_flow_speed=self.write_flow_speed / n_devices,
-        )
-
 
 def _direction_stats(
     arrivals: np.ndarray, sizes: np.ndarray, window_ns: int | None

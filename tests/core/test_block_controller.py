@@ -1,8 +1,8 @@
-"""BlockRateController and per-device SRC scaling."""
+"""BlockRateController and the demanded-rate helper."""
 
 import pytest
 
-from repro.core.controller import BlockRateController, SRCController
+from repro.core.controller import BlockRateController, demanded_rate_gbps
 from repro.net.dcqcn import RateChange
 
 
@@ -20,10 +20,15 @@ class FakeFlow:
         self.rate_control = FakeRc(rate)
 
 
+class FakeLink:
+    rate_gbps = 40.0
+
+
 class FakeNic:
     def __init__(self, rates):
         self.flows = {f"f{i}": FakeFlow(r) for i, r in enumerate(rates)}
         self.rate_listeners = []
+        self.link = FakeLink()
 
 
 class FakeThrottle:
@@ -35,34 +40,29 @@ class FakeThrottle:
 
 
 class FakeTarget:
-    def __init__(self, rates, n_drivers=2):
+    def __init__(self, rates):
         self.nic = FakeNic(rates)
-        self.drivers = [FakeThrottle() for _ in range(n_drivers)]
-        self.weight_calls = []
+        self.driver = FakeThrottle()
 
     def add_rate_listener(self, listener):
         self.nic.rate_listeners.append(listener)
 
-    def set_ssq_weights(self, r, w):
-        self.weight_calls.append((r, w))
-
 
 class TestBlockRateController:
-    def test_applies_per_device_rate(self):
-        target = FakeTarget(rates=[6.0], n_drivers=2)
+    def test_applies_demanded_rate(self):
+        target = FakeTarget(rates=[6.0])
         ctrl = BlockRateController(min_adjust_interval_ns=0)
         ctrl.attach(target, FakeSim())
         ctrl._on_rate_change(None, RateChange(0, 6.0, True))
-        # 6 Gbps demanded over 2 devices -> 3 each.
-        for throttle in target.drivers:
-            assert throttle.rates == [3.0]
+        assert target.driver.rates == [6.0]
+        assert ctrl.adjustments[-1].demanded_rate_gbps == 6.0
 
     def test_lifts_cap_near_line_rate(self):
-        target = FakeTarget(rates=[39.9], n_drivers=1)
+        target = FakeTarget(rates=[39.9])
         ctrl = BlockRateController(min_adjust_interval_ns=0)
         ctrl.attach(target, FakeSim())
         ctrl._on_rate_change(None, RateChange(0, 39.9, False))
-        assert target.drivers[0].rates == [None]
+        assert target.driver.rates == [None]
 
     def test_debounce(self):
         target = FakeTarget(rates=[5.0])
@@ -73,43 +73,10 @@ class TestBlockRateController:
         assert len(ctrl.adjustments) == 1
 
     def test_aggregate_rate_capped_at_line(self):
-        target = FakeTarget(rates=[30.0, 30.0])
-        ctrl = BlockRateController(min_adjust_interval_ns=0, line_rate_gbps=40.0)
-        ctrl.attach(target, FakeSim())
-        assert ctrl._aggregate_rate_gbps() == 40.0
+        assert demanded_rate_gbps(FakeNic(rates=[30.0, 30.0])) == 40.0
+        assert demanded_rate_gbps(FakeNic(rates=[3.0, 4.0])) == 7.0
+        assert demanded_rate_gbps(FakeNic(rates=[])) == 40.0  # no flows yet
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BlockRateController(min_adjust_interval_ns=-1)
-        with pytest.raises(ValueError):
-            BlockRateController(release_fraction=0.0)
-
-
-class TestPerDeviceScalingInSRC:
-    def test_demanded_rate_divided_by_array_width(self):
-        calls = []
-
-        class SpyTPM:
-            fitted = True
-
-            def predict(self, features, w):
-                calls.append((features, w))
-                return 0.1, 1.0  # immediately below any demand -> w=1
-
-        target = FakeTarget(rates=[6.0], n_drivers=3)
-        ctrl = SRCController(SpyTPM(), min_adjust_interval_ns=0)
-        ctrl._target = target
-        ctrl._sim = FakeSim()
-        # Feed the monitor two requests so features are computed.
-        from repro.workloads.request import IORequest, OpType
-
-        ctrl.monitor.observe(IORequest(arrival_ns=0, op=OpType.READ, lba=0, size_bytes=512), 0)
-        ctrl.monitor.observe(IORequest(arrival_ns=0, op=OpType.WRITE, lba=99999, size_bytes=512), 0)
-
-        from repro.core.events import CongestionEvent, EventKind
-
-        ctrl.handle_event(CongestionEvent(0, 6.0, EventKind.PAUSE))
-        # The features handed to the TPM were thinned 3x.
-        features, _ = calls[0]
-        base = ctrl.monitor.features(0)
-        assert features.read_flow_speed == pytest.approx(base.read_flow_speed / 3)

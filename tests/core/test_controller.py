@@ -101,7 +101,7 @@ class TestOnlineController:
 
         sim = Simulator()
         net = build_star(sim, ["ini", "tgt"])
-        target = Target(sim, net.hosts["tgt"], [SSD(sim, fast_ssd)], [SSQDriver()])
+        target = Target(sim, net.hosts["tgt"], SSD(sim, fast_ssd), SSQDriver())
         initiator = Initiator(sim, net.hosts["ini"])
         controller = SRCController(FakeTPM(8.0), window_ns=10**8, tau=0.01,
                                    min_adjust_interval_ns=0)
@@ -119,7 +119,7 @@ class TestOnlineController:
         # Simulate a DCQCN cut notification.
         controller.handle_event(CongestionEvent(sim.now, 2.0, EventKind.PAUSE))
         assert controller.current_ratio == 4
-        assert target.drivers[0].weight_ratio == 4.0
+        assert target.driver.weight_ratio == 4.0
         assert controller.adjustments[-1].kind is EventKind.PAUSE
 
     def test_debounce_limits_adjustment_rate(self):
@@ -134,9 +134,13 @@ class TestOnlineController:
         class FakeFlow:
             rate_control = FakeFlowRc()
 
+        class FakeLink:
+            rate_gbps = 40.0
+
         class FakeNic:
             flows = {"x": FakeFlow()}
             rate_listeners = []
+            link = FakeLink()
 
         class FakeTarget:
             nic = FakeNic()

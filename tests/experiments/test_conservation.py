@@ -65,6 +65,6 @@ def test_initiator_accounting_consistent(run):
 def test_fetch_counts_match_submissions(run):
     _, res = run
     for target in res.targets:
-        for driver in target.drivers:
-            assert driver.fetched <= driver.submitted
-            assert driver.submitted - driver.fetched == driver.queued()
+        driver = target.driver
+        assert driver.fetched <= driver.submitted
+        assert driver.submitted - driver.fetched == driver.queued()

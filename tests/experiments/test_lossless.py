@@ -37,7 +37,7 @@ def build_cell(*, swallow: bool):
     sim = Simulator()
     net = build_star(sim, ["init0", "tgt0"], rate_gbps=40.0, delay_ns=US)
     ssd = SSD(sim, FAST_SSD)
-    Target(sim, net.hosts["tgt0"], [ssd], [SSQDriver(1, 1)])
+    Target(sim, net.hosts["tgt0"], ssd, SSQDriver(1, 1))
     if swallow:
         net.hosts["tgt0"].endpoint = _swallow
     ini = Initiator(sim, net.hosts["init0"])
@@ -148,7 +148,7 @@ def test_a_read_completion_larger_than_the_txq_raises():
         sim, ["init0", "tgt0"], nic_config=NICConfig(txq_capacity_bytes=16 * KIB)
     )
     ssd = SSD(sim, FAST_SSD)
-    Target(sim, net.hosts["tgt0"], [ssd], [SSQDriver(1, 1)])
+    Target(sim, net.hosts["tgt0"], ssd, SSQDriver(1, 1))
     ini = Initiator(sim, net.hosts["init0"])
     req = IORequest(arrival_ns=0, op=OpType.READ, lba=0, size_bytes=32 * KIB)
     req.target = "tgt0"

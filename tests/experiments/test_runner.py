@@ -90,7 +90,17 @@ def test_ssq_driver_option():
     res = run_testbed(small_trace(), base_config(driver="ssq"))
     from repro.nvme.ssq import SSQDriver
 
-    assert all(isinstance(d, SSQDriver) for t in res.targets for d in t.drivers)
+    assert all(isinstance(t.driver, SSQDriver) for t in res.targets)
+
+
+def test_targets_expose_one_element_device_views():
+    # benchmarks/perf sums its storage counters over ``tgt.ssds`` and
+    # ``tgt.drivers``; each must hold exactly the target's one device.
+    res = run_testbed(small_trace(n=20), base_config(driver="block"))
+    for t in res.targets:
+        assert t.ssds == (t.ssd,)
+        assert t.drivers == (t.driver,)
+        assert t.driver.inner.submitted == t.commands_received
 
 
 def test_src_requires_tpm():

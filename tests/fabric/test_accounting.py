@@ -15,7 +15,7 @@ from tests.conftest import FAST_SSD
 def build(nic_config=None):
     sim = Simulator()
     net = build_star(sim, ["ini", "tgt"], nic_config=nic_config)
-    target = Target(sim, net.hosts["tgt"], [SSD(sim, FAST_SSD)], [DefaultNvmeDriver()])
+    target = Target(sim, net.hosts["tgt"], SSD(sim, FAST_SSD), DefaultNvmeDriver())
     initiator = Initiator(sim, net.hosts["ini"])
     return sim, initiator, target
 

@@ -25,7 +25,7 @@ def run_cell(seed: int, *, sanitize: bool = False) -> list[tuple[int, str]]:
     net = build_star(sim, ["init0", "tgt0"], rate_gbps=40.0, delay_ns=US)
     ssd = SSD(sim, FAST_SSD)
     driver = SSQDriver(read_weight=1, write_weight=2)
-    Target(sim, net.hosts["tgt0"], [ssd], [driver])
+    Target(sim, net.hosts["tgt0"], ssd, driver)
     initiator = Initiator(sim, net.hosts["init0"])
     trace = generate_micro_trace(
         MicroWorkloadConfig(mean_interarrival_ns=3_000, mean_size_bytes=8 * KIB),

@@ -16,12 +16,10 @@ from repro.workloads.traces import Trace
 from tests.conftest import FAST_SSD
 
 
-def build(driver_factory=DefaultNvmeDriver, n_ssds=1, nic_config=None):
+def build(driver_factory=DefaultNvmeDriver, nic_config=None):
     sim = Simulator()
     net = build_star(sim, ["ini", "tgt"], nic_config=nic_config)
-    ssds = [SSD(sim, FAST_SSD) for _ in range(n_ssds)]
-    drivers = [driver_factory() for _ in range(n_ssds)]
-    target = Target(sim, net.hosts["tgt"], ssds, drivers)
+    target = Target(sim, net.hosts["tgt"], SSD(sim, FAST_SSD), driver_factory())
     initiator = Initiator(sim, net.hosts["ini"])
     return sim, net, initiator, target
 
@@ -96,14 +94,6 @@ class TestEndToEnd:
         ini.load_trace(trace, target_of=lambda r: "tgt")
         assert sim.pending() == before + 1
 
-    def test_multiple_ssds_round_robin(self):
-        sim, net, ini, tgt = build(n_ssds=3)
-        for i in range(9):
-            ini.issue(req(OpType.READ, lba=i * 1000))
-        sim.run()
-        per_ssd = [len(s.controller.completion_log) for s in tgt.ssds]
-        assert per_ssd == [3, 3, 3]
-
     def test_ssq_driver_works_over_fabric(self):
         sim, net, ini, tgt = build(driver_factory=lambda: SSQDriver(1, 2))
         for i in range(10):
@@ -113,9 +103,9 @@ class TestEndToEnd:
         assert ini.reads_completed + ini.writes_completed == 10
 
     def test_set_ssq_weights_applies_to_all_drivers(self):
-        sim, net, ini, tgt = build(driver_factory=lambda: SSQDriver(1, 1), n_ssds=2)
+        sim, net, ini, tgt = build(driver_factory=lambda: SSQDriver(1, 1))
         tgt.set_ssq_weights(1, 6)
-        assert all(d.weight_ratio == 6.0 for d in tgt.drivers)
+        assert tgt.driver.weight_ratio == 6.0
 
     def test_issue_requires_target(self):
         sim, net, ini, tgt = build()
@@ -134,15 +124,6 @@ class TestBackpressure:
         sim.run()
         assert ini.reads_completed == 8
 
-    def test_target_validation(self):
-        sim = Simulator()
-        net = build_star(sim, ["i", "t"])
-        with pytest.raises(ValueError):
-            Target(sim, net.hosts["t"], [], [])
-        ssd = SSD(sim, FAST_SSD)
-        with pytest.raises(ValueError):
-            Target(sim, net.hosts["t"], [ssd], [])
-
     def test_pause_count_exposed(self):
         sim, net, ini, tgt = build()
-        assert tgt.pause_count() == 0
+        assert len(tgt.nic.cnp_log) == 0

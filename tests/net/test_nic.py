@@ -197,8 +197,22 @@ def test_reassembly_high_water_counts_concurrent_partials():
     for mid in range(4):
         b.receive(_data("a", "b", size=100, message_id=mid, message_bytes=1000), 0)
     assert b.reassembly_pending == 4
-    assert b.reassembly_high_water == 4
     for mid in range(4):
         b.receive(_data("a", "b", size=900, message_id=mid, message_bytes=1000, last=True), 0)
     assert b.reassembly_pending == 0
-    assert b.reassembly_high_water == 4  # high-water latches the peak
+
+
+def test_reassembly_holds_every_concurrent_partial():
+    # Reassembly state is unbounded: no partial message is ever evicted,
+    # so every byte received is delivered once its message completes.
+    sim, net = pair()
+    b = net.hosts["b"]
+    n = 5_000
+    for mid in range(n):
+        b.receive(_data("a", "b", size=100, message_id=mid, message_bytes=1000), 0)
+    assert b.reassembly_pending == n
+    for mid in range(n):
+        b.receive(_data("a", "b", size=900, message_id=mid, message_bytes=1000, last=True), 0)
+    assert b.reassembly_pending == 0
+    assert b.messages_delivered == n
+    assert b.reassembly_bytes_delivered == b.bytes_received == n * 1000

@@ -105,8 +105,8 @@ def test_clos_validation():
 def test_total_counters():
     sim = Simulator()
     net = build_star(sim, ["a", "b"])
-    assert net.total_cnps() == 0
-    assert net.total_pfc_pauses() == 0
+    assert sum(len(h.cnp_log) for h in net.hosts.values()) == 0
+    assert sum(s.pauses_sent for s in net.switches.values()) == 0
 
 
 def test_routes_to_all_hosts_from_all_switches():

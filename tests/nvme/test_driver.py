@@ -1,7 +1,5 @@
 """Default FIFO NVMe driver tests."""
 
-import pytest
-
 from repro.nvme.driver import DefaultNvmeDriver
 from repro.workloads.request import IORequest, OpType
 
@@ -11,7 +9,7 @@ def req(i, op=OpType.READ):
 
 
 def test_fifo_order_single_queue():
-    d = DefaultNvmeDriver(1)
+    d = DefaultNvmeDriver()
     for i in range(5):
         d.submit(req(i))
     fetched = [d.fetch(0, 0, 64).arrival_ns for _ in range(5)]
@@ -19,7 +17,7 @@ def test_fifo_order_single_queue():
 
 
 def test_no_type_awareness():
-    d = DefaultNvmeDriver(1)
+    d = DefaultNvmeDriver()
     d.submit(req(0, OpType.READ))
     d.submit(req(1, OpType.WRITE))
     d.submit(req(2, OpType.READ))
@@ -27,21 +25,12 @@ def test_no_type_awareness():
     assert ops == [OpType.READ, OpType.WRITE, OpType.READ]
 
 
-def test_multi_queue_round_robin_preserves_per_queue_fifo():
-    d = DefaultNvmeDriver(2)
-    for i in range(6):
-        d.submit(req(i))
-    # Submission round-robins q0:[0,2,4] q1:[1,3,5]; fetch interleaves.
-    fetched = [d.fetch(0, 0, 64).arrival_ns for _ in range(6)]
-    assert fetched == [0, 1, 2, 3, 4, 5]
-
-
 def test_fetch_empty_returns_none():
     assert DefaultNvmeDriver().fetch(0, 0, 64) is None
 
 
 def test_has_pending_and_queued():
-    d = DefaultNvmeDriver(2)
+    d = DefaultNvmeDriver()
     assert not d.has_pending()
     d.submit(req(0))
     d.submit(req(1))
@@ -84,7 +73,3 @@ def test_doorbell_rings_connected_device():
     d.submit(req(0))
     assert dev.rings == 1
 
-
-def test_validation():
-    with pytest.raises(ValueError):
-        DefaultNvmeDriver(0)

@@ -25,7 +25,7 @@ from tests.ssd.storage_cells import (
 
 
 def cell_default():
-    result = replay_on_device(micro(3000, 8192, 300, 300, 11), FAST_SSD, DefaultNvmeDriver(2))
+    result = replay_on_device(micro(3000, 8192, 300, 300, 11), FAST_SSD, DefaultNvmeDriver())
     return result.ssd, result.sim_events
 
 
